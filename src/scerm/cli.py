@@ -10,7 +10,8 @@ output never lands under the final name. Reruns with identical config and
 seed produce byte-identical files.
 
 Exit codes: 0 success, 1 assertion failure (a configured tolerance or
-threshold was missed), 2 usage error (bad flags, invalid config, I/O).
+threshold was missed, or a solve did not converge), 2 usage error (bad
+flags, invalid config, I/O).
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
 from .config import RunConfig, build_population, config_digest, load_config_file
 from .errors import ConfigError, ContractViolation, NonConvergenceError
+from .losses import sup_constants
 from .population import (
     compute_diagnostics,
     default_lambda_grid,
@@ -38,6 +41,7 @@ from .rates import (
     RateParams,
     anchored_lambdas,
     gradient_concentration_experiment,
+    gradient_premise_n,
     hessian_concentration_experiment,
     hessian_premise_n,
     rate_constants,
@@ -95,11 +99,7 @@ def _san(x):
 def _cmd_solve(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
     spec = cfg.solve
     config = SolverConfig(tol=spec.tol, max_iter=spec.max_iter)
-    try:
-        res = solve_erm(pop.sample_set, pop.weights, pop.loss, spec.lam, config)
-    except NonConvergenceError as exc:
-        print(f"solve: FAILED to converge ({exc})", file=sys.stderr)
-        return 1
+    res = solve_erm(pop.sample_set, pop.weights, pop.loss, spec.lam, config)
     _write_csv(
         os.path.join(out_dir, "solve.csv"), digest, cfg.seed,
         ["index", "theta"],
@@ -132,11 +132,9 @@ def _cmd_diagnose(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
         grid = default_lambda_grid(b2_star, spec.log2_min, spec.log2_max)
     report = compute_diagnostics(pop, grid)
     rows = []
-    for i, lam in enumerate(report.lambda_grid):
-        c = report.constants[i]
+    for c in report.constants:
         rows.append((
-            float(lam), float(report.bias[i]), float(report.df[i]),
-            float(report.dikin[i]), float(report.t_lambda[i]),
+            float(c.lam), c.bias, c.df, c.dikin, c.t_lambda,
             c.k_bias, c.k_var, c.c_bias, c.c_var, c.shift1, c.shift2,
             c.n_factor_hessian, c.n_factor_variance, c.branch,
         ))
@@ -210,8 +208,6 @@ def _rates_params(pop, regime, delta) -> RateParams:
     theta_star = sol.theta_star
     b1_star, b2_star = pointwise_bounds(pop, theta_star)
     theta_norm = float(np.linalg.norm(theta_star))
-    from .losses import sup_constants
-
     sup = sup_constants(pop.loss, pop.atoms, theta_norm)
     meta = pop.meta
     return RateParams(
@@ -313,8 +309,6 @@ def _cmd_concentration(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
         )
     else:
         if spec.n is None:
-            from .rates import gradient_premise_n
-
             sol = solve_population(pop, [spec.lam])
             n = int(math.ceil(gradient_premise_n(pop, sol, spec.lam, spec.delta, spec.k)))
         else:
@@ -396,8 +390,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
         if isinstance(raw, dict):
             raw = {**raw, "seed": args.seed}
@@ -406,6 +398,9 @@ def main(argv=None) -> int:
     except (ConfigError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NonConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 2

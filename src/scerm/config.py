@@ -8,6 +8,8 @@ path. ``parse_config`` returns a fully typed ``RunConfig`` or raises
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -468,8 +470,5 @@ def population_to_config(pop: FinitePopulation) -> dict:
 
 def config_digest(raw_document) -> str:
     """sha256 over the canonical JSON form of the raw config document."""
-    import hashlib
-    import json
-
     canon = json.dumps(raw_document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()

@@ -114,10 +114,6 @@ class LossModel:
     def sc_factor(self, z: Sample, k: np.ndarray) -> float:
         raise NotImplementedError
 
-    def sc_sup_norm(self, z: Sample) -> float:
-        """sup over certificate vectors of ||g|| (exact for every kind)."""
-        raise NotImplementedError
-
     def validate_sample(self, z: Sample) -> None:
         if z.is_glm != self.is_glm:
             raise ContractViolation(
@@ -167,10 +163,6 @@ class _ScalarLoss(LossModel):
         self.validate_sample(z)
         k = _check_theta(k, z.dim)
         return self.sc_coef * abs(float(k @ z.features))
-
-    def sc_sup_norm(self, z):
-        self.validate_sample(z)
-        return self.sc_coef * float(np.linalg.norm(z.features))
 
 
 class SquareLoss(_ScalarLoss):
@@ -331,10 +323,6 @@ class SoftmaxGLMLoss(LossModel):
         k = _check_theta(k, z.dim)
         return 2.0 * float(np.max(np.abs(z.features @ k)))
 
-    def sc_sup_norm(self, z):
-        self.validate_sample(z)
-        return 2.0 * float(np.max(np.linalg.norm(z.features, axis=1)))
-
 
 LOSS_KINDS = {
     "square": SquareLoss,
@@ -410,9 +398,7 @@ class SampleSet:
         loss = self.loss
         if not loss.is_glm:
             return np.asarray(loss._f(self._margins(theta), self.labels), dtype=float)
-        s = self.features @ theta + np.log(loss.base_measure)[None, :]
-        smax = s.max(axis=1)
-        logz = smax + np.log(np.exp(s - smax[:, None]).sum(axis=1))
+        _, logz = self._glm_softmax(theta)
         picked = np.take_along_axis(
             self.features @ theta, self.labels[:, None], axis=1
         ).ravel()
@@ -425,16 +411,19 @@ class SampleSet:
         if not loss.is_glm:
             fp = np.asarray(loss._fp(self._margins(theta), self.labels), dtype=float)
             return fp[:, None] * self.features
-        p = self._glm_probs(theta)
+        p, _ = self._glm_softmax(theta)
         mean = np.einsum("ml,mld->md", p, self.features)
         picked = self.features[np.arange(len(self)), self.labels]
         return mean - picked
 
-    def _glm_probs(self, theta):
+    def _glm_softmax(self, theta):
+        """Per-sample label probabilities (m, n_labels) and log-partition (m,)
+        through a max-shifted log-sum-exp."""
         s = self.features @ theta + np.log(self.loss.base_measure)[None, :]
-        s -= s.max(axis=1, keepdims=True)
-        es = np.exp(s)
-        return es / es.sum(axis=1, keepdims=True)
+        smax = s.max(axis=1, keepdims=True)
+        es = np.exp(s - smax)
+        zsum = es.sum(axis=1, keepdims=True)
+        return es / zsum, (smax + np.log(zsum))[:, 0]
 
     def weighted_value(self, weights, theta) -> float:
         return float(weights @ self.values(theta))
@@ -454,7 +443,7 @@ class SampleSet:
             fpp = np.asarray(loss._fpp(self._margins(theta), self.labels), dtype=float)
             h = (self.features.T * (weights * fpp)) @ self.features
         else:
-            p = self._glm_probs(theta)
+            p, _ = self._glm_softmax(theta)
             wp = weights[:, None] * p
             h = np.einsum("ml,mld,mle->de", wp, self.features, self.features)
             means = np.einsum("ml,mld->md", p, self.features)
@@ -468,7 +457,7 @@ class SampleSet:
         if not loss.is_glm:
             fpp = np.asarray(loss._fpp(self._margins(theta), self.labels), dtype=float)
             return fpp * np.einsum("md,md->m", self.features, self.features)
-        p = self._glm_probs(theta)
+        p, _ = self._glm_softmax(theta)
         sq = np.einsum("mld,mld->ml", self.features, self.features)
         means = np.einsum("ml,mld->md", p, self.features)
         return np.einsum("ml,ml->m", p, sq) - np.einsum("md,md->m", means, means)

@@ -11,19 +11,29 @@ Diagnostic quantities at a regularization level lambda:
     df     = E || (H(t*) + lambda I)^{-1/2} grad l_Z(t*) ||^2
     1/r    = sup over atoms and certificate vectors of ||g||_{H_lambda^{-1}}
     t_lam  = sup over atoms of the certificate factor at direction t*_lam - t*
+
+With the eigendecomposition H(t*) = sum_i e_i u_i u_i^T, Bias and df are
+O(d) sums over one spectrum shared by every lambda:
+
+    Bias^2 = lambda^2 sum_i (u_i . t*)^2 / (e_i + lambda)
+    df     = sum_i E[(u_i . grad l_Z(t*))^2] / (e_i + lambda)
+
+Where the Bartlett identity E[grad grad^T] = H(t*) holds, df is the effective
+dimension Tr H (H + lambda)^{-1} = sum_i e_i / (e_i + lambda) of Caponnetto
+and De Vito (Optimal rates for the regularized least-squares algorithm, 2007).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import scfun
 from .errors import ContractViolation
-from .linalg import add_ridge, chol_factor, inv_norm, inv_quad_rows
+from .linalg import add_ridge, chol_factor, inv_quad_rows
 from .losses import LossModel, LogisticLoss, Sample, SampleSet, SquareLoss
 from .solver import SolverConfig, newton_minimize
 
@@ -159,6 +169,15 @@ class PopulationSolution:
         except KeyError:
             return minimize_population(self.population, lam)
 
+    @cached_property
+    def spectrum(self) -> tuple:
+        """Eigenvalues e_i of H(theta*), with (u_i . theta*)^2 and
+        E[(u_i . grad l_Z(theta*))^2] over its eigenvectors u_i."""
+        eigs, vecs = np.linalg.eigh(self.hessian_at_star)
+        pop = self.population
+        grads = pop.sample_set.grads(self.theta_star) @ vecs
+        return np.maximum(eigs, 0.0), (self.theta_star @ vecs) ** 2, pop.weights @ grads**2
+
 
 def solve_population(pop: FinitePopulation, lambda_grid=(),
                      config: SolverConfig | None = None) -> PopulationSolution:
@@ -178,24 +197,20 @@ def solve_population(pop: FinitePopulation, lambda_grid=(),
     )
 
 
-def _hlam_factor(sol: PopulationSolution, lam: float):
-    return chol_factor(add_ridge(sol.hessian_at_star, lam))
-
-
 def bias_lambda(pop: FinitePopulation, sol: PopulationSolution, lam: float) -> float:
     """lambda * ||theta*||_{H_lambda(theta*)^{-1}}; always <= sqrt(lambda)||theta*||."""
     if lam <= 0:
         raise ContractViolation("bias_lambda requires lambda > 0")
-    return lam * inv_norm(_hlam_factor(sol, lam), sol.theta_star)
+    eigs, theta_sq, _ = sol.spectrum
+    return lam * math.sqrt(float(np.sum(theta_sq / (eigs + lam))))
 
 
 def df_lambda(pop: FinitePopulation, sol: PopulationSolution, lam: float) -> float:
     """Exact degrees of freedom E ||grad l_Z(theta*)||^2_{H_lambda^{-1}(theta*)}."""
     if lam <= 0:
         raise ContractViolation("df_lambda requires lambda > 0")
-    grads = pop.sample_set.grads(sol.theta_star)
-    quads = inv_quad_rows(_hlam_factor(sol, lam), grads)
-    return float(pop.weights @ quads)
+    eigs, _, grad_sq = sol.spectrum
+    return float(np.sum(grad_sq / (eigs + lam)))
 
 
 def dikin_radius(pop: FinitePopulation, theta, lam: float) -> float:
@@ -246,6 +261,9 @@ class ScConstants:
     """
 
     lam: float
+    bias: float
+    df: float
+    dikin: float
     t_lambda: float
     t_tilde: float
     branch: str
@@ -264,7 +282,9 @@ class ScConstants:
     c_var_basic: float = 2.0 * _K_VAR_BASIC * _BERN_FACTOR**2
 
 
-def _constants_from_t(lam: float, tla: float, t_tilde: float) -> ScConstants:
+def _constants_from_t(lam: float, tla: float, bias: float, df: float,
+                      dikin: float) -> ScConstants:
+    t_tilde = 0.0 if math.isinf(dikin) else bias / dikin
     log2 = scfun.LOG2
     psi_shift = scfun.psi(tla + log2)
     phl_t = scfun.phi_lower(tla)
@@ -280,6 +300,9 @@ def _constants_from_t(lam: float, tla: float, t_tilde: float) -> ScConstants:
     tri2 = 256.0 * shift1**4
     return ScConstants(
         lam=lam,
+        bias=bias,
+        df=df,
+        dikin=dikin,
         t_lambda=tla,
         t_tilde=t_tilde,
         branch="universal" if t_tilde <= 0.5 else "exponential",
@@ -295,13 +318,10 @@ def _constants_from_t(lam: float, tla: float, t_tilde: float) -> ScConstants:
 
 
 def constants_at(pop: FinitePopulation, sol: PopulationSolution, lam: float) -> ScConstants:
-    """Evaluate every decomposition constant at the exact t_lambda and
-    t_tilde = Bias_lambda / r_lambda(theta*) of this population."""
-    tla = t_lambda(pop, sol, lam)
-    radius = dikin_radius(pop, sol.theta_star, lam)
-    bias = bias_lambda(pop, sol, lam)
-    t_tilde = 0.0 if math.isinf(radius) else bias / radius
-    return _constants_from_t(lam, tla, t_tilde)
+    """Bias, df, Dikin radius r_lambda(theta*) and t_lambda of this population,
+    with every decomposition constant evaluated at them."""
+    return _constants_from_t(lam, t_lambda(pop, sol, lam), bias_lambda(pop, sol, lam),
+                             df_lambda(pop, sol, lam), dikin_radius(pop, sol.theta_star, lam))
 
 
 # -- diagnostics over a lambda grid ---------------------------------------------
@@ -348,23 +368,17 @@ def compute_diagnostics(pop: FinitePopulation, lambda_grid,
     sol = solve_population(pop, grid, config)
     sup = sup_norm_certificate(pop)
     theta_norm = float(np.linalg.norm(sol.theta_star))
-    bias = np.array([bias_lambda(pop, sol, lam) for lam in grid])
-    df = np.array([df_lambda(pop, sol, lam) for lam in grid])
-    dik = np.array([dikin_radius(pop, sol.theta_star, lam) for lam in grid])
-    tla = np.array([t_lambda(pop, sol, lam) for lam in grid])
-    for i, lam in enumerate(grid):
-        if bias[i] <= dik[i] / 2.0:
+    consts = tuple(constants_at(pop, sol, lam) for lam in grid)
+    for c in consts:
+        if c.bias <= c.dikin / 2.0:
             bound = scfun.LOG2
         else:
             bound = 2.0 * sup * theta_norm
-        if tla[i] > bound + 1e-9 * max(1.0, bound):
+        if c.t_lambda > bound + 1e-9 * max(1.0, bound):
             raise ContractViolation(
-                f"localization bound violated at lambda={lam}: t={tla[i]}, bound={bound}"
+                f"localization bound violated at lambda={c.lam}: t={c.t_lambda}, bound={bound}"
             )
-    consts = tuple(
-        _constants_from_t(lam, tla[i], 0.0 if math.isinf(dik[i]) else bias[i] / dik[i])
-        for i, lam in enumerate(grid)
-    )
+    bias, df, dik, tla = np.array([(c.bias, c.df, c.dikin, c.t_lambda) for c in consts]).T
     report = DiagnosticsReport(
         population_dim=pop.dim,
         lambda_grid=grid,
@@ -375,11 +389,8 @@ def compute_diagnostics(pop: FinitePopulation, lambda_grid,
         constants=consts,
     )
     if fit_exponents and grid.size >= 3:
-        report = DiagnosticsReport(
-            **{**report.__dict__,
-               "fitted_r": estimate_source_exponent(report),
-               "fitted_alpha": estimate_capacity_exponent(report)},
-        )
+        report = replace(report, fitted_r=estimate_source_exponent(report),
+                         fitted_alpha=estimate_capacity_exponent(report))
     return report
 
 

@@ -30,10 +30,8 @@ from .population import (
     FinitePopulation,
     PopulationSolution,
     ScConstants,
-    bias_lambda,
+    _loglog_fit,
     constants_at,
-    df_lambda,
-    dikin_radius,
     exact_risk,
     pointwise_bounds,
     solve_population,
@@ -294,37 +292,24 @@ def _cell_seed(base: int, n_index: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(ss), int(ss.generate_state(1, dtype=np.uint32)[0])
 
 
-@dataclass(frozen=True)
-class _LambdaContext:
-    """Per-lambda population quantities entering the theorem's RHS and guards."""
+def _bound_rhs(consts: ScConstants, q_star_sq: float, n: int, delta: float) -> float:
+    """The refined bound's RHS C_bias Bias^2 + C_var (df v Q*^2) log(2/delta) / n."""
+    dfq = max(consts.df, q_star_sq)
+    return consts.c_bias * consts.bias**2 + consts.c_var * dfq * math.log(2.0 / delta) / n
 
-    lam: float
-    bias: float
-    df: float
-    q_star_sq: float
-    radius: float
-    consts: ScConstants
 
-    def bound_rhs(self, n: int, delta: float) -> float:
-        log2d = math.log(2.0 / delta)
-        dfq = max(self.df, self.q_star_sq)
-        return self.consts.c_bias * self.bias**2 + self.consts.c_var * dfq * log2d / n
-
-    def guard(self, n: int, delta: float, b2_star: float) -> bool:
-        log2d = math.log(2.0 / delta)
-        n1 = self.consts.n_factor_hessian * (b2_star / self.lam) * math.log(
-            8.0 * self.consts.shift1**2 * b2_star / (self.lam * delta)
-        )
-        if math.isinf(self.radius):
-            n2 = 0.0
-        else:
-            n2 = (
-                self.consts.n_factor_variance
-                * max(self.df, self.q_star_sq)
-                / self.radius**2
-                * log2d
-            )
-        return n >= n1 and n >= n2
+def _guard(consts: ScConstants, q_star_sq: float, n: int, delta: float, b2_star: float) -> bool:
+    """Whether n meets both sample-size conditions of the refined bound."""
+    lam = consts.lam
+    n1 = consts.n_factor_hessian * (b2_star / lam) * math.log(
+        8.0 * consts.shift1**2 * b2_star / (lam * delta)
+    )
+    if math.isinf(consts.dikin):
+        n2 = 0.0
+    else:
+        n2 = (consts.n_factor_variance * max(consts.df, q_star_sq) / consts.dikin**2
+              * math.log(2.0 / delta))
+    return n >= n1 and n >= n2
 
 
 def _solve_cell(sset, weights, lam, config):
@@ -380,16 +365,7 @@ def run_rate_experiment(plan: ExperimentPlan, solver_config: SolverConfig | None
     b1_star, b2_star = pointwise_bounds(pop, theta_star)
     q_star_sq = b1_star**2 / b2_star if b2_star > 0 else 0.0
 
-    contexts = {}
-    for lam in set(lambdas):
-        contexts[lam] = _LambdaContext(
-            lam=lam,
-            bias=bias_lambda(pop, sol, lam),
-            df=df_lambda(pop, sol, lam),
-            q_star_sq=q_star_sq,
-            radius=dikin_radius(pop, sol.theta_star, lam),
-            consts=constants_at(pop, sol, lam),
-        )
+    consts = {lam: constants_at(pop, sol, lam) for lam in set(lambdas)}
 
     tasks = [
         (pop, lambdas[ni], n, ni, rep, plan.seed, config)
@@ -408,7 +384,6 @@ def run_rate_experiment(plan: ExperimentPlan, solver_config: SolverConfig | None
     for n_index, replicate, cell_seed, theta_hat, solved in raw:
         n = plan.n_grid[n_index]
         lam = lambdas[n_index]
-        ctx = contexts[lam]
         if solved:
             excess = exact_risk(pop, theta_hat, 0.0) - risk_star
         else:
@@ -420,8 +395,8 @@ def run_rate_experiment(plan: ExperimentPlan, solver_config: SolverConfig | None
                 replicate=replicate,
                 lam=lam,
                 excess_risk=excess,
-                bound_rhs=ctx.bound_rhs(n, plan.delta),
-                guard_ok=ctx.guard(n, plan.delta, b2_star),
+                bound_rhs=_bound_rhs(consts[lam], q_star_sq, n, plan.delta),
+                guard_ok=_guard(consts[lam], q_star_sq, n, plan.delta, b2_star),
                 seed=cell_seed,
                 solved=solved,
             )
@@ -442,13 +417,10 @@ def run_rate_experiment(plan: ExperimentPlan, solver_config: SolverConfig | None
         guard_met.append(all(c.guard_ok for c in group))
 
     burn = min(plan.burn_in, len(plan.n_grid) - 2) if len(plan.n_grid) > 2 else 0
-    xs = np.log(np.asarray(plan.n_grid, dtype=float)[burn:])
-    ys = np.log(np.maximum(np.asarray(mean_excess)[burn:], 1e-300))
-    ok = np.isfinite(ys)
+    excess = np.maximum(np.asarray(mean_excess)[burn:], 1e-300)
+    ok = np.isfinite(excess)
     if ok.sum() >= 2:
-        a = np.vstack([xs[ok], np.ones(int(ok.sum()))]).T
-        coef, *_ = np.linalg.lstsq(a, ys[ok], rcond=None)
-        fitted = float(-coef[0])
+        fitted = -_loglog_fit(np.asarray(plan.n_grid)[burn:][ok], excess[ok])[0]
     else:
         fitted = math.nan
 
@@ -558,9 +530,12 @@ def gradient_premise_n(pop: FinitePopulation, sol: PopulationSolution, lam: floa
                        delta: float, k: float) -> float:
     """Premise n >= k^2 shift2^2 (B2*/lambda) log(2/delta) of the empirical
     gradient concentration bound."""
-    consts = constants_at(pop, sol, lam)
     _, b2_star = pointwise_bounds(pop, sol.theta_star)
-    return k * k * consts.shift2**2 * (b2_star / lam) * math.log(2.0 / delta)
+    return _gradient_premise(constants_at(pop, sol, lam), b2_star, delta, k)
+
+
+def _gradient_premise(consts: ScConstants, b2_star: float, delta: float, k: float) -> float:
+    return k * k * consts.shift2**2 * (b2_star / consts.lam) * math.log(2.0 / delta)
 
 
 def gradient_concentration_experiment(pop: FinitePopulation, lam: float, n: int,
@@ -579,17 +554,15 @@ def gradient_concentration_experiment(pop: FinitePopulation, lam: float, n: int,
     sol = solve_population(pop, [lam])
     theta_lam = sol.theta_for(lam)
     factor = chol_factor(add_ridge(pop.sample_set.weighted_hess(pop.weights, theta_lam), lam))
-    bias = bias_lambda(pop, sol, lam)
-    df = df_lambda(pop, sol, lam)
     b1_star, b2_star = pointwise_bounds(pop, sol.theta_star)
     q_star_sq = b1_star**2 / b2_star
     consts = constants_at(pop, sol, lam)
-    premise = gradient_premise_n(pop, sol, lam, delta, k)
+    premise = _gradient_premise(consts, b2_star, delta, k)
     premise_ok = n >= premise
 
     log2d = math.log(2.0 / delta)
-    rhs = (2.0 * math.sqrt(3.0) / k) * bias + 2.0 * consts.shift1 * math.sqrt(
-        max(df, q_star_sq) * log2d / n
+    rhs = (2.0 * math.sqrt(3.0) / k) * consts.bias + 2.0 * consts.shift1 * math.sqrt(
+        max(consts.df, q_star_sq) * log2d / n
     )
     outcomes = []
     for rep in range(replicates):

@@ -33,14 +33,14 @@ from .losses import (
 from .population import (
     FinitePopulation,
     PopulationSolution,
-    bias_lambda,
+    constants_at,
     dikin_radius,
     exact_grad,
     exact_hessian,
     exact_risk,
     minimize_population,
-    t_lambda,
 )
+from .solver import newton_minimize
 
 __all__ = [
     "CheckReport",
@@ -204,8 +204,6 @@ def check_localization(pop: FinitePopulation, theta, lam: float,
     h_hat = add_ridge(sset.weighted_hess(w, theta), lam)
     grad_norm = inv_norm(factor, g_hat)
     op_sq = gen_eigmax(h_pop, h_hat)  # ||Hhat^{-1/2} H^{1/2}||^2
-    from .solver import newton_minimize
-
     target = newton_minimize(sset, w, lam, config).theta_hat
     seminorm = _sup_sc(pop, theta - target)
     antecedent = grad_norm * op_sq <= radius / 2.0
@@ -255,13 +253,9 @@ def check_decomposition_bound(pop: FinitePopulation, sol: PopulationSolution, la
     guard_radius = dikin_radius(pop, theta_lam, lam)
     applicable = varhat <= guard_radius / 2.0
 
-    tla = t_lambda(pop, sol, lam)
-    log2 = scfun.LOG2
-    k_bias = 2.0 * scfun.psi(tla + log2) / scfun.phi_lower(tla) ** 2
-    k_var = 2.0 * scfun.psi(tla + log2) * math.exp(tla) / scfun.phi_lower(log2) ** 2
-
+    consts = constants_at(pop, sol, lam)
     lhs = exact_risk(pop, theta_hat, 0.0) - exact_risk(pop, sol.theta_star, 0.0)
-    rhs = k_bias * bias_lambda(pop, sol, lam) ** 2 + k_var * varhat**2
+    rhs = consts.k_bias * consts.bias**2 + consts.k_var * varhat**2
     return DecompositionRecord(
         applicable=applicable,
         margin=_margin(lhs, rhs),
@@ -269,8 +263,8 @@ def check_decomposition_bound(pop: FinitePopulation, sol: PopulationSolution, la
         rhs=rhs,
         varhat=varhat,
         guard_radius=guard_radius,
-        k_bias=k_bias,
-        k_var=k_var,
+        k_bias=consts.k_bias,
+        k_var=consts.k_var,
     )
 
 
@@ -281,7 +275,6 @@ class CheckReport:
     trials: int
     violations: int
     worst_margin: float
-    per_trial_log: tuple | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -346,7 +339,7 @@ def _suite_lambda(rng, pop, check: str) -> float:
 
 
 def run_check_suite(trials_per_case: int, seed: int, kinds=_SUITE_KINDS,
-                    slack: float = DEFAULT_SLACK, keep_log: bool = False) -> dict:
+                    slack: float = DEFAULT_SLACK) -> dict:
     """Randomized margins for all four inequalities over the requested kinds.
 
     Returns a dict keyed by (kind, check_name) -> CheckReport. Total trial
@@ -366,7 +359,6 @@ def run_check_suite(trials_per_case: int, seed: int, kinds=_SUITE_KINDS,
             rng = np.random.default_rng(np.random.SeedSequence([seed, ki, ci]))
             worst = math.inf
             violations = 0
-            log = [] if keep_log else None
             for _ in range(trials_per_case):
                 pop = random_population(rng, kind)
                 theta0 = ball_point(rng, pop.dim, 3.0)
@@ -376,12 +368,9 @@ def run_check_suite(trials_per_case: int, seed: int, kinds=_SUITE_KINDS,
                 worst = min(worst, margin)
                 if margin < -slack:
                     violations += 1
-                if log is not None:
-                    log.append((kind, name, lam, margin))
             reports[(kind, name)] = CheckReport(
                 trials=trials_per_case,
                 violations=violations,
                 worst_margin=worst,
-                per_trial_log=tuple(log) if log is not None else None,
             )
     return reports

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -308,3 +310,33 @@ def test_jobs_env_var(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["--config", cfg_path, "--out", str(out)]) == 0
     assert (out / "rates.csv").exists()
+
+
+# H(theta*) = diag(5/2, 0): theta* is not unique and the lambda = 0 solve fails
+SINGULAR_POPULATION = {
+    "generator": "inline",
+    "loss": {"kind": "square"},
+    "atoms": [
+        {"features": [1.0, 0.0], "label": 1.0, "weight": 0.5},
+        {"features": [2.0, 0.0], "label": 0.0, "weight": 0.5},
+    ],
+}
+
+
+@pytest.mark.parametrize("command, spec", [
+    ("solve", {"lambda": 0.1, "max_iter": 1}),
+    ("diagnose", {}),
+    ("rates", {"regime": "none", "n_grid": [16, 32], "replicates": 1, "delta": 0.1}),
+    ("verify", {"trials_per_case": 1, "localization_trials": 1}),
+])
+def test_nonconvergence_exits_1_with_one_line_error(tmp_path, command, spec):
+    doc = {"command": command, "population": SINGULAR_POPULATION, command: spec}
+    cfg_path = write_cfg(tmp_path, doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "scerm.cli", "--config", cfg_path,
+         "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scerm import (
     ContractViolation,
     FinitePopulation,
     LogisticLoss,
     Sample,
+    SoftmaxGLMLoss,
     SquareLoss,
     bias_lambda,
     compute_diagnostics,
@@ -214,6 +218,14 @@ def unit_noise_square_population(rng, d=4, n_x=6):
     return pop, theta_star
 
 
+def assert_columns_match_constants(pop, sol, grid):
+    report = compute_diagnostics(pop, grid, fit_exponents=False)
+    for i, lam in enumerate(report.lambda_grid):
+        c = constants_at(pop, sol, lam)
+        for name in ("bias", "df", "dikin", "t_lambda"):
+            np.testing.assert_allclose(getattr(report, name)[i], getattr(c, name), rtol=1e-12)
+
+
 def test_square_closed_forms(rng):
     pop, theta_star = unit_noise_square_population(rng)
     sol = solve_population(pop, [])
@@ -225,6 +237,7 @@ def test_square_closed_forms(rng):
         df_expect = float(np.trace(np.linalg.solve(cov_lam, cov)))
         assert abs(bias_lambda(pop, sol, lam) - bias_expect) < 1e-10
         assert abs(df_lambda(pop, sol, lam) - df_expect) < 1e-10
+    assert_columns_match_constants(pop, sol, [1e-3, 0.05, 0.7, 3.0])
 
 
 def test_bartlett_identity_and_df(rng):
@@ -237,6 +250,7 @@ def test_bartlett_identity_and_df(rng):
     for lam in (1e-3, 0.1, 1.0):
         df_expect = float(np.trace(np.linalg.solve(h + lam * np.eye(pop.dim), h)))
         assert abs(df_lambda(pop, sol, lam) - df_expect) < 1e-10
+    assert_columns_match_constants(pop, sol, [1e-3, 0.1, 1.0])
 
 
 # -- localization bound at grid points -----------------------------------------------
@@ -258,6 +272,64 @@ def test_lemma_localization_bound_over_grid(rng):
 
 
 # -- constants -------------------------------------------------------------------------
+
+
+def small_population(rng, kind):
+    """Population whose risk has a unique minimizer: generic features and,
+    for the likelihood losses, every label present at every feature."""
+    d = int(rng.integers(1, 4))
+    n_x = int(rng.integers(d + 1, d + 4))
+    base = rng.uniform(0.5, 1.5, size=n_x)
+    atoms, weights = [], []
+    if kind == "square":
+        loss = SquareLoss()
+        for i in range(n_x):
+            atoms.append(Sample(features=rng.normal(size=d), label=float(rng.normal())))
+            weights.append(base[i])
+    elif kind == "logistic":
+        loss = LogisticLoss()
+        for i in range(n_x):
+            x, p = rng.normal(size=d), rng.uniform(0.2, 0.8)
+            atoms += [Sample(features=x, label=1.0), Sample(features=x, label=-1.0)]
+            weights += [base[i] * p, base[i] * (1.0 - p)]
+    else:
+        n_labels = int(rng.integers(2, 4))
+        loss = SoftmaxGLMLoss(rng.uniform(0.5, 2.0, size=n_labels))
+        for i in range(n_x):
+            feats = rng.normal(size=(n_labels, d))
+            probs = rng.dirichlet(np.ones(n_labels))
+            atoms += [Sample(features=feats, label=y) for y in range(n_labels)]
+            weights += list(base[i] * probs)
+    weights = np.asarray(weights) / np.sum(weights)
+    return FinitePopulation(atoms=tuple(atoms), weights=weights, loss=loss)
+
+
+def assert_constants_close(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, str):
+            assert x == y, field.name
+        else:
+            assert x == y or math.isclose(x, y, rel_tol=1e-10), (field.name, x, y)
+
+
+@given(kind=st.sampled_from(["square", "logistic", "softmax_glm"]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       lam=st.floats(min_value=0.01, max_value=1.0))
+@settings(max_examples=30, deadline=None)
+def test_constants_invariant_to_atom_order_and_splitting(kind, seed, lam):
+    rng = np.random.default_rng(seed)
+    pop = small_population(rng, kind)
+    perm = rng.permutation(len(pop.atoms))
+    permuted = FinitePopulation(atoms=tuple(pop.atoms[i] for i in perm),
+                                weights=pop.weights[perm], loss=pop.loss)
+    j = int(rng.integers(len(pop.atoms)))
+    halves = np.append(pop.weights, pop.weights[j] / 2.0)
+    halves[j] /= 2.0
+    split = FinitePopulation(atoms=pop.atoms + (pop.atoms[j],), weights=halves, loss=pop.loss)
+    expect = constants_at(pop, solve_population(pop, [lam]), lam)
+    for other in (permuted, split):
+        assert_constants_close(expect, constants_at(other, solve_population(other, [lam]), lam))
 
 
 def test_constants_at_zero_t(p1):
@@ -286,7 +358,7 @@ def test_constants_universal_branch_bounds(rng):
     from scerm.population import _constants_from_t
 
     # at t = log 2 (the universal branch's worst case) the paper's numeric caps hold
-    c = _constants_from_t(0.1, LOG2, 0.5)
+    c = _constants_from_t(0.1, LOG2, bias=0.5, df=1.0, dikin=1.0)
     assert c.k_bias <= 4.0
     assert c.k_var == pytest.approx(6.454822555520439, abs=1e-12)
     assert c.k_var <= 7.0
@@ -302,7 +374,7 @@ def test_constants_exponential_bounds(rng):
     from scerm.population import _constants_from_t
 
     for tla in rng.uniform(0.0, 3.0, size=25):
-        c = _constants_from_t(0.1, tla, 1.0)
+        c = _constants_from_t(0.1, tla, bias=1.0, df=1.0, dikin=1.0)
         assert c.k_bias <= 2.0 * math.exp(3.0 * tla) + 1e-9
         assert c.k_var <= 8.0 * math.exp(2.0 * tla) + 1e-9
         assert c.shift2 <= 2.0 * math.exp(1.5 * tla) + 1e-9
