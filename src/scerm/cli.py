@@ -10,8 +10,8 @@ output never lands under the final name. Reruns with identical config and
 seed produce byte-identical files.
 
 Exit codes: 0 success, 1 assertion failure (a configured tolerance or
-threshold was missed, or a solve did not converge), 2 usage error (bad
-flags, invalid config, I/O).
+threshold was missed, a solve did not converge, or a population minimum is
+not attained), 2 usage error (bad flags, invalid config, I/O).
 """
 
 from __future__ import annotations

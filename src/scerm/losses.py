@@ -493,30 +493,23 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class SupConstants:
-    """Bounds B1 >= sup ||grad||, B2 >= sup Tr(hess) over the ball, R exact.
-
-    ``exact`` records whether B1/B2 came from a closed form (scalar losses)
-    or from the deterministic evaluation grid (softmax GLM).
-    """
+    """Bounds B1 >= sup ||grad||, B2 >= sup Tr(hess) over the ball, R exact."""
 
     b1: float
     b2: float
     r: float
-    exact: bool
-
-
-_GRID_DIRECTIONS = 64
-_GRID_RADII = 32
 
 
 def sup_constants(loss: LossModel, support, radius: float) -> SupConstants:
     """Derivative bounds over {||theta|| <= radius} and the certificate radius R.
 
-    Scalar losses use exact closed forms: the square and Huber losses restrict
-    the residual/margin to its exact range over the ball, the logistic loss
-    uses its global Lipschitz and curvature bounds sup||Phi|| and
-    sup||Phi||^2/4 (valid for every radius). The softmax GLM falls back to a
-    deterministic grid of 64 directions x 32 radii and is flagged estimated.
+    All bounds are closed forms. The square and Huber losses restrict the
+    residual/margin to its exact range over the ball; the logistic loss uses
+    its global Lipschitz and curvature bounds sup||Phi|| and sup||Phi||^2/4.
+    The softmax GLM gradient is a probability mixture of Phi(x,y') - Phi(x,y)
+    and its Hessian trace is at most the mixture's E||Phi(x,y')||^2, so
+    B1 = max ||Phi(x,y') - Phi(x,y)|| and B2 = max ||Phi(x,y')||^2 over atoms
+    and labels y'. The logistic and softmax bounds hold for every radius.
     """
     support = tuple(support)
     if not support:
@@ -526,39 +519,31 @@ def sup_constants(loss: LossModel, support, radius: float) -> SupConstants:
     sset = SampleSet(loss, support)
     r_cert = float(np.max(sset.sc_sup_norms())) if len(support) else 0.0
 
-    if not loss.is_glm:
-        phi_norms = np.linalg.norm(sset.features, axis=1)
-        y = sset.labels
-        if isinstance(loss, SquareLoss):
-            t_hi = np.abs(y) + radius * phi_norms
-            b1 = float(np.max(t_hi * phi_norms))
-            b2 = float(np.max(phi_norms**2))
-        elif isinstance(loss, LogisticLoss):
-            b1 = float(np.max(phi_norms))
-            b2 = float(np.max(phi_norms**2)) / 4.0
-        else:
-            # Huber losses: residual t = y - u ranges over an interval whose
-            # extreme |t| values give the exact sups of |psi'| and psi''.
-            t_hi = np.abs(y) + radius * phi_norms
-            t_lo = np.maximum(np.abs(y) - radius * phi_norms, 0.0)
-            if isinstance(loss, HuberSqrtLoss):
-                b1 = float(np.max(t_hi / np.sqrt(1.0 + t_hi**2) * phi_norms))
-                b2 = float(np.max((1.0 + t_lo**2) ** -1.5 * phi_norms**2))
-            else:
-                b1 = float(np.max(np.tanh(t_hi) * phi_norms))
-                b2 = float(np.max(np.cosh(t_lo) ** -2.0 * phi_norms**2))
-        return SupConstants(b1=b1, b2=b2, r=r_cert, exact=True)
+    if loss.is_glm:
+        feats = sset.features
+        observed = feats[np.arange(len(sset)), sset.labels]
+        b1 = float(np.max(np.linalg.norm(feats - observed[:, None, :], axis=2)))
+        b2 = float(np.max(np.einsum("mld,mld->ml", feats, feats)))
+        return SupConstants(b1=b1, b2=b2, r=r_cert)
 
-    # Softmax GLM: deterministic direction/radius grid.
-    rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((_GRID_DIRECTIONS, sset.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = np.linspace(0.0, radius, _GRID_RADII)
-    b1 = 0.0
-    b2 = 0.0
-    for u in dirs:
-        for rad in radii:
-            theta = rad * u
-            b1 = max(b1, float(np.max(sset.grad_norms(theta))))
-            b2 = max(b2, float(np.max(sset.trace_hess(theta))))
-    return SupConstants(b1=b1, b2=b2, r=r_cert, exact=False)
+    phi_norms = np.linalg.norm(sset.features, axis=1)
+    y = sset.labels
+    if isinstance(loss, SquareLoss):
+        t_hi = np.abs(y) + radius * phi_norms
+        b1 = float(np.max(t_hi * phi_norms))
+        b2 = float(np.max(phi_norms**2))
+    elif isinstance(loss, LogisticLoss):
+        b1 = float(np.max(phi_norms))
+        b2 = float(np.max(phi_norms**2)) / 4.0
+    else:
+        # Huber losses: residual t = y - u ranges over an interval whose
+        # extreme |t| values give the exact sups of |psi'| and psi''.
+        t_hi = np.abs(y) + radius * phi_norms
+        t_lo = np.maximum(np.abs(y) - radius * phi_norms, 0.0)
+        if isinstance(loss, HuberSqrtLoss):
+            b1 = float(np.max(t_hi / np.sqrt(1.0 + t_hi**2) * phi_norms))
+            b2 = float(np.max((1.0 + t_lo**2) ** -1.5 * phi_norms**2))
+        else:
+            b1 = float(np.max(np.tanh(t_hi) * phi_norms))
+            b2 = float(np.max(np.cosh(t_lo) ** -2.0 * phi_norms**2))
+    return SupConstants(b1=b1, b2=b2, r=r_cert)

@@ -141,16 +141,14 @@ def exact_hessian(pop: FinitePopulation, theta, lam: float = 0.0) -> np.ndarray:
     return add_ridge(h, lam) if lam else h
 
 
-def minimize_population(pop: FinitePopulation, lam: float,
-                        config: SolverConfig | None = None) -> np.ndarray:
+def minimize_population(pop: FinitePopulation, lam: float) -> np.ndarray:
     """Minimizer of the exact regularized population risk.
 
     lam = 0 is allowed for populations whose unregularized minimum is
     attained (the synthetic constructions below guarantee it); failure to
-    converge there surfaces as NonConvergenceError.
+    converge or to certify attainment there surfaces as NonConvergenceError.
     """
-    config = config or SolverConfig(tol=_POP_SOLVE_TOL)
-    res = newton_minimize(pop.sample_set, pop.weights, lam, config)
+    res = newton_minimize(pop.sample_set, pop.weights, lam, SolverConfig(tol=_POP_SOLVE_TOL))
     return res.theta_hat
 
 
@@ -179,16 +177,14 @@ class PopulationSolution:
         return np.maximum(eigs, 0.0), (self.theta_star @ vecs) ** 2, pop.weights @ grads**2
 
 
-def solve_population(pop: FinitePopulation, lambda_grid=(),
-                     config: SolverConfig | None = None) -> PopulationSolution:
-    config = config or SolverConfig(tol=_POP_SOLVE_TOL)
-    theta_star = minimize_population(pop, 0.0, config)
+def solve_population(pop: FinitePopulation, lambda_grid=()) -> PopulationSolution:
+    theta_star = minimize_population(pop, 0.0)
     per_lambda = {}
     for lam in lambda_grid:
         lam = float(lam)
         if lam <= 0:
             raise ContractViolation("lambda grid entries must be positive")
-        per_lambda[lam] = minimize_population(pop, lam, config)
+        per_lambda[lam] = minimize_population(pop, lam)
     return PopulationSolution(
         population=pop,
         theta_star=theta_star,
@@ -354,7 +350,6 @@ def default_lambda_grid(b2_star: float, k_min: int = 0, k_max: int = 16) -> np.n
 
 
 def compute_diagnostics(pop: FinitePopulation, lambda_grid,
-                        config: SolverConfig | None = None,
                         fit_exponents: bool = True) -> DiagnosticsReport:
     """Bias, df, Dikin radius, t_lambda and constants on a lambda grid.
 
@@ -365,7 +360,7 @@ def compute_diagnostics(pop: FinitePopulation, lambda_grid,
     grid = np.sort(np.asarray(lambda_grid, dtype=float))[::-1]
     if grid.size == 0 or np.any(grid <= 0):
         raise ContractViolation("lambda grid must be nonempty and positive")
-    sol = solve_population(pop, grid, config)
+    sol = solve_population(pop, grid)
     sup = sup_norm_certificate(pop)
     theta_norm = float(np.linalg.norm(sol.theta_star))
     consts = tuple(constants_at(pop, sol, lam) for lam in grid)

@@ -12,7 +12,9 @@ constants are very conservative at desk scale, hence the clamp to (0, B2*]
 and the ``lambda_override`` hook on plans); ``run_rate_experiment`` draws
 i.i.d. multinomial samples from a finite population, solves the regularized
 ERM per cell, and compares exact excess risks against the refined
-bias/variance bound evaluated with the exact per-lambda constants.
+bias/variance bound evaluated with the exact per-lambda constants. Every
+draw, in rate cells and concentration replicates alike, weights the
+population's atoms by their multinomial counts / n.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from .errors import ContractViolation, NonConvergenceError
 from .linalg import add_ridge, chol_factor, gen_eigmax, inv_norm
-from .losses import SampleSet
 from .population import (
     FinitePopulation,
     PopulationSolution,
@@ -36,7 +37,7 @@ from .population import (
     pointwise_bounds,
     solve_population,
 )
-from .solver import SolverConfig, newton_minimize
+from .solver import newton_minimize
 
 __all__ = [
     "REGIMES",
@@ -287,9 +288,12 @@ class RateReport:
     clamped: tuple
 
 
-def _cell_seed(base: int, n_index: int, replicate: int) -> np.random.Generator:
+def _draw(pop: FinitePopulation, n: int, base: int, n_index: int, replicate: int):
+    """Empirical weights counts / n over every atom of n i.i.d. draws from pop,
+    and the seed word of the draw's SeedSequence([base, n_index, replicate])."""
     ss = np.random.SeedSequence([int(base), int(n_index), int(replicate)])
-    return np.random.default_rng(ss), int(ss.generate_state(1, dtype=np.uint32)[0])
+    counts = np.random.default_rng(ss).multinomial(n, pop.weights)
+    return counts / float(n), int(ss.generate_state(1, dtype=np.uint32)[0])
 
 
 def _bound_rhs(consts: ScConstants, q_star_sq: float, n: int, delta: float) -> float:
@@ -312,63 +316,48 @@ def _guard(consts: ScConstants, q_star_sq: float, n: int, delta: float, b2_star:
     return n >= n1 and n >= n2
 
 
-def _solve_cell(sset, weights, lam, config):
-    try:
-        res = newton_minimize(sset, weights, lam, config)
-        return res.theta_hat, True
-    except NonConvergenceError:
-        return None, False
-
-
 def _run_cell(args):
-    (pop, lam, n, n_index, replicate, base_seed, config) = args
-    rng, cell_seed = _cell_seed(base_seed, n_index, replicate)
-    counts = rng.multinomial(n, pop.weights)
-    mask = counts > 0
-    emp_weights = counts[mask] / float(n)
-    sub = [pop.atoms[i] for i in np.nonzero(mask)[0]]
-    sset = SampleSet(pop.loss, sub)
-    theta_hat, solved = _solve_cell(sset, emp_weights, lam, config)
-    return (n_index, replicate, cell_seed, theta_hat, solved)
+    pop, lam, n, n_index, replicate, base_seed = args
+    weights, cell_seed = _draw(pop, n, base_seed, n_index, replicate)
+    try:
+        theta_hat = newton_minimize(pop.sample_set, weights, lam).theta_hat
+    except NonConvergenceError:
+        return n_index, replicate, cell_seed, None, False
+    return n_index, replicate, cell_seed, theta_hat, True
 
 
-def run_rate_experiment(plan: ExperimentPlan, solver_config: SolverConfig | None = None,
-                        jobs: int = 1) -> RateReport:
+def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
     """Draw-solve-measure over the full (n, replicate) grid.
 
-    Each cell draws n atoms i.i.d. by weight (multinomial counts over the
-    finite support), solves the regularized ERM at the scheduled lambda, and
-    records the exact excess risk together with the refined bound's RHS and
-    guard status. Cells are independent; aggregation is keyed by (n,
-    replicate) so the report is order-independent and reproducible.
+    Each cell draws n atoms i.i.d. by weight, solves the regularized ERM at
+    the scheduled lambda with the population's atoms weighted by their
+    multinomial counts / n, and records the exact excess risk together with
+    the refined bound's RHS and guard status. Cells are independent;
+    aggregation is keyed by (n, replicate) so the report is
+    order-independent and reproducible.
     """
     pop = plan.population
-    config = solver_config or SolverConfig()
 
     # Per-n lambda and its population context (shared across replicates).
-    lambdas = []
-    clamped = []
     if plan.lambda_override is not None:
         lambdas = list(plan.lambda_override)
         clamped = [False] * len(lambdas)
     else:
         if plan.params is None:
             raise ContractViolation("plan needs params unless lambda_override is given")
-        for n in plan.n_grid:
-            sched = lambda_schedule(plan.regime, n, plan.params)
-            lambdas.append(sched.value)
-            clamped.append(sched.clamped)
+        scheds = [lambda_schedule(plan.regime, n, plan.params) for n in plan.n_grid]
+        lambdas = [sched.value for sched in scheds]
+        clamped = [sched.clamped for sched in scheds]
 
     sol = solve_population(pop, sorted(set(lambdas)))
-    theta_star = sol.theta_star
-    risk_star = exact_risk(pop, theta_star, 0.0)
-    b1_star, b2_star = pointwise_bounds(pop, theta_star)
+    risk_star = exact_risk(pop, sol.theta_star, 0.0)
+    b1_star, b2_star = pointwise_bounds(pop, sol.theta_star)
     q_star_sq = b1_star**2 / b2_star if b2_star > 0 else 0.0
 
     consts = {lam: constants_at(pop, sol, lam) for lam in set(lambdas)}
 
     tasks = [
-        (pop, lambdas[ni], n, ni, rep, plan.seed, config)
+        (pop, lambdas[ni], n, ni, rep, plan.seed)
         for ni, n in enumerate(plan.n_grid)
         for rep in range(plan.replicates)
     ]
@@ -480,6 +469,27 @@ def _binomial_threshold(p: float, replicates: int) -> float:
     return p - 3.0 * sigma
 
 
+def _concentration_report(kind: str, n: int, replicates: int, delta: float, premise: float,
+                          outcomes: list) -> ConcentrationReport:
+    """Success frequency of the replicate outcomes; skipped when n is below
+    the premise."""
+    successes = int(sum(outcomes))
+    premise_ok = n >= premise
+    return ConcentrationReport(
+        kind=kind,
+        n=n,
+        replicates=replicates,
+        delta=delta,
+        premise_n=premise,
+        premise_ok=premise_ok,
+        successes=successes,
+        frequency=successes / replicates,
+        threshold=_binomial_threshold(1.0 - delta, replicates),
+        skipped=not premise_ok,
+        outcomes=tuple(outcomes),
+    )
+
+
 def hessian_premise_n(pop: FinitePopulation, theta, lam: float, delta: float) -> float:
     """Sample size above which the two-sided Hessian equivalence is guaranteed:
     24 B2(theta)/lambda * log(8 B2(theta)/(lambda delta))."""
@@ -500,30 +510,13 @@ def hessian_concentration_experiment(pop: FinitePopulation, theta, lam: float, n
         raise ContractViolation("lambda must be positive")
     theta = np.asarray(theta, dtype=float)
     premise = hessian_premise_n(pop, theta, lam, delta)
-    premise_ok = n >= premise
     h_lam = add_ridge(pop.sample_set.weighted_hess(pop.weights, theta), lam)
     outcomes = []
     for rep in range(replicates):
-        rng, _ = _cell_seed(seed, 0, rep)
-        counts = rng.multinomial(n, pop.weights)
-        w = counts / float(n)
+        w, _ = _draw(pop, n, seed, 0, rep)
         h_hat = add_ridge(pop.sample_set.weighted_hess(w, theta), lam)
-        ratio = gen_eigmax(h_lam, h_hat)
-        outcomes.append(bool(ratio <= 2.0 + 1e-12))
-    successes = int(sum(outcomes))
-    return ConcentrationReport(
-        kind="hessian",
-        n=n,
-        replicates=replicates,
-        delta=delta,
-        premise_n=premise,
-        premise_ok=premise_ok,
-        successes=successes,
-        frequency=successes / replicates,
-        threshold=_binomial_threshold(1.0 - delta, replicates),
-        skipped=not premise_ok,
-        outcomes=tuple(outcomes),
-    )
+        outcomes.append(bool(gen_eigmax(h_lam, h_hat) <= 2.0 + 1e-12))
+    return _concentration_report("hessian", n, replicates, delta, premise, outcomes)
 
 
 def gradient_premise_n(pop: FinitePopulation, sol: PopulationSolution, lam: float,
@@ -558,7 +551,6 @@ def gradient_concentration_experiment(pop: FinitePopulation, lam: float, n: int,
     q_star_sq = b1_star**2 / b2_star
     consts = constants_at(pop, sol, lam)
     premise = _gradient_premise(consts, b2_star, delta, k)
-    premise_ok = n >= premise
 
     log2d = math.log(2.0 / delta)
     rhs = (2.0 * math.sqrt(3.0) / k) * consts.bias + 2.0 * consts.shift1 * math.sqrt(
@@ -566,23 +558,7 @@ def gradient_concentration_experiment(pop: FinitePopulation, lam: float, n: int,
     )
     outcomes = []
     for rep in range(replicates):
-        rng, _ = _cell_seed(seed, 1, rep)
-        counts = rng.multinomial(n, pop.weights)
-        w = counts / float(n)
+        w, _ = _draw(pop, n, seed, 1, rep)
         g_hat = pop.sample_set.weighted_grad(w, theta_lam) + lam * theta_lam
-        lhs = inv_norm(factor, g_hat)
-        outcomes.append(bool(lhs <= rhs))
-    successes = int(sum(outcomes))
-    return ConcentrationReport(
-        kind="gradient",
-        n=n,
-        replicates=replicates,
-        delta=delta,
-        premise_n=premise,
-        premise_ok=premise_ok,
-        successes=successes,
-        frequency=successes / replicates,
-        threshold=_binomial_threshold(1.0 - delta, replicates),
-        skipped=not premise_ok,
-        outcomes=tuple(outcomes),
-    )
+        outcomes.append(bool(inv_norm(factor, g_hat) <= rhs))
+    return _concentration_report("gradient", n, replicates, delta, premise, outcomes)

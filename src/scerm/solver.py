@@ -17,19 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NonConvergenceError
-from .linalg import chol_factor, chol_solve
+from .linalg import chol_factor, chol_solve, inv_quad_rows
 from .losses import LossModel, SampleSet
 
 __all__ = ["SolverConfig", "SolveResult", "solve_erm", "decrement", "newton_minimize"]
+
+# backtracking line search: step shrink factor, Armijo fraction, max halvings
+_LS_SHRINK = 0.5
+_LS_SUFFICIENT = 1e-4
+_LS_MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-10
     max_iter: int = 200
-    ls_shrink: float = 0.5
-    ls_sufficient: float = 1e-4
-    ls_max_halvings: int = 60
     # below this decrement the predicted decrease dec^2/2 is unmeasurable in
     # double precision, so backtracking would be driven by rounding noise;
     # the full Newton step is taken undamped there
@@ -64,21 +66,28 @@ def _as_weights(weights, m):
     return w
 
 
-def newton_minimize(sset: SampleSet, weights, lam: float, config: SolverConfig | None = None,
-                    theta0: np.ndarray | None = None) -> SolveResult:
+def _attained(sset: SampleSet, factor, dec: float) -> bool:
+    """The localization lemma's proof that a lam = 0 minimum is attained:
+    dec <= r0/2, r0 = 1 / sup_g ||g||_{H^{-1}} over the certificate vectors g."""
+    sup_sq = float(np.max(inv_quad_rows(factor, sset.certificate_rows()), initial=0.0))
+    return 4.0 * dec * dec * sup_sq <= 1.0
+
+
+def newton_minimize(sset: SampleSet, weights, lam: float,
+                    config: SolverConfig | None = None) -> SolveResult:
     """Minimize the weighted regularized risk over a stacked sample set.
 
     lam may be 0 here (population minimizers under an attainment guarantee);
     the public ``solve_erm`` enforces lam > 0. Raises NonConvergenceError,
     carrying the decrement trace, on iteration exhaustion, a failed line
-    search, or a singular Hessian at lam = 0.
+    search, or at lam = 0 a singular Hessian or a final decrement above half
+    the Dikin radius (a small decrement alone also occurs on separable data).
     """
     config = config or SolverConfig()
     if lam < 0:
         raise ContractViolation("lambda must be nonnegative")
     w = _as_weights(weights, len(sset))
-    d = sset.dim
-    theta = np.zeros(d) if theta0 is None else np.array(theta0, dtype=float)
+    theta = np.zeros(sset.dim)
     trace: list[float] = []
 
     def objective(t):
@@ -99,6 +108,10 @@ def newton_minimize(sset: SampleSet, weights, lam: float, config: SolverConfig |
         dec = float(np.sqrt(max(-gdotp, 0.0)))
         trace.append(dec)
         if dec <= config.tol:
+            if lam == 0.0 and not _attained(sset, factor, dec):
+                raise NonConvergenceError(
+                    f"population minimum not attained: decrement {dec:.3e} exceeds half "
+                    f"the Dikin radius at lambda=0", trace)
             theta.setflags(write=False)
             return SolveResult(theta, tuple(trace), len(trace) - 1, True)
         if dec < config.pure_newton_below:
@@ -107,12 +120,12 @@ def newton_minimize(sset: SampleSet, weights, lam: float, config: SolverConfig |
         f0 = objective(theta)
         t = 1.0
         accepted = False
-        for _ in range(config.ls_max_halvings):
+        for _ in range(_LS_MAX_HALVINGS):
             cand = theta + t * step
-            if objective(cand) <= f0 + config.ls_sufficient * t * gdotp:
+            if objective(cand) <= f0 + _LS_SUFFICIENT * t * gdotp:
                 accepted = True
                 break
-            t *= config.ls_shrink
+            t *= _LS_SHRINK
         if not accepted:
             raise NonConvergenceError("backtracking line search stalled", trace)
         theta = cand

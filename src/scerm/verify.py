@@ -169,7 +169,7 @@ class LocalizationRecord:
 
 
 def check_localization(pop: FinitePopulation, theta, lam: float,
-                       samples=None, weights=None, config=None) -> LocalizationRecord:
+                       samples=None, weights=None) -> LocalizationRecord:
     """Evaluate the localization implication at theta.
 
     Population variant: ||grad L_lam||_{H_lam^{-1}(theta)} <= r_lam(theta)/2
@@ -186,7 +186,7 @@ def check_localization(pop: FinitePopulation, theta, lam: float,
 
     if samples is None:
         grad_norm = inv_norm(factor, exact_grad(pop, theta, lam))
-        target = minimize_population(pop, lam, config)
+        target = minimize_population(pop, lam)
         seminorm = _sup_sc(pop, theta - target)
         antecedent = grad_norm <= radius / 2.0
         return LocalizationRecord(
@@ -204,7 +204,7 @@ def check_localization(pop: FinitePopulation, theta, lam: float,
     h_hat = add_ridge(sset.weighted_hess(w, theta), lam)
     grad_norm = inv_norm(factor, g_hat)
     op_sq = gen_eigmax(h_pop, h_hat)  # ||Hhat^{-1/2} H^{1/2}||^2
-    target = newton_minimize(sset, w, lam, config).theta_hat
+    target = newton_minimize(sset, w, lam).theta_hat
     seminorm = _sup_sc(pop, theta - target)
     antecedent = grad_norm * op_sq <= radius / 2.0
     return LocalizationRecord(
@@ -338,12 +338,12 @@ def _suite_lambda(rng, pop, check: str) -> float:
     return lam
 
 
-def run_check_suite(trials_per_case: int, seed: int, kinds=_SUITE_KINDS,
+def run_check_suite(trials_per_case: int, seed: int,
                     slack: float = DEFAULT_SLACK) -> dict:
-    """Randomized margins for all four inequalities over the requested kinds.
+    """Randomized margins for all four inequalities over every loss kind.
 
     Returns a dict keyed by (kind, check_name) -> CheckReport. Total trial
-    count is trials_per_case * 4 * len(kinds).
+    count is trials_per_case * 4 checks * 5 kinds.
     """
     if trials_per_case < 1:
         raise ContractViolation("trials_per_case must be >= 1")
@@ -354,7 +354,7 @@ def run_check_suite(trials_per_case: int, seed: int, kinds=_SUITE_KINDS,
         "value_bound": check_value_bound,
     }
     reports = {}
-    for ki, kind in enumerate(kinds):
+    for ki, kind in enumerate(_SUITE_KINDS):
         for ci, (name, fn) in enumerate(checks.items()):
             rng = np.random.default_rng(np.random.SeedSequence([seed, ki, ci]))
             worst = math.inf

@@ -323,14 +323,35 @@ SINGULAR_POPULATION = {
 }
 
 
-@pytest.mark.parametrize("command, spec", [
-    ("solve", {"lambda": 0.1, "max_iter": 1}),
-    ("diagnose", {}),
-    ("rates", {"regime": "none", "n_grid": [16, 32], "replicates": 1, "delta": 0.1}),
-    ("verify", {"trials_per_case": 1, "localization_trials": 1}),
+# separable logistic data: the risk decreases toward 0 as theta -> inf, so no
+# minimizer exists although the lambda = 0 decrement vanishes
+SEPARABLE_POPULATION = {
+    "generator": "inline",
+    "loss": {"kind": "logistic"},
+    "atoms": [
+        {"features": [1.0], "label": 1.0, "weight": 0.5},
+        {"features": [-1.0], "label": -1.0, "weight": 0.5},
+    ],
+}
+
+
+@pytest.mark.parametrize("population, command, spec", [
+    pytest.param(SINGULAR_POPULATION, "solve", {"lambda": 0.1, "max_iter": 1}, id="solve-spec0"),
+    pytest.param(SINGULAR_POPULATION, "diagnose", {}, id="diagnose-spec1"),
+    pytest.param(SINGULAR_POPULATION, "rates",
+                 {"regime": "none", "n_grid": [16, 32], "replicates": 1, "delta": 0.1},
+                 id="rates-spec2"),
+    pytest.param(SINGULAR_POPULATION, "verify", {"trials_per_case": 1, "localization_trials": 1},
+                 id="verify-spec3"),
+    pytest.param(SEPARABLE_POPULATION, "diagnose", {}, id="separable-diagnose"),
+    pytest.param(SEPARABLE_POPULATION, "rates",
+                 {"regime": "none", "n_grid": [16, 32, 64], "replicates": 1, "delta": 0.1},
+                 id="separable-rates"),
+    pytest.param(SEPARABLE_POPULATION, "verify",
+                 {"trials_per_case": 1, "localization_trials": 1}, id="separable-verify"),
 ])
-def test_nonconvergence_exits_1_with_one_line_error(tmp_path, command, spec):
-    doc = {"command": command, "population": SINGULAR_POPULATION, command: spec}
+def test_nonconvergence_exits_1_with_one_line_error(tmp_path, population, command, spec):
+    doc = {"command": command, "population": population, command: spec}
     cfg_path = write_cfg(tmp_path, doc)
     proc = subprocess.run(
         [sys.executable, "-m", "scerm.cli", "--config", cfg_path,

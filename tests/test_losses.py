@@ -20,6 +20,7 @@ from scerm import (
     sc_factor,
     sup_constants,
 )
+from scerm.linalg import ball_point
 from scerm.losses import LOSS_KINDS
 
 SCALAR_KINDS = ["square", "huber_sqrt", "huber_logcosh", "logistic"]
@@ -121,7 +122,6 @@ def test_sup_constants_logistic():
         assert c.r == 1.0
         assert c.b1 == 1.0
         assert c.b2 == 0.25
-        assert c.exact
 
 
 def test_sup_constants_square():
@@ -133,15 +133,21 @@ def test_sup_constants_square():
     assert c.b2 == pytest.approx(4.0)
 
 
-def test_sup_constants_softmax_estimated_flag(rng):
+def test_sup_constants_softmax_bound_sampled_ball(rng):
     loss = make_loss("softmax_glm")
     atoms = [random_sample(rng, "softmax_glm", 3) for _ in range(4)]
-    c = sup_constants(loss, atoms, 2.0)
-    assert not c.exact
+    radius = 2.0
+    c = sup_constants(loss, atoms, radius)
     assert c.r == pytest.approx(
         2.0 * max(np.max(np.linalg.norm(z.features, axis=1)) for z in atoms)
     )
-    assert c.b1 > 0 and c.b2 > 0
+    sset = SampleSet(loss, atoms)
+    # points inside the ball, and far out where the softmax saturates
+    for scale in (1.0, 50.0):
+        for _ in range(100):
+            theta = scale * ball_point(rng, 3, radius)
+            assert np.max(sset.grad_norms(theta)) <= c.b1 * (1.0 + 1e-12)
+            assert np.max(sset.trace_hess(theta)) <= c.b2 * (1.0 + 1e-12)
 
 
 def test_sup_constants_empty_support():

@@ -10,6 +10,7 @@ from scerm import (
     ContractViolation,
     FinitePopulation,
     LogisticLoss,
+    NonConvergenceError,
     Sample,
     SoftmaxGLMLoss,
     SquareLoss,
@@ -82,6 +83,21 @@ def test_p1_minimizers(p1):
 
 def test_p2_minimizer(p2):
     assert minimize_population(p2, 0.0) == pytest.approx([math.log(3.0)], abs=1e-9)
+
+
+def test_separable_population_minimum_not_attained():
+    # atoms [1] -> +1 and [-1] -> -1: the risk decreases toward 0 as theta -> inf,
+    # so the vanishing lambda = 0 decrement must not be reported as convergence
+    pop = FinitePopulation(
+        atoms=(Sample(features=np.array([1.0]), label=1.0),
+               Sample(features=np.array([-1.0]), label=-1.0)),
+        weights=np.array([0.5, 0.5]),
+        loss=LogisticLoss(),
+    )
+    with pytest.raises(NonConvergenceError, match="not attained") as err:
+        solve_population(pop, [])
+    assert err.value.trace[-1] <= 1e-12
+    assert minimize_population(pop, 0.1)[0] > 0.0
 
 
 def test_p1_bias(p1):

@@ -1,12 +1,16 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scerm import (
     ContractViolation,
     ExperimentPlan,
     RateParams,
     anchored_lambdas,
+    exact_risk,
     gradient_concentration_experiment,
     hessian_concentration_experiment,
     lambda_schedule,
@@ -14,6 +18,7 @@ from scerm import (
     make_source_population,
     rate_constants,
     run_rate_experiment,
+    solve_erm,
     solve_population,
     theoretical_rate,
 )
@@ -198,6 +203,44 @@ def test_parallel_jobs_match_serial():
     serial = run_rate_experiment(plan, jobs=1)
     parallel = run_rate_experiment(plan, jobs=2)
     assert serial.cells == parallel.cells
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), replicates=st.integers(1, 3))
+@settings(max_examples=4, deadline=None)
+def test_jobs_invariance(seed, replicates):
+    plan = tiny_plan(seed=seed, replicates=replicates, n_grid=(32, 64))
+    assert run_rate_experiment(plan, jobs=1).cells == run_rate_experiment(plan, jobs=2).cells
+
+
+def logistic_plan():
+    pop = make_logistic_population(d=4, alpha=1.0, seed=2)
+    n_grid = (32, 64)
+    return ExperimentPlan(population=pop, regime="none", n_grid=n_grid, replicates=3, delta=0.1,
+                          seed=13, lambda_override=anchored_lambdas(n_grid, 0.5, 0.1, 32))
+
+
+@pytest.mark.parametrize("make_plan", [
+    lambda: tiny_plan(seed=11, replicates=3, n_grid=(32, 64)),
+    logistic_plan,
+], ids=["square", "logistic"])
+def test_cells_match_restacked_draws(make_plan):
+    """Weighting every atom by counts / n solves the same ERM as restacking
+    the drawn atoms alone, on the same SeedSequence([seed, n_index, replicate])."""
+    plan = make_plan()
+    pop = plan.population
+    risk_star = exact_risk(pop, solve_population(pop, []).theta_star)
+    undrawn = 0
+    for cell in run_rate_experiment(plan).cells:
+        ss = np.random.SeedSequence([plan.seed, plan.n_grid.index(cell.n), cell.replicate])
+        counts = np.random.default_rng(ss).multinomial(cell.n, pop.weights)
+        assert cell.seed == int(ss.generate_state(1, dtype=np.uint32)[0])
+        keep = np.nonzero(counts)[0]
+        undrawn += len(pop.atoms) - keep.size
+        res = solve_erm([pop.atoms[i] for i in keep], counts[keep] / cell.n, pop.loss, cell.lam)
+        assert cell.solved
+        assert cell.excess_risk == pytest.approx(exact_risk(pop, res.theta_hat) - risk_star,
+                                                 rel=1e-12)
+    assert undrawn > 0  # zero-weight atoms do take part in the weighted solves
 
 
 # -- concentration ----------------------------------------------------------------
