@@ -28,6 +28,7 @@ import numpy as np
 
 from .config import RunConfig, build_population, config_digest, load_config_file
 from .errors import ConfigError, ContractViolation, NonConvergenceError
+from .linalg import single_thread_blas
 from .losses import sup_constants
 from .population import (
     compute_diagnostics,
@@ -164,18 +165,11 @@ def _cmd_diagnose(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
 def _cmd_verify(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
     spec = cfg.verify
     reports = run_check_suite(spec.trials_per_case, cfg.seed, slack=spec.slack)
-    rows = [
-        (kind, name, rep.trials, rep.violations, rep.worst_margin)
-        for (kind, name), rep in sorted(reports.items())
-    ]
-    _write_csv(
-        os.path.join(out_dir, "verify.csv"), digest, cfg.seed,
-        ["loss_kind", "check", "trials", "violations", "worst_margin"],
-        rows,
-    )
     total_trials = sum(r.trials for r in reports.values())
     total_violations = sum(r.violations for r in reports.values())
 
+    # everything that can fail runs before the first write, so a failed run
+    # leaves no partial output
     loc_failures = 0
     if pop is not None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 999]))
@@ -186,6 +180,12 @@ def _cmd_verify(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
             if not check_localization(pop, theta, lam).holds:
                 loc_failures += 1
 
+    _write_csv(
+        os.path.join(out_dir, "verify.csv"), digest, cfg.seed,
+        ["loss_kind", "check", "trials", "violations", "worst_margin"],
+        [(kind, name, rep.trials, rep.violations, rep.worst_margin)
+         for (kind, name), rep in sorted(reports.items())],
+    )
     _write_summary(
         os.path.join(out_dir, "summary.json"), digest, cfg.seed,
         {
@@ -359,6 +359,7 @@ def run(cfg: RunConfig, raw_document, out_dir: str, jobs: int = 1, quiet: bool =
 
 
 def main(argv=None) -> int:
+    single_thread_blas()
     parser = argparse.ArgumentParser(
         prog="scerm",
         description="Regularized ERM with self-concordant losses: solves, diagnostics, "
@@ -368,8 +369,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default="scerm-out", help="output directory")
     parser.add_argument("--jobs", type=int, default=None,
-                        help=f"worker processes for experiment cells "
-                             f"(default: ${JOBS_ENV_VAR} or 1)")
+                        help=f"worker processes for experiment cells; BLAS runs on one "
+                             f"thread per process (default: ${JOBS_ENV_VAR} or 1)")
     parser.add_argument("--quiet", action="store_true", help="suppress the result digest line")
     try:
         args = parser.parse_args(argv)

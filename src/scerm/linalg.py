@@ -3,13 +3,46 @@
 All quantities of the form ||v||_{A^{-1}} are computed through a Cholesky
 solve rather than an explicit inverse square root; generalized eigenvalues go
 through scipy's Cholesky-whitening reduction. Matrices here are small and
-dense (d up to a few hundred).
+dense (d up to a few hundred), so BLAS runs on one thread per process
+(``single_thread_blas``) and experiments parallelise over worker processes.
 """
+
+import ctypes
+import os
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ContractViolation
+
+# (file-name marker, set-threads symbol) of the OpenBLAS copies bundled with
+# numpy and with scipy
+_OPENBLAS = (
+    ("libscipy_openblas64_", "scipy_openblas_set_num_threads64_"),
+    ("libscipy_openblas-", "scipy_openblas_set_num_threads"),
+)
+
+
+def single_thread_blas() -> None:
+    """Run every loaded OpenBLAS copy on one thread in this process.
+
+    At the matrix sizes used here, two threads per copy oversubscribe a
+    small machine and make a 256x256 Cholesky slower. Does nothing for a
+    library or symbol that is not loaded.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            loaded = {line.split()[-1] for line in fh if ".so" in line}
+    except OSError:
+        return
+    for marker, symbol in _OPENBLAS:
+        for path in sorted(p for p in loaded if marker in os.path.basename(p)):
+            try:
+                set_threads = getattr(ctypes.CDLL(path), symbol)
+            except (OSError, AttributeError):
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
 
 
 def chol_factor(a: np.ndarray):

@@ -398,7 +398,7 @@ class SampleSet:
         loss = self.loss
         if not loss.is_glm:
             return np.asarray(loss._f(self._margins(theta), self.labels), dtype=float)
-        _, logz = self._glm_softmax(theta)
+        _, logz = self._glm_softmax(self.features, theta)
         picked = np.take_along_axis(
             self.features @ theta, self.labels[:, None], axis=1
         ).ravel()
@@ -411,15 +411,15 @@ class SampleSet:
         if not loss.is_glm:
             fp = np.asarray(loss._fp(self._margins(theta), self.labels), dtype=float)
             return fp[:, None] * self.features
-        p, _ = self._glm_softmax(theta)
+        p, _ = self._glm_softmax(self.features, theta)
         mean = np.einsum("ml,mld->md", p, self.features)
         picked = self.features[np.arange(len(self)), self.labels]
         return mean - picked
 
-    def _glm_softmax(self, theta):
-        """Per-sample label probabilities (m, n_labels) and log-partition (m,)
-        through a max-shifted log-sum-exp."""
-        s = self.features @ theta + np.log(self.loss.base_measure)[None, :]
+    def _glm_softmax(self, feats, theta):
+        """Label probabilities (m, n_labels) and log-partition (m,) of the
+        stacked GLM features feats through a max-shifted log-sum-exp."""
+        s = feats @ theta + np.log(self.loss.base_measure)[None, :]
         smax = s.max(axis=1, keepdims=True)
         es = np.exp(s - smax)
         zsum = es.sum(axis=1, keepdims=True)
@@ -437,16 +437,26 @@ class SampleSet:
         return weights @ self.grads(theta)
 
     def weighted_hess(self, weights, theta) -> np.ndarray:
+        """Weighted sum of the per-sample Hessians, shape (d, d).
+
+        Rows of zero weight add exactly 0 and are left out of the sums, so a
+        draw's counts / n weights cost only the atoms it drew.
+        """
         loss = self.loss
         theta = _check_theta(theta, self.dim)
+        weights = np.asarray(weights, dtype=float)
+        feats, labels = self.features, self.labels
+        drawn = weights.nonzero()[0]
+        if drawn.size < len(self):
+            feats, labels, weights = feats.take(drawn, axis=0), labels.take(drawn), weights.take(drawn)
         if not loss.is_glm:
-            fpp = np.asarray(loss._fpp(self._margins(theta), self.labels), dtype=float)
-            h = (self.features.T * (weights * fpp)) @ self.features
+            fpp = np.asarray(loss._fpp(feats @ theta, labels), dtype=float)
+            h = (feats.T * (weights * fpp)) @ feats
         else:
-            p, _ = self._glm_softmax(theta)
+            p, _ = self._glm_softmax(feats, theta)
             wp = weights[:, None] * p
-            h = np.einsum("ml,mld,mle->de", wp, self.features, self.features)
-            means = np.einsum("ml,mld->md", p, self.features)
+            h = np.einsum("ml,mld,mle->de", wp, feats, feats)
+            means = np.einsum("ml,mld->md", p, feats)
             h -= np.einsum("m,md,me->de", weights, means, means)
         return 0.5 * (h + h.T)
 
@@ -457,7 +467,7 @@ class SampleSet:
         if not loss.is_glm:
             fpp = np.asarray(loss._fpp(self._margins(theta), self.labels), dtype=float)
             return fpp * np.einsum("md,md->m", self.features, self.features)
-        p, _ = self._glm_softmax(theta)
+        p, _ = self._glm_softmax(self.features, theta)
         sq = np.einsum("mld,mld->ml", self.features, self.features)
         means = np.einsum("ml,mld->md", p, self.features)
         return np.einsum("ml,ml->m", p, sq) - np.einsum("md,md->m", means, means)

@@ -111,6 +111,15 @@ class FinitePopulation:
     def sample_set(self) -> SampleSet:
         return SampleSet(self.loss, self.atoms)
 
+    @cached_property
+    def _star(self) -> tuple:
+        """theta* and H(theta*), solved once per population for every
+        ``solve_population`` call (a failed solve raises and is not cached)."""
+        theta_star = minimize_population(self, 0.0)
+        hessian = exact_hessian(self, theta_star, 0.0)
+        hessian.setflags(write=False)
+        return theta_star, hessian
+
     @property
     def dim(self) -> int:
         return self.atoms[0].dim
@@ -178,7 +187,7 @@ class PopulationSolution:
 
 
 def solve_population(pop: FinitePopulation, lambda_grid=()) -> PopulationSolution:
-    theta_star = minimize_population(pop, 0.0)
+    theta_star, hessian = pop._star
     per_lambda = {}
     for lam in lambda_grid:
         lam = float(lam)
@@ -188,7 +197,7 @@ def solve_population(pop: FinitePopulation, lambda_grid=()) -> PopulationSolutio
     return PopulationSolution(
         population=pop,
         theta_star=theta_star,
-        hessian_at_star=exact_hessian(pop, theta_star, 0.0),
+        hessian_at_star=hessian,
         theta_lambda=per_lambda,
     )
 

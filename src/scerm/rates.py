@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NonConvergenceError
-from .linalg import add_ridge, chol_factor, gen_eigmax, inv_norm
+from .linalg import add_ridge, chol_factor, gen_eigmax, inv_norm, single_thread_blas
 from .population import (
     FinitePopulation,
     PopulationSolution,
@@ -362,7 +362,7 @@ def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
         for rep in range(plan.replicates)
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=single_thread_blas) as pool:
             raw = list(pool.map(_run_cell, tasks, chunksize=max(1, len(tasks) // (8 * jobs))))
     else:
         raw = [_run_cell(t) for t in tasks]

@@ -7,7 +7,10 @@ line search guards the damped phase and the decrement
     sqrt(grad^T (H + lambda I)^{-1} grad)
 
 doubles as the convergence certificate. On quadratic objectives (square loss)
-the first full step is exact and the solver stops after one iteration.
+the first full step is exact and the solver stops after one iteration. A loss
+whose certificate set is {0} has a vanishing third derivative, so its Hessian
+is the same at every theta: the solver builds and factors H + lambda I once
+and reuses the factor to certify the decrement.
 """
 
 from __future__ import annotations
@@ -66,10 +69,10 @@ def _as_weights(weights, m):
     return w
 
 
-def _attained(sset: SampleSet, factor, dec: float) -> bool:
+def _attained(cert_rows: np.ndarray, factor, dec: float) -> bool:
     """The localization lemma's proof that a lam = 0 minimum is attained:
     dec <= r0/2, r0 = 1 / sup_g ||g||_{H^{-1}} over the certificate vectors g."""
-    sup_sq = float(np.max(inv_quad_rows(factor, sset.certificate_rows()), initial=0.0))
+    sup_sq = float(np.max(inv_quad_rows(factor, cert_rows), initial=0.0))
     return 4.0 * dec * dec * sup_sq <= 1.0
 
 
@@ -89,26 +92,30 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
     w = _as_weights(weights, len(sset))
     theta = np.zeros(sset.dim)
     trace: list[float] = []
+    cert_rows = sset.certificate_rows()
+    # an empty certificate set means a quadratic loss: one Hessian serves every iteration
+    factor = None
 
     def objective(t):
         return sset.weighted_value(w, t) + 0.5 * lam * float(t @ t)
 
     for _ in range(config.max_iter):
         g = sset.weighted_grad(w, theta) + lam * theta
-        h = sset.weighted_hess(w, theta)
-        h[np.diag_indices_from(h)] += lam
-        try:
-            factor = chol_factor(h)
-        except ContractViolation as exc:
-            raise NonConvergenceError(
-                f"regularized Hessian not positive definite (lambda={lam}): {exc}", trace
-            ) from exc
+        if factor is None or cert_rows.shape[0]:
+            h = sset.weighted_hess(w, theta)
+            h[np.diag_indices_from(h)] += lam
+            try:
+                factor = chol_factor(h)
+            except ContractViolation as exc:
+                raise NonConvergenceError(
+                    f"regularized Hessian not positive definite (lambda={lam}): {exc}", trace
+                ) from exc
         step = -chol_solve(factor, g)
         gdotp = float(g @ step)
         dec = float(np.sqrt(max(-gdotp, 0.0)))
         trace.append(dec)
         if dec <= config.tol:
-            if lam == 0.0 and not _attained(sset, factor, dec):
+            if lam == 0.0 and not _attained(cert_rows, factor, dec):
                 raise NonConvergenceError(
                     f"population minimum not attained: decrement {dec:.3e} exceeds half "
                     f"the Dikin radius at lambda=0", trace)

@@ -2,6 +2,11 @@ import numpy as np
 import pytest
 
 from scerm import FinitePopulation, LogisticLoss, Sample, SquareLoss
+from scerm.linalg import single_thread_blas
+
+# the same BLAS thread policy as the command line, so a library-level test
+# runs as fast whether or not an in-process CLI test ran before it
+single_thread_blas()
 
 
 @pytest.fixture

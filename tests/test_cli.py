@@ -361,3 +361,5 @@ def test_nonconvergence_exits_1_with_one_line_error(tmp_path, population, comman
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    out = tmp_path / "out"
+    assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()

@@ -347,14 +347,20 @@ def test_sample_set_matches_per_sample_ops(kind, rng):
     sset = SampleSet(loss, atoms)
     w = rng.uniform(0.1, 1.0, size=7)
     w /= w.sum()
+    # a draw's counts / n weights: atoms 0, 3 and 6 not drawn
+    w_drawn = np.where(np.arange(7) % 3 == 0, 0.0, w)
+    w_drawn /= w_drawn.sum()
     theta = rng.normal(size=d)
     vals = np.array([eval_loss(loss, z, theta) for z in atoms])
     np.testing.assert_allclose(sset.values(theta), vals, rtol=1e-12, atol=1e-12)
     grads = np.stack([grad_loss(loss, z, theta) for z in atoms])
     np.testing.assert_allclose(sset.grads(theta), grads, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(sset.weighted_grad(w, theta), w @ grads, rtol=1e-12, atol=1e-12)
-    hess = sum(w[i] * hess_loss(loss, z, theta) for i, z in enumerate(atoms))
-    np.testing.assert_allclose(sset.weighted_hess(w, theta), hess, rtol=1e-11, atol=1e-12)
+    for weights in (w, w_drawn):
+        np.testing.assert_allclose(sset.weighted_grad(weights, theta), weights @ grads,
+                                   rtol=1e-12, atol=1e-12)
+        hess = sum(weights[i] * hess_loss(loss, z, theta) for i, z in enumerate(atoms))
+        np.testing.assert_allclose(sset.weighted_hess(weights, theta), hess,
+                                   rtol=1e-11, atol=1e-12)
     traces = np.array([np.trace(hess_loss(loss, z, theta)) for z in atoms])
     np.testing.assert_allclose(sset.trace_hess(theta), traces, rtol=1e-11, atol=1e-12)
     k = rng.normal(size=d)

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -210,6 +215,67 @@ def test_parallel_jobs_match_serial():
 def test_jobs_invariance(seed, replicates):
     plan = tiny_plan(seed=seed, replicates=replicates, n_grid=(32, 64))
     assert run_rate_experiment(plan, jobs=1).cells == run_rate_experiment(plan, jobs=2).cells
+
+
+# Run in a fresh interpreter with OPENBLAS_NUM_THREADS=2: rate cells on a
+# two-worker pool record both OpenBLAS thread counts (numpy's copy, then
+# scipy's) of the worker that ran them; the parent, which was not pinned
+# while the pool ran, then pins its own and prints them.
+BLAS_PROBE = textwrap.dedent("""
+    import ctypes, json, os, sys
+    import scerm.rates as rates
+    from scerm.linalg import single_thread_blas
+    from scerm.population import make_source_population
+
+    GETTERS = (("libscipy_openblas64_", "scipy_openblas_get_num_threads64_"),
+               ("libscipy_openblas-", "scipy_openblas_get_num_threads"))
+
+    def blas_threads():
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            loaded = {line.split()[-1] for line in fh if ".so" in line}
+        counts = []
+        for marker, symbol in GETTERS:
+            paths = sorted(p for p in loaded if marker in os.path.basename(p))
+            if not paths:
+                return None
+            get = getattr(ctypes.CDLL(paths[0]), symbol)
+            get.argtypes, get.restype = [], ctypes.c_int
+            counts.append(get())
+        return counts
+
+    run_cell = rates._run_cell
+
+    def probe(args):
+        with open(os.path.join(sys.argv[1], f"worker-{os.getpid()}.json"), "w") as fh:
+            json.dump(blas_threads(), fh)
+        return run_cell(args)
+
+    if __name__ == "__main__":
+        rates._run_cell = probe
+        pop = make_source_population(d=8, r=0.5, alpha=2.0, seed=1)
+        plan = rates.ExperimentPlan(population=pop, regime="source_capacity", n_grid=(32, 64),
+                                    replicates=4, delta=0.1, seed=0,
+                                    lambda_override=(0.1, 0.05))
+        rates.run_rate_experiment(plan, jobs=2)
+        single_thread_blas()
+        print(json.dumps(blas_threads()))
+""")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_blas_single_thread_in_parent_and_pool_workers(tmp_path):
+    script = tmp_path / "probe.py"
+    script.write_text(BLAS_PROBE)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    parent = json.loads(proc.stdout.splitlines()[-1])
+    if parent is None:
+        pytest.skip("numpy's or scipy's OpenBLAS copy is not loaded")
+    assert parent == [1, 1]
+    workers = [json.loads(path.read_text()) for path in tmp_path.glob("worker-*.json")]
+    assert workers and all(counts == [1, 1] for counts in workers)
 
 
 def logistic_plan():

@@ -8,11 +8,13 @@ from scerm import (
     LogisticLoss,
     NonConvergenceError,
     Sample,
+    SampleSet,
     SolverConfig,
     SquareLoss,
     decrement,
     solve_erm,
 )
+from scerm import solver
 
 
 def ridge_instance(rng, d, n):
@@ -30,13 +32,29 @@ def ridge_closed_form(x, y, w, lam):
     return np.linalg.solve(a, x.T @ (w * y))
 
 
-def test_square_converges_in_one_step(rng):
+def test_square_converges_in_one_step(rng, monkeypatch):
     atoms, w, x, y = ridge_instance(rng, 5, 40)
-    res = solve_erm(atoms, w, SquareLoss(), 0.1)
+    sset = SampleSet(SquareLoss(), atoms)
+    calls = {"weighted_hess": 0, "chol_factor": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SampleSet, "weighted_hess", counted("weighted_hess", SampleSet.weighted_hess))
+    monkeypatch.setattr(solver, "chol_factor", counted("chol_factor", solver.chol_factor))
+    res = solve_erm(sset, w, SquareLoss(), 0.1)
+    # the constant Hessian is built and factored once, for both iterations
+    assert calls == {"weighted_hess": 1, "chol_factor": 1}
     assert res.converged
     assert res.iterations == 1
     assert len(res.decrement_trace) == 2
     assert res.decrement_trace[1] <= 1e-10
+    # each decrement equals the one from a fresh Hessian at its iterate
+    assert res.decrement_trace == (decrement(sset, w, SquareLoss(), 0.1, np.zeros(5)),
+                                   decrement(sset, w, SquareLoss(), 0.1, res.theta_hat))
 
 
 def test_matches_ridge_closed_form(rng):
