@@ -11,7 +11,8 @@ seed produce byte-identical files.
 
 Exit codes: 0 success, 1 assertion failure (a configured tolerance or
 threshold was missed, a solve did not converge, or a population minimum is
-not attained), 2 usage error (bad flags, invalid config, I/O).
+not attained), 2 usage error (bad flags, a config that is unreadable, not
+YAML or invalid, I/O).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import tempfile
 from dataclasses import replace
 
 import numpy as np
+import yaml
 
 from .config import RunConfig, build_population, config_digest, load_config_file
 from .errors import ConfigError, ContractViolation, NonConvergenceError
@@ -42,9 +44,8 @@ from .rates import (
     RateParams,
     anchored_lambdas,
     gradient_concentration_experiment,
-    gradient_premise_n,
     hessian_concentration_experiment,
-    hessian_premise_n,
+    lambda_exponent,
     rate_constants,
     run_rate_experiment,
 )
@@ -208,7 +209,7 @@ def _rates_params(pop, regime, delta) -> RateParams:
     theta_star = sol.theta_star
     b1_star, b2_star = pointwise_bounds(pop, theta_star)
     theta_norm = float(np.linalg.norm(theta_star))
-    sup = sup_constants(pop.loss, pop.atoms, theta_norm)
+    sup = sup_constants(pop.sample_set, theta_norm)
     meta = pop.meta
     return RateParams(
         delta=delta,
@@ -235,14 +236,10 @@ def _cmd_rates(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
     elif lam_spec.mode == "anchored":
         exponent = lam_spec.exponent
         if exponent is None:
-            if spec.regime == "none":
-                exponent = 0.5
-            else:
-                r = params.r if params.r is not None else 0.5
-                alpha = params.alpha if params.alpha is not None else 1.0
-                if spec.regime == "source":
-                    alpha = 1.0
-                exponent = alpha / (1.0 + alpha * (1.0 + 2.0 * r))
+            # a population without construction metadata decays as r = 1/2, alpha = 1
+            exponent = lambda_exponent(spec.regime,
+                                       params.r if params.r is not None else 0.5,
+                                       params.alpha if params.alpha is not None else 1.0)
         override = anchored_lambdas(spec.n_grid, exponent, lam_spec.anchor, lam_spec.n_anchor)
 
     plan = ExperimentPlan(
@@ -303,18 +300,12 @@ def _cmd_concentration(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
     spec = cfg.concentration
     if spec.kind == "hessian":
         sol = solve_population(pop, [])
-        n = spec.n or int(math.ceil(hessian_premise_n(pop, sol.theta_star, spec.lam, spec.delta)))
         report = hessian_concentration_experiment(
-            pop, sol.theta_star, spec.lam, n, spec.replicates, spec.delta, seed=cfg.seed
+            pop, sol.theta_star, spec.lam, spec.n, spec.replicates, spec.delta, seed=cfg.seed
         )
     else:
-        if spec.n is None:
-            sol = solve_population(pop, [spec.lam])
-            n = int(math.ceil(gradient_premise_n(pop, sol, spec.lam, spec.delta, spec.k)))
-        else:
-            n = spec.n
         report = gradient_concentration_experiment(
-            pop, spec.lam, n, spec.replicates, spec.delta, k=spec.k, seed=cfg.seed
+            pop, spec.lam, spec.n, spec.replicates, spec.delta, k=spec.k, seed=cfg.seed
         )
     _write_csv(
         os.path.join(out_dir, "concentration.csv"), digest, cfg.seed,
@@ -381,11 +372,20 @@ def main(argv=None) -> int:
     if jobs is None:
         jobs = int(os.environ.get(JOBS_ENV_VAR, "1") or 1)
     jobs = max(1, jobs)
+    if args.seed is not None and args.seed < 0:
+        print(f"error: --seed must be a nonnegative integer, got {args.seed}", file=sys.stderr)
+        return 2
 
     try:
         cfg, raw = load_config_file(args.config)
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot read config file: {exc}", file=sys.stderr)
+        return 2
+    except yaml.YAMLError as exc:
+        print(f"error: config file is not valid YAML: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)

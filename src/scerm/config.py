@@ -2,20 +2,24 @@
 
 Configs are YAML mappings, validated strictly before any computation runs:
 unknown keys are rejected and every violation is reported with its dotted
-path. ``parse_config`` returns a fully typed ``RunConfig`` or raises
-``ConfigError`` carrying the complete error list.
+path. Each section is checked against one table of field rules, and a key
+that is left out takes its spec dataclass's default. ``parse_config``
+returns a fully typed ``RunConfig`` or raises ``ConfigError`` carrying the
+complete error list. Inline atoms are checked by the library itself when
+``build_population`` constructs them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolation
 from .losses import LOSS_KINDS, Sample, SoftmaxGLMLoss
 from .population import FinitePopulation, make_logistic_population, make_source_population
 
@@ -31,86 +35,21 @@ __all__ = [
 COMMANDS = ("solve", "diagnose", "verify", "rates", "concentration")
 
 
-class _Errors:
-    def __init__(self):
-        self.items = []
-
-    def add(self, path, msg):
-        self.items.append((path, msg))
-
-    def raise_if_any(self):
-        if self.items:
-            raise ConfigError(self.items)
-
-
-def _expect_mapping(node, path, errs):
-    if not isinstance(node, dict):
-        errs.add(path, f"expected a mapping, got {type(node).__name__}")
-        return None
-    return node
-
-
-def _reject_unknown(node, path, allowed, errs):
-    for key in node:
-        if key not in allowed:
-            errs.add(f"{path}.{key}" if path else key, "unknown key")
-
-
-def _get_number(node, path, key, errs, required=False, default=None,
-                lo=None, hi=None, lo_open=False, hi_open=False, integer=False,
-                message=None):
-    if key not in node:
-        if required:
-            errs.add(f"{path}.{key}", "missing required key")
-        return default
-    val = node[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        errs.add(f"{path}.{key}", f"expected a number, got {type(val).__name__}")
-        return default
-    if integer and int(val) != val:
-        errs.add(f"{path}.{key}", "expected an integer")
-        return default
-    ok = True
-    if lo is not None:
-        ok = ok and (val > lo if lo_open else val >= lo)
-    if hi is not None:
-        ok = ok and (val < hi if hi_open else val <= hi)
-    if not ok:
-        errs.add(f"{path}.{key}", message or f"value {val} out of range")
-        return default
-    return int(val) if integer else float(val)
-
-
-def _get_str(node, path, key, errs, required=False, default=None, choices=None):
-    if key not in node:
-        if required:
-            errs.add(f"{path}.{key}", "missing required key")
-        return default
-    val = node[key]
-    if not isinstance(val, str):
-        errs.add(f"{path}.{key}", f"expected a string, got {type(val).__name__}")
-        return default
-    if choices and val not in choices:
-        errs.add(f"{path}.{key}", f"must be one of {sorted(choices)}")
-        return default
-    return val
-
-
 @dataclass(frozen=True)
 class PopulationSpec:
     generator: str  # "source" | "logistic" | "inline"
     d: int | None = None
     r: float | None = None
-    alpha: float | None = None
+    alpha: float = 1.0
     seed: int = 0
     loss_kind: str | None = None
     base_measure: tuple | None = None
-    atoms: tuple | None = None  # inline: ((features, label, weight), ...)
+    atoms: tuple | None = None  # inline: ({"features", "label", "weight"}, ...)
 
 
 @dataclass(frozen=True)
 class LambdaSpec:
-    mode: str  # "corollary" | "anchored" | "explicit"
+    mode: str = "corollary"  # "corollary" | "anchored" | "explicit"
     anchor: float | None = None
     n_anchor: int | None = None
     exponent: float | None = None
@@ -123,7 +62,7 @@ class RatesSpec:
     n_grid: tuple
     replicates: int
     delta: float
-    lambdas: LambdaSpec
+    lambdas: LambdaSpec = field(default_factory=LambdaSpec)
     burn_in: int = 1
     tolerance: float | None = None
 
@@ -148,7 +87,7 @@ class ConcentrationSpec:
     lam: float
     replicates: int
     delta: float
-    n: int | None = None  # None -> premise-conforming n
+    n: int | None = None  # None -> the experiment's premise-conforming n
     k: float = 4.0
 
 
@@ -162,8 +101,8 @@ class SolveSpec:
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    seed: int
-    population: PopulationSpec
+    seed: int = 0
+    population: PopulationSpec | None = None
     solve: SolveSpec | None = None
     diagnose: DiagnoseSpec | None = None
     verify: VerifySpec = field(default_factory=VerifySpec)
@@ -171,195 +110,185 @@ class RunConfig:
     concentration: ConcentrationSpec | None = None
 
 
-def _parse_population(node, errs) -> PopulationSpec | None:
-    node = _expect_mapping(node, "population", errs)
-    if node is None:
+
+# -- field rules ----------------------------------------------------------------------
+# A rule checks one value and returns it converted, or raises _Invalid with the
+# message that the error list shows under the value's dotted path.
+
+
+class _Invalid(Exception):
+    pass
+
+
+def _number(lo=None, hi=None, lo_open=False, integer=False, message=None):
+    """A finite number (an integer if asked) in [lo, hi], or in (lo, hi] when lo_open."""
+    def check(val):
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise _Invalid(f"expected a number, got {type(val).__name__}")
+        if not abs(val) <= sys.float_info.max:  # inf, nan, or an int no float can hold
+            raise _Invalid("expected a finite number")
+        if integer and int(val) != val:
+            raise _Invalid("expected an integer")
+        if (lo is not None and (val <= lo if lo_open else val < lo)
+                or hi is not None and val > hi):
+            raise _Invalid(message or f"value {val} out of range")
+        return int(val) if integer else float(val)
+    return check
+
+
+def _choice(*options):
+    def check(val):
+        if not isinstance(val, str):
+            raise _Invalid(f"expected a string, got {type(val).__name__}")
+        if val not in options:
+            raise _Invalid(f"must be one of {sorted(options)}")
+        return val
+    return check
+
+
+def _numbers(item, message, increasing=False):
+    """A nonempty list whose entries all pass ``item``, strictly increasing if asked."""
+    def check(val):
+        if not isinstance(val, list) or not val:
+            raise _Invalid(message)
+        try:
+            vals = tuple(item(v) for v in val)
+        except _Invalid:
+            raise _Invalid(message) from None
+        if increasing and any(b <= a for a, b in zip(vals, vals[1:])):
+            raise _Invalid(message)
+        return vals
+    return check
+
+
+def _any(val):
+    """No rule here: a nested section, or a value the library checks."""
+    return val
+
+
+_POSITIVE = _number(lo=0.0, lo_open=True)
+_COUNT = _number(lo=1, integer=True)
+_SEED = _number(lo=0, integer=True, message="seeds must be nonnegative integers")
+_DELTA = _number(lo=0.0, hi=0.5, lo_open=True, message="delta must lie in (0, 0.5]")
+_POSITIVES = _numbers(_POSITIVE, "expected a nonempty list of positive numbers")
+
+# A table is (required keys, rules by key).
+# command section -> (spec dataclass, table)
+_SECTIONS = {
+    "solve": (SolveSpec, (("lambda",), {
+        "lambda": _POSITIVE, "tol": _POSITIVE, "max_iter": _COUNT,
+    })),
+    "diagnose": (DiagnoseSpec, ((), {
+        "lambda_grid": _POSITIVES, "log2_min": _number(integer=True),
+        "log2_max": _number(integer=True),
+    })),
+    "verify": (VerifySpec, ((), {
+        "trials_per_case": _COUNT, "slack": _POSITIVE, "localization_trials": _COUNT,
+    })),
+    "rates": (RatesSpec, (("regime", "n_grid", "replicates", "delta"), {
+        "regime": _choice("none", "source", "source_capacity"),
+        "n_grid": _numbers(_COUNT, "must be strictly increasing positive integers",
+                           increasing=True),
+        "replicates": _COUNT, "delta": _DELTA, "lambda": _any,
+        "burn_in": _number(lo=0, integer=True), "tolerance": _POSITIVE,
+    })),
+    "concentration": (ConcentrationSpec, (("kind", "lambda", "replicates", "delta"), {
+        "kind": _choice("hessian", "gradient"), "lambda": _POSITIVE, "replicates": _COUNT,
+        "delta": _DELTA, "n": _COUNT,
+        "k": _number(lo=4.0, message="the gradient bound requires k >= 4"),
+    })),
+}
+_TOP = (("command",), {"command": _choice(*COMMANDS), "seed": _SEED, "population": _any,
+                       **dict.fromkeys(_SECTIONS, _any)})
+# sections a command cannot run without
+_NEEDS = {"solve": ("population", "solve"), "diagnose": ("population",), "verify": (),
+          "rates": ("population", "rates"), "concentration": ("population", "concentration")}
+
+# Tagged sections: the tag's value picks the table, and the tag itself is required.
+_GENERATED = {"d": _number(lo=2, integer=True), "seed": _SEED,
+              "alpha": _number(lo=1.0, message="alpha must be >= 1 (capacity condition range)")}
+_POPULATIONS = {
+    "source": (("d", "r", "alpha"), {
+        **_GENERATED,
+        "r": _number(0.0, 0.5, message="r must lie in [0, 0.5] (source condition range)"),
+    }),
+    "logistic": (("d",), _GENERATED),
+    "inline": (("loss", "atoms"), {"loss": _any, "atoms": _any}),
+}
+# the loss constructor checks base_measure
+_LOSSES = {kind: ((), {}) for kind in LOSS_KINDS}
+_LOSSES["softmax_glm"] = (("base_measure",), {"base_measure": _any})
+_LAMBDAS = {
+    "corollary": ((), {}),
+    "anchored": (("anchor", "n_anchor"), {
+        "anchor": _POSITIVE, "n_anchor": _COUNT, "exponent": _number(lo=0.0),
+    }),
+    "explicit": (("values",), {"values": _POSITIVES}),
+}
+# build_population checks the features
+_ATOM = (("features", "label", "weight"), {
+    "features": _any, "label": _number(),
+    "weight": _number(lo=0.0, lo_open=True, message="expected a positive number"),
+})
+
+
+def _fields(node, path, table, errs) -> dict | None:
+    """Check a mapping against a table of field rules.
+
+    Reports unknown keys, missing required keys and every value that breaks
+    its rule. Returns the checked values of the keys that are present, or
+    None when ``node`` is not a mapping.
+    """
+    required, rules = table
+    if not isinstance(node, dict):
+        errs.append((path, f"expected a mapping, got {type(node).__name__}"))
         return None
-    gen = _get_str(node, "population", "generator", errs, required=True,
-                   choices=("source", "logistic", "inline"))
-    if gen is None:
-        return None
-    if gen in ("source", "logistic"):
-        _reject_unknown(node, "population", {"generator", "d", "r", "alpha", "seed"}, errs)
-        d = _get_number(node, "population", "d", errs, required=True, lo=2, integer=True)
-        alpha = _get_number(node, "population", "alpha", errs, required=(gen == "source"),
-                            default=1.0, lo=1.0,
-                            message="alpha must be >= 1 (capacity condition range)")
-        seed = _get_number(node, "population", "seed", errs, default=0, integer=True)
-        r = None
-        if gen == "source":
-            r = _get_number(node, "population", "r", errs, required=True, lo=0.0, hi=0.5,
-                            message="r must lie in [0, 0.5] (source condition range)")
-        elif "r" in node:
-            errs.add("population.r", "unknown key for logistic generator")
-        return PopulationSpec(generator=gen, d=d, r=r, alpha=alpha, seed=seed or 0)
-
-    _reject_unknown(node, "population", {"generator", "loss", "atoms"}, errs)
-    loss_node = _expect_mapping(node.get("loss"), "population.loss", errs)
-    loss_kind = None
-    base_measure = None
-    if loss_node is not None:
-        _reject_unknown(loss_node, "population.loss", {"kind", "base_measure"}, errs)
-        loss_kind = _get_str(loss_node, "population.loss", "kind", errs, required=True,
-                             choices=set(LOSS_KINDS))
-        if loss_kind == "softmax_glm":
-            bm = loss_node.get("base_measure")
-            if not isinstance(bm, list) or len(bm) < 2:
-                errs.add("population.loss.base_measure",
-                         "softmax_glm needs a base_measure list of >= 2 positive weights")
-            else:
-                base_measure = tuple(float(x) for x in bm)
-        elif "base_measure" in loss_node:
-            errs.add("population.loss.base_measure", "only valid for softmax_glm")
-    elif "loss" not in node:
-        errs.add("population.loss", "missing required key")
-
-    atoms_node = node.get("atoms")
-    atoms = None
-    if not isinstance(atoms_node, list) or not atoms_node:
-        errs.add("population.atoms", "inline population needs a nonempty atoms list")
-    else:
-        parsed = []
-        for i, a in enumerate(atoms_node):
-            apath = f"population.atoms[{i}]"
-            a = _expect_mapping(a, apath, errs)
-            if a is None:
-                continue
-            _reject_unknown(a, apath, {"features", "label", "weight"}, errs)
-            feats = a.get("features")
-            if not isinstance(feats, list) or not feats:
-                errs.add(f"{apath}.features", "expected a nonempty list")
-                continue
-            label = a.get("label")
-            if isinstance(label, bool) or not isinstance(label, (int, float)):
-                errs.add(f"{apath}.label", "expected a number")
-                continue
-            weight = a.get("weight")
-            if isinstance(weight, bool) or not isinstance(weight, (int, float)) or weight <= 0:
-                errs.add(f"{apath}.weight", "expected a positive number")
-                continue
-            parsed.append((feats, float(label), float(weight)))
-        atoms = tuple(parsed) if parsed else None
-        if atoms is None:
-            errs.add("population.atoms", "no valid atoms")
-    return PopulationSpec(generator="inline", loss_kind=loss_kind,
-                          base_measure=base_measure, atoms=atoms)
+    prefix = f"{path}." if path else ""
+    for key in node:
+        if key not in rules:
+            errs.append((f"{prefix}{key}", "unknown key"))
+    for key in required:
+        if key not in node:
+            errs.append((f"{prefix}{key}", "missing required key"))
+    out = {}
+    for key, rule in rules.items():
+        if key in node:
+            try:
+                out[key] = rule(node[key])
+            except _Invalid as exc:
+                errs.append((f"{prefix}{key}", str(exc)))
+    return out
 
 
-def _parse_lambda_spec(node, path, errs) -> LambdaSpec | None:
-    node = _expect_mapping(node, path, errs)
-    if node is None:
-        return None
-    mode = _get_str(node, path, "mode", errs, required=True,
-                    choices=("corollary", "anchored", "explicit"))
-    if mode == "anchored":
-        _reject_unknown(node, path, {"mode", "anchor", "n_anchor", "exponent"}, errs)
-        anchor = _get_number(node, path, "anchor", errs, required=True, lo=0.0, lo_open=True)
-        n_anchor = _get_number(node, path, "n_anchor", errs, required=True, lo=1, integer=True)
-        exponent = _get_number(node, path, "exponent", errs, lo=0.0)
-        return LambdaSpec(mode="anchored", anchor=anchor, n_anchor=n_anchor, exponent=exponent)
-    if mode == "explicit":
-        _reject_unknown(node, path, {"mode", "values"}, errs)
-        vals = node.get("values")
-        if not isinstance(vals, list) or not vals or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0 for v in vals
-        ):
-            errs.add(f"{path}.values", "expected a nonempty list of positive numbers")
-            return None
-        return LambdaSpec(mode="explicit", values=tuple(float(v) for v in vals))
-    if mode == "corollary":
-        _reject_unknown(node, path, {"mode"}, errs)
-        return LambdaSpec(mode="corollary")
+def _tagged(node, path, tag, tables, errs) -> dict | None:
+    """``_fields`` for a mapping whose ``tag`` value picks one of ``tables``."""
+    choice = node.get(tag) if isinstance(node, dict) else None
+    if isinstance(choice, str) and choice in tables:
+        required, rules = tables[choice]
+        return _fields(node, path, ((tag, *required), {tag: _any, **rules}), errs)
+    # without a valid tag no other key can be judged
+    if isinstance(node, dict):
+        node = {key: val for key, val in node.items() if key == tag}
+    _fields(node, path, ((tag,), {tag: _choice(*tables)}), errs)
     return None
 
 
-def _parse_rates(node, errs) -> RatesSpec | None:
-    node = _expect_mapping(node, "rates", errs)
-    if node is None:
-        return None
-    _reject_unknown(node, "rates",
-                    {"regime", "n_grid", "replicates", "delta", "lambda", "burn_in", "tolerance"},
-                    errs)
-    regime = _get_str(node, "rates", "regime", errs, required=True,
-                      choices=("none", "source", "source_capacity"))
-    grid_node = node.get("n_grid")
-    n_grid = None
-    if not isinstance(grid_node, list) or len(grid_node) < 1:
-        errs.add("rates.n_grid", "expected a nonempty list of sample sizes")
-    else:
-        ok = all(not isinstance(v, bool) and isinstance(v, int) and v >= 1 for v in grid_node)
-        if not ok or any(b <= a for a, b in zip(grid_node, grid_node[1:])):
-            errs.add("rates.n_grid", "must be strictly increasing positive integers")
+def _population(node, errs) -> dict | None:
+    pop = _tagged(node, "population", "generator", _POPULATIONS, errs)
+    if pop is None or pop["generator"] != "inline":
+        return pop
+    if "loss" in pop:
+        loss = _tagged(pop.pop("loss"), "population.loss", "kind", _LOSSES, errs)
+        if loss is not None:
+            pop["loss_kind"], pop["base_measure"] = loss["kind"], loss.get("base_measure")
+    if "atoms" in pop:
+        atoms = pop["atoms"]
+        if not isinstance(atoms, list) or not atoms:
+            errs.append(("population.atoms", "inline population needs a nonempty atoms list"))
         else:
-            n_grid = tuple(grid_node)
-    replicates = _get_number(node, "rates", "replicates", errs, required=True, lo=1, integer=True)
-    delta = _get_number(node, "rates", "delta", errs, required=True, lo=0.0, hi=0.5,
-                        lo_open=True, message="delta must lie in (0, 0.5]")
-    lam_spec = _parse_lambda_spec(node.get("lambda"), "rates.lambda", errs) \
-        if "lambda" in node else LambdaSpec(mode="corollary")
-    burn_in = _get_number(node, "rates", "burn_in", errs, default=1, lo=0, integer=True)
-    tolerance = _get_number(node, "rates", "tolerance", errs, lo=0.0, lo_open=True)
-    if lam_spec is not None and lam_spec.mode == "explicit" and n_grid is not None \
-            and lam_spec.values is not None and len(lam_spec.values) != len(n_grid):
-        errs.add("rates.lambda.values", "must have one value per n_grid entry")
-    if None in (regime, n_grid, replicates, delta) or lam_spec is None:
-        return None
-    return RatesSpec(regime=regime, n_grid=n_grid, replicates=replicates, delta=delta,
-                     lambdas=lam_spec, burn_in=burn_in if burn_in is not None else 1,
-                     tolerance=tolerance)
-
-
-def _parse_diagnose(node, errs) -> DiagnoseSpec | None:
-    node = _expect_mapping(node, "diagnose", errs)
-    if node is None:
-        return None
-    _reject_unknown(node, "diagnose", {"lambda_grid", "log2_min", "log2_max"}, errs)
-    grid = None
-    if "lambda_grid" in node:
-        vals = node["lambda_grid"]
-        if not isinstance(vals, list) or len(vals) < 1 or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0 for v in vals
-        ):
-            errs.add("diagnose.lambda_grid", "expected a nonempty list of positive numbers")
-        else:
-            grid = tuple(float(v) for v in vals)
-    lo = _get_number(node, "diagnose", "log2_min", errs, default=0, integer=True)
-    hi = _get_number(node, "diagnose", "log2_max", errs, default=16, integer=True)
-    if lo is not None and hi is not None and hi < lo:
-        errs.add("diagnose.log2_max", "must be >= log2_min")
-    return DiagnoseSpec(lambda_grid=grid, log2_min=lo or 0, log2_max=hi or 16)
-
-
-def _parse_verify(node, errs) -> VerifySpec | None:
-    node = _expect_mapping(node, "verify", errs)
-    if node is None:
-        return None
-    _reject_unknown(node, "verify", {"trials_per_case", "slack", "localization_trials"}, errs)
-    trials = _get_number(node, "verify", "trials_per_case", errs, default=650, lo=1, integer=True)
-    slack = _get_number(node, "verify", "slack", errs, default=1e-9, lo=0.0, lo_open=True)
-    loc = _get_number(node, "verify", "localization_trials", errs, default=50, lo=1, integer=True)
-    return VerifySpec(trials_per_case=trials or 650, slack=slack or 1e-9,
-                      localization_trials=loc or 50)
-
-
-def _parse_concentration(node, errs) -> ConcentrationSpec | None:
-    node = _expect_mapping(node, "concentration", errs)
-    if node is None:
-        return None
-    _reject_unknown(node, "concentration", {"kind", "lambda", "n", "replicates", "delta", "k"}, errs)
-    kind = _get_str(node, "concentration", "kind", errs, required=True,
-                    choices=("hessian", "gradient"))
-    lam = _get_number(node, "concentration", "lambda", errs, required=True, lo=0.0, lo_open=True)
-    replicates = _get_number(node, "concentration", "replicates", errs, required=True,
-                             lo=1, integer=True)
-    delta = _get_number(node, "concentration", "delta", errs, required=True, lo=0.0, hi=0.5,
-                        lo_open=True, message="delta must lie in (0, 0.5]")
-    n = _get_number(node, "concentration", "n", errs, lo=1, integer=True)
-    k = _get_number(node, "concentration", "k", errs, default=4.0, lo=4.0,
-                    message="the gradient bound requires k >= 4")
-    if None in (kind, lam, replicates, delta):
-        return None
-    return ConcentrationSpec(kind=kind, lam=lam, replicates=replicates, delta=delta, n=n, k=k or 4.0)
+            pop["atoms"] = tuple(_fields(atom, f"population.atoms[{i}]", _ATOM, errs)
+                                 for i, atom in enumerate(atoms))
+    return pop
 
 
 def parse_config(document) -> RunConfig:
@@ -369,60 +298,43 @@ def parse_config(document) -> RunConfig:
     """
     if isinstance(document, str):
         document = yaml.safe_load(document)
-    errs = _Errors()
-    doc = _expect_mapping(document, "", errs)
-    errs.raise_if_any()
+    errs = []
+    top = _fields(document, "", _TOP, errs)
+    if top is None:
+        raise ConfigError(errs)
+    command = top.get("command")
+    for key in _NEEDS.get(command, ()):
+        if key not in top:
+            errs.append((key, "missing required key for this command"))
+    population = _population(top["population"], errs) if "population" in top else None
+    sections = {key: _fields(top[key], key, table, errs)
+                for key, (_, table) in _SECTIONS.items() if key in top}
+    rates = sections.get("rates")
+    if rates is not None and "lambda" in rates:
+        lam = rates["lambda"] = _tagged(rates["lambda"], "rates.lambda", "mode", _LAMBDAS, errs)
+        if lam is not None and "values" in lam and "n_grid" in rates \
+                and len(lam["values"]) != len(rates["n_grid"]):
+            errs.append(("rates.lambda.values", "must have one value per n_grid entry"))
+    diagnose = sections.get("diagnose")
+    if diagnose is not None and (diagnose.get("log2_max", DiagnoseSpec.log2_max)
+                                 < diagnose.get("log2_min", DiagnoseSpec.log2_min)):
+        errs.append(("diagnose.log2_max", "must be >= log2_min"))
+    if errs:
+        raise ConfigError(errs)
 
-    allowed = {"command", "seed", "population", "solve", "diagnose", "verify", "rates",
-               "concentration"}
-    _reject_unknown(doc, "", allowed, errs)
-    command = _get_str(doc, "", "command", errs, required=True, choices=COMMANDS)
-    seed = _get_number(doc, "", "seed", errs, default=0, integer=True)
-
-    population = None
-    if "population" in doc:
-        population = _parse_population(doc["population"], errs)
-    elif command in ("solve", "diagnose", "rates", "concentration"):
-        errs.add("population", "missing required key for this command")
-
-    solve = None
-    if "solve" in doc:
-        node = _expect_mapping(doc["solve"], "solve", errs)
-        if node is not None:
-            _reject_unknown(node, "solve", {"lambda", "tol", "max_iter"}, errs)
-            lam = _get_number(node, "solve", "lambda", errs, required=True, lo=0.0, lo_open=True)
-            tol = _get_number(node, "solve", "tol", errs, default=1e-10, lo=0.0, lo_open=True)
-            max_iter = _get_number(node, "solve", "max_iter", errs, default=200, lo=1, integer=True)
-            if lam is not None:
-                solve = SolveSpec(lam=lam, tol=tol or 1e-10, max_iter=max_iter or 200)
-    elif command == "solve":
-        errs.add("solve", "missing required key for this command")
-
-    diagnose = _parse_diagnose(doc["diagnose"], errs) if "diagnose" in doc else (
-        DiagnoseSpec() if command == "diagnose" else None)
-    verify = _parse_verify(doc["verify"], errs) if "verify" in doc else VerifySpec()
-    rates = None
-    if "rates" in doc:
-        rates = _parse_rates(doc["rates"], errs)
-    elif command == "rates":
-        errs.add("rates", "missing required key for this command")
-    concentration = None
-    if "concentration" in doc:
-        concentration = _parse_concentration(doc["concentration"], errs)
-    elif command == "concentration":
-        errs.add("concentration", "missing required key for this command")
-
-    errs.raise_if_any()
-    return RunConfig(
-        command=command,
-        seed=seed or 0,
-        population=population,
-        solve=solve,
-        diagnose=diagnose,
-        verify=verify if verify is not None else VerifySpec(),
-        rates=rates,
-        concentration=concentration,
-    )
+    # every value present is valid; a key left out takes its dataclass default
+    cfg = {key: top[key] for key in ("command", "seed") if key in top}
+    if population is not None:
+        cfg["population"] = PopulationSpec(**population)
+    if command == "diagnose":
+        sections.setdefault("diagnose", {})
+    for key, kw in sections.items():
+        if key == "rates" and "lambda" in kw:
+            kw["lambdas"] = LambdaSpec(**kw.pop("lambda"))
+        elif "lambda" in kw:
+            kw["lam"] = kw.pop("lambda")
+        cfg[key] = _SECTIONS[key][0](**kw)
+    return RunConfig(**cfg)
 
 
 def load_config_file(path) -> tuple[RunConfig, dict]:
@@ -432,21 +344,38 @@ def load_config_file(path) -> tuple[RunConfig, dict]:
 
 
 def build_population(spec: PopulationSpec) -> FinitePopulation:
+    """The population a spec describes.
+
+    Inline losses and atoms are checked here by the library's own
+    constructors; each failure becomes a ConfigError entry at its dotted path.
+    """
     if spec.generator == "source":
         return make_source_population(spec.d, spec.r, spec.alpha, spec.seed)
     if spec.generator == "logistic":
         return make_logistic_population(spec.d, spec.alpha, spec.seed)
-    loss_cls = LOSS_KINDS[spec.loss_kind]
-    loss = SoftmaxGLMLoss(spec.base_measure) if spec.loss_kind == "softmax_glm" else loss_cls()
+    errs = []
+    try:
+        loss = (SoftmaxGLMLoss(spec.base_measure) if spec.loss_kind == "softmax_glm"
+                else LOSS_KINDS[spec.loss_kind]())
+    except (TypeError, ValueError) as exc:
+        raise ConfigError([("population.loss.base_measure", str(exc))]) from exc
     atoms = []
-    weights = []
-    for feats, label, weight in spec.atoms:
-        atoms.append(Sample(features=np.asarray(feats, dtype=float), label=label))
-        weights.append(weight)
-    weights = np.asarray(weights, dtype=float)
+    for i, atom in enumerate(spec.atoms):
+        try:
+            z = Sample(features=np.asarray(atom["features"], dtype=float), label=atom["label"])
+            loss.validate_sample(z)
+            atoms.append(z)
+        except (TypeError, ValueError) as exc:
+            errs.append((f"population.atoms[{i}]", str(exc)))
+    if errs:
+        raise ConfigError(errs)
+    weights = np.asarray([atom["weight"] for atom in spec.atoms], dtype=float)
     if abs(weights.sum() - 1.0) > 1e-12:
         weights = weights / weights.sum()
-    return FinitePopulation(atoms=tuple(atoms), weights=weights, loss=loss)
+    try:
+        return FinitePopulation(atoms=tuple(atoms), weights=weights, loss=loss)
+    except ContractViolation as exc:
+        raise ConfigError([("population.atoms", str(exc))]) from exc
 
 
 def population_to_config(pop: FinitePopulation) -> dict:

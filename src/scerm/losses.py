@@ -510,8 +510,9 @@ class SupConstants:
     r: float
 
 
-def sup_constants(loss: LossModel, support, radius: float) -> SupConstants:
-    """Derivative bounds over {||theta|| <= radius} and the certificate radius R.
+def sup_constants(sset: SampleSet, radius: float) -> SupConstants:
+    """Derivative bounds over {||theta|| <= radius} and the certificate radius R
+    for the atoms of ``sset``.
 
     All bounds are closed forms. The square and Huber losses restrict the
     residual/margin to its exact range over the ball; the logistic loss uses
@@ -521,13 +522,10 @@ def sup_constants(loss: LossModel, support, radius: float) -> SupConstants:
     B1 = max ||Phi(x,y') - Phi(x,y)|| and B2 = max ||Phi(x,y')||^2 over atoms
     and labels y'. The logistic and softmax bounds hold for every radius.
     """
-    support = tuple(support)
-    if not support:
-        raise ContractViolation("empty support")
     if radius < 0:
         raise ContractViolation("radius must be nonnegative")
-    sset = SampleSet(loss, support)
-    r_cert = float(np.max(sset.sc_sup_norms())) if len(support) else 0.0
+    loss = sset.loss
+    r_cert = float(np.max(sset.sc_sup_norms()))
 
     if loss.is_glm:
         feats = sset.features

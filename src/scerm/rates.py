@@ -29,7 +29,6 @@ from .errors import ContractViolation, NonConvergenceError
 from .linalg import add_ridge, chol_factor, gen_eigmax, inv_norm, single_thread_blas
 from .population import (
     FinitePopulation,
-    PopulationSolution,
     ScConstants,
     _loglog_fit,
     constants_at,
@@ -47,13 +46,13 @@ __all__ = [
     "RateReport",
     "ConcentrationReport",
     "lambda_schedule",
+    "lambda_exponent",
     "theoretical_rate",
     "rate_constants",
     "anchored_lambdas",
     "run_rate_experiment",
     "hessian_premise_n",
     "hessian_concentration_experiment",
-    "gradient_premise_n",
     "gradient_concentration_experiment",
 ]
 
@@ -99,6 +98,26 @@ class ScheduledLambda:
     raw: float
 
 
+def _exponents(regime: str, r, alpha) -> tuple[float, float]:
+    """(beta, gamma) of the regime: lambda ~ n^-beta and excess risk ~ n^-gamma.
+
+    source is source_capacity at alpha = 1; none has beta = gamma = 1/2.
+    """
+    if regime == "none":
+        return 0.5, 0.5
+    if regime == "source":
+        alpha = 1.0
+    elif regime != "source_capacity":
+        raise ContractViolation(f"unknown regime {regime!r}")
+    s = alpha * (1.0 + 2.0 * r)
+    return alpha / (1.0 + s), s / (s + 1.0)
+
+
+def lambda_exponent(regime: str, r: float, alpha: float) -> float:
+    """Decay exponent beta of the corollary's schedule lambda ~ n^-beta."""
+    return _exponents(regime, r, alpha)[0]
+
+
 def lambda_schedule(regime: str, n: int, params: RateParams) -> ScheduledLambda:
     """The corollary's lambda for sample size n, clamped to (0, B2*].
 
@@ -114,19 +133,18 @@ def lambda_schedule(regime: str, n: int, params: RateParams) -> ScheduledLambda:
             math.log(2.0 / params.delta) / n
         )
         cap = params.b2_ball
-    elif regime == "source":
-        _require(params, ("b1_star", "source_norm", "r", "b2_star"))
-        c0 = 256.0 * (params.b1_star / params.source_norm) ** 2
-        raw = (c0 / n) ** (1.0 / (2.0 + 2.0 * params.r))
-        cap = params.b2_star
-    elif regime == "source_capacity":
-        _require(params, ("capacity_q", "source_norm", "r", "alpha", "b2_star"))
-        c0 = 256.0 * (params.capacity_q / params.source_norm) ** 2
-        beta = params.alpha / (1.0 + params.alpha * (1.0 + 2.0 * params.r))
-        raw = (c0 / n) ** beta
-        cap = params.b2_star
     else:
-        raise ContractViolation(f"unknown regime {regime!r}")
+        if regime == "source":
+            _require(params, ("b1_star", "source_norm", "r", "b2_star"))
+            q = params.b1_star
+        elif regime == "source_capacity":
+            _require(params, ("capacity_q", "source_norm", "r", "alpha", "b2_star"))
+            q = params.capacity_q
+        else:
+            raise ContractViolation(f"unknown regime {regime!r}")
+        c0 = 256.0 * (q / params.source_norm) ** 2
+        raw = (c0 / n) ** lambda_exponent(regime, params.r, params.alpha)
+        cap = params.b2_star
     if raw > cap:
         return ScheduledLambda(value=cap, clamped=True, raw=raw)
     return ScheduledLambda(value=raw, clamped=False, raw=raw)
@@ -134,17 +152,11 @@ def lambda_schedule(regime: str, n: int, params: RateParams) -> ScheduledLambda:
 
 def theoretical_rate(regime: str, r: float | None = None, alpha: float | None = None) -> float:
     """Exponent gamma of the optimal excess-risk rate n^-gamma."""
-    if regime == "none":
-        return 0.5
-    if regime == "source":
-        if r is None:
-            raise ContractViolation("source regime needs r")
-        return (2.0 * r + 1.0) / (2.0 * r + 2.0)
-    if regime == "source_capacity":
-        if r is None or alpha is None:
-            raise ContractViolation("source_capacity regime needs r and alpha")
-        return alpha * (1.0 + 2.0 * r) / (alpha * (1.0 + 2.0 * r) + 1.0)
-    raise ContractViolation(f"unknown regime {regime!r}")
+    if regime == "source" and r is None:
+        raise ContractViolation("source regime needs r")
+    if regime == "source_capacity" and (r is None or alpha is None):
+        raise ContractViolation("source_capacity regime needs r and alpha")
+    return _exponents(regime, r, alpha)[1]
 
 
 @dataclass(frozen=True)
@@ -175,7 +187,7 @@ def rate_constants(regime: str, params: RateParams) -> RateConstants:
             256.0 / (a * a) * log2d,
             512.0 * max((params.theta_norm * params.cert_radius) ** 2, 1.0) * log2d,
         )
-        return RateConstants(c0=c0, c1=c1, n_threshold=n_thr, gamma=0.5)
+        return RateConstants(c0=c0, c1=c1, n_threshold=n_thr, gamma=theoretical_rate("none"))
 
     if regime == "source":
         _require(params, ("b1_star", "source_norm", "r"))
@@ -188,8 +200,7 @@ def rate_constants(regime: str, params: RateParams) -> RateConstants:
 
     _require(params, ("b2_star", "cert_radius"))
     r, ell = params.r, params.source_norm
-    gamma = alpha * (1.0 + 2.0 * r) / (alpha * (1.0 + 2.0 * r) + 1.0)
-    beta = 1.0 / (1.0 + 2.0 * r + 1.0 / alpha)
+    beta, gamma = _exponents(regime, r, alpha)
     c0 = 256.0 * (q / ell) ** 2
     c1 = 8.0 * 256.0**gamma * (q**gamma * ell ** (1.0 - gamma)) ** 2
 
@@ -497,19 +508,21 @@ def hessian_premise_n(pop: FinitePopulation, theta, lam: float, delta: float) ->
     return 24.0 * b2 / lam * math.log(8.0 * b2 / (lam * delta))
 
 
-def hessian_concentration_experiment(pop: FinitePopulation, theta, lam: float, n: int,
+def hessian_concentration_experiment(pop: FinitePopulation, theta, lam: float, n: int | None,
                                      replicates: int, delta: float,
                                      seed: int = 0) -> ConcentrationReport:
     """Monte Carlo frequency of H_lambda(theta) <= 2 Hhat_lambda(theta).
 
     The event is tested through the largest generalized eigenvalue of
     (H_lambda, Hhat_lambda). When n is below the lemma's premise the
-    experiment is marked skipped (frequencies still reported).
+    experiment is marked skipped (frequencies still reported); n = None runs
+    at the smallest n that meets it.
     """
     if lam <= 0:
         raise ContractViolation("lambda must be positive")
     theta = np.asarray(theta, dtype=float)
     premise = hessian_premise_n(pop, theta, lam, delta)
+    n = max(1, math.ceil(premise)) if n is None else n
     h_lam = add_ridge(pop.sample_set.weighted_hess(pop.weights, theta), lam)
     outcomes = []
     for rep in range(replicates):
@@ -519,19 +532,7 @@ def hessian_concentration_experiment(pop: FinitePopulation, theta, lam: float, n
     return _concentration_report("hessian", n, replicates, delta, premise, outcomes)
 
 
-def gradient_premise_n(pop: FinitePopulation, sol: PopulationSolution, lam: float,
-                       delta: float, k: float) -> float:
-    """Premise n >= k^2 shift2^2 (B2*/lambda) log(2/delta) of the empirical
-    gradient concentration bound."""
-    _, b2_star = pointwise_bounds(pop, sol.theta_star)
-    return _gradient_premise(constants_at(pop, sol, lam), b2_star, delta, k)
-
-
-def _gradient_premise(consts: ScConstants, b2_star: float, delta: float, k: float) -> float:
-    return k * k * consts.shift2**2 * (b2_star / consts.lam) * math.log(2.0 / delta)
-
-
-def gradient_concentration_experiment(pop: FinitePopulation, lam: float, n: int,
+def gradient_concentration_experiment(pop: FinitePopulation, lam: float, n: int | None,
                                       replicates: int, delta: float, k: float = 4.0,
                                       seed: int = 0) -> ConcentrationReport:
     """Monte Carlo frequency of the empirical-gradient concentration bound
@@ -539,6 +540,8 @@ def gradient_concentration_experiment(pop: FinitePopulation, lam: float, n: int,
         ||grad Lhat_lam(t*_lam)||_{H_lam^{-1}(t*_lam)}
             <= (2 sqrt(3)/k) Bias_lam
                + 2 shift1 sqrt((df_lam v Q*^2) log(2/delta) / n).
+
+    n = None runs at the smallest n that meets the premise.
     """
     if lam <= 0:
         raise ContractViolation("lambda must be positive")
@@ -550,7 +553,9 @@ def gradient_concentration_experiment(pop: FinitePopulation, lam: float, n: int,
     b1_star, b2_star = pointwise_bounds(pop, sol.theta_star)
     q_star_sq = b1_star**2 / b2_star
     consts = constants_at(pop, sol, lam)
-    premise = _gradient_premise(consts, b2_star, delta, k)
+    # the bound's premise: n >= k^2 shift2^2 (B2*/lambda) log(2/delta)
+    premise = k * k * consts.shift2**2 * (b2_star / consts.lam) * math.log(2.0 / delta)
+    n = max(1, math.ceil(premise)) if n is None else n
 
     log2d = math.log(2.0 / delta)
     rhs = (2.0 * math.sqrt(3.0) / k) * consts.bias + 2.0 * consts.shift1 * math.sqrt(

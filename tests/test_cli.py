@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -362,4 +363,58 @@ def test_nonconvergence_exits_1_with_one_line_error(tmp_path, population, comman
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     out = tmp_path / "out"
+    assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()
+
+
+def test_diagnose_log2_max_zero_gives_one_grid_point(tmp_path):
+    doc = dict(MINIMAL_DIAGNOSE, diagnose={"log2_min": 0, "log2_max": 0})
+    out = tmp_path / "out"
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "summary.json").read_text())["n_grid_points"] == 1
+
+
+def _inline(atoms, loss=None):
+    return {"generator": "inline", "loss": loss or {"kind": "square"},
+            "atoms": [{"features": f, "label": 0.0, "weight": 0.5} for f in atoms]}
+
+
+SOLVE = {"command": "solve", "population": SINGULAR_POPULATION, "solve": {"lambda": 0.1}}
+
+
+@pytest.mark.parametrize("doc, argv, path", [
+    pytest.param(dict(SOLVE, solve={"lambda": math.inf}), [], "solve.lambda", id="inf-lambda"),
+    pytest.param(dict(SOLVE, solve={"lambda": 10**400}), [], "solve.lambda",
+                 id="lambda-too-large-for-a-float"),
+    pytest.param(dict(MINIMAL_DIAGNOSE, diagnose={"lambda_grid": [math.nan, 0.1]}), [],
+                 "diagnose.lambda_grid", id="nan-in-lambda-grid"),
+    pytest.param(dict(SOLVE, population=_inline([[[1.0, 2.0], [1.0]], [[1.0]]])), [],
+                 "population.atoms[0]", id="ragged-features"),
+    pytest.param(dict(SOLVE, population=_inline([[1.0], ["x"]])), [],
+                 "population.atoms[1]", id="string-in-features"),
+    pytest.param(dict(SOLVE, population=_inline([[1.0, 0.0], [1.0]])), [],
+                 "population.atoms", id="atoms-disagree-on-dimension"),
+    pytest.param(dict(SOLVE, population=_inline(
+        [[[1.0, 0.0], [0.0, 1.0]]], {"kind": "softmax_glm", "base_measure": [1, "x"]})), [],
+                 "population.loss.base_measure", id="string-in-base-measure"),
+    pytest.param(dict(MINIMAL_DIAGNOSE, population=dict(MINIMAL_DIAGNOSE["population"], seed=-1)),
+                 [], "population.seed", id="negative-population-seed"),
+    pytest.param(dict(MINIMAL_DIAGNOSE, seed=-3), [], "seed", id="negative-seed"),
+    pytest.param(MINIMAL_DIAGNOSE, ["--seed", "-1"], None, id="negative-seed-flag"),
+    pytest.param("command: [solve\n", [], None, id="yaml-syntax-error"),
+    pytest.param(None, [], None, id="config-is-a-directory"),
+])
+def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, doc, argv, path):
+    if doc is None:
+        cfg_path = str(tmp_path)
+    elif isinstance(doc, str):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(doc)
+    else:
+        cfg_path = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out), "--quiet", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if path is not None:
+        assert f"  {path}: " in err
     assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()

@@ -118,7 +118,7 @@ def test_sc_factor_huber_coefficients(kind, coef):
 def test_sup_constants_logistic():
     z = Sample(features=np.array([1.0]), label=1.0)
     for radius in (0.5, 1.0, 7.0):
-        c = sup_constants(LogisticLoss(), [z], radius)
+        c = sup_constants(SampleSet(LogisticLoss(), [z]), radius)
         assert c.r == 1.0
         assert c.b1 == 1.0
         assert c.b2 == 0.25
@@ -126,7 +126,7 @@ def test_sup_constants_logistic():
 
 def test_sup_constants_square():
     z = Sample(features=np.array([2.0]), label=1.0)
-    c = sup_constants(SquareLoss(), [z], 1.0)
+    c = sup_constants(SampleSet(SquareLoss(), [z]), 1.0)
     assert c.r == 0.0
     # sup |theta.Phi - y| ||Phi|| over ||theta|| <= 1 is (1*2 + 1)*2
     assert c.b1 == pytest.approx(6.0)
@@ -137,11 +137,11 @@ def test_sup_constants_softmax_bound_sampled_ball(rng):
     loss = make_loss("softmax_glm")
     atoms = [random_sample(rng, "softmax_glm", 3) for _ in range(4)]
     radius = 2.0
-    c = sup_constants(loss, atoms, radius)
+    sset = SampleSet(loss, atoms)
+    c = sup_constants(sset, radius)
     assert c.r == pytest.approx(
         2.0 * max(np.max(np.linalg.norm(z.features, axis=1)) for z in atoms)
     )
-    sset = SampleSet(loss, atoms)
     # points inside the ball, and far out where the softmax saturates
     for scale in (1.0, 50.0):
         for _ in range(100):
@@ -152,7 +152,7 @@ def test_sup_constants_softmax_bound_sampled_ball(rng):
 
 def test_sup_constants_empty_support():
     with pytest.raises(ContractViolation):
-        sup_constants(SquareLoss(), [], 1.0)
+        sup_constants(SampleSet(SquareLoss(), []), 1.0)
 
 
 # -- derivative correctness against finite differences ----------------------------

@@ -27,7 +27,7 @@ from scerm import (
     solve_population,
     theoretical_rate,
 )
-from scerm.rates import gradient_premise_n, hessian_premise_n
+from scerm.rates import hessian_premise_n
 
 
 def test_schedule_none_worked_example():
@@ -342,11 +342,9 @@ def test_hessian_concentration_premise_and_skip():
 
 def test_gradient_concentration_p1(p1):
     lam = 0.25
-    sol = solve_population(p1, [lam])
-    premise = gradient_premise_n(p1, sol, lam, 0.1, 4.0)
-    n = int(math.ceil(premise))
-    rep = gradient_concentration_experiment(p1, lam, n=n, replicates=60, delta=0.1, k=4.0,
+    rep = gradient_concentration_experiment(p1, lam, n=None, replicates=60, delta=0.1, k=4.0,
                                             seed=3)
+    assert rep.n == math.ceil(rep.premise_n)
     assert rep.premise_ok
     assert rep.frequency >= rep.threshold
 
