@@ -14,10 +14,6 @@ from .losses import (
     SoftmaxGLMLoss,
     SquareLoss,
     SupConstants,
-    eval_loss,
-    grad_loss,
-    hess_loss,
-    sc_factor,
     sup_constants,
 )
 from .population import (
@@ -41,6 +37,7 @@ from .population import (
     make_source_population,
     minimize_population,
     solve_population,
+    stack_samples,
     t_lambda,
 )
 from .rates import (

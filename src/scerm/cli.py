@@ -11,8 +11,8 @@ seed produce byte-identical files.
 
 Exit codes: 0 success, 1 assertion failure (a configured tolerance or
 threshold was missed, a solve did not converge, or a population minimum is
-not attained), 2 usage error (bad flags, a config that is unreadable, not
-YAML or invalid, I/O).
+not attained), 2 usage error (bad flags or $SCERM_JOBS, a config that is
+unreadable, not YAML or invalid, I/O).
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _san(x):
 def _cmd_solve(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
     spec = cfg.solve
     config = SolverConfig(tol=spec.tol, max_iter=spec.max_iter)
-    res = solve_erm(pop.sample_set, pop.weights, pop.loss, spec.lam, config)
+    res = solve_erm(pop.sample_set, pop.weights, spec.lam, config)
     _write_csv(
         os.path.join(out_dir, "solve.csv"), digest, cfg.seed,
         ["index", "theta"],
@@ -370,7 +370,12 @@ def main(argv=None) -> int:
 
     jobs = args.jobs
     if jobs is None:
-        jobs = int(os.environ.get(JOBS_ENV_VAR, "1") or 1)
+        env_jobs = os.environ.get(JOBS_ENV_VAR) or "1"
+        try:
+            jobs = int(env_jobs)
+        except ValueError:
+            print(f"error: ${JOBS_ENV_VAR} must be an integer, got {env_jobs!r}", file=sys.stderr)
+            return 2
     jobs = max(1, jobs)
     if args.seed is not None and args.seed < 0:
         print(f"error: --seed must be a nonnegative integer, got {args.seed}", file=sys.stderr)

@@ -21,7 +21,12 @@ import yaml
 
 from .errors import ConfigError, ContractViolation
 from .losses import LOSS_KINDS, Sample, SoftmaxGLMLoss
-from .population import FinitePopulation, make_logistic_population, make_source_population
+from .population import (
+    FinitePopulation,
+    make_logistic_population,
+    make_source_population,
+    stack_samples,
+)
 
 __all__ = [
     "RunConfig",
@@ -373,7 +378,7 @@ def build_population(spec: PopulationSpec) -> FinitePopulation:
     if abs(weights.sum() - 1.0) > 1e-12:
         weights = weights / weights.sum()
     try:
-        return FinitePopulation(atoms=tuple(atoms), weights=weights, loss=loss)
+        return FinitePopulation(stack_samples(loss, atoms), weights)
     except ContractViolation as exc:
         raise ConfigError([("population.atoms", str(exc))]) from exc
 
@@ -387,13 +392,9 @@ def population_to_config(pop: FinitePopulation) -> dict:
     loss_node = {"kind": pop.loss.kind}
     if isinstance(pop.loss, SoftmaxGLMLoss):
         loss_node["base_measure"] = [float(x) for x in pop.loss.base_measure]
-    atoms = []
-    for z, w in zip(pop.atoms, pop.weights):
-        atoms.append({
-            "features": np.asarray(z.features).tolist(),
-            "label": int(z.label) if pop.loss.is_glm else float(z.label),
-            "weight": float(w),
-        })
+    sset = pop.sample_set
+    atoms = [{"features": x.tolist(), "label": y.item(), "weight": float(w)}
+             for x, y, w in zip(sset.features, sset.labels, pop.weights)]
     return {"generator": "inline", "loss": loss_node, "atoms": atoms}
 
 

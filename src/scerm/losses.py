@@ -10,9 +10,10 @@ quadratic form). The certificate vectors are {0} for the square loss,
 {3 Phi(x)} and {2 Phi(x)} for the two Huber variants, {y Phi(x)} for the
 logistic loss and {2 Phi(x, y')} over the label set for the softmax GLM.
 
-A ``SampleSet`` stacks many samples into dense arrays so that population
-sums and empirical risks are single BLAS calls; the per-sample operations are
-thin wrappers over the same code.
+A ``SampleSet`` holds a support as stacked feature and label arrays, so that
+population sums and empirical risks are single BLAS calls. ``Sample`` is one
+observation, the input of the per-sample operations, which stay an
+independent oracle for the stacked sums.
 """
 
 from __future__ import annotations
@@ -33,19 +34,42 @@ __all__ = [
     "SoftmaxGLMLoss",
     "SampleSet",
     "SupConstants",
-    "eval_loss",
-    "grad_loss",
-    "hess_loss",
-    "sc_factor",
     "sup_constants",
     "LOSS_KINDS",
 ]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+    a = np.array(a)
     a.setflags(write=False)
     return a
+
+
+def _stacked(features, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only features and labels of a stack of samples, checked against
+    the rules that hold whatever the loss: m >= 1 rows of (d,) scalar or
+    (n_labels, d) GLM features, all finite, one finite label per row, and GLM
+    labels that are integer indices of a row of their sample."""
+    feats = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    if feats.ndim not in (2, 3) or feats.shape[-1] < 1:
+        raise ContractViolation(
+            f"features must stack (d,) or (n_labels, d) rows, got shape {feats.shape}")
+    if feats.shape[0] == 0:
+        raise ContractViolation("empty sample list")
+    if labels.shape != feats.shape[:1]:
+        raise ContractViolation(f"labels have shape {labels.shape}, expected ({feats.shape[0]},)")
+    if not np.all(np.isfinite(feats)):
+        raise DomainError("features contain non-finite entries")
+    if not np.all(np.isfinite(labels)):
+        raise DomainError("label is non-finite")
+    if feats.ndim == 3:
+        bad = (labels != np.floor(labels)) | (labels < 0) | (labels >= feats.shape[1])
+        if bad.any():
+            raise ContractViolation(
+                f"GLM label index {labels[bad][0]} outside [0, {feats.shape[1]})")
+        labels = labels.astype(int)
+    return _readonly(feats), _readonly(labels)
 
 
 @dataclass(frozen=True)
@@ -62,20 +86,8 @@ class Sample:
     label: float
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        if feats.ndim not in (1, 2) or feats.shape[-1] < 1:
-            raise ContractViolation(f"features must be (d,) or (n_labels, d), got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)):
-            raise DomainError("features contain non-finite entries")
-        if not np.isfinite(self.label):
-            raise DomainError("label is non-finite")
-        if feats.ndim == 2:
-            idx = int(self.label)
-            if idx != self.label or not 0 <= idx < feats.shape[0]:
-                raise ContractViolation(
-                    f"GLM label index {self.label} outside [0, {feats.shape[0]})"
-                )
-        object.__setattr__(self, "features", _readonly(feats))
+        feats, _ = _stacked(np.asarray(self.features, dtype=float)[None], [self.label])
+        object.__setattr__(self, "features", feats[0])
 
     @property
     def dim(self) -> int:
@@ -114,11 +126,23 @@ class LossModel:
     def sc_factor(self, z: Sample, k: np.ndarray) -> float:
         raise NotImplementedError
 
-    def validate_sample(self, z: Sample) -> None:
-        if z.is_glm != self.is_glm:
+    def check_support(self, features, labels) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (features, labels) arrays of a support of this loss:
+        (m, d) and (m,) for a scalar loss, (m, n_labels, d) and (m,) label
+        indices for a GLM. Raises on the first rule a row breaks."""
+        feats, labels = _stacked(features, labels)
+        if (feats.ndim == 3) != self.is_glm:
             raise ContractViolation(
                 f"{self.kind} expects {'GLM' if self.is_glm else 'scalar'} samples"
             )
+        self._check_labels(feats, labels)
+        return feats, labels
+
+    def _check_labels(self, feats, labels) -> None:
+        """The loss's own label domain; every label of a scalar loss is valid."""
+
+    def validate_sample(self, z: Sample) -> None:
+        self.check_support(z.features[None], [z.label])
 
     def __repr__(self):
         return f"{type(self).__name__}()"
@@ -239,10 +263,10 @@ class LogisticLoss(_ScalarLoss):
     kind = "logistic"
     sc_coef = 1.0
 
-    def validate_sample(self, z):
-        super().validate_sample(z)
-        if z.label not in (-1.0, 1.0):
-            raise ContractViolation(f"logistic label must be +1 or -1, got {z.label}")
+    def _check_labels(self, feats, labels):
+        bad = np.abs(labels) != 1.0
+        if bad.any():
+            raise ContractViolation(f"logistic label must be +1 or -1, got {labels[bad][0]}")
 
     def _f(self, u, y):
         return _log1pexp(-y * np.asarray(u, dtype=float))
@@ -280,11 +304,10 @@ class SoftmaxGLMLoss(LossModel):
     def __repr__(self):
         return f"SoftmaxGLMLoss(base_measure={self.base_measure.tolist()})"
 
-    def validate_sample(self, z):
-        super().validate_sample(z)
-        if z.features.shape[0] != self.n_labels:
+    def _check_labels(self, feats, labels):
+        if feats.shape[1] != self.n_labels:
             raise ContractViolation(
-                f"sample has {z.features.shape[0]} label rows, base measure has {self.n_labels}"
+                f"sample has {feats.shape[1]} label rows, base measure has {self.n_labels}"
             )
 
     def _scores(self, feats, theta):
@@ -333,60 +356,24 @@ LOSS_KINDS = {
 }
 
 
-# -- spec-level functional surface --------------------------------------------
-
-def eval_loss(loss: LossModel, z: Sample, theta) -> float:
-    return loss.value(z, theta)
-
-
-def grad_loss(loss: LossModel, z: Sample, theta) -> np.ndarray:
-    return loss.grad(z, theta)
-
-
-def hess_loss(loss: LossModel, z: Sample, theta) -> np.ndarray:
-    return loss.hess(z, theta)
-
-
-def sc_factor(loss: LossModel, z: Sample, k) -> float:
-    return loss.sc_factor(z, k)
-
-
 # -- stacked representation ----------------------------------------------------
 
 class SampleSet:
-    """Immutable stack of samples sharing one loss, with vectorized sums.
+    """Immutable support of one loss as stacked arrays, with vectorized sums.
 
-    Scalar losses stack features into X (m, d) and labels into y (m,);
-    the softmax GLM stacks features into (m, n_labels, d) and label indices
-    into (m,). Weighted risks, gradients and Hessians over the stack are
-    exact finite sums.
+    Scalar losses take features X (m, d) and labels y (m,); the softmax GLM
+    takes features (m, n_labels, d) and label indices (m,). Both are checked
+    once, through ``loss.check_support``. Weighted risks, gradients and
+    Hessians over the stack are exact finite sums.
     """
 
-    def __init__(self, loss: LossModel, samples):
-        samples = tuple(samples)
-        if not samples:
-            raise ContractViolation("empty sample list")
-        for z in samples:
-            loss.validate_sample(z)
-        d = samples[0].dim
-        if any(z.dim != d for z in samples):
-            raise ContractViolation("samples disagree on feature dimension")
+    def __init__(self, loss: LossModel, features, labels):
         self.loss = loss
-        self.samples = samples
-        self.dim = d
-        if loss.is_glm:
-            shapes = {z.features.shape for z in samples}
-            if len(shapes) != 1:
-                raise ContractViolation("GLM samples disagree on label-set size")
-            self.features = _readonly(np.stack([z.features for z in samples]))
-            self.labels = np.array([int(z.label) for z in samples])
-            self.labels.setflags(write=False)
-        else:
-            self.features = _readonly(np.stack([z.features for z in samples]))
-            self.labels = _readonly(np.array([z.label for z in samples]))
+        self.features, self.labels = loss.check_support(features, labels)
+        self.dim = self.features.shape[-1]
 
     def __len__(self):
-        return len(self.samples)
+        return self.features.shape[0]
 
     # -- scalar-loss internals
     def _margins(self, theta):

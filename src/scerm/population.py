@@ -1,9 +1,10 @@
 """Exact-expectation oracle over finitely supported distributions.
 
-A ``FinitePopulation`` is a weighted list of atoms, so every expectation —
-risk, gradient, Hessian, bias, degrees of freedom, Dikin radius — is a finite
-sum computed exactly. Populations therefore serve as ground truth when
-checking inequalities and convergence rates against Monte Carlo draws.
+A ``FinitePopulation`` is a ``SampleSet`` of atoms with a weight vector, so
+every expectation — risk, gradient, Hessian, bias, degrees of freedom, Dikin
+radius — is a finite sum computed exactly. Populations therefore serve as
+ground truth when checking inequalities and convergence rates against Monte
+Carlo draws.
 
 Diagnostic quantities at a regularization level lambda:
 
@@ -34,7 +35,7 @@ import numpy as np
 from . import scfun
 from .errors import ContractViolation
 from .linalg import add_ridge, chol_factor, inv_quad_rows
-from .losses import LossModel, LogisticLoss, Sample, SampleSet, SquareLoss
+from .losses import LogisticLoss, LossModel, SampleSet, SquareLoss
 from .solver import SolverConfig, newton_minimize
 
 __all__ = [
@@ -61,6 +62,7 @@ __all__ = [
     "estimate_capacity_exponent",
     "make_source_population",
     "make_logistic_population",
+    "stack_samples",
 ]
 
 _POP_SOLVE_TOL = 1e-12
@@ -81,35 +83,23 @@ class ConstructionMeta:
 
 @dataclass(frozen=True)
 class FinitePopulation:
-    """Finitely supported distribution: atoms, strictly positive weights, loss."""
+    """Finitely supported distribution: a ``SampleSet`` of atoms and their
+    strictly positive weights."""
 
-    atoms: tuple
+    sample_set: SampleSet
     weights: np.ndarray
-    loss: LossModel
     meta: ConstructionMeta | None = None
 
     def __post_init__(self):
-        atoms = tuple(self.atoms)
-        w = np.asarray(self.weights, dtype=float)
-        if len(atoms) == 0:
-            raise ContractViolation("population needs at least one atom")
-        if w.shape != (len(atoms),):
+        w = np.array(self.weights, dtype=float)
+        if w.shape != (len(self.sample_set),):
             raise ContractViolation("weights and atoms disagree in length")
         if np.any(w <= 0):
             raise ContractViolation("weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ContractViolation(f"weights sum to {w.sum()!r}, not 1")
-        d = atoms[0].dim
-        if any(z.dim != d for z in atoms):
-            raise ContractViolation("atoms disagree on feature dimension")
-        w = np.array(w)
         w.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", w)
-
-    @cached_property
-    def sample_set(self) -> SampleSet:
-        return SampleSet(self.loss, self.atoms)
 
     @cached_property
     def _star(self) -> tuple:
@@ -121,12 +111,23 @@ class FinitePopulation:
         return theta_star, hessian
 
     @property
-    def dim(self) -> int:
-        return self.atoms[0].dim
+    def loss(self) -> LossModel:
+        return self.sample_set.loss
 
-    @classmethod
-    def from_single(cls, loss: LossModel, z: Sample) -> "FinitePopulation":
-        return cls(atoms=(z,), weights=np.array([1.0]), loss=loss)
+    @property
+    def dim(self) -> int:
+        return self.sample_set.dim
+
+
+def stack_samples(loss: LossModel, samples) -> SampleSet:
+    """The ``SampleSet`` of a sequence of ``Sample`` objects of one shape, for
+    inline atoms and small hand-written supports."""
+    samples = tuple(samples)
+    if not samples:
+        raise ContractViolation("empty sample list")
+    if len({z.features.shape for z in samples}) > 1:
+        raise ContractViolation("samples disagree on feature shape")
+    return SampleSet(loss, np.stack([z.features for z in samples]), [z.label for z in samples])
 
 
 def exact_risk(pop: FinitePopulation, theta, lam: float = 0.0) -> float:
@@ -466,6 +467,20 @@ def _capacity_constant(eigs: np.ndarray, alpha: float) -> float:
     return float(np.max(df * lams ** (1.0 / alpha)))
 
 
+# Both constructions put atoms 4j to 4j + 3 at s_j e_j, s_j e_j, -s_j e_j and
+# -s_j e_j, with label signs +, -, +, -.
+_AXIS_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+_LABEL_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _axis_features(scales: np.ndarray) -> np.ndarray:
+    d = scales.size
+    rows = np.arange(4 * d)
+    features = np.zeros((4 * d, d))
+    features[rows, rows // 4] = np.outer(scales, _AXIS_SIGNS).ravel()
+    return features
+
+
 def make_source_population(d: int, r: float, alpha: float, seed: int) -> FinitePopulation:
     """Square-loss population with prescribed source and capacity exponents.
 
@@ -500,18 +515,9 @@ def make_source_population(d: int, r: float, alpha: float, seed: int) -> FiniteP
     probs /= probs.sum()
     scales = np.sqrt(eigs / probs)
 
-    atoms = []
-    weights = []
-    for jj in range(d):
-        phi = np.zeros(d)
-        for sign_phi in (1.0, -1.0):
-            phi_j = phi.copy()
-            phi_j[jj] = sign_phi * scales[jj]
-            mean = theta_star[jj] * sign_phi * scales[jj]
-            for eps in (1.0, -1.0):
-                atoms.append(Sample(features=phi_j, label=mean + eps))
-                weights.append(probs[jj] / 4.0)
-    weights = np.asarray(weights)
+    means = np.outer(theta_star * scales, _AXIS_SIGNS)
+    labels = (means + _LABEL_SIGNS).ravel()
+    weights = np.repeat(probs / 4.0, 4)
     weights /= weights.sum()
     meta = ConstructionMeta(
         kind="source",
@@ -522,11 +528,8 @@ def make_source_population(d: int, r: float, alpha: float, seed: int) -> FiniteP
         source_norm=1.0,
         capacity_q=_capacity_constant(eigs, alpha),
     )
-    return FinitePopulation(atoms=tuple(atoms), weights=weights, loss=SquareLoss(), meta=meta)
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+    return FinitePopulation(SampleSet(SquareLoss(), _axis_features(scales), labels),
+                            weights, meta)
 
 
 def make_logistic_population(d: int, alpha: float, seed: int,
@@ -560,19 +563,10 @@ def make_logistic_population(d: int, alpha: float, seed: int,
     theta_star = np.sqrt(a2) * rng.choice([-1.0, 1.0], size=d)
     scales = margins / np.abs(theta_star)
 
-    atoms = []
-    weights = []
+    p_plus = (1.0 / (1.0 + np.exp(-np.outer(theta_star * scales, _AXIS_SIGNS)))).ravel()
+    labels = np.tile(_LABEL_SIGNS, d)
     base = 1.0 / (2 * d)
-    for jj in range(d):
-        for sign_phi in (1.0, -1.0):
-            phi = np.zeros(d)
-            phi[jj] = sign_phi * scales[jj]
-            m = theta_star[jj] * phi[jj]
-            p_plus = float(_sigmoid(m))
-            atoms.append(Sample(features=phi, label=1.0))
-            weights.append(base * p_plus)
-            atoms.append(Sample(features=phi, label=-1.0))
-            weights.append(base * (1.0 - p_plus))
+    weights = np.where(labels > 0, base * p_plus, base * (1.0 - p_plus))
     meta = ConstructionMeta(
         kind="logistic",
         theta_star=theta_star,
@@ -582,9 +576,8 @@ def make_logistic_population(d: int, alpha: float, seed: int,
         source_norm=None,
         capacity_q=None,
     )
-    return FinitePopulation(
-        atoms=tuple(atoms), weights=np.asarray(weights), loss=LogisticLoss(), meta=meta
-    )
+    return FinitePopulation(SampleSet(LogisticLoss(), _axis_features(scales), labels),
+                            weights, meta)
 
 
 def _bisect_margin(kappa: float) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractViolation, NonConvergenceError
 from .linalg import chol_factor, chol_solve, inv_quad_rows
-from .losses import LossModel, SampleSet
+from .losses import SampleSet
 
 __all__ = ["SolverConfig", "SolveResult", "solve_erm", "decrement", "newton_minimize"]
 
@@ -141,20 +141,18 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
     )
 
 
-def solve_erm(samples, weights, loss: LossModel, lam: float,
+def solve_erm(sset: SampleSet, weights, lam: float,
               config: SolverConfig | None = None) -> SolveResult:
     """Unique minimizer of sum_i w_i l_{z_i}(theta) + lam/2 ||theta||^2, lam > 0."""
     if lam <= 0:
         raise ContractViolation("solve_erm requires lambda > 0")
-    sset = samples if isinstance(samples, SampleSet) else SampleSet(loss, samples)
     return newton_minimize(sset, weights, lam, config)
 
 
-def decrement(samples, weights, loss: LossModel, lam: float, theta) -> float:
+def decrement(sset: SampleSet, weights, lam: float, theta) -> float:
     """Newton decrement sqrt(grad^T (H_hat + lam I)^{-1} grad) at theta."""
     if lam <= 0:
         raise ContractViolation("decrement requires lambda > 0")
-    sset = samples if isinstance(samples, SampleSet) else SampleSet(loss, samples)
     w = _as_weights(weights, len(sset))
     theta = np.asarray(theta, dtype=float)
     g = sset.weighted_grad(w, theta) + lam * theta

@@ -1,7 +1,7 @@
 """Property checks for the self-concordance inequalities and localization.
 
-Every check evaluates one side of a proved inequality exactly on a finite
-measure (a population or a single sample) and returns the margin
+Every check evaluates one side of a proved inequality exactly on a finitely
+supported population and returns the margin
 
     (RHS - LHS) / max(1, |LHS|, |RHS|),
 
@@ -20,16 +20,7 @@ import numpy as np
 from . import scfun
 from .errors import ContractViolation
 from .linalg import add_ridge, ball_point, chol_factor, eigmin, gen_eigmax, inv_norm, norm_a
-from .losses import (
-    HuberLogCoshLoss,
-    HuberSqrtLoss,
-    LogisticLoss,
-    LossModel,
-    Sample,
-    SampleSet,
-    SoftmaxGLMLoss,
-    SquareLoss,
-)
+from .losses import LOSS_KINDS, SampleSet, SoftmaxGLMLoss
 from .population import (
     FinitePopulation,
     PopulationSolution,
@@ -62,16 +53,6 @@ DEFAULT_SLACK = 1e-9
 CHECK_NAMES = ("hess_control", "grad_lower", "grad_upper", "value_bound")
 
 
-def _as_population(measure, loss: LossModel | None) -> FinitePopulation:
-    if isinstance(measure, FinitePopulation):
-        return measure
-    if isinstance(measure, Sample):
-        if loss is None:
-            raise ContractViolation("a bare Sample measure needs an explicit loss")
-        return FinitePopulation.from_single(loss, measure)
-    raise ContractViolation(f"unsupported measure type {type(measure)!r}")
-
-
 def _sup_sc(pop: FinitePopulation, direction) -> float:
     return float(np.max(pop.sample_set.sc_factors(direction)))
 
@@ -80,13 +61,12 @@ def _margin(lhs: float, rhs: float) -> float:
     return (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def check_hess_control(measure, theta0, theta1, lam: float, loss=None) -> float:
+def check_hess_control(pop: FinitePopulation, theta0, theta1, lam: float) -> float:
     """Margin of H_lam(theta1) <= e^m H_lam(theta0), m the certificate factor
-    of theta1 - theta0 over the measure's support.
+    of theta1 - theta0 over the population's support.
 
     lam = 0 requires H(theta0) positive definite.
     """
-    pop = _as_population(measure, loss)
     theta0 = np.asarray(theta0, dtype=float)
     theta1 = np.asarray(theta1, dtype=float)
     if lam < 0:
@@ -100,8 +80,7 @@ def check_hess_control(measure, theta0, theta1, lam: float, loss=None) -> float:
     return _margin(mu_max, math.exp(m))
 
 
-def _grad_sides(measure, theta0, theta1, lam, loss):
-    pop = _as_population(measure, loss)
+def _grad_sides(pop, theta0, theta1, lam):
     if lam <= 0:
         raise ContractViolation("gradient checks require lambda > 0")
     theta0 = np.asarray(theta0, dtype=float)
@@ -114,21 +93,20 @@ def _grad_sides(measure, theta0, theta1, lam, loss):
     return lhs, step_norm, m
 
 
-def check_grad_lower(measure, theta0, theta1, lam: float, loss=None) -> float:
+def check_grad_lower(pop: FinitePopulation, theta0, theta1, lam: float) -> float:
     """Margin of phi_lower(m) ||theta1-theta0||_{H_lam(theta0)} <= ||dgrad||_{H_lam^{-1}(theta0)}."""
-    lhs, step_norm, m = _grad_sides(measure, theta0, theta1, lam, loss)
+    lhs, step_norm, m = _grad_sides(pop, theta0, theta1, lam)
     return _margin(scfun.phi_lower(m) * step_norm, lhs)
 
 
-def check_grad_upper(measure, theta0, theta1, lam: float, loss=None) -> float:
+def check_grad_upper(pop: FinitePopulation, theta0, theta1, lam: float) -> float:
     """Margin of ||dgrad||_{H_lam^{-1}(theta0)} <= phi_upper(m) ||theta1-theta0||_{H_lam(theta0)}."""
-    lhs, step_norm, m = _grad_sides(measure, theta0, theta1, lam, loss)
+    lhs, step_norm, m = _grad_sides(pop, theta0, theta1, lam)
     return _margin(lhs, scfun.phi_upper(m) * step_norm)
 
 
-def check_value_bound(measure, theta0, theta1, lam: float, loss=None) -> float:
+def check_value_bound(pop: FinitePopulation, theta0, theta1, lam: float) -> float:
     """Margin of the Bregman gap against psi(m) ||theta1-theta0||^2_{H_lam(theta0)}."""
-    pop = _as_population(measure, loss)
     if lam < 0:
         raise ContractViolation("lambda must be nonnegative")
     theta0 = np.asarray(theta0, dtype=float)
@@ -169,12 +147,12 @@ class LocalizationRecord:
 
 
 def check_localization(pop: FinitePopulation, theta, lam: float,
-                       samples=None, weights=None) -> LocalizationRecord:
+                       sset: SampleSet | None = None, weights=None) -> LocalizationRecord:
     """Evaluate the localization implication at theta.
 
     Population variant: ||grad L_lam||_{H_lam^{-1}(theta)} <= r_lam(theta)/2
     implies the certificate seminorm of theta - theta*_lam is at most log 2.
-    Passing (samples, weights) evaluates the empirical variant against the
+    Passing (sset, weights) evaluates the empirical variant against the
     empirical minimizer instead.
     """
     if lam <= 0:
@@ -184,7 +162,7 @@ def check_localization(pop: FinitePopulation, theta, lam: float,
     factor = chol_factor(h_pop)
     radius = dikin_radius(pop, theta, lam)
 
-    if samples is None:
+    if sset is None:
         grad_norm = inv_norm(factor, exact_grad(pop, theta, lam))
         target = minimize_population(pop, lam)
         seminorm = _sup_sc(pop, theta - target)
@@ -198,7 +176,6 @@ def check_localization(pop: FinitePopulation, theta, lam: float,
             empirical=False,
         )
 
-    sset = samples if isinstance(samples, SampleSet) else SampleSet(pop.loss, samples)
     w = np.asarray(weights, dtype=float)
     g_hat = sset.weighted_grad(w, theta) + lam * theta
     h_hat = add_ridge(sset.weighted_hess(w, theta), lam)
@@ -235,7 +212,7 @@ class DecompositionRecord:
 
 
 def check_decomposition_bound(pop: FinitePopulation, sol: PopulationSolution, lam: float,
-                              samples, weights, theta_hat) -> DecompositionRecord:
+                              sset: SampleSet, weights, theta_hat) -> DecompositionRecord:
     if lam <= 0:
         raise ContractViolation("check_decomposition_bound requires lambda > 0")
     theta_hat = np.asarray(theta_hat, dtype=float)
@@ -243,7 +220,6 @@ def check_decomposition_bound(pop: FinitePopulation, sol: PopulationSolution, la
     h_lam = exact_hessian(pop, theta_lam, lam)
     factor = chol_factor(h_lam)
 
-    sset = samples if isinstance(samples, SampleSet) else SampleSet(pop.loss, samples)
     w = np.asarray(weights, dtype=float)
     g_hat = sset.weighted_grad(w, theta_lam) + lam * theta_lam
     h_hat = add_ridge(sset.weighted_hess(w, theta_lam), lam)
@@ -301,28 +277,21 @@ def random_population(rng: np.random.Generator, kind: str,
 
     if kind == "softmax_glm":
         n_labels = int(rng.integers(2, 5))
-        mu = rng.uniform(0.5, 2.0, size=n_labels)
-        loss = SoftmaxGLMLoss(mu)
-        atoms = tuple(
-            Sample(features=rng.normal(0.0, 1.0, size=(n_labels, d)),
-                   label=int(rng.integers(0, n_labels)))
-            for _ in range(m)
-        )
-        return FinitePopulation(atoms=atoms, weights=weights, loss=loss)
-
-    loss = {
-        "square": SquareLoss,
-        "huber_sqrt": HuberSqrtLoss,
-        "huber_logcosh": HuberLogCoshLoss,
-        "logistic": LogisticLoss,
-    }[kind]()
-    feats = rng.normal(0.0, 1.0, size=(m, d))
-    if kind == "logistic":
-        labels = rng.choice([-1.0, 1.0], size=m)
+        loss = SoftmaxGLMLoss(rng.uniform(0.5, 2.0, size=n_labels))
+        feats = np.empty((m, n_labels, d))
+        labels = np.empty(m)
+        # each atom's features and label are drawn in turn
+        for i in range(m):
+            feats[i] = rng.normal(0.0, 1.0, size=(n_labels, d))
+            labels[i] = rng.integers(0, n_labels)
     else:
-        labels = rng.normal(0.0, 1.0, size=m)
-    atoms = tuple(Sample(features=feats[i], label=labels[i]) for i in range(m))
-    return FinitePopulation(atoms=atoms, weights=weights, loss=loss)
+        loss = LOSS_KINDS[kind]()
+        feats = rng.normal(0.0, 1.0, size=(m, d))
+        if kind == "logistic":
+            labels = rng.choice([-1.0, 1.0], size=m)
+        else:
+            labels = rng.normal(0.0, 1.0, size=m)
+    return FinitePopulation(SampleSet(loss, feats, labels), weights)
 
 
 def _suite_lambda(rng, pop, check: str) -> float:

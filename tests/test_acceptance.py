@@ -17,6 +17,7 @@ from scerm import (
     FinitePopulation,
     LogisticLoss,
     Sample,
+    SampleSet,
     SquareLoss,
     anchored_lambdas,
     bias_lambda,
@@ -24,8 +25,6 @@ from scerm import (
     compute_diagnostics,
     df_lambda,
     exact_hessian,
-    grad_loss,
-    hess_loss,
     hessian_concentration_experiment,
     make_logistic_population,
     make_source_population,
@@ -33,6 +32,7 @@ from scerm import (
     run_rate_experiment,
     solve_erm,
     solve_population,
+    stack_samples,
     theoretical_rate,
 )
 from scerm.cli import main as cli_main
@@ -77,9 +77,9 @@ def test_criterion_1_derivative_correctness():
             d = int(rng.integers(1, 6))
             z = random_sample(rng, kind, d)
             theta = rng.normal(scale=1.5, size=d)
-            g = grad_loss(loss, z, theta)
+            g = loss.grad(z, theta)
             rel_g = np.linalg.norm(g - fd_grad(loss, z, theta)) / max(1.0, np.linalg.norm(g))
-            h = hess_loss(loss, z, theta)
+            h = loss.hess(z, theta)
             rel_h = np.linalg.norm(h - fd_hess(loss, z, theta)) / max(1.0, np.linalg.norm(h))
             worst_g = max(worst_g, rel_g)
             worst_h = max(worst_h, rel_h)
@@ -125,8 +125,7 @@ def test_criterion_3_solver_exactness():
         w = rng.uniform(0.2, 1.0, size=n)
         w /= w.sum()
         lam = float(np.exp(rng.uniform(np.log(1e-3), 0.0)))
-        atoms = [Sample(features=x[i], label=y[i]) for i in range(n)]
-        res = solve_erm(atoms, w, SquareLoss(), lam)
+        res = solve_erm(SampleSet(SquareLoss(), x, y), w, lam)
         one_step = one_step and res.iterations == 1
         expect = np.linalg.solve((x.T * w) @ x + lam * np.eye(d), x.T @ (w * y))
         worst = max(worst, np.linalg.norm(res.theta_hat - expect)
@@ -153,8 +152,7 @@ def test_criterion_4_diagnostics_identities():
         for eps in (1.0, -1.0):
             atoms.append(Sample(features=xs[i], label=mean + eps))
             weights.append(base_w[i] / 2)
-    sq_pop = FinitePopulation(atoms=tuple(atoms), weights=np.asarray(weights),
-                              loss=SquareLoss())
+    sq_pop = FinitePopulation(stack_samples(SquareLoss(), atoms), np.asarray(weights))
     sq_sol = solve_population(sq_pop, [])
     cov = exact_hessian(sq_pop, sq_sol.theta_star, 0.0)
     worst_sq = 0.0
@@ -307,8 +305,7 @@ def test_criterion_9_localization_implications():
         p = 1.0 / (1.0 + math.exp(-float(xs[i] @ theta)))
         atoms += [Sample(features=xs[i], label=1.0), Sample(features=xs[i], label=-1.0)]
         weights += [0.2 * p, 0.2 * (1.0 - p)]
-    pops.append(FinitePopulation(atoms=tuple(atoms), weights=np.asarray(weights),
-                                 loss=LogisticLoss()))
+    pops.append(FinitePopulation(stack_samples(LogisticLoss(), atoms), np.asarray(weights)))
 
     for pop in pops:
         grid = [2.0 ** -k for k in range(0, 11)]

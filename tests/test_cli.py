@@ -227,13 +227,11 @@ def test_population_round_trips_through_config():
     }
     cfg = parse_config(doc)
     rebuilt = build_population(cfg.population)
-    assert len(rebuilt.atoms) == len(pop.atoms)
     import numpy as np
 
     np.testing.assert_array_equal(rebuilt.weights, pop.weights)
-    for a, b in zip(rebuilt.atoms, pop.atoms):
-        np.testing.assert_array_equal(a.features, b.features)
-        assert a.label == b.label
+    np.testing.assert_array_equal(rebuilt.sample_set.features, pop.sample_set.features)
+    np.testing.assert_array_equal(rebuilt.sample_set.labels, pop.sample_set.labels)
 
 
 def test_concentration_command_auto_n(tmp_path):
@@ -400,10 +398,15 @@ SOLVE = {"command": "solve", "population": SINGULAR_POPULATION, "solve": {"lambd
                  [], "population.seed", id="negative-population-seed"),
     pytest.param(dict(MINIMAL_DIAGNOSE, seed=-3), [], "seed", id="negative-seed"),
     pytest.param(MINIMAL_DIAGNOSE, ["--seed", "-1"], None, id="negative-seed-flag"),
+    pytest.param(MINIMAL_DIAGNOSE, {"SCERM_JOBS": "abc"}, None, id="non-integer-jobs-env"),
     pytest.param("command: [solve\n", [], None, id="yaml-syntax-error"),
     pytest.param(None, [], None, id="config-is-a-directory"),
 ])
-def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, doc, argv, path):
+def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, monkeypatch, doc, argv, path):
+    if isinstance(argv, dict):  # environment variables instead of flags
+        for name, value in argv.items():
+            monkeypatch.setenv(name, value)
+        argv = []
     if doc is None:
         cfg_path = str(tmp_path)
     elif isinstance(doc, str):

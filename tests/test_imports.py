@@ -17,9 +17,9 @@ def test_no_imports_inside_functions():
     assert offenders == []
 
 
-# modules that stack caller-supplied Sample lists at the public boundary; all
-# other code sums over an existing SampleSet with weights
-SAMPLESET_BUILDERS = {"losses.py", "population.py", "solver.py", "verify.py"}
+# modules that build a population's SampleSet: the generators and the Sample
+# stacking helper; all other code sums over an existing SampleSet with weights
+SAMPLESET_BUILDERS = {"population.py", "verify.py"}
 
 
 def test_sampleset_built_only_at_public_boundary():

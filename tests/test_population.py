@@ -12,6 +12,7 @@ from scerm import (
     LogisticLoss,
     NonConvergenceError,
     Sample,
+    SampleSet,
     SoftmaxGLMLoss,
     SquareLoss,
     bias_lambda,
@@ -29,6 +30,7 @@ from scerm import (
     make_source_population,
     minimize_population,
     solve_population,
+    stack_samples,
     t_lambda,
 )
 from scerm.population import pointwise_bounds, sup_norm_certificate
@@ -49,9 +51,7 @@ def well_specified_logistic(rng, d=3, n_x=6, scale=1.0):
         weights.append(base_w[i] * p)
         atoms.append(Sample(features=xs[i], label=-1.0))
         weights.append(base_w[i] * (1.0 - p))
-    return FinitePopulation(
-        atoms=tuple(atoms), weights=np.asarray(weights), loss=LogisticLoss()
-    ), theta_star
+    return FinitePopulation(stack_samples(LogisticLoss(), atoms), np.asarray(weights)), theta_star
 
 
 # -- exact oracle examples -----------------------------------------------------
@@ -88,12 +88,8 @@ def test_p2_minimizer(p2):
 def test_separable_population_minimum_not_attained():
     # atoms [1] -> +1 and [-1] -> -1: the risk decreases toward 0 as theta -> inf,
     # so the vanishing lambda = 0 decrement must not be reported as convergence
-    pop = FinitePopulation(
-        atoms=(Sample(features=np.array([1.0]), label=1.0),
-               Sample(features=np.array([-1.0]), label=-1.0)),
-        weights=np.array([0.5, 0.5]),
-        loss=LogisticLoss(),
-    )
+    pop = FinitePopulation(SampleSet(LogisticLoss(), [[1.0], [-1.0]], [1.0, -1.0]),
+                           np.array([0.5, 0.5]))
     with pytest.raises(NonConvergenceError, match="not attained") as err:
         solve_population(pop, [])
     assert err.value.trace[-1] <= 1e-12
@@ -230,7 +226,7 @@ def unit_noise_square_population(rng, d=4, n_x=6):
         for eps in (1.0, -1.0):
             atoms.append(Sample(features=xs[i], label=mean + eps))
             weights.append(base_w[i] / 2.0)
-    pop = FinitePopulation(atoms=tuple(atoms), weights=np.asarray(weights), loss=SquareLoss())
+    pop = FinitePopulation(stack_samples(SquareLoss(), atoms), np.asarray(weights))
     return pop, theta_star
 
 
@@ -317,7 +313,7 @@ def small_population(rng, kind):
             atoms += [Sample(features=feats, label=y) for y in range(n_labels)]
             weights += list(base[i] * probs)
     weights = np.asarray(weights) / np.sum(weights)
-    return FinitePopulation(atoms=tuple(atoms), weights=weights, loss=loss)
+    return FinitePopulation(stack_samples(loss, atoms), weights)
 
 
 def assert_constants_close(a, b):
@@ -336,13 +332,14 @@ def assert_constants_close(a, b):
 def test_constants_invariant_to_atom_order_and_splitting(kind, seed, lam):
     rng = np.random.default_rng(seed)
     pop = small_population(rng, kind)
-    perm = rng.permutation(len(pop.atoms))
-    permuted = FinitePopulation(atoms=tuple(pop.atoms[i] for i in perm),
-                                weights=pop.weights[perm], loss=pop.loss)
-    j = int(rng.integers(len(pop.atoms)))
+    feats, labels = pop.sample_set.features, pop.sample_set.labels
+    perm = rng.permutation(len(labels))
+    permuted = FinitePopulation(SampleSet(pop.loss, feats[perm], labels[perm]), pop.weights[perm])
+    j = int(rng.integers(len(labels)))
     halves = np.append(pop.weights, pop.weights[j] / 2.0)
     halves[j] /= 2.0
-    split = FinitePopulation(atoms=pop.atoms + (pop.atoms[j],), weights=halves, loss=pop.loss)
+    rows = np.append(np.arange(len(labels)), j)
+    split = FinitePopulation(SampleSet(pop.loss, feats[rows], labels[rows]), halves)
     expect = constants_at(pop, solve_population(pop, [lam]), lam)
     for other in (permuted, split):
         assert_constants_close(expect, constants_at(other, solve_population(other, [lam]), lam))
@@ -517,10 +514,11 @@ def test_default_lambda_grid_respects_cap():
 
 
 def test_population_validation():
-    z = Sample(features=np.array([1.0]), label=0.0)
+    one = SampleSet(SquareLoss(), [[1.0]], [0.0])
+    two = SampleSet(SquareLoss(), [[1.0], [1.0]], [0.0, 0.0])
     with pytest.raises(ContractViolation):
-        FinitePopulation(atoms=(z,), weights=np.array([0.5]), loss=SquareLoss())
+        FinitePopulation(one, np.array([0.5]))
     with pytest.raises(ContractViolation):
-        FinitePopulation(atoms=(z, z), weights=np.array([1.5, -0.5]), loss=SquareLoss())
+        FinitePopulation(two, np.array([1.5, -0.5]))
     with pytest.raises(ContractViolation):
-        FinitePopulation(atoms=(), weights=np.array([]), loss=SquareLoss())
+        FinitePopulation(two, np.array([1.0]))

@@ -14,6 +14,7 @@ from scerm import (
     ContractViolation,
     ExperimentPlan,
     RateParams,
+    SampleSet,
     anchored_lambdas,
     exact_risk,
     gradient_concentration_experiment,
@@ -301,8 +302,9 @@ def test_cells_match_restacked_draws(make_plan):
         counts = np.random.default_rng(ss).multinomial(cell.n, pop.weights)
         assert cell.seed == int(ss.generate_state(1, dtype=np.uint32)[0])
         keep = np.nonzero(counts)[0]
-        undrawn += len(pop.atoms) - keep.size
-        res = solve_erm([pop.atoms[i] for i in keep], counts[keep] / cell.n, pop.loss, cell.lam)
+        undrawn += len(counts) - keep.size
+        drawn = SampleSet(pop.loss, pop.sample_set.features[keep], pop.sample_set.labels[keep])
+        res = solve_erm(drawn, counts[keep] / cell.n, cell.lam)
         assert cell.solved
         assert cell.excess_risk == pytest.approx(exact_risk(pop, res.theta_hat) - risk_star,
                                                  rel=1e-12)

@@ -13,6 +13,7 @@ from scerm import (
     SquareLoss,
     decrement,
     solve_erm,
+    stack_samples,
 )
 from scerm import solver
 
@@ -22,8 +23,7 @@ def ridge_instance(rng, d, n):
     y = rng.normal(size=n)
     w = rng.uniform(0.2, 1.0, size=n)
     w /= w.sum()
-    atoms = [Sample(features=x[i], label=y[i]) for i in range(n)]
-    return atoms, w, x, y
+    return SampleSet(SquareLoss(), x, y), w, x, y
 
 
 def ridge_closed_form(x, y, w, lam):
@@ -33,8 +33,7 @@ def ridge_closed_form(x, y, w, lam):
 
 
 def test_square_converges_in_one_step(rng, monkeypatch):
-    atoms, w, x, y = ridge_instance(rng, 5, 40)
-    sset = SampleSet(SquareLoss(), atoms)
+    sset, w, x, y = ridge_instance(rng, 5, 40)
     calls = {"weighted_hess": 0, "chol_factor": 0}
 
     def counted(name, fn):
@@ -45,7 +44,7 @@ def test_square_converges_in_one_step(rng, monkeypatch):
 
     monkeypatch.setattr(SampleSet, "weighted_hess", counted("weighted_hess", SampleSet.weighted_hess))
     monkeypatch.setattr(solver, "chol_factor", counted("chol_factor", solver.chol_factor))
-    res = solve_erm(sset, w, SquareLoss(), 0.1)
+    res = solve_erm(sset, w, 0.1)
     # the constant Hessian is built and factored once, for both iterations
     assert calls == {"weighted_hess": 1, "chol_factor": 1}
     assert res.converged
@@ -53,32 +52,32 @@ def test_square_converges_in_one_step(rng, monkeypatch):
     assert len(res.decrement_trace) == 2
     assert res.decrement_trace[1] <= 1e-10
     # each decrement equals the one from a fresh Hessian at its iterate
-    assert res.decrement_trace == (decrement(sset, w, SquareLoss(), 0.1, np.zeros(5)),
-                                   decrement(sset, w, SquareLoss(), 0.1, res.theta_hat))
+    assert res.decrement_trace == (decrement(sset, w, 0.1, np.zeros(5)),
+                                   decrement(sset, w, 0.1, res.theta_hat))
 
 
 def test_matches_ridge_closed_form(rng):
     for _ in range(20):
         d = int(rng.integers(1, 12))
         n = int(rng.integers(d + 1, 60))
-        atoms, w, x, y = ridge_instance(rng, d, n)
+        sset, w, x, y = ridge_instance(rng, d, n)
         lam = float(np.exp(rng.uniform(np.log(1e-3), 0.0)))
-        res = solve_erm(atoms, w, SquareLoss(), lam)
+        res = solve_erm(sset, w, lam)
         expect = ridge_closed_form(x, y, w, lam)
         assert np.linalg.norm(res.theta_hat - expect) <= 1e-8 * max(1.0, np.linalg.norm(expect))
 
 
 def test_decrement_single_sample_example():
     # one sample y=1, Phi=1, theta=0, lambda=1: grad=-1, H_lam=2 -> 1/sqrt(2)
-    atoms = [Sample(features=np.array([1.0]), label=1.0)]
-    val = decrement(atoms, np.array([1.0]), SquareLoss(), 1.0, np.zeros(1))
+    sset = SampleSet(SquareLoss(), [[1.0]], [1.0])
+    val = decrement(sset, np.array([1.0]), 1.0, np.zeros(1))
     assert val == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
 
 
 def test_decrement_zero_at_solution(rng):
-    atoms, w, *_ = ridge_instance(rng, 3, 30)
-    res = solve_erm(atoms, w, SquareLoss(), 0.5)
-    assert decrement(atoms, w, SquareLoss(), 0.5, res.theta_hat) <= 1e-10
+    sset, w, *_ = ridge_instance(rng, 3, 30)
+    res = solve_erm(sset, w, 0.5)
+    assert decrement(sset, w, 0.5, res.theta_hat) <= 1e-10
 
 
 def test_logistic_huge_lambda_first_order_bound(rng):
@@ -87,15 +86,15 @@ def test_logistic_huge_lambda_first_order_bound(rng):
              for _ in range(20)]
     w = np.full(20, 0.05)
     lam = 1e6
-    res = solve_erm(atoms, w, LogisticLoss(), lam)
+    res = solve_erm(stack_samples(LogisticLoss(), atoms), w, lam)
     b1 = max(np.linalg.norm(z.features) for z in atoms)
     assert np.linalg.norm(res.theta_hat) <= 2.0 * b1 / lam
 
 
 def test_norm_cap_from_objective_at_zero(rng):
-    atoms, w, x, y = ridge_instance(rng, 4, 30)
+    sset, w, x, y = ridge_instance(rng, 4, 30)
     lam = 0.05
-    res = solve_erm(atoms, w, SquareLoss(), lam)
+    res = solve_erm(sset, w, lam)
     risk0 = float(w @ (0.5 * y**2))
     assert np.linalg.norm(res.theta_hat) <= math.sqrt(2.0 / lam * risk0) + 1e-12
 
@@ -105,17 +104,11 @@ def test_monotone_descent_logistic(rng):
     n = 30
     x = rng.normal(size=(n, d))
     labels = rng.choice([-1.0, 1.0], size=n)
-    atoms = [Sample(features=x[i], label=labels[i]) for i in range(n)]
     w = np.full(n, 1.0 / n)
-    loss = LogisticLoss()
     lam = 0.01
 
     # replay the iterates: decrement trace must be finite, objective monotone
-    from scerm.losses import SampleSet
-    from scerm.solver import newton_minimize
-
-    sset = SampleSet(loss, atoms)
-    res = newton_minimize(sset, w, lam)
+    res = solver.newton_minimize(SampleSet(LogisticLoss(), x, labels), w, lam)
     assert res.converged
     assert all(np.isfinite(res.decrement_trace))
     # quadratic tail: after entering decrement < 0.1, it decreases strictly
@@ -131,20 +124,20 @@ def test_determinism_bitwise(rng):
     n = 40
     x = rng.normal(size=(n, d))
     labels = rng.choice([-1.0, 1.0], size=n)
-    atoms = [Sample(features=x[i], label=labels[i]) for i in range(n)]
+    sset = SampleSet(LogisticLoss(), x, labels)
     w = np.full(n, 1.0 / n)
-    r1 = solve_erm(atoms, w, LogisticLoss(), 0.03)
-    r2 = solve_erm(atoms, w, LogisticLoss(), 0.03)
+    r1 = solve_erm(sset, w, 0.03)
+    r2 = solve_erm(sset, w, 0.03)
     assert r1.decrement_trace == r2.decrement_trace
     assert np.array_equal(r1.theta_hat, r2.theta_hat)
 
 
 def test_lambda_contract():
-    atoms = [Sample(features=np.array([1.0]), label=1.0)]
+    sset = SampleSet(SquareLoss(), [[1.0]], [1.0])
     with pytest.raises(ContractViolation):
-        solve_erm(atoms, np.array([1.0]), SquareLoss(), 0.0)
+        solve_erm(sset, np.array([1.0]), 0.0)
     with pytest.raises(ContractViolation):
-        decrement(atoms, np.array([1.0]), SquareLoss(), -1.0, np.zeros(1))
+        decrement(sset, np.array([1.0]), -1.0, np.zeros(1))
 
 
 def test_nonconvergence_carries_trace(rng):
@@ -153,13 +146,14 @@ def test_nonconvergence_carries_trace(rng):
              for _ in range(10)]
     w = np.full(10, 0.1)
     with pytest.raises(NonConvergenceError) as err:
-        solve_erm(atoms, w, LogisticLoss(), 1e-8, SolverConfig(max_iter=1, tol=1e-14))
+        solve_erm(stack_samples(LogisticLoss(), atoms), w, 1e-8,
+                  SolverConfig(max_iter=1, tol=1e-14))
     assert len(err.value.trace) >= 1
 
 
 def test_weight_validation(rng):
-    atoms = [Sample(features=np.array([1.0]), label=1.0)] * 2
+    sset = SampleSet(SquareLoss(), [[1.0], [1.0]], [1.0, 1.0])
     with pytest.raises(ContractViolation):
-        solve_erm(atoms, np.array([0.5, 0.6]), SquareLoss(), 1.0)
+        solve_erm(sset, np.array([0.5, 0.6]), 1.0)
     with pytest.raises(ContractViolation):
-        solve_erm(atoms, np.array([0.5]), SquareLoss(), 1.0)
+        solve_erm(sset, np.array([0.5]), 1.0)

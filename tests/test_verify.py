@@ -9,6 +9,7 @@ from scerm import (
     FinitePopulation,
     LogisticLoss,
     Sample,
+    SampleSet,
     SquareLoss,
     check_decomposition_bound,
     check_grad_lower,
@@ -17,7 +18,9 @@ from scerm import (
     check_localization,
     check_value_bound,
     run_check_suite,
+    solve_erm,
     solve_population,
+    stack_samples,
 )
 from scerm.verify import random_population
 
@@ -29,11 +32,7 @@ def square_pop(rng, d=3, n=8):
     y = rng.normal(size=n)
     w = rng.uniform(0.3, 1.0, size=n)
     w /= w.sum()
-    return FinitePopulation(
-        atoms=tuple(Sample(features=x[i], label=y[i]) for i in range(n)),
-        weights=w,
-        loss=SquareLoss(),
-    )
+    return FinitePopulation(SampleSet(SquareLoss(), x, y), w)
 
 
 def test_square_margins_are_machine_zero(rng):
@@ -73,22 +72,16 @@ def test_hess_control_symmetric_consistency(rng):
 
 
 def test_single_sample_measure(rng):
+    # a single sample is the one-atom population
     z = Sample(features=np.array([0.7, -0.2]), label=1.0)
-    loss = LogisticLoss()
-    m = check_hess_control(z, np.zeros(2), np.ones(2), 0.05, loss=loss)
-    assert m >= -1e-12
-    with pytest.raises(ContractViolation):
-        check_hess_control(z, np.zeros(2), np.ones(2), 0.05)  # loss missing
+    pop = FinitePopulation(stack_samples(LogisticLoss(), [z]), np.array([1.0]))
+    assert check_hess_control(pop, np.zeros(2), np.ones(2), 0.05) >= -1e-12
 
 
 def test_hess_control_lambda_zero_requires_pd(rng):
     pop = square_pop(rng, d=3, n=8)
     assert check_hess_control(pop, np.zeros(3), np.ones(3), 0.0) == pytest.approx(0.0, abs=1e-12)
-    thin = FinitePopulation(
-        atoms=(Sample(features=np.array([1.0, 0.0]), label=0.0),),
-        weights=np.array([1.0]),
-        loss=SquareLoss(),
-    )
+    thin = FinitePopulation(SampleSet(SquareLoss(), [[1.0, 0.0]], [0.0]), np.array([1.0]))
     with pytest.raises(ContractViolation):
         check_hess_control(thin, np.zeros(2), np.ones(2), 0.0)
 
@@ -151,11 +144,8 @@ def test_localization_empirical_variant(p2, rng):
     lam = 0.3
     sol = solve_population(p2, [lam])
     n = 64
-    counts = rng.multinomial(n, p2.weights)
-    keep = counts > 0
-    atoms = [p2.atoms[i] for i in np.nonzero(keep)[0]]
-    w = counts[keep] / n
-    rec = check_localization(p2, sol.theta_for(lam), lam, samples=atoms, weights=w)
+    sset, w = draw_empirical(p2, rng, n)
+    rec = check_localization(p2, sol.theta_for(lam), lam, sset=sset, weights=w)
     assert rec.empirical
     assert rec.holds
 
@@ -173,34 +163,31 @@ def test_localization_sweep_no_counterexamples(p2, rng):
 
 
 def draw_empirical(pop, rng, n):
+    """The drawn atoms of n i.i.d. draws, weighted by their counts / n."""
     counts = rng.multinomial(n, pop.weights)
     keep = counts > 0
-    atoms = [pop.atoms[i] for i in np.nonzero(keep)[0]]
-    return atoms, counts[keep] / n
+    sset = pop.sample_set
+    return SampleSet(pop.loss, sset.features[keep], sset.labels[keep]), counts[keep] / n
 
 
 def test_decomposition_bound_p1(p1, rng):
-    from scerm import solve_erm
-
     lam = 0.1
     sol = solve_population(p1, [lam])
-    atoms, w = draw_empirical(p1, rng, 64)
-    theta_hat = solve_erm(atoms, w, p1.loss, lam).theta_hat
-    rec = check_decomposition_bound(p1, sol, lam, atoms, w, theta_hat)
+    sset, w = draw_empirical(p1, rng, 64)
+    theta_hat = solve_erm(sset, w, lam).theta_hat
+    rec = check_decomposition_bound(p1, sol, lam, sset, w, theta_hat)
     assert rec.applicable  # square loss: guard radius infinite
     assert rec.margin >= -1e-9
     assert rec.lhs >= -1e-12
 
 
 def test_decomposition_bound_logistic_many_draws(p2, rng):
-    from scerm import solve_erm
-
     lam = 0.15
     sol = solve_population(p2, [lam])
     for _ in range(25):
-        atoms, w = draw_empirical(p2, rng, 128)
-        theta_hat = solve_erm(atoms, w, p2.loss, lam).theta_hat
-        rec = check_decomposition_bound(p2, sol, lam, atoms, w, theta_hat)
+        sset, w = draw_empirical(p2, rng, 128)
+        theta_hat = solve_erm(sset, w, lam).theta_hat
+        rec = check_decomposition_bound(p2, sol, lam, sset, w, theta_hat)
         if rec.applicable:
             assert rec.margin >= -1e-9
 
@@ -208,29 +195,19 @@ def test_decomposition_bound_logistic_many_draws(p2, rng):
 def test_decomposition_guard_not_applicable_is_not_failure(rng):
     # large feature scale + tiny sample: Varhat above the guard radius
     s = 6.0
-    pop = FinitePopulation(
-        atoms=(
-            Sample(features=np.array([s]), label=1.0),
-            Sample(features=np.array([s]), label=-1.0),
-            Sample(features=np.array([-s]), label=1.0),
-            Sample(features=np.array([-s]), label=-1.0),
-        ),
-        weights=np.array([0.4, 0.1, 0.1, 0.4]),
-        loss=LogisticLoss(),
-    )
-    from scerm import solve_erm
-
+    support = SampleSet(LogisticLoss(), [[s], [s], [-s], [-s]], [1.0, -1.0, 1.0, -1.0])
+    pop = FinitePopulation(support, np.array([0.4, 0.1, 0.1, 0.4]))
     lam = 0.005
     sol = solve_population(pop, [lam])
     seen_na = False
     for seed in range(40):
         local = np.random.default_rng(seed)
-        atoms, w = draw_empirical(pop, local, 3)
+        sset, w = draw_empirical(pop, local, 3)
         try:
-            theta_hat = solve_erm(atoms, w, pop.loss, lam).theta_hat
+            theta_hat = solve_erm(sset, w, lam).theta_hat
         except Exception:
             continue
-        rec = check_decomposition_bound(pop, sol, lam, atoms, w, theta_hat)
+        rec = check_decomposition_bound(pop, sol, lam, sset, w, theta_hat)
         if not rec.applicable:
             seen_na = True
         else:
