@@ -35,7 +35,7 @@ import numpy as np
 from . import scfun
 from .errors import ContractViolation
 from .linalg import add_ridge, chol_factor, inv_quad_rows
-from .losses import LogisticLoss, LossModel, SampleSet, SquareLoss
+from .losses import LogisticLoss, LossModel, SampleSet, SquareLoss, _sigmoid
 from .solver import SolverConfig, newton_minimize
 
 __all__ = [
@@ -563,7 +563,7 @@ def make_logistic_population(d: int, alpha: float, seed: int,
     theta_star = np.sqrt(a2) * rng.choice([-1.0, 1.0], size=d)
     scales = margins / np.abs(theta_star)
 
-    p_plus = (1.0 / (1.0 + np.exp(-np.outer(theta_star * scales, _AXIS_SIGNS)))).ravel()
+    p_plus = _sigmoid(np.outer(theta_star * scales, _AXIS_SIGNS)).ravel()
     labels = np.tile(_LABEL_SIGNS, d)
     base = 1.0 / (2 * d)
     weights = np.where(labels > 0, base * p_plus, base * (1.0 - p_plus))
