@@ -93,10 +93,6 @@ class Sample:
     def dim(self) -> int:
         return self.features.shape[-1]
 
-    @property
-    def is_glm(self) -> bool:
-        return self.features.ndim == 2
-
 
 def _check_theta(theta: np.ndarray, d: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
