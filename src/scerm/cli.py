@@ -254,12 +254,6 @@ def _cmd_rates(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
         burn_in=spec.burn_in,
     )
     report = run_rate_experiment(plan, jobs=jobs)
-    _write_csv(
-        os.path.join(out_dir, "rates.csv"), digest, cfg.seed,
-        ["n", "replicate", "lambda", "excess_risk", "bound_rhs", "guard_ok", "seed"],
-        [(c.n, c.replicate, c.lam, c.excess_risk, c.bound_rhs, c.guard_ok, c.seed)
-         for c in report.cells],
-    )
     payload = {
         "command": "rates",
         "regime": report.regime,
@@ -280,9 +274,16 @@ def _cmd_rates(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
         payload["n_threshold"] = _san(consts.n_threshold)
     except ContractViolation:
         pass
+    # the summary is complete before the first write: a failed run leaves no output
+    _write_csv(
+        os.path.join(out_dir, "rates.csv"), digest, cfg.seed,
+        ["n", "replicate", "lambda", "excess_risk", "bound_rhs", "guard_ok", "seed"],
+        [(c.n, c.replicate, c.lam, c.excess_risk, c.bound_rhs, c.guard_ok, c.seed)
+         for c in report.cells],
+    )
     _write_summary(os.path.join(out_dir, "summary.json"), digest, cfg.seed, payload)
-    ok = True
-    if spec.tolerance is not None and report.theoretical_exponent is not None:
+    ok = report.solver_failures == 0
+    if ok and spec.tolerance is not None and report.theoretical_exponent is not None:
         ok = (
             math.isfinite(report.fitted_exponent)
             and abs(report.fitted_exponent - report.theoretical_exponent) <= spec.tolerance

@@ -486,16 +486,14 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class SupConstants:
-    """Bounds B1 >= sup ||grad||, B2 >= sup Tr(hess) over the ball, R exact."""
+    """Bounds B1 >= sup ||grad||, B2 >= sup Tr(hess) over the ball."""
 
     b1: float
     b2: float
-    r: float
 
 
 def sup_constants(sset: SampleSet, radius: float) -> SupConstants:
-    """Derivative bounds over {||theta|| <= radius} and the certificate radius R
-    for the atoms of ``sset``.
+    """Derivative bounds over {||theta|| <= radius} for the atoms of ``sset``.
 
     All bounds are closed forms. The square and Huber losses restrict the
     residual/margin to its exact range over the ball; the logistic loss uses
@@ -508,14 +506,12 @@ def sup_constants(sset: SampleSet, radius: float) -> SupConstants:
     if radius < 0:
         raise ContractViolation("radius must be nonnegative")
     loss = sset.loss
-    r_cert = float(np.max(sset.sc_sup_norms()))
-
     if loss.is_glm:
         feats = sset.features
         observed = feats[np.arange(len(sset)), sset.labels]
         b1 = float(np.max(np.linalg.norm(feats - observed[:, None, :], axis=2)))
         b2 = float(np.max(np.einsum("mld,mld->ml", feats, feats)))
-        return SupConstants(b1=b1, b2=b2, r=r_cert)
+        return SupConstants(b1=b1, b2=b2)
 
     phi_norms = np.linalg.norm(sset.features, axis=1)
     y = sset.labels
@@ -537,4 +533,4 @@ def sup_constants(sset: SampleSet, radius: float) -> SupConstants:
         else:
             b1 = float(np.max(np.tanh(t_hi) * phi_norms))
             b2 = float(np.max(np.cosh(t_lo) ** -2.0 * phi_norms**2))
-    return SupConstants(b1=b1, b2=b2, r=r_cert)
+    return SupConstants(b1=b1, b2=b2)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -229,11 +230,13 @@ def dikin_radius(pop: FinitePopulation, theta, lam: float) -> float:
     rows = pop.sample_set.certificate_rows()
     if rows.shape[0] == 0:
         return math.inf
-    factor = chol_factor(exact_hessian(pop, theta, lam))
-    sup_sq = float(np.max(inv_quad_rows(factor, rows)))
-    if sup_sq == 0.0:
-        return math.inf
-    return 1.0 / math.sqrt(sup_sq)
+    return _radius_from_factor(rows, chol_factor(exact_hessian(pop, theta, lam)))
+
+
+def _radius_from_factor(rows: np.ndarray, factor) -> float:
+    """``dikin_radius`` from the certificate rows and a factor of H_lambda(theta)."""
+    sup_sq = float(np.max(inv_quad_rows(factor, rows), initial=0.0))
+    return math.inf if sup_sq == 0.0 else 1.0 / math.sqrt(sup_sq)
 
 
 def t_lambda(pop: FinitePopulation, sol: PopulationSolution, lam: float) -> float:
@@ -282,10 +285,10 @@ class ScConstants:
     n_factor_hessian: float
     n_factor_variance: float
     # simplified-setting constants (independent of lambda)
-    k_var_basic: float = _K_VAR_BASIC
-    bern_basic: float = _BERN_FACTOR
-    c_bias_basic: float = 1.0 + _K_VAR_BASIC / 8.0
-    c_var_basic: float = 2.0 * _K_VAR_BASIC * _BERN_FACTOR**2
+    k_var_basic: ClassVar[float] = _K_VAR_BASIC
+    bern_basic: ClassVar[float] = _BERN_FACTOR
+    c_bias_basic: ClassVar[float] = 1.0 + _K_VAR_BASIC / 8.0
+    c_var_basic: ClassVar[float] = 2.0 * _K_VAR_BASIC * _BERN_FACTOR**2
 
 
 def _constants_from_t(lam: float, tla: float, bias: float, df: float,

@@ -32,6 +32,7 @@ from .population import (
     ScConstants,
     _loglog_fit,
     constants_at,
+    exact_hessian,
     exact_risk,
     pointwise_bounds,
     solve_population,
@@ -178,6 +179,8 @@ def rate_constants(regime: str, params: RateParams) -> RateConstants:
     log2d = math.log(2.0 / delta)
     if regime == "none":
         _require(params, ("b1_ball", "b2_ball", "cert_radius", "theta_norm"))
+        if params.b1_ball == 0.0:
+            raise ContractViolation("sample threshold unavailable: B1 over the ball is 0")
         rmax = max(1.0, params.cert_radius)
         c0 = 16.0 * params.b1_ball * rmax
         c1 = 48.0 * params.b1_ball * rmax * max(1.0, params.theta_norm**2)
@@ -523,7 +526,7 @@ def hessian_concentration_experiment(pop: FinitePopulation, theta, lam: float, n
     theta = np.asarray(theta, dtype=float)
     premise = hessian_premise_n(pop, theta, lam, delta)
     n = max(1, math.ceil(premise)) if n is None else n
-    h_lam = add_ridge(pop.sample_set.weighted_hess(pop.weights, theta), lam)
+    h_lam = exact_hessian(pop, theta, lam)
     outcomes = []
     for rep in range(replicates):
         w, _ = _draw(pop, n, seed, 0, rep)
@@ -549,7 +552,7 @@ def gradient_concentration_experiment(pop: FinitePopulation, lam: float, n: int 
         raise ContractViolation("the bound requires k >= 4")
     sol = solve_population(pop, [lam])
     theta_lam = sol.theta_for(lam)
-    factor = chol_factor(add_ridge(pop.sample_set.weighted_hess(pop.weights, theta_lam), lam))
+    factor = chol_factor(exact_hessian(pop, theta_lam, lam))
     b1_star, b2_star = pointwise_bounds(pop, sol.theta_star)
     q_star_sq = b1_star**2 / b2_star
     consts = constants_at(pop, sol, lam)

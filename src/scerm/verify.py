@@ -8,6 +8,9 @@ supported population and returns the margin
 so a nonnegative margin means the inequality holds and margins are
 comparable across scales. The randomized suite drives all four inequalities
 over every loss kind and counts violations below a relative slack.
+
+The empirical localization and decomposition checks take count weights over
+the population's atoms (counts / n of a draw, as in ``rates``).
 """
 
 from __future__ import annotations
@@ -24,14 +27,14 @@ from .losses import LOSS_KINDS, SampleSet, SoftmaxGLMLoss
 from .population import (
     FinitePopulation,
     PopulationSolution,
+    _radius_from_factor,
     constants_at,
-    dikin_radius,
     exact_grad,
     exact_hessian,
     exact_risk,
     minimize_population,
 )
-from .solver import newton_minimize
+from .solver import _as_weights, newton_minimize
 
 __all__ = [
     "CheckReport",
@@ -49,9 +52,6 @@ __all__ = [
 ]
 
 DEFAULT_SLACK = 1e-9
-
-CHECK_NAMES = ("hess_control", "grad_lower", "grad_upper", "value_bound")
-
 
 def _sup_sc(pop: FinitePopulation, direction) -> float:
     return float(np.max(pop.sample_set.sc_factors(direction)))
@@ -146,51 +146,48 @@ class LocalizationRecord:
         return self.consequent or not self.antecedent
 
 
+def _varhat(pop: FinitePopulation, w: np.ndarray, theta: np.ndarray, lam: float,
+            h_lam: np.ndarray, factor) -> float:
+    """Varhat = ||Hhat_lam^{-1/2} H_lam^{1/2}||^2 ||grad Lhat_lam(theta)||_{H_lam^{-1}} of
+    count weights w, given H_lam = H_lam(theta) and its Cholesky factor."""
+    sset = pop.sample_set
+    g_hat = sset.weighted_grad(w, theta) + lam * theta
+    h_hat = add_ridge(sset.weighted_hess(w, theta), lam)
+    return gen_eigmax(h_lam, h_hat) * inv_norm(factor, g_hat)
+
+
 def check_localization(pop: FinitePopulation, theta, lam: float,
-                       sset: SampleSet | None = None, weights=None) -> LocalizationRecord:
+                       weights=None) -> LocalizationRecord:
     """Evaluate the localization implication at theta.
 
     Population variant: ||grad L_lam||_{H_lam^{-1}(theta)} <= r_lam(theta)/2
     implies the certificate seminorm of theta - theta*_lam is at most log 2.
-    Passing (sset, weights) evaluates the empirical variant against the
-    empirical minimizer instead.
+    Passing ``weights``, count weights over the population's atoms (such as
+    counts / n of a draw), evaluates the empirical variant against the
+    empirical minimizer instead, with Varhat in place of the gradient norm.
     """
     if lam <= 0:
         raise ContractViolation("check_localization requires lambda > 0")
     theta = np.asarray(theta, dtype=float)
+    sset = pop.sample_set
     h_pop = exact_hessian(pop, theta, lam)
     factor = chol_factor(h_pop)
-    radius = dikin_radius(pop, theta, lam)
-
-    if sset is None:
+    radius = _radius_from_factor(sset.certificate_rows(), factor)
+    if weights is None:
         grad_norm = inv_norm(factor, exact_grad(pop, theta, lam))
         target = minimize_population(pop, lam)
-        seminorm = _sup_sc(pop, theta - target)
-        antecedent = grad_norm <= radius / 2.0
-        return LocalizationRecord(
-            antecedent=antecedent,
-            consequent=seminorm <= scfun.LOG2 + 1e-12,
-            gradient_norm=grad_norm,
-            radius=radius,
-            seminorm=seminorm,
-            empirical=False,
-        )
-
-    w = np.asarray(weights, dtype=float)
-    g_hat = sset.weighted_grad(w, theta) + lam * theta
-    h_hat = add_ridge(sset.weighted_hess(w, theta), lam)
-    grad_norm = inv_norm(factor, g_hat)
-    op_sq = gen_eigmax(h_pop, h_hat)  # ||Hhat^{-1/2} H^{1/2}||^2
-    target = newton_minimize(sset, w, lam).theta_hat
+    else:
+        w = _as_weights(weights, len(sset))
+        grad_norm = _varhat(pop, w, theta, lam, h_pop, factor)
+        target = newton_minimize(sset, w, lam).theta_hat
     seminorm = _sup_sc(pop, theta - target)
-    antecedent = grad_norm * op_sq <= radius / 2.0
     return LocalizationRecord(
-        antecedent=antecedent,
+        antecedent=grad_norm <= radius / 2.0,
         consequent=seminorm <= scfun.LOG2 + 1e-12,
-        gradient_norm=grad_norm * op_sq,
+        gradient_norm=grad_norm,
         radius=radius,
         seminorm=seminorm,
-        empirical=True,
+        empirical=weights is not None,
     )
 
 
@@ -212,21 +209,20 @@ class DecompositionRecord:
 
 
 def check_decomposition_bound(pop: FinitePopulation, sol: PopulationSolution, lam: float,
-                              sset: SampleSet, weights, theta_hat) -> DecompositionRecord:
+                              weights, theta_hat) -> DecompositionRecord:
+    """Evaluate the decomposition bound for the empirical minimizer theta_hat
+    of ``weights``, count weights over the population's atoms (such as
+    counts / n of a draw)."""
     if lam <= 0:
         raise ContractViolation("check_decomposition_bound requires lambda > 0")
+    sset = pop.sample_set
+    w = _as_weights(weights, len(sset))
     theta_hat = np.asarray(theta_hat, dtype=float)
     theta_lam = sol.theta_for(lam)
     h_lam = exact_hessian(pop, theta_lam, lam)
     factor = chol_factor(h_lam)
-
-    w = np.asarray(weights, dtype=float)
-    g_hat = sset.weighted_grad(w, theta_lam) + lam * theta_lam
-    h_hat = add_ridge(sset.weighted_hess(w, theta_lam), lam)
-    op_sq = gen_eigmax(h_lam, h_hat)
-    varhat = op_sq * inv_norm(factor, g_hat)
-
-    guard_radius = dikin_radius(pop, theta_lam, lam)
+    varhat = _varhat(pop, w, theta_lam, lam, h_lam, factor)
+    guard_radius = _radius_from_factor(sset.certificate_rows(), factor)
     applicable = varhat <= guard_radius / 2.0
 
     consts = constants_at(pop, sol, lam)
@@ -258,20 +254,22 @@ class CheckReport:
 
 
 _SUITE_KINDS = ("square", "huber_sqrt", "huber_logcosh", "logistic", "softmax_glm")
+# size limits of the suite's random populations
+_MAX_ATOMS = 16
+_MAX_DIM = 5
 
 
-def random_population(rng: np.random.Generator, kind: str,
-                      max_atoms: int = 16, max_dim: int = 5) -> FinitePopulation:
+def random_population(rng: np.random.Generator, kind: str) -> FinitePopulation:
     """Small random population of the given loss kind for randomized trials.
 
     Square-loss populations keep at least d+2 atoms so H is comfortably
     conditioned (their margins are asserted near machine precision).
     """
-    d = int(rng.integers(1, max_dim + 1))
+    d = int(rng.integers(1, _MAX_DIM + 1))
     if kind == "square":
-        m = int(rng.integers(d + 2, max(max_atoms, d + 3) + 1))
+        m = int(rng.integers(d + 2, max(_MAX_ATOMS, d + 3) + 1))
     else:
-        m = int(rng.integers(2, max_atoms + 1))
+        m = int(rng.integers(2, _MAX_ATOMS + 1))
     weights = rng.uniform(0.2, 1.0, size=m)
     weights /= weights.sum()
 

@@ -6,7 +6,8 @@ import sys
 import pytest
 import yaml
 
-from scerm import ConfigError
+import scerm.rates
+from scerm import ConfigError, NonConvergenceError
 from scerm.cli import main
 from scerm.config import parse_config
 
@@ -421,3 +422,56 @@ def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, monkeypatch, 
     if path is not None:
         assert f"  {path}: " in err
     assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()
+
+
+def test_degenerate_rates_run_writes_both_files_without_constants(tmp_path):
+    # theta* = 0 and every label is 0, so B1 over the ball is 0 and the
+    # sample threshold is undefined
+    doc = {
+        "command": "rates",
+        "population": {
+            "generator": "inline",
+            "loss": {"kind": "square"},
+            "atoms": [
+                {"features": [1.0], "label": 0.0, "weight": 0.5},
+                {"features": [2.0], "label": 0.0, "weight": 0.5},
+            ],
+        },
+        "rates": {"regime": "none", "n_grid": [16, 32, 64], "replicates": 2, "delta": 0.1,
+                  "lambda": {"mode": "explicit", "values": [0.1, 0.05, 0.025]}},
+    }
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "scerm.cli", "--config", write_cfg(tmp_path, doc),
+         "--out", str(out), "--quiet"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (out / "rates.csv").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert "n_threshold" not in summary
+
+
+def test_rates_with_a_failed_cell_exits_1(tmp_path, capsys, monkeypatch):
+    solve = scerm.rates.newton_minimize
+    calls = []
+
+    def fail_first(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise NonConvergenceError("forced failure", [])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scerm.rates, "newton_minimize", fail_first)
+    doc = {
+        "command": "rates",
+        "seed": 4,
+        "population": {"generator": "source", "d": 6, "r": 0.5, "alpha": 2.0, "seed": 1},
+        "rates": {"regime": "source_capacity", "n_grid": [32, 64], "replicates": 2,
+                  "delta": 0.25, "lambda": {"mode": "explicit", "values": [0.2, 0.1]}},
+    }
+    out = tmp_path / "out"
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), "--jobs", "1"]) == 1
+    assert "-> FAIL" in capsys.readouterr().out
+    assert json.loads((out / "summary.json").read_text())["solver_failures"] == 1

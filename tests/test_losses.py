@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scerm import (
     ContractViolation,
     DomainError,
+    FinitePopulation,
     HuberSqrtLoss,
     LogisticLoss,
     Sample,
@@ -19,6 +20,7 @@ from scerm import (
 )
 from scerm.linalg import ball_point
 from scerm.losses import LOSS_KINDS
+from scerm.population import sup_norm_certificate
 
 SCALAR_KINDS = ["square", "huber_sqrt", "huber_logcosh", "logistic"]
 ALL_KINDS = SCALAR_KINDS + ["softmax_glm"]
@@ -114,17 +116,19 @@ def test_sc_factor_huber_coefficients(kind, coef):
 
 def test_sup_constants_logistic():
     z = Sample(features=np.array([1.0]), label=1.0)
+    sset = stack_samples(LogisticLoss(), [z])
+    assert sup_norm_certificate(FinitePopulation(sset, [1.0])) == 1.0
     for radius in (0.5, 1.0, 7.0):
-        c = sup_constants(stack_samples(LogisticLoss(), [z]), radius)
-        assert c.r == 1.0
+        c = sup_constants(sset, radius)
         assert c.b1 == 1.0
         assert c.b2 == 0.25
 
 
 def test_sup_constants_square():
     z = Sample(features=np.array([2.0]), label=1.0)
-    c = sup_constants(stack_samples(SquareLoss(), [z]), 1.0)
-    assert c.r == 0.0
+    sset = stack_samples(SquareLoss(), [z])
+    assert sup_norm_certificate(FinitePopulation(sset, [1.0])) == 0.0
+    c = sup_constants(sset, 1.0)
     # sup |theta.Phi - y| ||Phi|| over ||theta|| <= 1 is (1*2 + 1)*2
     assert c.b1 == pytest.approx(6.0)
     assert c.b2 == pytest.approx(4.0)
@@ -136,7 +140,7 @@ def test_sup_constants_softmax_bound_sampled_ball(rng):
     radius = 2.0
     sset = stack_samples(loss, atoms)
     c = sup_constants(sset, radius)
-    assert c.r == pytest.approx(
+    assert sup_norm_certificate(FinitePopulation(sset, np.full(4, 0.25))) == pytest.approx(
         2.0 * max(np.max(np.linalg.norm(z.features, axis=1)) for z in atoms)
     )
     # points inside the ball, and far out where the softmax saturates

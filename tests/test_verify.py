@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import scerm.population
+import scerm.verify
 from scerm import (
     CheckReport,
     ContractViolation,
@@ -22,6 +24,9 @@ from scerm import (
     solve_population,
     stack_samples,
 )
+from scerm.linalg import chol_factor
+from scerm.population import exact_hessian, make_logistic_population
+from scerm.rates import _draw
 from scerm.verify import random_population
 
 CHECKS = (check_hess_control, check_grad_lower, check_grad_upper, check_value_bound)
@@ -143,9 +148,8 @@ def test_localization_square_antecedent_always_true(rng):
 def test_localization_empirical_variant(p2, rng):
     lam = 0.3
     sol = solve_population(p2, [lam])
-    n = 64
-    sset, w = draw_empirical(p2, rng, n)
-    rec = check_localization(p2, sol.theta_for(lam), lam, sset=sset, weights=w)
+    w = draw_empirical(p2, rng, 64)
+    rec = check_localization(p2, sol.theta_for(lam), lam, weights=w)
     assert rec.empirical
     assert rec.holds
 
@@ -163,19 +167,16 @@ def test_localization_sweep_no_counterexamples(p2, rng):
 
 
 def draw_empirical(pop, rng, n):
-    """The drawn atoms of n i.i.d. draws, weighted by their counts / n."""
-    counts = rng.multinomial(n, pop.weights)
-    keep = counts > 0
-    sset = pop.sample_set
-    return SampleSet(pop.loss, sset.features[keep], sset.labels[keep]), counts[keep] / n
+    """Count weights counts / n over the population's atoms of n i.i.d. draws."""
+    return rng.multinomial(n, pop.weights) / n
 
 
 def test_decomposition_bound_p1(p1, rng):
     lam = 0.1
     sol = solve_population(p1, [lam])
-    sset, w = draw_empirical(p1, rng, 64)
-    theta_hat = solve_erm(sset, w, lam).theta_hat
-    rec = check_decomposition_bound(p1, sol, lam, sset, w, theta_hat)
+    w = draw_empirical(p1, rng, 64)
+    theta_hat = solve_erm(p1.sample_set, w, lam).theta_hat
+    rec = check_decomposition_bound(p1, sol, lam, w, theta_hat)
     assert rec.applicable  # square loss: guard radius infinite
     assert rec.margin >= -1e-9
     assert rec.lhs >= -1e-12
@@ -185,9 +186,9 @@ def test_decomposition_bound_logistic_many_draws(p2, rng):
     lam = 0.15
     sol = solve_population(p2, [lam])
     for _ in range(25):
-        sset, w = draw_empirical(p2, rng, 128)
-        theta_hat = solve_erm(sset, w, lam).theta_hat
-        rec = check_decomposition_bound(p2, sol, lam, sset, w, theta_hat)
+        w = draw_empirical(p2, rng, 128)
+        theta_hat = solve_erm(p2.sample_set, w, lam).theta_hat
+        rec = check_decomposition_bound(p2, sol, lam, w, theta_hat)
         if rec.applicable:
             assert rec.margin >= -1e-9
 
@@ -202,14 +203,64 @@ def test_decomposition_guard_not_applicable_is_not_failure(rng):
     seen_na = False
     for seed in range(40):
         local = np.random.default_rng(seed)
-        sset, w = draw_empirical(pop, local, 3)
+        w = draw_empirical(pop, local, 3)
         try:
-            theta_hat = solve_erm(sset, w, lam).theta_hat
+            theta_hat = solve_erm(pop.sample_set, w, lam).theta_hat
         except Exception:
             continue
-        rec = check_decomposition_bound(pop, sol, lam, sset, w, theta_hat)
+        rec = check_decomposition_bound(pop, sol, lam, w, theta_hat)
         if not rec.applicable:
             seen_na = True
         else:
             assert rec.margin >= -1e-9
     assert seen_na
+
+
+# -- count weights over the population ------------------------------------------------
+
+BAD_WEIGHTS = [
+    pytest.param(lambda w: w[:-1], id="wrong-length"),
+    pytest.param(lambda w: np.r_[-0.5, w[1:] + (w[0] + 0.5) / (w.size - 1)], id="negative"),
+    pytest.param(lambda w: 3.0 * w, id="sums-to-3"),
+]
+
+
+@pytest.mark.parametrize("corrupt", BAD_WEIGHTS)
+def test_empirical_checks_reject_bad_weights(corrupt):
+    pop = make_logistic_population(4, 1.0, 1)
+    lam = 0.1
+    sol = solve_population(pop, [lam])
+    w = corrupt(_draw(pop, 64, 0, 0, 0)[0])
+    with pytest.raises(ContractViolation):
+        check_localization(pop, sol.theta_for(lam), lam, weights=w)
+    with pytest.raises(ContractViolation):
+        check_decomposition_bound(pop, sol, lam, w, sol.theta_for(lam))
+
+
+def test_empirical_checks_take_a_rates_draw():
+    pop = make_logistic_population(4, 1.0, 1)
+    lam = 0.1
+    sol = solve_population(pop, [lam])
+    w, _ = _draw(pop, 256, 0, 0, 0)
+    theta_hat = solve_erm(pop.sample_set, w, lam).theta_hat
+    rec = check_decomposition_bound(pop, sol, lam, w, theta_hat)
+    assert rec.varhat > 0.0 and math.isfinite(rec.guard_radius)
+    assert check_localization(pop, sol.theta_for(lam), lam, weights=w).empirical
+
+
+@pytest.mark.parametrize("empirical", [False, True])
+def test_localization_factors_population_hessian_once(monkeypatch, empirical):
+    pop = make_logistic_population(4, 1.0, 1)
+    lam, theta = 0.1, np.full(pop.dim, 0.2)
+    h_lam = exact_hessian(pop, theta, lam)
+    factored = []
+
+    def spy(a):
+        factored.append(np.array_equal(a, h_lam))
+        return chol_factor(a)
+
+    monkeypatch.setattr(scerm.verify, "chol_factor", spy)
+    monkeypatch.setattr(scerm.population, "chol_factor", spy)
+    w = _draw(pop, 256, 0, 0, 0)[0] if empirical else None
+    check_localization(pop, theta, lam, weights=w)
+    assert sum(factored) == 1
