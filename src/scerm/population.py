@@ -562,7 +562,7 @@ def make_logistic_population(d: int, alpha: float, seed: int,
         raise ContractViolation(
             "spectrum/coefficient profile infeasible: reduce top_curvature * coeff_scale * d"
         )
-    margins = np.array([_bisect_margin(k) for k in kappa])
+    margins = _bisect_margins(kappa)
     theta_star = np.sqrt(a2) * rng.choice([-1.0, 1.0], size=d)
     scales = margins / np.abs(theta_star)
 
@@ -583,20 +583,12 @@ def make_logistic_population(d: int, alpha: float, seed: int,
                             weights, meta)
 
 
-def _bisect_margin(kappa: float) -> float:
-    """Solve sigma(m)sigma(-m)m^2 = kappa on [0, 2.39]."""
-    if kappa <= 0:
-        return 0.0
-
-    def g(m):
-        s = 1.0 / (1.0 + math.exp(-m))
-        return s * (1.0 - s) * m * m - kappa
-
-    lo, hi = 0.0, 2.39
+def _bisect_margins(kappa: np.ndarray) -> np.ndarray:
+    """Solve sigma(m)sigma(-m)m^2 = kappa on [0, 2.39] for every entry (0 where kappa <= 0)."""
+    lo, hi = np.zeros_like(kappa), np.full_like(kappa, 2.39)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        s = _sigmoid(mid)
+        below = s * (1.0 - s) * mid * mid - kappa < 0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.where(kappa > 0, 0.5 * (lo + hi), 0.0)
