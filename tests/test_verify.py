@@ -237,17 +237,6 @@ def test_empirical_checks_reject_bad_weights(corrupt):
         check_decomposition_bound(pop, sol, lam, w, sol.theta_for(lam))
 
 
-def test_empirical_checks_take_a_rates_draw():
-    pop = make_logistic_population(4, 1.0, 1)
-    lam = 0.1
-    sol = solve_population(pop, [lam])
-    w, _ = _draw(pop, 256, 0, 0, 0)
-    theta_hat = solve_erm(pop.sample_set, w, lam).theta_hat
-    rec = check_decomposition_bound(pop, sol, lam, w, theta_hat)
-    assert rec.varhat > 0.0 and math.isfinite(rec.guard_radius)
-    assert check_localization(pop, sol.theta_for(lam), lam, weights=w).empirical
-
-
 @pytest.mark.parametrize("empirical", [False, True])
 def test_localization_factors_population_hessian_once(monkeypatch, empirical):
     pop = make_logistic_population(4, 1.0, 1)
