@@ -20,7 +20,6 @@ from .population import (
     ConstructionMeta,
     DiagnosticsReport,
     FinitePopulation,
-    PopulationSolution,
     ScConstants,
     bias_lambda,
     compute_diagnostics,
@@ -35,8 +34,6 @@ from .population import (
     exact_risk,
     make_logistic_population,
     make_source_population,
-    minimize_population,
-    solve_population,
     stack_samples,
     t_lambda,
 )

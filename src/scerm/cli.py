@@ -36,7 +36,6 @@ from .population import (
     compute_diagnostics,
     default_lambda_grid,
     pointwise_bounds,
-    solve_population,
     sup_norm_certificate,
 )
 from .rates import (
@@ -129,8 +128,7 @@ def _cmd_diagnose(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
     if spec.lambda_grid is not None:
         grid = np.asarray(spec.lambda_grid, dtype=float)
     else:
-        sol = solve_population(pop, [])
-        _, b2_star = pointwise_bounds(pop, sol.theta_star)
+        _, b2_star = pointwise_bounds(pop, pop.theta_star)
         grid = default_lambda_grid(b2_star, spec.log2_min, spec.log2_max)
     report = compute_diagnostics(pop, grid)
     rows = []
@@ -174,10 +172,9 @@ def _cmd_verify(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
     loc_failures = 0
     if pop is not None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 999]))
-        sol = solve_population(pop, [])
         for _ in range(spec.localization_trials):
             lam = float(np.exp(rng.uniform(np.log(1e-3), 0.0)))
-            theta = sol.theta_star + rng.normal(0.0, 0.1, size=pop.dim)
+            theta = pop.theta_star + rng.normal(0.0, 0.1, size=pop.dim)
             if not check_localization(pop, theta, lam).holds:
                 loc_failures += 1
 
@@ -204,9 +201,8 @@ def _cmd_verify(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
     return 0 if ok else 1
 
 
-def _rates_params(pop, regime, delta) -> RateParams:
-    sol = solve_population(pop, [])
-    theta_star = sol.theta_star
+def _rates_params(pop, delta) -> RateParams:
+    theta_star = pop.theta_star
     b1_star, b2_star = pointwise_bounds(pop, theta_star)
     theta_norm = float(np.linalg.norm(theta_star))
     sup = sup_constants(pop.sample_set, theta_norm)
@@ -228,7 +224,7 @@ def _rates_params(pop, regime, delta) -> RateParams:
 
 def _cmd_rates(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
     spec = cfg.rates
-    params = _rates_params(pop, spec.regime, spec.delta)
+    params = _rates_params(pop, spec.delta)
     lam_spec = spec.lambdas
     override = None
     if lam_spec.mode == "explicit":
@@ -300,9 +296,8 @@ def _cmd_rates(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
 def _cmd_concentration(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
     spec = cfg.concentration
     if spec.kind == "hessian":
-        sol = solve_population(pop, [])
         report = hessian_concentration_experiment(
-            pop, sol.theta_star, spec.lam, spec.n, spec.replicates, spec.delta, seed=cfg.seed
+            pop, pop.theta_star, spec.lam, spec.n, spec.replicates, spec.delta, seed=cfg.seed
         )
     else:
         report = gradient_concentration_experiment(

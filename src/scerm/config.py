@@ -27,6 +27,8 @@ from .population import (
     make_source_population,
     stack_samples,
 )
+from .solver import SolverConfig
+from .verify import DEFAULT_SLACK
 
 __all__ = [
     "RunConfig",
@@ -82,7 +84,7 @@ class DiagnoseSpec:
 @dataclass(frozen=True)
 class VerifySpec:
     trials_per_case: int = 650
-    slack: float = 1e-9
+    slack: float = DEFAULT_SLACK
     localization_trials: int = 50
 
 
@@ -99,8 +101,8 @@ class ConcentrationSpec:
 @dataclass(frozen=True)
 class SolveSpec:
     lam: float
-    tol: float = 1e-10
-    max_iter: int = 200
+    tol: float = SolverConfig.tol
+    max_iter: int = SolverConfig.max_iter
 
 
 @dataclass(frozen=True)

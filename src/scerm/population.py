@@ -13,8 +13,10 @@ Diagnostic quantities at a regularization level lambda:
     1/r    = sup over atoms and certificate vectors of ||g||_{H_lambda^{-1}}
     t_lam  = sup over atoms of the certificate factor at direction t*_lam - t*
 
-With the eigendecomposition H(t*) = sum_i e_i u_i u_i^T, Bias and df are
-O(d) sums over one spectrum shared by every lambda:
+A population solves t* = argmin L, H(t*) and its eigendecomposition
+H(t*) = sum_i e_i u_i u_i^T once, on first use, and each t*_lam once per
+lambda. Bias and df are then O(d) sums over the one spectrum that every
+lambda of the population shares:
 
     Bias^2 = lambda^2 sum_i (u_i . t*)^2 / (e_i + lambda)
     df     = sum_i E[(u_i . grad l_Z(t*))^2] / (e_i + lambda)
@@ -41,7 +43,6 @@ from .solver import SolverConfig, newton_minimize
 
 __all__ = [
     "FinitePopulation",
-    "PopulationSolution",
     "DiagnosticsReport",
     "ScConstants",
     "ExponentFit",
@@ -49,8 +50,6 @@ __all__ = [
     "exact_risk",
     "exact_grad",
     "exact_hessian",
-    "minimize_population",
-    "solve_population",
     "bias_lambda",
     "df_lambda",
     "dikin_radius",
@@ -85,7 +84,8 @@ class ConstructionMeta:
 @dataclass(frozen=True)
 class FinitePopulation:
     """Finitely supported distribution: a ``SampleSet`` of atoms and their
-    strictly positive weights."""
+    strictly positive weights. theta*, H(theta*), its spectrum and each
+    theta*_lambda are computed on first use and kept."""
 
     sample_set: SampleSet
     weights: np.ndarray
@@ -101,15 +101,39 @@ class FinitePopulation:
             raise ContractViolation(f"weights sum to {w.sum()!r}, not 1")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_theta_lambdas", {})
 
     @cached_property
-    def _star(self) -> tuple:
-        """theta* and H(theta*), solved once per population for every
-        ``solve_population`` call (a failed solve raises and is not cached)."""
-        theta_star = minimize_population(self, 0.0)
-        hessian = exact_hessian(self, theta_star, 0.0)
+    def theta_star(self) -> np.ndarray:
+        """Minimizer theta* of the unregularized risk (a failed solve raises
+        and is not cached)."""
+        return _minimize_population(self, 0.0)
+
+    @cached_property
+    def hessian_at_star(self) -> np.ndarray:
+        """H(theta*), read-only."""
+        hessian = exact_hessian(self, self.theta_star, 0.0)
         hessian.setflags(write=False)
-        return theta_star, hessian
+        return hessian
+
+    @cached_property
+    def spectrum(self) -> tuple:
+        """Eigenvalues e_i of H(theta*), with (u_i . theta*)^2 and
+        E[(u_i . grad l_Z(theta*))^2] over its eigenvectors u_i."""
+        eigs, vecs = np.linalg.eigh(self.hessian_at_star)
+        grads = self.sample_set.grads(self.theta_star) @ vecs
+        return np.maximum(eigs, 0.0), (self.theta_star @ vecs) ** 2, self.weights @ grads**2
+
+    def theta_lambda(self, lam: float) -> np.ndarray:
+        """Minimizer theta*_lambda of the lambda-regularized risk, lambda > 0,
+        solved once per lambda (a failed solve raises and is not cached)."""
+        lam = float(lam)
+        if lam <= 0:
+            raise ContractViolation("theta_lambda requires lambda > 0")
+        solved = self._theta_lambdas
+        if lam not in solved:
+            solved[lam] = _minimize_population(self, lam)
+        return solved[lam]
 
     @property
     def loss(self) -> LossModel:
@@ -152,7 +176,7 @@ def exact_hessian(pop: FinitePopulation, theta, lam: float = 0.0) -> np.ndarray:
     return add_ridge(h, lam) if lam else h
 
 
-def minimize_population(pop: FinitePopulation, lam: float) -> np.ndarray:
+def _minimize_population(pop: FinitePopulation, lam: float) -> np.ndarray:
     """Minimizer of the exact regularized population risk.
 
     lam = 0 is allowed for populations whose unregularized minimum is
@@ -163,60 +187,19 @@ def minimize_population(pop: FinitePopulation, lam: float) -> np.ndarray:
     return res.theta_hat
 
 
-@dataclass(frozen=True)
-class PopulationSolution:
-    """theta*, its Hessian, and regularized minimizers on a lambda grid."""
-
-    population: FinitePopulation
-    theta_star: np.ndarray
-    hessian_at_star: np.ndarray
-    theta_lambda: dict
-
-    def theta_for(self, lam: float) -> np.ndarray:
-        try:
-            return self.theta_lambda[lam]
-        except KeyError:
-            return minimize_population(self.population, lam)
-
-    @cached_property
-    def spectrum(self) -> tuple:
-        """Eigenvalues e_i of H(theta*), with (u_i . theta*)^2 and
-        E[(u_i . grad l_Z(theta*))^2] over its eigenvectors u_i."""
-        eigs, vecs = np.linalg.eigh(self.hessian_at_star)
-        pop = self.population
-        grads = pop.sample_set.grads(self.theta_star) @ vecs
-        return np.maximum(eigs, 0.0), (self.theta_star @ vecs) ** 2, pop.weights @ grads**2
-
-
-def solve_population(pop: FinitePopulation, lambda_grid=()) -> PopulationSolution:
-    theta_star, hessian = pop._star
-    per_lambda = {}
-    for lam in lambda_grid:
-        lam = float(lam)
-        if lam <= 0:
-            raise ContractViolation("lambda grid entries must be positive")
-        per_lambda[lam] = minimize_population(pop, lam)
-    return PopulationSolution(
-        population=pop,
-        theta_star=theta_star,
-        hessian_at_star=hessian,
-        theta_lambda=per_lambda,
-    )
-
-
-def bias_lambda(pop: FinitePopulation, sol: PopulationSolution, lam: float) -> float:
+def bias_lambda(pop: FinitePopulation, lam: float) -> float:
     """lambda * ||theta*||_{H_lambda(theta*)^{-1}}; always <= sqrt(lambda)||theta*||."""
     if lam <= 0:
         raise ContractViolation("bias_lambda requires lambda > 0")
-    eigs, theta_sq, _ = sol.spectrum
+    eigs, theta_sq, _ = pop.spectrum
     return lam * math.sqrt(float(np.sum(theta_sq / (eigs + lam))))
 
 
-def df_lambda(pop: FinitePopulation, sol: PopulationSolution, lam: float) -> float:
+def df_lambda(pop: FinitePopulation, lam: float) -> float:
     """Exact degrees of freedom E ||grad l_Z(theta*)||^2_{H_lambda^{-1}(theta*)}."""
     if lam <= 0:
         raise ContractViolation("df_lambda requires lambda > 0")
-    eigs, _, grad_sq = sol.spectrum
+    eigs, _, grad_sq = pop.spectrum
     return float(np.sum(grad_sq / (eigs + lam)))
 
 
@@ -239,11 +222,11 @@ def _radius_from_factor(rows: np.ndarray, factor) -> float:
     return math.inf if sup_sq == 0.0 else 1.0 / math.sqrt(sup_sq)
 
 
-def t_lambda(pop: FinitePopulation, sol: PopulationSolution, lam: float) -> float:
+def t_lambda(pop: FinitePopulation, lam: float) -> float:
     """Certificate seminorm of theta*_lambda - theta*, exact sup over atoms."""
     if lam <= 0:
         raise ContractViolation("t_lambda requires lambda > 0")
-    direction = sol.theta_for(lam) - sol.theta_star
+    direction = pop.theta_lambda(lam) - pop.theta_star
     return float(np.max(pop.sample_set.sc_factors(direction)))
 
 
@@ -326,11 +309,11 @@ def _constants_from_t(lam: float, tla: float, bias: float, df: float,
     )
 
 
-def constants_at(pop: FinitePopulation, sol: PopulationSolution, lam: float) -> ScConstants:
+def constants_at(pop: FinitePopulation, lam: float) -> ScConstants:
     """Bias, df, Dikin radius r_lambda(theta*) and t_lambda of this population,
     with every decomposition constant evaluated at them."""
-    return _constants_from_t(lam, t_lambda(pop, sol, lam), bias_lambda(pop, sol, lam),
-                             df_lambda(pop, sol, lam), dikin_radius(pop, sol.theta_star, lam))
+    return _constants_from_t(lam, t_lambda(pop, lam=lam), bias_lambda(pop, lam=lam),
+                             df_lambda(pop, lam=lam), dikin_radius(pop, pop.theta_star, lam))
 
 
 # -- diagnostics over a lambda grid ---------------------------------------------
@@ -356,7 +339,7 @@ class DiagnosticsReport:
     fitted_alpha: ExponentFit | None = None
 
 
-def default_lambda_grid(b2_star: float, k_min: int = 0, k_max: int = 16) -> np.ndarray:
+def default_lambda_grid(b2_star: float, k_min: int, k_max: int) -> np.ndarray:
     """Geometric grid {2^-k} intersected with (0, B2*]."""
     grid = 2.0 ** -np.arange(k_min, k_max + 1, dtype=float)
     return grid[grid <= b2_star]
@@ -373,10 +356,9 @@ def compute_diagnostics(pop: FinitePopulation, lambda_grid,
     grid = np.sort(np.asarray(lambda_grid, dtype=float))[::-1]
     if grid.size == 0 or np.any(grid <= 0):
         raise ContractViolation("lambda grid must be nonempty and positive")
-    sol = solve_population(pop, grid)
     sup = sup_norm_certificate(pop)
-    theta_norm = float(np.linalg.norm(sol.theta_star))
-    consts = tuple(constants_at(pop, sol, lam) for lam in grid)
+    theta_norm = float(np.linalg.norm(pop.theta_star))
+    consts = tuple(constants_at(pop, lam=lam) for lam in grid)
     for c in consts:
         if c.bias <= c.dikin / 2.0:
             bound = scfun.LOG2

@@ -35,7 +35,6 @@ from .population import (
     exact_hessian,
     exact_risk,
     pointwise_bounds,
-    solve_population,
 )
 from .solver import newton_minimize
 
@@ -120,7 +119,8 @@ def lambda_exponent(regime: str, r: float, alpha: float) -> float:
 
 
 def lambda_schedule(regime: str, n: int, params: RateParams) -> ScheduledLambda:
-    """The corollary's lambda for sample size n, clamped to (0, B2*].
+    """The corollary's lambda for sample size n, clamped to (0, B2*]. A lambda
+    of 0, from a zero B1 over the ball or Q, raises ContractViolation.
 
     none:            16 B1_ball max(1, R) sqrt(log(2/delta)/n)
     source:          (256 (B1*/L)^2 / n)^{1/(2+2r)}
@@ -134,6 +134,7 @@ def lambda_schedule(regime: str, n: int, params: RateParams) -> ScheduledLambda:
             math.log(2.0 / params.delta) / n
         )
         cap = params.b2_ball
+        cause = "B1 over the ball"
     else:
         if regime == "source":
             _require(params, ("b1_star", "source_norm", "r", "b2_star"))
@@ -146,6 +147,12 @@ def lambda_schedule(regime: str, n: int, params: RateParams) -> ScheduledLambda:
         c0 = 256.0 * (q / params.source_norm) ** 2
         raw = (c0 / n) ** lambda_exponent(regime, params.r, params.alpha)
         cap = params.b2_star
+        cause = "Q"
+    if raw <= 0:
+        raise ContractViolation(
+            f"the corollary's lambda is {raw} because {cause} is 0; "
+            "set rates.lambda.mode: anchored|explicit"
+        )
     if raw > cap:
         return ScheduledLambda(value=cap, clamped=True, raw=raw)
     return ScheduledLambda(value=raw, clamped=False, raw=raw)
@@ -363,12 +370,11 @@ def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
         lambdas = [sched.value for sched in scheds]
         clamped = [sched.clamped for sched in scheds]
 
-    sol = solve_population(pop, sorted(set(lambdas)))
-    risk_star = exact_risk(pop, sol.theta_star, 0.0)
-    b1_star, b2_star = pointwise_bounds(pop, sol.theta_star)
+    risk_star = exact_risk(pop, pop.theta_star, 0.0)
+    b1_star, b2_star = pointwise_bounds(pop, pop.theta_star)
     q_star_sq = b1_star**2 / b2_star if b2_star > 0 else 0.0
 
-    consts = {lam: constants_at(pop, sol, lam) for lam in set(lambdas)}
+    consts = {lam: constants_at(pop, lam=lam) for lam in set(lambdas)}
 
     tasks = [
         (pop, lambdas[ni], n, ni, rep, plan.seed)
@@ -536,7 +542,7 @@ def hessian_concentration_experiment(pop: FinitePopulation, theta, lam: float, n
 
 
 def gradient_concentration_experiment(pop: FinitePopulation, lam: float, n: int | None,
-                                      replicates: int, delta: float, k: float = 4.0,
+                                      replicates: int, delta: float, k: float,
                                       seed: int = 0) -> ConcentrationReport:
     """Monte Carlo frequency of the empirical-gradient concentration bound
 
@@ -550,12 +556,11 @@ def gradient_concentration_experiment(pop: FinitePopulation, lam: float, n: int 
         raise ContractViolation("lambda must be positive")
     if k < 4.0:
         raise ContractViolation("the bound requires k >= 4")
-    sol = solve_population(pop, [lam])
-    theta_lam = sol.theta_for(lam)
+    theta_lam = pop.theta_lambda(lam)
     factor = chol_factor(exact_hessian(pop, theta_lam, lam))
-    b1_star, b2_star = pointwise_bounds(pop, sol.theta_star)
+    b1_star, b2_star = pointwise_bounds(pop, pop.theta_star)
     q_star_sq = b1_star**2 / b2_star
-    consts = constants_at(pop, sol, lam)
+    consts = constants_at(pop, lam=lam)
     # the bound's premise: n >= k^2 shift2^2 (B2*/lambda) log(2/delta)
     premise = k * k * consts.shift2**2 * (b2_star / consts.lam) * math.log(2.0 / delta)
     n = max(1, math.ceil(premise)) if n is None else n

@@ -26,13 +26,11 @@ from .linalg import add_ridge, ball_point, chol_factor, eigmin, gen_eigmax, inv_
 from .losses import LOSS_KINDS, SampleSet, SoftmaxGLMLoss
 from .population import (
     FinitePopulation,
-    PopulationSolution,
     _radius_from_factor,
     constants_at,
     exact_grad,
     exact_hessian,
     exact_risk,
-    minimize_population,
 )
 from .solver import _as_weights, newton_minimize
 
@@ -175,7 +173,7 @@ def check_localization(pop: FinitePopulation, theta, lam: float,
     radius = _radius_from_factor(sset.certificate_rows(), factor)
     if weights is None:
         grad_norm = inv_norm(factor, exact_grad(pop, theta, lam))
-        target = minimize_population(pop, lam)
+        target = pop.theta_lambda(lam)
     else:
         w = _as_weights(weights, len(sset))
         grad_norm = _varhat(pop, w, theta, lam, h_pop, factor)
@@ -208,8 +206,8 @@ class DecompositionRecord:
     k_var: float
 
 
-def check_decomposition_bound(pop: FinitePopulation, sol: PopulationSolution, lam: float,
-                              weights, theta_hat) -> DecompositionRecord:
+def check_decomposition_bound(pop: FinitePopulation, lam: float, weights,
+                              theta_hat) -> DecompositionRecord:
     """Evaluate the decomposition bound for the empirical minimizer theta_hat
     of ``weights``, count weights over the population's atoms (such as
     counts / n of a draw)."""
@@ -218,15 +216,15 @@ def check_decomposition_bound(pop: FinitePopulation, sol: PopulationSolution, la
     sset = pop.sample_set
     w = _as_weights(weights, len(sset))
     theta_hat = np.asarray(theta_hat, dtype=float)
-    theta_lam = sol.theta_for(lam)
+    theta_lam = pop.theta_lambda(lam)
     h_lam = exact_hessian(pop, theta_lam, lam)
     factor = chol_factor(h_lam)
     varhat = _varhat(pop, w, theta_lam, lam, h_lam, factor)
     guard_radius = _radius_from_factor(sset.certificate_rows(), factor)
     applicable = varhat <= guard_radius / 2.0
 
-    consts = constants_at(pop, sol, lam)
-    lhs = exact_risk(pop, theta_hat, 0.0) - exact_risk(pop, sol.theta_star, 0.0)
+    consts = constants_at(pop, lam=lam)
+    lhs = exact_risk(pop, theta_hat, 0.0) - exact_risk(pop, pop.theta_star, 0.0)
     rhs = consts.k_bias * consts.bias**2 + consts.k_var * varhat**2
     return DecompositionRecord(
         applicable=applicable,

@@ -31,7 +31,6 @@ from scerm import (
     run_check_suite,
     run_rate_experiment,
     solve_erm,
-    solve_population,
     stack_samples,
     theoretical_rate,
 )
@@ -153,29 +152,27 @@ def test_criterion_4_diagnostics_identities():
             atoms.append(Sample(features=xs[i], label=mean + eps))
             weights.append(base_w[i] / 2)
     sq_pop = FinitePopulation(stack_samples(SquareLoss(), atoms), np.asarray(weights))
-    sq_sol = solve_population(sq_pop, [])
-    cov = exact_hessian(sq_pop, sq_sol.theta_star, 0.0)
+    cov = exact_hessian(sq_pop, sq_pop.theta_star, 0.0)
     worst_sq = 0.0
     for lam in lam_grid:
         cov_lam = cov + lam * np.eye(d)
-        bias_ref = lam * math.sqrt(sq_sol.theta_star @ np.linalg.solve(cov_lam,
-                                                                       sq_sol.theta_star))
+        bias_ref = lam * math.sqrt(sq_pop.theta_star @ np.linalg.solve(cov_lam,
+                                                                       sq_pop.theta_star))
         df_ref = float(np.trace(np.linalg.solve(cov_lam, cov)))
         worst_sq = max(worst_sq,
-                       abs(bias_lambda(sq_pop, sq_sol, lam) - bias_ref),
-                       abs(df_lambda(sq_pop, sq_sol, lam) - df_ref))
+                       abs(bias_lambda(sq_pop, lam) - bias_ref),
+                       abs(df_lambda(sq_pop, lam) - df_ref))
 
     # well-specified logistic: score-covariance identity and df = Tr(H_lam^{-1} H)
     log_pop = logistic_pop_a()
-    log_sol = solve_population(log_pop, [])
-    grads = log_pop.sample_set.grads(log_sol.theta_star)
+    grads = log_pop.sample_set.grads(log_pop.theta_star)
     outer = (grads.T * log_pop.weights) @ grads
-    h = exact_hessian(log_pop, log_sol.theta_star, 0.0)
+    h = exact_hessian(log_pop, log_pop.theta_star, 0.0)
     bartlett_err = float(np.max(np.abs(outer - h)))
     worst_log = 0.0
     for lam in lam_grid:
         df_ref = float(np.trace(np.linalg.solve(h + lam * np.eye(log_pop.dim), h)))
-        worst_log = max(worst_log, abs(df_lambda(log_pop, log_sol, lam) - df_ref))
+        worst_log = max(worst_log, abs(df_lambda(log_pop, lam) - df_ref))
 
     ok = worst_sq < 1e-10 and bartlett_err < 1e-10 and worst_log < 1e-10
     report(4, "diagnostics identities", ok,
@@ -278,11 +275,10 @@ def test_criterion_7_theorem_bound_frequency():
 def test_criterion_8_hessian_concentration():
     t0 = time.time()
     pop = logistic_pop_a()
-    sol = solve_population(pop, [])
     lam = 0.5
     delta = 0.1
-    n = int(math.ceil(hessian_premise_n(pop, sol.theta_star, lam, delta)))
-    rep = hessian_concentration_experiment(pop, sol.theta_star, lam, n=n,
+    n = int(math.ceil(hessian_premise_n(pop, pop.theta_star, lam, delta)))
+    rep = hessian_concentration_experiment(pop, pop.theta_star, lam, n=n,
                                            replicates=500, delta=delta, seed=2008)
     elapsed = time.time() - t0
     ok = rep.premise_ok and rep.frequency >= rep.threshold
@@ -309,9 +305,8 @@ def test_criterion_9_localization_implications():
 
     for pop in pops:
         grid = [2.0 ** -k for k in range(0, 11)]
-        sol = solve_population(pop, grid)
         r_cert = sup_norm_certificate(pop)
-        star_norm = float(np.linalg.norm(sol.theta_star))
+        star_norm = float(np.linalg.norm(pop.theta_star))
         diag = compute_diagnostics(pop, grid)  # raises on a localization violation
         for i, lam in enumerate(diag.lambda_grid):
             tested += 1
@@ -323,7 +318,7 @@ def test_criterion_9_localization_implications():
         for lam in (grid[0], grid[4], grid[-1]):
             for _ in range(25):
                 tested += 1
-                point = sol.theta_star + rng.normal(
+                point = pop.theta_star + rng.normal(
                     scale=rng.uniform(1e-3, 0.5), size=pop.dim
                 )
                 if not check_localization(pop, point, lam).holds:

@@ -379,31 +379,50 @@ def _inline(atoms, loss=None):
 
 SOLVE = {"command": "solve", "population": SINGULAR_POPULATION, "solve": {"lambda": 0.1}}
 
+# every label is 0, so theta* = 0 and B1 over the ball is 0: the corollary's lambda is 0
+DEGENERATE_RATES = {
+    "command": "rates",
+    "population": {"generator": "inline", "loss": {"kind": "square"},
+                   "atoms": [{"features": [1.0], "label": 0.0, "weight": 0.5},
+                             {"features": [2.0], "label": 0.0, "weight": 0.5}]},
+    "rates": {"regime": "none", "n_grid": [16, 32, 64], "replicates": 2, "delta": 0.1},
+}
 
-@pytest.mark.parametrize("doc, argv, path", [
-    pytest.param(dict(SOLVE, solve={"lambda": math.inf}), [], "solve.lambda", id="inf-lambda"),
-    pytest.param(dict(SOLVE, solve={"lambda": 10**400}), [], "solve.lambda",
+
+def at(path):
+    """The error-list line of a config violation at a dotted path."""
+    return f"  {path}: "
+
+
+@pytest.mark.parametrize("doc, argv, expect", [
+    pytest.param(dict(SOLVE, solve={"lambda": math.inf}), [], at("solve.lambda"),
+                 id="inf-lambda"),
+    pytest.param(dict(SOLVE, solve={"lambda": 10**400}), [], at("solve.lambda"),
                  id="lambda-too-large-for-a-float"),
     pytest.param(dict(MINIMAL_DIAGNOSE, diagnose={"lambda_grid": [math.nan, 0.1]}), [],
-                 "diagnose.lambda_grid", id="nan-in-lambda-grid"),
+                 at("diagnose.lambda_grid"), id="nan-in-lambda-grid"),
     pytest.param(dict(SOLVE, population=_inline([[[1.0, 2.0], [1.0]], [[1.0]]])), [],
-                 "population.atoms[0]", id="ragged-features"),
+                 at("population.atoms[0]"), id="ragged-features"),
     pytest.param(dict(SOLVE, population=_inline([[1.0], ["x"]])), [],
-                 "population.atoms[1]", id="string-in-features"),
+                 at("population.atoms[1]"), id="string-in-features"),
     pytest.param(dict(SOLVE, population=_inline([[1.0, 0.0], [1.0]])), [],
-                 "population.atoms", id="atoms-disagree-on-dimension"),
+                 at("population.atoms"), id="atoms-disagree-on-dimension"),
     pytest.param(dict(SOLVE, population=_inline(
         [[[1.0, 0.0], [0.0, 1.0]]], {"kind": "softmax_glm", "base_measure": [1, "x"]})), [],
-                 "population.loss.base_measure", id="string-in-base-measure"),
+                 at("population.loss.base_measure"), id="string-in-base-measure"),
     pytest.param(dict(MINIMAL_DIAGNOSE, population=dict(MINIMAL_DIAGNOSE["population"], seed=-1)),
-                 [], "population.seed", id="negative-population-seed"),
-    pytest.param(dict(MINIMAL_DIAGNOSE, seed=-3), [], "seed", id="negative-seed"),
+                 [], at("population.seed"), id="negative-population-seed"),
+    pytest.param(dict(MINIMAL_DIAGNOSE, seed=-3), [], at("seed"), id="negative-seed"),
     pytest.param(MINIMAL_DIAGNOSE, ["--seed", "-1"], None, id="negative-seed-flag"),
     pytest.param(MINIMAL_DIAGNOSE, {"SCERM_JOBS": "abc"}, None, id="non-integer-jobs-env"),
     pytest.param("command: [solve\n", [], None, id="yaml-syntax-error"),
     pytest.param(None, [], None, id="config-is-a-directory"),
+    pytest.param(DEGENERATE_RATES, [],
+                 "error: the corollary's lambda is 0.0 because B1 over the ball is 0; "
+                 "set rates.lambda.mode: anchored|explicit\n", id="zero-corollary-lambda"),
 ])
-def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, monkeypatch, doc, argv, path):
+def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, monkeypatch, doc, argv,
+                                                 expect):
     if isinstance(argv, dict):  # environment variables instead of flags
         for name, value in argv.items():
             monkeypatch.setenv(name, value)
@@ -419,27 +438,16 @@ def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, monkeypatch, 
     assert main(["--config", str(cfg_path), "--out", str(out), "--quiet", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    if path is not None:
-        assert f"  {path}: " in err
+    if expect is not None:
+        assert expect in err
     assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()
 
 
 def test_degenerate_rates_run_writes_both_files_without_constants(tmp_path):
-    # theta* = 0 and every label is 0, so B1 over the ball is 0 and the
-    # sample threshold is undefined
-    doc = {
-        "command": "rates",
-        "population": {
-            "generator": "inline",
-            "loss": {"kind": "square"},
-            "atoms": [
-                {"features": [1.0], "label": 0.0, "weight": 0.5},
-                {"features": [2.0], "label": 0.0, "weight": 0.5},
-            ],
-        },
-        "rates": {"regime": "none", "n_grid": [16, 32, 64], "replicates": 2, "delta": 0.1,
-                  "lambda": {"mode": "explicit", "values": [0.1, 0.05, 0.025]}},
-    }
+    # with explicit lambdas the run completes; the sample threshold stays undefined
+    doc = dict(DEGENERATE_RATES, rates={
+        **DEGENERATE_RATES["rates"],
+        "lambda": {"mode": "explicit", "values": [0.1, 0.05, 0.025]}})
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "scerm.cli", "--config", write_cfg(tmp_path, doc),

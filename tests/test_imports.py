@@ -35,3 +35,24 @@ def test_sampleset_built_only_at_public_boundary():
                 if name == "SampleSet":
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+# per-lambda population functions; a run trace reads their lambda from the
+# third positional argument or the ``lam`` keyword
+LAMBDA_CONTEXT = {"bias_lambda", "df_lambda", "t_lambda", "dikin_radius", "constants_at"}
+
+
+def test_lambda_context_calls_name_lam():
+    calls, offenders = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in LAMBDA_CONTEXT:
+                    calls += 1
+                    if len(node.args) < 3 and not any(kw.arg == "lam" for kw in node.keywords):
+                        offenders.append(f"{path.name}:{node.lineno}")
+    assert calls >= len(LAMBDA_CONTEXT)
+    assert offenders == []

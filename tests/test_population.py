@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scerm.population
 from scerm import (
     ContractViolation,
     FinitePopulation,
@@ -16,6 +17,7 @@ from scerm import (
     SoftmaxGLMLoss,
     SquareLoss,
     bias_lambda,
+    check_decomposition_bound,
     compute_diagnostics,
     constants_at,
     default_lambda_grid,
@@ -26,10 +28,10 @@ from scerm import (
     exact_grad,
     exact_hessian,
     exact_risk,
+    gradient_concentration_experiment,
     make_logistic_population,
     make_source_population,
-    minimize_population,
-    solve_population,
+    solve_erm,
     stack_samples,
     t_lambda,
 )
@@ -78,12 +80,12 @@ def test_exact_hessian_ridge_eigenvalues(p2):
 
 
 def test_p1_minimizers(p1):
-    assert minimize_population(p1, 0.0) == pytest.approx([1.0], abs=1e-10)
-    assert minimize_population(p1, 1.0) == pytest.approx([0.5], abs=1e-10)
+    assert p1.theta_star == pytest.approx([1.0], abs=1e-10)
+    assert p1.theta_lambda(1.0) == pytest.approx([0.5], abs=1e-10)
 
 
 def test_p2_minimizer(p2):
-    assert minimize_population(p2, 0.0) == pytest.approx([math.log(3.0)], abs=1e-9)
+    assert p2.theta_star == pytest.approx([math.log(3.0)], abs=1e-9)
 
 
 def test_separable_population_minimum_not_attained():
@@ -92,32 +94,30 @@ def test_separable_population_minimum_not_attained():
     pop = FinitePopulation(SampleSet(LogisticLoss(), [[1.0], [-1.0]], [1.0, -1.0]),
                            np.array([0.5, 0.5]))
     with pytest.raises(NonConvergenceError, match="not attained") as err:
-        solve_population(pop, [])
+        pop.theta_star
     assert err.value.trace[-1] <= 1e-12
-    assert minimize_population(pop, 0.1)[0] > 0.0
+    with pytest.raises(NonConvergenceError, match="not attained"):  # a failure is not cached
+        pop.theta_star
+    assert pop.theta_lambda(0.1)[0] > 0.0
 
 
 def test_p1_bias(p1):
-    sol = solve_population(p1, [1.0, 3.0])
-    assert bias_lambda(p1, sol, 1.0) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
-    assert bias_lambda(p1, sol, 3.0) == pytest.approx(1.5, abs=1e-12)
+    assert bias_lambda(p1, 1.0) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+    assert bias_lambda(p1, 3.0) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_p1_df(p1):
-    sol = solve_population(p1, [1.0])
-    assert df_lambda(p1, sol, 1.0) == pytest.approx(0.5, abs=1e-12)
+    assert df_lambda(p1, 1.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_p2_df_bartlett_value(p2):
-    sol = solve_population(p2, [3.0 / 16.0])
-    assert df_lambda(p2, sol, 3.0 / 16.0) == pytest.approx(0.5, abs=1e-10)
+    assert df_lambda(p2, 3.0 / 16.0) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_df_vanishes_at_huge_lambda(p2):
-    sol = solve_population(p2, [])
-    _, b2 = pointwise_bounds(p2, sol.theta_star)
+    _, b2 = pointwise_bounds(p2, p2.theta_star)
     lam = 1e6 * b2
-    assert df_lambda(p2, sol, lam) < 1e-4 * p2.dim
+    assert df_lambda(p2, lam) < 1e-4 * p2.dim
 
 
 def test_dikin_square_infinite(p1):
@@ -125,51 +125,92 @@ def test_dikin_square_infinite(p1):
 
 
 def test_dikin_p2_value(p2):
-    sol = solve_population(p2, [])
-    r = dikin_radius(p2, sol.theta_star, 1.0 / 16.0)
+    r = dikin_radius(p2, p2.theta_star, 1.0 / 16.0)
     assert r == pytest.approx(0.5, abs=1e-9)
 
 
 def test_dikin_scaling_at_huge_lambda(p2):
-    sol = solve_population(p2, [])
     lam = 1e6
-    assert dikin_radius(p2, sol.theta_star, lam) / math.sqrt(lam) == pytest.approx(1.0, rel=1e-6)
+    assert dikin_radius(p2, p2.theta_star, lam) / math.sqrt(lam) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_dikin_lower_bound_sqrt_lambda_over_r(p2):
-    sol = solve_population(p2, [])
     r_cert = sup_norm_certificate(p2)
     for lam in (1e-3, 0.1, 2.0):
-        assert dikin_radius(p2, sol.theta_star, lam) >= math.sqrt(lam) / r_cert - 1e-12
+        assert dikin_radius(p2, p2.theta_star, lam) >= math.sqrt(lam) / r_cert - 1e-12
 
 
 def test_t_lambda_square_zero(p1):
-    sol = solve_population(p1, [0.25])
-    assert t_lambda(p1, sol, 0.25) == 0.0
+    assert t_lambda(p1, 0.25) == 0.0
 
 
 def test_t_lambda_p2(p2):
     lam = 0.01
-    sol = solve_population(p2, [lam])
-    expect = abs(float(sol.theta_for(lam)[0]) - math.log(3.0))
-    assert t_lambda(p2, sol, lam) == pytest.approx(expect, rel=1e-9)
+    expect = abs(float(p2.theta_lambda(lam)[0]) - math.log(3.0))
+    assert t_lambda(p2, lam) == pytest.approx(expect, rel=1e-9)
 
 
 def test_t_lambda_vanishes_small_lambda(p2):
     grid = [1e-3, 1e-5, 1e-7]
-    sol = solve_population(p2, grid)
-    vals = [t_lambda(p2, sol, lam) for lam in grid]
+    vals = [t_lambda(p2, lam) for lam in grid]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-5
 
 
 def test_lambda_contracts(p1):
-    sol = solve_population(p1, [])
-    for fn in (bias_lambda, df_lambda):
+    for fn in (bias_lambda, df_lambda, t_lambda, FinitePopulation.theta_lambda):
         with pytest.raises(ContractViolation):
-            fn(p1, sol, 0.0)
+            fn(p1, 0.0)
     with pytest.raises(ContractViolation):
         dikin_radius(p1, np.zeros(1), -1.0)
+
+
+# -- population solutions, each solved once ------------------------------------------
+
+
+def test_theta_star_and_each_lambda_solved_once(monkeypatch):
+    solve = scerm.population.newton_minimize
+    lams = []
+
+    def counted(sset, weights, lam, config=None):
+        lams.append(lam)
+        return solve(sset, weights, lam, config)
+
+    monkeypatch.setattr(scerm.population, "newton_minimize", counted)
+    pop = make_logistic_population(4, 1.0, 1)
+    constants_at(pop, 0.1)
+    compute_diagnostics(pop, [0.2, 0.1, 0.05])
+    w = np.random.default_rng(3).multinomial(64, pop.weights) / 64
+    check_decomposition_bound(pop, 0.1, w, solve_erm(pop.sample_set, w, 0.1).theta_hat)
+    gradient_concentration_experiment(pop, 0.2, n=64, replicates=2, delta=0.1, k=4.0)
+    assert sorted(lams) == [0.0, 0.05, 0.1, 0.2]
+    assert pop.theta_lambda(0.1) is pop.theta_lambda(0.1)
+
+
+def test_failed_theta_lambda_solve_is_not_cached(monkeypatch, p2):
+    solve = scerm.population.newton_minimize
+    calls = []
+
+    def fail_first(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise NonConvergenceError("forced failure", [])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scerm.population, "newton_minimize", fail_first)
+    with pytest.raises(NonConvergenceError):
+        p2.theta_lambda(0.2)
+    assert np.linalg.norm(exact_grad(p2, p2.theta_lambda(0.2), 0.2)) <= 1e-9
+    assert len(calls) == 2
+
+
+def test_cached_solutions_are_read_only(p2):
+    with pytest.raises(ValueError):
+        p2.hessian_at_star[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        p2.theta_star[0] = 1.0
+    with pytest.raises(ValueError):
+        p2.theta_lambda(0.2)[0] = 1.0
 
 
 # -- solution invariants ----------------------------------------------------------
@@ -177,39 +218,35 @@ def test_lambda_contracts(p1):
 
 def test_gradient_norms_at_solutions(p2):
     grid = [0.5, 0.1, 0.01]
-    sol = solve_population(p2, grid)
-    assert np.linalg.norm(exact_grad(p2, sol.theta_star, 0.0)) <= 1e-10
+    assert np.linalg.norm(exact_grad(p2, p2.theta_star, 0.0)) <= 1e-10
     for lam in grid:
-        assert np.linalg.norm(exact_grad(p2, sol.theta_for(lam), lam)) <= 1e-9
+        assert np.linalg.norm(exact_grad(p2, p2.theta_lambda(lam), lam)) <= 1e-9
 
 
 def test_monotone_shrinkage(rng):
     pop, _ = well_specified_logistic(rng)
     grid = [2.0 ** -k for k in range(0, 10)]
-    sol = solve_population(pop, grid)
-    star_norm = np.linalg.norm(sol.theta_star)
+    star_norm = np.linalg.norm(pop.theta_star)
     for lam in grid:
-        assert np.linalg.norm(sol.theta_for(lam)) <= star_norm + 1e-10
+        assert np.linalg.norm(pop.theta_lambda(lam)) <= star_norm + 1e-10
 
 
 def test_bias_monotone_df_antitone(rng):
     pop, _ = well_specified_logistic(rng)
     grid = sorted([2.0 ** -k for k in range(0, 12)])
-    sol = solve_population(pop, grid)
-    biases = [bias_lambda(pop, sol, lam) for lam in grid]
-    dfs = [df_lambda(pop, sol, lam) for lam in grid]
+    biases = [bias_lambda(pop, lam) for lam in grid]
+    dfs = [df_lambda(pop, lam) for lam in grid]
     assert all(b <= a + 1e-12 for a, b in zip(biases[1:], biases))  # increasing in lambda
     assert all(b >= a - 1e-12 for a, b in zip(dfs[1:], dfs))  # decreasing in lambda
 
 
 def test_bias_and_df_global_bounds(rng):
     pop, _ = well_specified_logistic(rng)
-    sol = solve_population(pop, [])
-    b1_star, _ = pointwise_bounds(pop, sol.theta_star)
-    star_norm = np.linalg.norm(sol.theta_star)
+    b1_star, _ = pointwise_bounds(pop, pop.theta_star)
+    star_norm = np.linalg.norm(pop.theta_star)
     for lam in (1e-4, 1e-2, 0.5, 4.0):
-        assert bias_lambda(pop, sol, lam) <= math.sqrt(lam) * star_norm + 1e-12
-        assert df_lambda(pop, sol, lam) <= min(pop.dim, b1_star**2 / lam) + 1e-10
+        assert bias_lambda(pop, lam) <= math.sqrt(lam) * star_norm + 1e-12
+        assert df_lambda(pop, lam) <= min(pop.dim, b1_star**2 / lam) + 1e-10
 
 
 # -- closed-form identities ---------------------------------------------------------
@@ -231,39 +268,37 @@ def unit_noise_square_population(rng, d=4, n_x=6):
     return pop, theta_star
 
 
-def assert_columns_match_constants(pop, sol, grid):
+def assert_columns_match_constants(pop, grid):
     report = compute_diagnostics(pop, grid, fit_exponents=False)
     for i, lam in enumerate(report.lambda_grid):
-        c = constants_at(pop, sol, lam)
+        c = constants_at(pop, lam)
         for name in ("bias", "df", "dikin", "t_lambda"):
             np.testing.assert_allclose(getattr(report, name)[i], getattr(c, name), rtol=1e-12)
 
 
 def test_square_closed_forms(rng):
     pop, theta_star = unit_noise_square_population(rng)
-    sol = solve_population(pop, [])
-    np.testing.assert_allclose(sol.theta_star, theta_star, atol=1e-9)
+    np.testing.assert_allclose(pop.theta_star, theta_star, atol=1e-9)
     cov = exact_hessian(pop, theta_star, 0.0)
     for lam in (1e-3, 0.05, 0.7, 3.0):
         cov_lam = cov + lam * np.eye(pop.dim)
         bias_expect = lam * math.sqrt(theta_star @ np.linalg.solve(cov_lam, theta_star))
         df_expect = float(np.trace(np.linalg.solve(cov_lam, cov)))
-        assert abs(bias_lambda(pop, sol, lam) - bias_expect) < 1e-10
-        assert abs(df_lambda(pop, sol, lam) - df_expect) < 1e-10
-    assert_columns_match_constants(pop, sol, [1e-3, 0.05, 0.7, 3.0])
+        assert abs(bias_lambda(pop, lam) - bias_expect) < 1e-10
+        assert abs(df_lambda(pop, lam) - df_expect) < 1e-10
+    assert_columns_match_constants(pop, [1e-3, 0.05, 0.7, 3.0])
 
 
 def test_bartlett_identity_and_df(rng):
     pop, _ = well_specified_logistic(rng)
-    sol = solve_population(pop, [])
-    grads = pop.sample_set.grads(sol.theta_star)
+    grads = pop.sample_set.grads(pop.theta_star)
     outer = (grads.T * pop.weights) @ grads
-    h = exact_hessian(pop, sol.theta_star, 0.0)
+    h = exact_hessian(pop, pop.theta_star, 0.0)
     np.testing.assert_allclose(outer, h, atol=1e-10)
     for lam in (1e-3, 0.1, 1.0):
         df_expect = float(np.trace(np.linalg.solve(h + lam * np.eye(pop.dim), h)))
-        assert abs(df_lambda(pop, sol, lam) - df_expect) < 1e-10
-    assert_columns_match_constants(pop, sol, [1e-3, 0.1, 1.0])
+        assert abs(df_lambda(pop, lam) - df_expect) < 1e-10
+    assert_columns_match_constants(pop, [1e-3, 0.1, 1.0])
 
 
 # -- localization bound at grid points -----------------------------------------------
@@ -271,12 +306,11 @@ def test_bartlett_identity_and_df(rng):
 
 def test_lemma_localization_bound_over_grid(rng):
     pop, _ = well_specified_logistic(rng)
-    sol = solve_population(pop, [])
-    _, b2_star = pointwise_bounds(pop, sol.theta_star)
+    _, b2_star = pointwise_bounds(pop, pop.theta_star)
     grid = default_lambda_grid(b2_star, 0, 12)
     report = compute_diagnostics(pop, grid)  # raises on violation
     r_cert = sup_norm_certificate(pop)
-    star_norm = np.linalg.norm(sol.theta_star)
+    star_norm = np.linalg.norm(pop.theta_star)
     for i in range(report.lambda_grid.size):
         if report.bias[i] <= report.dikin[i] / 2.0:
             assert report.t_lambda[i] <= LOG2 + 1e-12
@@ -341,14 +375,13 @@ def test_constants_invariant_to_atom_order_and_splitting(kind, seed, lam):
     halves[j] /= 2.0
     rows = np.append(np.arange(len(labels)), j)
     split = FinitePopulation(SampleSet(pop.loss, feats[rows], labels[rows]), halves)
-    expect = constants_at(pop, solve_population(pop, [lam]), lam)
+    expect = constants_at(pop, lam)
     for other in (permuted, split):
-        assert_constants_close(expect, constants_at(other, solve_population(other, [lam]), lam))
+        assert_constants_close(expect, constants_at(other, lam))
 
 
 def test_constants_at_zero_t(p1):
-    sol = solve_population(p1, [0.5])
-    c = constants_at(p1, sol, 0.5)
+    c = constants_at(p1, 0.5)
     assert c.t_lambda == 0.0
     assert c.t_tilde == 0.0
     assert c.branch == "universal"
@@ -359,8 +392,7 @@ def test_constants_at_zero_t(p1):
 
 
 def test_basic_constants_bounds(p1):
-    sol = solve_population(p1, [0.5])
-    c = constants_at(p1, sol, 0.5)
+    c = constants_at(p1, 0.5)
     assert c.k_var_basic == pytest.approx(3.1492233334330244, abs=1e-12)
     assert c.k_var_basic <= 4.0
     assert c.bern_basic <= 4.0
@@ -411,16 +443,15 @@ def test_source_population_structure():
     v = meta.theta_star / meta.hess_eigenvalues**0.5
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     # population minimizer is theta*
-    np.testing.assert_allclose(minimize_population(pop, 0.0), meta.theta_star, atol=1e-10)
+    np.testing.assert_allclose(pop.theta_star, meta.theta_star, atol=1e-10)
 
 
 def test_source_population_bias_bound_r_half():
     pop = make_source_population(d=16, r=0.5, alpha=2.0, seed=0)
-    sol = solve_population(pop, [])
-    cov = sol.hessian_at_star
+    cov = pop.hessian_at_star
     # r = 1/2: Bias_lam / lam <= ||C^{-1/2} theta*|| = ||v|| = 1
     for lam in (1e-4, 1e-2, 0.5):
-        assert bias_lambda(pop, sol, lam) / lam <= 1.0 + 1e-10
+        assert bias_lambda(pop, lam) / lam <= 1.0 + 1e-10
     del cov
 
 
@@ -429,25 +460,22 @@ def test_source_population_r_zero():
     meta = pop.meta
     # H^0 = I: theta* = v, unit norm
     assert np.linalg.norm(meta.theta_star) == pytest.approx(1.0, abs=1e-12)
-    sol = solve_population(pop, [])
     for lam in (1e-3, 0.1, 1.0):
-        assert bias_lambda(pop, sol, lam) <= math.sqrt(lam) * 1.0 + 1e-12
+        assert bias_lambda(pop, lam) <= math.sqrt(lam) * 1.0 + 1e-12
 
 
 def test_source_population_capacity_q():
     pop = make_source_population(d=32, r=0.5, alpha=2.0, seed=2)
     meta = pop.meta
-    sol = solve_population(pop, [])
     for lam in np.geomspace(1e-4, 1.0, 9):
-        assert df_lambda(pop, sol, lam) <= meta.capacity_q * lam ** (-1.0 / meta.alpha) + 1e-9
+        assert df_lambda(pop, lam) <= meta.capacity_q * lam ** (-1.0 / meta.alpha) + 1e-9
 
 
 def test_source_population_df_capacity_slope_example():
     # d=64, alpha=2: df at lambda and lambda/16 differ by at most ~ a factor 4
     pop = make_source_population(d=64, r=0.5, alpha=2.0, seed=5)
-    sol = solve_population(pop, [])
     lam = 2.0**-6
-    ratio = df_lambda(pop, sol, lam / 16.0) / df_lambda(pop, sol, lam)
+    ratio = df_lambda(pop, lam / 16.0) / df_lambda(pop, lam)
     assert ratio <= 4.3
 
 
@@ -536,12 +564,11 @@ def test_generators_match_per_atom_loops():
 def test_logistic_population_construction():
     pop = make_logistic_population(d=8, alpha=1.0, seed=4)
     meta = pop.meta
-    sol = solve_population(pop, [])
-    np.testing.assert_allclose(sol.theta_star, meta.theta_star, atol=1e-9)
-    h = exact_hessian(pop, sol.theta_star, 0.0)
+    np.testing.assert_allclose(pop.theta_star, meta.theta_star, atol=1e-9)
+    h = exact_hessian(pop, pop.theta_star, 0.0)
     np.testing.assert_allclose(h, np.diag(meta.hess_eigenvalues), atol=1e-10)
     # well-specified: Bartlett holds
-    grads = pop.sample_set.grads(sol.theta_star)
+    grads = pop.sample_set.grads(pop.theta_star)
     outer = (grads.T * pop.weights) @ grads
     np.testing.assert_allclose(outer, h, atol=1e-10)
 

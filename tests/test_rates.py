@@ -25,7 +25,6 @@ from scerm import (
     rate_constants,
     run_rate_experiment,
     solve_erm,
-    solve_population,
     theoretical_rate,
 )
 from scerm.rates import hessian_premise_n
@@ -191,10 +190,9 @@ def test_plan_validation():
 
 def test_schedule_based_plan_runs():
     pop = make_source_population(d=6, r=0.5, alpha=2.0, seed=2)
-    sol = solve_population(pop, [])
     from scerm.population import pointwise_bounds
 
-    b1, b2 = pointwise_bounds(pop, sol.theta_star)
+    b1, b2 = pointwise_bounds(pop, pop.theta_star)
     params = RateParams(delta=0.25, b1_star=b1, b2_star=b2, source_norm=1.0, r=0.5,
                         capacity_q=pop.meta.capacity_q, alpha=2.0, cert_radius=0.0)
     plan = ExperimentPlan(population=pop, regime="source_capacity", n_grid=(64, 128),
@@ -295,7 +293,7 @@ def test_cells_match_restacked_draws(make_plan):
     the drawn atoms alone, on the same SeedSequence([seed, n_index, replicate])."""
     plan = make_plan()
     pop = plan.population
-    risk_star = exact_risk(pop, solve_population(pop, []).theta_star)
+    risk_star = exact_risk(pop, pop.theta_star)
     undrawn = 0
     for cell in run_rate_experiment(plan).cells:
         ss = np.random.SeedSequence([plan.seed, plan.n_grid.index(cell.n), cell.replicate])
@@ -316,27 +314,25 @@ def test_cells_match_restacked_draws(make_plan):
 
 def test_hessian_concentration_trivial_when_lambda_dominates():
     pop = make_logistic_population(d=4, alpha=1.0, seed=2)
-    sol = solve_population(pop, [])
     from scerm.population import pointwise_bounds
 
-    _, b2 = pointwise_bounds(pop, sol.theta_star)
+    _, b2 = pointwise_bounds(pop, pop.theta_star)
     lam = 2.0 * b2  # generalized eigenvalue <= (B2+lam)/lam <= 1.5 always
-    rep = hessian_concentration_experiment(pop, sol.theta_star, lam, n=50, replicates=40,
+    rep = hessian_concentration_experiment(pop, pop.theta_star, lam, n=50, replicates=40,
                                            delta=0.1, seed=1)
     assert rep.frequency == 1.0
 
 
 def test_hessian_concentration_premise_and_skip():
     pop = make_logistic_population(d=4, alpha=1.0, seed=2)
-    sol = solve_population(pop, [])
     lam = 0.5
-    premise = hessian_premise_n(pop, sol.theta_star, lam, 0.1)
+    premise = hessian_premise_n(pop, pop.theta_star, lam, 0.1)
     assert premise > 1
-    rep = hessian_concentration_experiment(pop, sol.theta_star, lam, n=5, replicates=10,
+    rep = hessian_concentration_experiment(pop, pop.theta_star, lam, n=5, replicates=10,
                                            delta=0.1, seed=1)
     assert rep.skipped and not rep.premise_ok
     n = int(math.ceil(premise))
-    rep2 = hessian_concentration_experiment(pop, sol.theta_star, lam, n=n, replicates=60,
+    rep2 = hessian_concentration_experiment(pop, pop.theta_star, lam, n=n, replicates=60,
                                             delta=0.1, seed=1)
     assert rep2.premise_ok
     assert rep2.frequency >= rep2.threshold

@@ -21,7 +21,6 @@ from scerm import (
     check_value_bound,
     run_check_suite,
     solve_erm,
-    solve_population,
     stack_samples,
 )
 from scerm.linalg import chol_factor
@@ -122,16 +121,14 @@ def test_check_report_validation():
 
 
 def test_localization_at_solution(p2):
-    sol = solve_population(p2, [0.2])
-    rec = check_localization(p2, sol.theta_for(0.2), 0.2)
+    rec = check_localization(p2, p2.theta_lambda(0.2), 0.2)
     assert rec.antecedent and rec.consequent and rec.holds
     assert rec.gradient_norm <= 1e-9
     assert rec.seminorm <= 1e-9
 
 
 def test_localization_perturbed(p2):
-    sol = solve_population(p2, [0.2])
-    rec = check_localization(p2, sol.theta_for(0.2) + 1e-3, 0.2)
+    rec = check_localization(p2, p2.theta_lambda(0.2) + 1e-3, 0.2)
     assert rec.holds and rec.antecedent
 
 
@@ -147,19 +144,17 @@ def test_localization_square_antecedent_always_true(rng):
 
 def test_localization_empirical_variant(p2, rng):
     lam = 0.3
-    sol = solve_population(p2, [lam])
     w = draw_empirical(p2, rng, 64)
-    rec = check_localization(p2, sol.theta_for(lam), lam, weights=w)
+    rec = check_localization(p2, p2.theta_lambda(lam), lam, weights=w)
     assert rec.empirical
     assert rec.holds
 
 
 def test_localization_sweep_no_counterexamples(p2, rng):
     grid = [2.0 ** -k for k in range(0, 10)]
-    sol = solve_population(p2, grid)
     for lam in grid:
         for _ in range(20):
-            theta = sol.theta_star + rng.normal(scale=rng.uniform(1e-3, 1.0), size=1)
+            theta = p2.theta_star + rng.normal(scale=rng.uniform(1e-3, 1.0), size=1)
             assert check_localization(p2, theta, lam).holds
 
 
@@ -173,10 +168,9 @@ def draw_empirical(pop, rng, n):
 
 def test_decomposition_bound_p1(p1, rng):
     lam = 0.1
-    sol = solve_population(p1, [lam])
     w = draw_empirical(p1, rng, 64)
     theta_hat = solve_erm(p1.sample_set, w, lam).theta_hat
-    rec = check_decomposition_bound(p1, sol, lam, w, theta_hat)
+    rec = check_decomposition_bound(p1, lam, w, theta_hat)
     assert rec.applicable  # square loss: guard radius infinite
     assert rec.margin >= -1e-9
     assert rec.lhs >= -1e-12
@@ -184,11 +178,10 @@ def test_decomposition_bound_p1(p1, rng):
 
 def test_decomposition_bound_logistic_many_draws(p2, rng):
     lam = 0.15
-    sol = solve_population(p2, [lam])
     for _ in range(25):
         w = draw_empirical(p2, rng, 128)
         theta_hat = solve_erm(p2.sample_set, w, lam).theta_hat
-        rec = check_decomposition_bound(p2, sol, lam, w, theta_hat)
+        rec = check_decomposition_bound(p2, lam, w, theta_hat)
         if rec.applicable:
             assert rec.margin >= -1e-9
 
@@ -199,7 +192,6 @@ def test_decomposition_guard_not_applicable_is_not_failure(rng):
     support = SampleSet(LogisticLoss(), [[s], [s], [-s], [-s]], [1.0, -1.0, 1.0, -1.0])
     pop = FinitePopulation(support, np.array([0.4, 0.1, 0.1, 0.4]))
     lam = 0.005
-    sol = solve_population(pop, [lam])
     seen_na = False
     for seed in range(40):
         local = np.random.default_rng(seed)
@@ -208,7 +200,7 @@ def test_decomposition_guard_not_applicable_is_not_failure(rng):
             theta_hat = solve_erm(pop.sample_set, w, lam).theta_hat
         except Exception:
             continue
-        rec = check_decomposition_bound(pop, sol, lam, w, theta_hat)
+        rec = check_decomposition_bound(pop, lam, w, theta_hat)
         if not rec.applicable:
             seen_na = True
         else:
@@ -229,12 +221,11 @@ BAD_WEIGHTS = [
 def test_empirical_checks_reject_bad_weights(corrupt):
     pop = make_logistic_population(4, 1.0, 1)
     lam = 0.1
-    sol = solve_population(pop, [lam])
     w = corrupt(_draw(pop, 64, 0, 0, 0)[0])
     with pytest.raises(ContractViolation):
-        check_localization(pop, sol.theta_for(lam), lam, weights=w)
+        check_localization(pop, pop.theta_lambda(lam), lam, weights=w)
     with pytest.raises(ContractViolation):
-        check_decomposition_bound(pop, sol, lam, w, sol.theta_for(lam))
+        check_decomposition_bound(pop, lam, w, pop.theta_lambda(lam))
 
 
 @pytest.mark.parametrize("empirical", [False, True])
