@@ -17,23 +17,24 @@ def test_no_imports_inside_functions():
     assert offenders == []
 
 
+def calls():
+    """(file name, called name, node) of every call in the package's modules."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                yield path.name, name, node
+
+
 # modules that build a population's SampleSet: the generators and the Sample
 # stacking helper; all other code sums over an existing SampleSet with weights
 SAMPLESET_BUILDERS = {"population.py", "verify.py"}
 
 
 def test_sampleset_built_only_at_public_boundary():
-    offenders = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name in SAMPLESET_BUILDERS:
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "SampleSet":
-                    offenders.append(f"{path.name}:{node.lineno}")
+    offenders = [f"{file}:{node.lineno}" for file, name, node in calls()
+                 if name == "SampleSet" and file not in SAMPLESET_BUILDERS]
     assert offenders == []
 
 
@@ -43,16 +44,8 @@ LAMBDA_CONTEXT = {"bias_lambda", "df_lambda", "t_lambda", "dikin_radius", "const
 
 
 def test_lambda_context_calls_name_lam():
-    calls, offenders = 0, []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in LAMBDA_CONTEXT:
-                    calls += 1
-                    if len(node.args) < 3 and not any(kw.arg == "lam" for kw in node.keywords):
-                        offenders.append(f"{path.name}:{node.lineno}")
-    assert calls >= len(LAMBDA_CONTEXT)
+    found = [(file, node) for file, name, node in calls() if name in LAMBDA_CONTEXT]
+    offenders = [f"{file}:{node.lineno}" for file, node in found
+                 if len(node.args) < 3 and not any(kw.arg == "lam" for kw in node.keywords)]
+    assert len(found) >= len(LAMBDA_CONTEXT)
     assert offenders == []
