@@ -472,13 +472,18 @@ class SampleSet:
             return loss.sc_coef * np.linalg.norm(self.features, axis=1)
         return 2.0 * np.max(np.linalg.norm(self.features, axis=2), axis=1)
 
+    @property
+    def quadratic(self) -> bool:
+        """True when the certificate set is {0} (square loss): the third
+        derivative vanishes, so the Hessian is the same at every theta."""
+        return not self.loss.is_glm and self.loss.sc_coef == 0.0
+
     def certificate_rows(self) -> np.ndarray:
         """All certificate vectors stacked row-wise (empty for the square loss)."""
-        loss = self.loss
-        if not loss.is_glm:
-            if loss.sc_coef == 0.0:
-                return np.zeros((0, self.dim))
-            return loss.sc_coef * self.features
+        if self.quadratic:
+            return np.zeros((0, self.dim))
+        if not self.loss.is_glm:
+            return self.loss.sc_coef * self.features
         return 2.0 * self.features.reshape(-1, self.dim)
 
 

@@ -15,8 +15,11 @@ Diagnostic quantities at a regularization level lambda:
 
 A population solves t* = argmin L, H(t*) and its eigendecomposition
 H(t*) = sum_i e_i u_i u_i^T once, on first use, and each t*_lam once per
-lambda. Bias and df are then O(d) sums over the one spectrum that every
-lambda of the population shares:
+lambda. For a quadratic loss (certificate set {0}, ``SampleSet.quadratic``)
+H(t) = sum_i w_i x_i x_i^T is the same at every t: the population builds it
+once, without solving t* first, and ``exact_hessian`` and every t* and t*_lam
+solve reuse it instead of rebuilding it. Bias and df are O(d) sums over the
+one spectrum that every lambda of the population shares:
 
     Bias^2 = lambda^2 sum_i (u_i . t*)^2 / (e_i + lambda)
     df     = sum_i E[(u_i . grad l_Z(t*))^2] / (e_i + lambda)
@@ -38,7 +41,7 @@ import numpy as np
 from . import scfun
 from .errors import ContractViolation
 from .linalg import add_ridge, chol_factor, inv_quad_rows
-from .losses import LogisticLoss, LossModel, SampleSet, SquareLoss, _sigmoid
+from .losses import LogisticLoss, LossModel, SampleSet, SquareLoss, _check_theta, _sigmoid
 from .solver import SolverConfig, newton_minimize
 
 __all__ = [
@@ -111,8 +114,11 @@ class FinitePopulation:
 
     @cached_property
     def hessian_at_star(self) -> np.ndarray:
-        """H(theta*), read-only."""
-        hessian = exact_hessian(self, self.theta_star, 0.0)
+        """H(theta*), read-only; for a quadratic loss, H at every theta, built
+        without solving theta*."""
+        sset = self.sample_set
+        theta = np.zeros(self.dim) if sset.quadratic else self.theta_star
+        hessian = sset.weighted_hess(self.weights, theta)
         hessian.setflags(write=False)
         return hessian
 
@@ -170,9 +176,14 @@ def exact_grad(pop: FinitePopulation, theta, lam: float = 0.0) -> np.ndarray:
 
 
 def exact_hessian(pop: FinitePopulation, theta, lam: float = 0.0) -> np.ndarray:
+    """H(theta) + lam I as a new, writable array; a quadratic loss copies the
+    population's one cached H."""
     if lam < 0:
         raise ContractViolation("lambda must be nonnegative")
-    h = pop.sample_set.weighted_hess(pop.weights, np.asarray(theta, dtype=float))
+    theta = _check_theta(theta, pop.dim)
+    if pop.sample_set.quadratic:
+        return add_ridge(pop.hessian_at_star, lam)
+    h = pop.sample_set.weighted_hess(pop.weights, theta)
     return add_ridge(h, lam) if lam else h
 
 
@@ -183,7 +194,9 @@ def _minimize_population(pop: FinitePopulation, lam: float) -> np.ndarray:
     attained (the synthetic constructions below guarantee it); failure to
     converge or to certify attainment there surfaces as NonConvergenceError.
     """
-    res = newton_minimize(pop.sample_set, pop.weights, lam, SolverConfig(tol=_POP_SOLVE_TOL))
+    hessian = pop.hessian_at_star if pop.sample_set.quadratic else None
+    res = newton_minimize(pop.sample_set, pop.weights, lam, SolverConfig(tol=_POP_SOLVE_TOL),
+                          hessian=hessian)
     return res.theta_hat
 
 
@@ -210,10 +223,10 @@ def dikin_radius(pop: FinitePopulation, theta, lam: float) -> float:
     """
     if lam <= 0:
         raise ContractViolation("dikin_radius requires lambda > 0")
-    rows = pop.sample_set.certificate_rows()
-    if rows.shape[0] == 0:
+    if pop.sample_set.quadratic:
         return math.inf
-    return _radius_from_factor(rows, chol_factor(exact_hessian(pop, theta, lam)))
+    return _radius_from_factor(pop.sample_set.certificate_rows(),
+                               chol_factor(exact_hessian(pop, theta, lam)))
 
 
 def _radius_from_factor(rows: np.ndarray, factor) -> float:

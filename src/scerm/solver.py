@@ -8,9 +8,14 @@ line search guards the damped phase and the decrement
 
 doubles as the convergence certificate. On quadratic objectives (square loss)
 the first full step is exact and the solver stops after one iteration. A loss
-whose certificate set is {0} has a vanishing third derivative, so its Hessian
-is the same at every theta: the solver builds and factors H + lambda I once
-and reuses the factor to certify the decrement.
+whose certificate set is {0} (``SampleSet.quadratic``) has a vanishing third
+derivative, so its Hessian is the same at every theta: the solver builds and
+factors H + lambda I once and reuses the factor to certify the decrement.
+
+For such a loss the caller may pass that Hessian sum_i w_i H_i itself, as
+``newton_minimize(..., hessian=H)``; a population keeps its H and hands it to
+each of its solves, while draw solves, whose weights change every time, let
+the solver build theirs.
 """
 
 from __future__ import annotations
@@ -77,23 +82,33 @@ def _attained(cert_rows: np.ndarray, factor, dec: float) -> bool:
 
 
 def newton_minimize(sset: SampleSet, weights, lam: float,
-                    config: SolverConfig | None = None) -> SolveResult:
+                    config: SolverConfig | None = None,
+                    hessian: np.ndarray | None = None) -> SolveResult:
     """Minimize the weighted regularized risk over a stacked sample set.
 
     lam may be 0 here (population minimizers under an attainment guarantee);
-    the public ``solve_erm`` enforces lam > 0. Raises NonConvergenceError,
-    carrying the decrement trace, on iteration exhaustion, a failed line
-    search, or at lam = 0 a singular Hessian or a final decrement above half
-    the Dikin radius (a small decrement alone also occurs on separable data).
+    the public ``solve_erm`` enforces lam > 0. ``hessian``, allowed only for a
+    quadratic ``sset``, is the (d, d) weighted Hessian of these weights and is
+    used in place of building it; it is not written to. Raises
+    NonConvergenceError, carrying the decrement trace, on iteration
+    exhaustion, a failed line search, or at lam = 0 a singular Hessian or a
+    final decrement above half the Dikin radius (a small decrement alone also
+    occurs on separable data).
     """
     config = config or SolverConfig()
     if lam < 0:
         raise ContractViolation("lambda must be nonnegative")
     w = _as_weights(weights, len(sset))
+    quadratic = sset.quadratic
+    if hessian is not None:
+        if not quadratic:
+            raise ContractViolation("a fixed Hessian needs a loss whose certificate set is {0}")
+        if np.shape(hessian) != (sset.dim, sset.dim):
+            raise ContractViolation(
+                f"hessian has shape {np.shape(hessian)}, expected ({sset.dim}, {sset.dim})")
     theta = np.zeros(sset.dim)
     trace: list[float] = []
-    cert_rows = sset.certificate_rows()
-    # an empty certificate set means a quadratic loss: one Hessian serves every iteration
+    # a quadratic loss has one Hessian, built (or given) and factored once
     factor = None
 
     def objective(t):
@@ -101,8 +116,8 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
 
     for _ in range(config.max_iter):
         g = sset.weighted_grad(w, theta) + lam * theta
-        if factor is None or cert_rows.shape[0]:
-            h = sset.weighted_hess(w, theta)
+        if factor is None or not quadratic:
+            h = sset.weighted_hess(w, theta) if hessian is None else np.array(hessian, dtype=float)
             h[np.diag_indices_from(h)] += lam
             try:
                 factor = chol_factor(h)
@@ -115,7 +130,7 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
         dec = float(np.sqrt(max(-gdotp, 0.0)))
         trace.append(dec)
         if dec <= config.tol:
-            if lam == 0.0 and not _attained(cert_rows, factor, dec):
+            if lam == 0.0 and not _attained(sset.certificate_rows(), factor, dec):
                 raise NonConvergenceError(
                     f"population minimum not attained: decrement {dec:.3e} exceeds half "
                     f"the Dikin radius at lambda=0", trace)

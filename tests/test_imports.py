@@ -49,3 +49,15 @@ def test_lambda_context_calls_name_lam():
                  if len(node.args) < 3 and not any(kw.arg == "lam" for kw in node.keywords)]
     assert len(found) >= len(LAMBDA_CONTEXT)
     assert offenders == []
+
+
+def test_population_hessians_come_from_the_population():
+    """A ``weighted_hess`` over a population's own ``.weights`` outside
+    population.py would bypass the cached quadratic Hessian; such code calls
+    ``exact_hessian`` or reads ``hessian_at_star`` instead."""
+    found = [(file, node) for file, name, node in calls()
+             if name == "weighted_hess" and node.args
+             and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "weights"]
+    offenders = [f"{file}:{node.lineno}" for file, node in found if file != "population.py"]
+    assert found
+    assert offenders == []

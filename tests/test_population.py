@@ -18,6 +18,7 @@ from scerm import (
     SquareLoss,
     bias_lambda,
     check_decomposition_bound,
+    check_localization,
     compute_diagnostics,
     constants_at,
     default_lambda_grid,
@@ -172,9 +173,9 @@ def test_theta_star_and_each_lambda_solved_once(monkeypatch):
     solve = scerm.population.newton_minimize
     lams = []
 
-    def counted(sset, weights, lam, config=None):
+    def counted(sset, weights, lam, config=None, **kwargs):
         lams.append(lam)
-        return solve(sset, weights, lam, config)
+        return solve(sset, weights, lam, config, **kwargs)
 
     monkeypatch.setattr(scerm.population, "newton_minimize", counted)
     pop = make_logistic_population(4, 1.0, 1)
@@ -211,6 +212,55 @@ def test_cached_solutions_are_read_only(p2):
         p2.theta_star[0] = 1.0
     with pytest.raises(ValueError):
         p2.theta_lambda(0.2)[0] = 1.0
+
+
+def counted_weighted_hess(monkeypatch):
+    """Record every SampleSet.weighted_hess call; returns the list of calls."""
+    build = SampleSet.weighted_hess
+    calls = []
+
+    def counted(self, weights, theta):
+        calls.append(None)
+        return build(self, weights, theta)
+
+    monkeypatch.setattr(SampleSet, "weighted_hess", counted)
+    return calls
+
+
+def test_square_population_hessian_built_once(monkeypatch):
+    calls = counted_weighted_hess(monkeypatch)
+    pop = make_source_population(16, 0.5, 1.0, 0)
+    pop.theta_star, pop.hessian_at_star, pop.spectrum
+    for lam in (0.5, 0.1, 0.02):
+        pop.theta_lambda(lam)
+    rng = np.random.default_rng(5)
+    for lam in (0.0, 0.1):
+        h = exact_hessian(pop, rng.normal(size=16), lam)
+        np.testing.assert_array_equal(h, pop.hessian_at_star + lam * np.eye(16))
+    check_localization(pop, pop.theta_star, 0.1)
+    assert len(calls) == 1
+
+
+def test_logistic_population_hessian_follows_theta(monkeypatch):
+    calls = counted_weighted_hess(monkeypatch)
+    pop = make_logistic_population(4, 1.0, 1)
+    h0 = exact_hessian(pop, np.zeros(4), 0.1)
+    h1 = exact_hessian(pop, np.full(4, 0.5), 0.1)
+    assert len(calls) == 2
+    assert not np.allclose(h0, h1)
+
+
+def test_square_exact_hessian_is_a_fresh_copy(p1):
+    cached = p1.hessian_at_star
+    h = exact_hessian(p1, np.zeros(1), 0.0)
+    h[0, 0] = 7.0
+    assert cached[0, 0] == 1.0
+    assert exact_hessian(p1, np.zeros(1), 0.0)[0, 0] == 1.0
+    assert exact_hessian(p1, np.zeros(1), 0.5)[0, 0] == 1.5
+    with pytest.raises(ValueError):
+        cached[0, 0] = 1.0
+    with pytest.raises(ContractViolation):
+        exact_hessian(p1, np.zeros(2), 0.0)
 
 
 # -- solution invariants ----------------------------------------------------------

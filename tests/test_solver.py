@@ -56,6 +56,26 @@ def test_square_converges_in_one_step(rng, monkeypatch):
                                    decrement(sset, w, 0.1, res.theta_hat))
 
 
+def test_given_hessian_replaces_the_build(rng, monkeypatch):
+    sset, w, x, y = ridge_instance(rng, 5, 40)
+    h = sset.weighted_hess(w, np.zeros(5))
+    h.setflags(write=False)
+    built = []
+    monkeypatch.setattr(SampleSet, "weighted_hess", lambda *args: built.append(args))
+    res = solver.newton_minimize(sset, w, 0.1, hessian=h)
+    assert built == []
+    np.testing.assert_allclose(res.theta_hat, ridge_closed_form(x, y, w, 0.1), atol=1e-10)
+
+
+def test_given_hessian_contract(rng):
+    sset, w, _, _ = ridge_instance(rng, 5, 40)
+    with pytest.raises(ContractViolation, match="shape"):
+        solver.newton_minimize(sset, w, 0.1, hessian=np.eye(4))
+    logistic = SampleSet(LogisticLoss(), rng.normal(size=(6, 5)), np.sign(rng.normal(size=6)))
+    with pytest.raises(ContractViolation, match="certificate"):
+        solver.newton_minimize(logistic, np.full(6, 1 / 6), 0.1, hessian=np.eye(5))
+
+
 def test_matches_ridge_closed_form(rng):
     for _ in range(20):
         d = int(rng.integers(1, 12))
