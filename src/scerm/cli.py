@@ -3,11 +3,14 @@
     scerm --config cfg.yaml [--seed N] [--out DIR] [--jobs N] [--quiet]
 
 Commands (selected inside the config): solve, diagnose, verify, rates,
-concentration. Every run writes a CSV report plus a summary.json into the
-output directory; each file starts with comment rows embedding the config
-digest and seed, and writes go through a temp file + rename so partial
-output never lands under the final name. Reruns with identical config and
-seed produce byte-identical files.
+concentration. Each command computes its full report before ``run`` writes
+it as a CSV report plus a summary.json into the output directory, so a
+failed run leaves no output. The CSV starts with comment rows embedding the
+config digest and seed; summary.json holds them as fields and writes
+non-finite values as the strings "inf", "-inf" and "nan", so it is strict
+JSON. Writes go through a temp file + rename so partial output never lands
+under the final name. Reruns with identical config and seed produce
+byte-identical files.
 
 Exit codes: 0 success, 1 assertion failure (a configured tolerance or
 threshold was missed, a solve did not converge, or a population minimum is
@@ -23,7 +26,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -75,55 +78,53 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_csv(path: str, digest: str, seed: int, header, rows) -> None:
-    lines = [f"# scerm report", f"# config_digest: {digest}", f"# seed: {seed}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _write_summary(path: str, digest: str, seed: int, payload: dict) -> None:
-    doc = {"config_digest": digest, "seed": seed, **payload}
-    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
 def _san(x):
-    """JSON-safe scalar (inf/nan become strings)."""
-    if isinstance(x, float) and not math.isfinite(x):
-        return str(x)
+    """A JSON-safe copy of a summary value: inf and nan become strings."""
+    if isinstance(x, dict):
+        return {key: _san(v) for key, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_san(v) for v in x]
     if isinstance(x, (np.floating, np.integer)):
         return _san(x.item())
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)
     return x
 
 
-def _cmd_solve(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
+@dataclass(frozen=True)
+class _Report:
+    """One command's complete output: a CSV table, the summary.json fields and
+    the digest line. ``ok`` False makes the run exit 1."""
+
+    csv_name: str
+    header: tuple
+    rows: list
+    summary: dict
+    line: str
+    ok: bool = True
+
+
+def _cmd_solve(cfg: RunConfig, pop, jobs) -> _Report:
     spec = cfg.solve
     config = SolverConfig(tol=spec.tol, max_iter=spec.max_iter)
     res = solve_erm(pop.sample_set, pop.weights, spec.lam, config)
-    _write_csv(
-        os.path.join(out_dir, "solve.csv"), digest, cfg.seed,
-        ["index", "theta"],
+    return _Report(
+        "solve.csv", ("index", "theta"),
         [(i, float(v)) for i, v in enumerate(res.theta_hat)],
-    )
-    _write_summary(
-        os.path.join(out_dir, "summary.json"), digest, cfg.seed,
         {
             "command": "solve",
             "lambda": spec.lam,
             "iterations": res.iterations,
             "converged": res.converged,
-            "final_decrement": _san(res.decrement_trace[-1]),
-            "decrement_trace": [_san(v) for v in res.decrement_trace],
+            "final_decrement": res.decrement_trace[-1],
+            "decrement_trace": res.decrement_trace,
         },
+        f"solve: converged={res.converged} iterations={res.iterations} "
+        f"decrement={res.decrement_trace[-1]:.3e}",
     )
-    if not quiet:
-        print(f"solve: converged={res.converged} iterations={res.iterations} "
-              f"decrement={res.decrement_trace[-1]:.3e}")
-    return 0
 
 
-def _cmd_diagnose(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
+def _cmd_diagnose(cfg: RunConfig, pop, jobs) -> _Report:
     spec = cfg.diagnose
     if spec.lambda_grid is not None:
         grid = np.asarray(spec.lambda_grid, dtype=float)
@@ -138,37 +139,27 @@ def _cmd_diagnose(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
             c.k_bias, c.k_var, c.c_bias, c.c_var, c.shift1, c.shift2,
             c.n_factor_hessian, c.n_factor_variance, c.branch,
         ))
-    _write_csv(
-        os.path.join(out_dir, "diagnostics.csv"), digest, cfg.seed,
-        ["lambda", "bias", "df", "dikin_radius", "t_lambda",
-         "k_bias", "k_var", "c_bias", "c_var", "shift1", "shift2",
-         "n_factor_hessian", "n_factor_variance", "branch"],
-        rows,
-    )
     payload = {"command": "diagnose", "n_grid_points": int(report.lambda_grid.size)}
-    if report.fitted_r is not None:
-        payload["fitted_r"] = _san(report.fitted_r.value)
-        payload["fitted_r_residual"] = _san(report.fitted_r.residual)
-    if report.fitted_alpha is not None:
-        payload["fitted_alpha"] = _san(report.fitted_alpha.value)
-        payload["fitted_alpha_residual"] = _san(report.fitted_alpha.residual)
-    _write_summary(os.path.join(out_dir, "summary.json"), digest, cfg.seed, payload)
-    if not quiet:
-        r_txt = payload.get("fitted_r", "n/a")
-        a_txt = payload.get("fitted_alpha", "n/a")
-        print(f"diagnose: {report.lambda_grid.size} grid points, "
-              f"fitted_r={r_txt} fitted_alpha={a_txt}")
-    return 0
+    for name, fit in (("fitted_r", report.fitted_r), ("fitted_alpha", report.fitted_alpha)):
+        if fit is not None:
+            payload[name], payload[f"{name}_residual"] = fit.value, fit.residual
+    return _Report(
+        "diagnostics.csv",
+        ("lambda", "bias", "df", "dikin_radius", "t_lambda",
+         "k_bias", "k_var", "c_bias", "c_var", "shift1", "shift2",
+         "n_factor_hessian", "n_factor_variance", "branch"),
+        rows, payload,
+        f"diagnose: {report.lambda_grid.size} grid points, "
+        f"fitted_r={payload.get('fitted_r', 'n/a')} "
+        f"fitted_alpha={payload.get('fitted_alpha', 'n/a')}",
+    )
 
 
-def _cmd_verify(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
+def _cmd_verify(cfg: RunConfig, pop, jobs) -> _Report:
     spec = cfg.verify
     reports = run_check_suite(spec.trials_per_case, cfg.seed, slack=spec.slack)
     total_trials = sum(r.trials for r in reports.values())
     total_violations = sum(r.violations for r in reports.values())
-
-    # everything that can fail runs before the first write, so a failed run
-    # leaves no partial output
     loc_failures = 0
     if pop is not None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 999]))
@@ -177,28 +168,22 @@ def _cmd_verify(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
             theta = pop.theta_star + rng.normal(0.0, 0.1, size=pop.dim)
             if not check_localization(pop, theta, lam).holds:
                 loc_failures += 1
-
-    _write_csv(
-        os.path.join(out_dir, "verify.csv"), digest, cfg.seed,
-        ["loss_kind", "check", "trials", "violations", "worst_margin"],
+    ok = total_violations == 0 and loc_failures == 0
+    return _Report(
+        "verify.csv", ("loss_kind", "check", "trials", "violations", "worst_margin"),
         [(kind, name, rep.trials, rep.violations, rep.worst_margin)
          for (kind, name), rep in sorted(reports.items())],
-    )
-    _write_summary(
-        os.path.join(out_dir, "summary.json"), digest, cfg.seed,
         {
             "command": "verify",
             "total_trials": total_trials,
             "total_violations": total_violations,
             "localization_failures": loc_failures,
-            "worst_margin": _san(min(r.worst_margin for r in reports.values())),
+            "worst_margin": min(r.worst_margin for r in reports.values()),
         },
+        f"verify: {total_trials} trials, {total_violations} violations, "
+        f"{loc_failures} localization failures -> {'PASS' if ok else 'FAIL'}",
+        ok,
     )
-    ok = total_violations == 0 and loc_failures == 0
-    if not quiet:
-        print(f"verify: {total_trials} trials, {total_violations} violations, "
-              f"{loc_failures} localization failures -> {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
 
 
 def _rates_params(pop, delta) -> RateParams:
@@ -222,7 +207,7 @@ def _rates_params(pop, delta) -> RateParams:
     )
 
 
-def _cmd_rates(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
+def _cmd_rates(cfg: RunConfig, pop, jobs) -> _Report:
     spec = cfg.rates
     params = _rates_params(pop, spec.delta)
     lam_spec = spec.lambdas
@@ -253,47 +238,44 @@ def _cmd_rates(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
     payload = {
         "command": "rates",
         "regime": report.regime,
-        "fitted_exponent": _san(report.fitted_exponent),
-        "theoretical_exponent": _san(report.theoretical_exponent),
-        "mean_excess": [_san(v) for v in report.mean_excess],
-        "lambdas": [_san(v) for v in report.lambdas],
-        "violation_freq": [_san(v) for v in report.violation_freq],
-        "guard_met": list(report.guard_met),
+        "fitted_exponent": report.fitted_exponent,
+        "theoretical_exponent": report.theoretical_exponent,
+        "mean_excess": report.mean_excess,
+        "lambdas": report.lambdas,
+        "violation_freq": report.violation_freq,
+        "guard_met": report.guard_met,
         "solver_failures": report.solver_failures,
     }
     try:
         consts = rate_constants(spec.regime, params)
         # the sample threshold is reported, never enforced: desk-scale n
         # sits far below it while the rates already manifest
-        payload["schedule_c0"] = _san(consts.c0)
-        payload["rate_c1"] = _san(consts.c1)
-        payload["n_threshold"] = _san(consts.n_threshold)
+        payload["schedule_c0"] = consts.c0
+        payload["rate_c1"] = consts.c1
+        payload["n_threshold"] = consts.n_threshold
     except ContractViolation:
         pass
-    # the summary is complete before the first write: a failed run leaves no output
-    _write_csv(
-        os.path.join(out_dir, "rates.csv"), digest, cfg.seed,
-        ["n", "replicate", "lambda", "excess_risk", "bound_rhs", "guard_ok", "seed"],
-        [(c.n, c.replicate, c.lam, c.excess_risk, c.bound_rhs, c.guard_ok, c.seed)
-         for c in report.cells],
-    )
-    _write_summary(os.path.join(out_dir, "summary.json"), digest, cfg.seed, payload)
     ok = report.solver_failures == 0
     if ok and spec.tolerance is not None and report.theoretical_exponent is not None:
         ok = (
             math.isfinite(report.fitted_exponent)
             and abs(report.fitted_exponent - report.theoretical_exponent) <= spec.tolerance
         )
-    if not quiet:
-        theo = report.theoretical_exponent
-        theo_txt = f"{theo:.4f}" if theo is not None else "n/a"
-        print(f"rates[{report.regime}]: fitted={report.fitted_exponent:.4f} "
-              f"theoretical={theo_txt} failures={report.solver_failures} "
-              f"-> {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    theo = report.theoretical_exponent
+    theo_txt = f"{theo:.4f}" if theo is not None else "n/a"
+    return _Report(
+        "rates.csv", ("n", "replicate", "lambda", "excess_risk", "bound_rhs", "guard_ok", "seed"),
+        [(c.n, c.replicate, c.lam, c.excess_risk, c.bound_rhs, c.guard_ok, c.seed)
+         for c in report.cells],
+        payload,
+        f"rates[{report.regime}]: fitted={report.fitted_exponent:.4f} "
+        f"theoretical={theo_txt} failures={report.solver_failures} "
+        f"-> {'PASS' if ok else 'FAIL'}",
+        ok,
+    )
 
 
-def _cmd_concentration(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
+def _cmd_concentration(cfg: RunConfig, pop, jobs) -> _Report:
     spec = cfg.concentration
     if spec.kind == "hessian":
         report = hessian_concentration_experiment(
@@ -303,30 +285,25 @@ def _cmd_concentration(cfg: RunConfig, pop, out_dir, digest, jobs, quiet):
         report = gradient_concentration_experiment(
             pop, spec.lam, spec.n, spec.replicates, spec.delta, k=spec.k, seed=cfg.seed
         )
-    _write_csv(
-        os.path.join(out_dir, "concentration.csv"), digest, cfg.seed,
-        ["replicate", "success"],
+    status = "SKIPPED (premise unmet)" if report.skipped else (
+        "PASS" if report.passed else "FAIL")
+    return _Report(
+        "concentration.csv", ("replicate", "success"),
         [(i, int(v)) for i, v in enumerate(report.outcomes)],
-    )
-    _write_summary(
-        os.path.join(out_dir, "summary.json"), digest, cfg.seed,
         {
             "command": "concentration",
             "kind": report.kind,
             "n": report.n,
-            "premise_n": _san(report.premise_n),
+            "premise_n": report.premise_n,
             "premise_ok": report.premise_ok,
-            "frequency": _san(report.frequency),
-            "threshold": _san(report.threshold),
+            "frequency": report.frequency,
+            "threshold": report.threshold,
             "skipped": report.skipped,
         },
+        f"concentration[{report.kind}]: n={report.n} frequency={report.frequency:.4f} "
+        f"threshold={report.threshold:.4f} -> {status}",
+        report.passed,
     )
-    if not quiet:
-        status = "SKIPPED (premise unmet)" if report.skipped else (
-            "PASS" if report.passed else "FAIL")
-        print(f"concentration[{report.kind}]: n={report.n} frequency={report.frequency:.4f} "
-              f"threshold={report.threshold:.4f} -> {status}")
-    return 0 if report.passed else 1
 
 
 _COMMANDS = {
@@ -342,7 +319,17 @@ def run(cfg: RunConfig, raw_document, out_dir: str, jobs: int = 1, quiet: bool =
     digest = config_digest(raw_document)
     os.makedirs(out_dir, exist_ok=True)
     pop = build_population(cfg.population) if cfg.population is not None else None
-    return _COMMANDS[cfg.command](cfg, pop, out_dir, digest, jobs, quiet)
+    report = _COMMANDS[cfg.command](cfg, pop, jobs)
+    lines = ["# scerm report", f"# config_digest: {digest}", f"# seed: {cfg.seed}",
+             ",".join(report.header)]
+    lines += [",".join(_fmt(v) for v in row) for row in report.rows]
+    _atomic_write(os.path.join(out_dir, report.csv_name), "\n".join(lines) + "\n")
+    summary = _san({"config_digest": digest, "seed": cfg.seed, **report.summary})
+    _atomic_write(os.path.join(out_dir, "summary.json"),
+                  json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    if not quiet:
+        print(report.line)
+    return 0 if report.ok else 1
 
 
 def main(argv=None) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -298,13 +299,21 @@ def _population(node, errs) -> dict | None:
     return pop
 
 
+class _Loader(yaml.SafeLoader):
+    """The safe loader, reading also the YAML 1.2 floats 1e-3 and 2.5E4 (strings in YAML 1.1)."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+0123456789."))
+
+
 def parse_config(document) -> RunConfig:
     """Validate a config mapping (or YAML string) into a RunConfig.
 
     Raises ConfigError listing every violation with its dotted path.
     """
     if isinstance(document, str):
-        document = yaml.safe_load(document)
+        document = yaml.load(document, Loader=_Loader)
     errs = []
     top = _fields(document, "", _TOP, errs)
     if top is None:
@@ -346,7 +355,7 @@ def parse_config(document) -> RunConfig:
 
 def load_config_file(path) -> tuple[RunConfig, dict]:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        raw = yaml.load(fh, Loader=_Loader)
     return parse_config(raw), raw
 
 

@@ -8,6 +8,7 @@ dense (d up to a few hundred), so BLAS runs on one thread per process
 """
 
 import ctypes
+import math
 import os
 
 import numpy as np
@@ -85,6 +86,14 @@ def inv_quad_rows(factor, rows: np.ndarray) -> np.ndarray:
         return np.zeros(0)
     sol = chol_solve(factor, rows.T)
     return np.maximum(np.einsum("ij,ji->i", rows, sol), 0.0)
+
+
+def radius_from_factor(factor, rows: np.ndarray) -> float:
+    """1 / max_i ||g_i||_{A^{-1}} over a stack of vectors g_i, given a Cholesky
+    factor of A: the largest r such that ||v||_A <= r implies |g_i . v| <= 1
+    for every i. inf when there are no rows or all are zero."""
+    sup_sq = float(np.max(inv_quad_rows(factor, rows), initial=0.0))
+    return math.inf if sup_sq == 0.0 else 1.0 / math.sqrt(sup_sq)
 
 
 def gen_eigmax(a: np.ndarray, b: np.ndarray) -> float:

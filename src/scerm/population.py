@@ -40,7 +40,7 @@ import numpy as np
 
 from . import scfun
 from .errors import ContractViolation
-from .linalg import add_ridge, chol_factor, inv_quad_rows
+from .linalg import add_ridge, chol_factor, radius_from_factor
 from .losses import LogisticLoss, LossModel, SampleSet, SquareLoss, _check_theta, _sigmoid
 from .solver import SolverConfig, newton_minimize
 
@@ -225,14 +225,8 @@ def dikin_radius(pop: FinitePopulation, theta, lam: float) -> float:
         raise ContractViolation("dikin_radius requires lambda > 0")
     if pop.sample_set.quadratic:
         return math.inf
-    return _radius_from_factor(pop.sample_set.certificate_rows(),
-                               chol_factor(exact_hessian(pop, theta, lam)))
-
-
-def _radius_from_factor(rows: np.ndarray, factor) -> float:
-    """``dikin_radius`` from the certificate rows and a factor of H_lambda(theta)."""
-    sup_sq = float(np.max(inv_quad_rows(factor, rows), initial=0.0))
-    return math.inf if sup_sq == 0.0 else 1.0 / math.sqrt(sup_sq)
+    return radius_from_factor(chol_factor(exact_hessian(pop, theta, lam)),
+                              pop.sample_set.certificate_rows())
 
 
 def t_lambda(pop: FinitePopulation, lam: float) -> float:

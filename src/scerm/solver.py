@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NonConvergenceError
-from .linalg import chol_factor, chol_solve, inv_quad_rows
+from .linalg import chol_factor, chol_solve, radius_from_factor
 from .losses import SampleSet
 
 __all__ = ["SolverConfig", "SolveResult", "solve_erm", "decrement", "newton_minimize"]
@@ -72,13 +72,6 @@ def _as_weights(weights, m):
     if abs(total - 1.0) > 1e-9:
         raise ContractViolation("weights must sum to 1")
     return w
-
-
-def _attained(cert_rows: np.ndarray, factor, dec: float) -> bool:
-    """The localization lemma's proof that a lam = 0 minimum is attained:
-    dec <= r0/2, r0 = 1 / sup_g ||g||_{H^{-1}} over the certificate vectors g."""
-    sup_sq = float(np.max(inv_quad_rows(factor, cert_rows), initial=0.0))
-    return 4.0 * dec * dec * sup_sq <= 1.0
 
 
 def newton_minimize(sset: SampleSet, weights, lam: float,
@@ -130,7 +123,8 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
         dec = float(np.sqrt(max(-gdotp, 0.0)))
         trace.append(dec)
         if dec <= config.tol:
-            if lam == 0.0 and not _attained(sset.certificate_rows(), factor, dec):
+            # the localization lemma's proof that a lam = 0 minimum is attained
+            if lam == 0.0 and dec > radius_from_factor(factor, sset.certificate_rows()) / 2.0:
                 raise NonConvergenceError(
                     f"population minimum not attained: decrement {dec:.3e} exceeds half "
                     f"the Dikin radius at lambda=0", trace)

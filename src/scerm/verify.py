@@ -22,11 +22,11 @@ import numpy as np
 
 from . import scfun
 from .errors import ContractViolation
-from .linalg import add_ridge, ball_point, chol_factor, eigmin, gen_eigmax, inv_norm, norm_a
+from .linalg import (add_ridge, ball_point, chol_factor, eigmin, gen_eigmax, inv_norm, norm_a,
+                     radius_from_factor)
 from .losses import LOSS_KINDS, SampleSet, SoftmaxGLMLoss
 from .population import (
     FinitePopulation,
-    _radius_from_factor,
     constants_at,
     exact_grad,
     exact_hessian,
@@ -170,7 +170,7 @@ def check_localization(pop: FinitePopulation, theta, lam: float,
     sset = pop.sample_set
     h_pop = exact_hessian(pop, theta, lam)
     factor = chol_factor(h_pop)
-    radius = _radius_from_factor(sset.certificate_rows(), factor)
+    radius = radius_from_factor(factor, sset.certificate_rows())
     if weights is None:
         grad_norm = inv_norm(factor, exact_grad(pop, theta, lam))
         target = pop.theta_lambda(lam)
@@ -220,7 +220,7 @@ def check_decomposition_bound(pop: FinitePopulation, lam: float, weights,
     h_lam = exact_hessian(pop, theta_lam, lam)
     factor = chol_factor(h_lam)
     varhat = _varhat(pop, w, theta_lam, lam, h_lam, factor)
-    guard_radius = _radius_from_factor(sset.certificate_rows(), factor)
+    guard_radius = radius_from_factor(factor, sset.certificate_rows())
     applicable = varhat <= guard_radius / 2.0
 
     consts = constants_at(pop, lam=lam)

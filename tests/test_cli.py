@@ -6,10 +6,12 @@ import sys
 import pytest
 import yaml
 
+import scerm.cli
 import scerm.rates
 from scerm import ConfigError, NonConvergenceError
 from scerm.cli import main
-from scerm.config import parse_config
+from scerm.config import load_config_file, parse_config
+from scerm.verify import LocalizationRecord
 
 
 MINIMAL_DIAGNOSE = {
@@ -105,6 +107,25 @@ def test_parse_collects_multiple_errors():
     paths = {path for path, _ in err.value.errors}
     assert {"population.r", "population.alpha", "rates.n_grid", "rates.replicates",
             "rates.delta"} <= paths
+
+
+def test_yaml_exponent_floats_parse_as_numbers(tmp_path):
+    # YAML 1.1 reads 1e-3 as a string; the YAML 1.2 float forms are numbers here
+    text = (
+        "command: rates\n"
+        "population: {generator: source, d: 8, r: 0.5, alpha: 2.0}\n"
+        "solve: {lambda: 1e-3}\n"
+        "verify: {slack: 1e-9}\n"
+        "rates: {regime: source, n_grid: [16, 32], replicates: 2, delta: 0.1,\n"
+        "        lambda: {mode: anchored, anchor: 6e-2, n_anchor: 16}}\n"
+    )
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    for cfg in (parse_config(text), load_config_file(str(path))[0]):
+        assert (cfg.solve.lam, cfg.verify.slack, cfg.rates.lambdas.anchor) == (1e-3, 1e-9, 6e-2)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.replace("1e-3", ".inf"))
+    assert [path for path, _ in err.value.errors] == ["solve.lambda"]
 
 
 # -- end-to-end commands -------------------------------------------------------------
@@ -214,6 +235,28 @@ def test_verify_command(tmp_path):
     lines = (out / "verify.csv").read_text().strip().splitlines()
     assert lines[3] == "loss_kind,check,trials,violations,worst_margin"
     assert len(lines) == 4 + 20
+
+
+def test_verify_localization_trials(tmp_path, capsys, monkeypatch):
+    doc = {"command": "verify", "seed": 2,
+           "population": {"generator": "source", "d": 6, "r": 0.5, "alpha": 2.0, "seed": 1},
+           "verify": {"trials_per_case": 2, "localization_trials": 5}}
+    cfg_path = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["--config", cfg_path, "--out", str(out)]) == 0
+    assert "-> PASS" in capsys.readouterr().out
+    assert json.loads((out / "summary.json").read_text())["localization_failures"] == 0
+
+    def violated(*args, **kwargs):
+        return LocalizationRecord(antecedent=True, consequent=False, gradient_norm=0.0,
+                                  radius=1.0, seminorm=1.0, empirical=False)
+
+    monkeypatch.setattr(scerm.cli, "check_localization", violated)
+    out = tmp_path / "fail"
+    assert main(["--config", cfg_path, "--out", str(out)]) == 1
+    assert "-> FAIL" in capsys.readouterr().out
+    assert (out / "verify.csv").exists()
+    assert json.loads((out / "summary.json").read_text())["localization_failures"] == 5
 
 
 def test_population_round_trips_through_config():
@@ -420,6 +463,12 @@ def at(path):
     pytest.param(DEGENERATE_RATES, [],
                  "error: the corollary's lambda is 0.0 because B1 over the ball is 0; "
                  "set rates.lambda.mode: anchored|explicit\n", id="zero-corollary-lambda"),
+    pytest.param(dict(DEGENERATE_RATES, rates={
+        **DEGENERATE_RATES["rates"], "lambda": {"mode": "explicit", "values": [0.1, 0.05]}}),
+                 [], at("rates.lambda.values") + "must have one value per n_grid entry",
+                 id="one-lambda-short"),
+    pytest.param(dict(MINIMAL_DIAGNOSE, diagnose={"log2_min": 5, "log2_max": 4}), [],
+                 at("diagnose.log2_max") + "must be >= log2_min", id="log2-max-below-min"),
 ])
 def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, monkeypatch, doc, argv,
                                                  expect):
@@ -461,17 +510,22 @@ def test_degenerate_rates_run_writes_both_files_without_constants(tmp_path):
     assert "n_threshold" not in summary
 
 
-def test_rates_with_a_failed_cell_exits_1(tmp_path, capsys, monkeypatch):
+def fail_first_solves(monkeypatch, count):
+    """Make the first ``count`` rate-cell solves raise NonConvergenceError."""
     solve = scerm.rates.newton_minimize
     calls = []
 
     def fail_first(*args, **kwargs):
         calls.append(None)
-        if len(calls) == 1:
+        if len(calls) <= count:
             raise NonConvergenceError("forced failure", [])
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(scerm.rates, "newton_minimize", fail_first)
+
+
+def test_rates_with_a_failed_cell_exits_1(tmp_path, capsys, monkeypatch):
+    fail_first_solves(monkeypatch, 1)
     doc = {
         "command": "rates",
         "seed": 4,
@@ -483,3 +537,31 @@ def test_rates_with_a_failed_cell_exits_1(tmp_path, capsys, monkeypatch):
     assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), "--jobs", "1"]) == 1
     assert "-> FAIL" in capsys.readouterr().out
     assert json.loads((out / "summary.json").read_text())["solver_failures"] == 1
+
+
+def test_rates_with_every_cell_of_one_n_failed(tmp_path, capsys, monkeypatch):
+    # at --jobs 1 the cells run n by n, so the first two solves are both cells of n = 32
+    fail_first_solves(monkeypatch, 2)
+    doc = {
+        "command": "rates",
+        "seed": 4,
+        "population": {"generator": "source", "d": 6, "r": 0.5, "alpha": 2.0, "seed": 1},
+        "rates": {"regime": "source_capacity", "n_grid": [32, 64, 128], "replicates": 2,
+                  "delta": 0.25, "lambda": {"mode": "explicit", "values": [0.2, 0.1, 0.05]}},
+    }
+    out = tmp_path / "out"
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), "--jobs", "1"]) == 1
+    assert "-> FAIL" in capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError(f"summary.json holds the non-JSON constant {name}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert summary["solver_failures"] == 2
+    assert summary["mean_excess"][0] == "nan" and summary["violation_freq"][0] == "nan"
+    assert summary["guard_met"][0] is False
+    assert all(isinstance(v, float) for v in summary["mean_excess"][1:])
+    rows = (out / "rates.csv").read_text().strip().splitlines()[4:]
+    assert [row.split(",")[:2] for row in rows] == [
+        [n, r] for n in ("32", "64", "128") for r in ("0", "1")]
+    assert all(row.split(",")[3] == "nan" for row in rows[:2])

@@ -61,3 +61,19 @@ def test_population_hessians_come_from_the_population():
     offenders = [f"{file}:{node.lineno}" for file, node in found if file != "population.py"]
     assert found
     assert offenders == []
+
+
+def test_cli_files_written_only_by_run():
+    """Each command returns its report, and ``cli.run`` alone writes the run's
+    files and sanitizes the summary, so no command can leave partial output."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    functions = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    callers = {"_atomic_write": set(), "_san": set()}
+    for fn in functions:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                callers[node.func.id].add(fn.name)
+    assert callers == {"_atomic_write": {"run"}, "_san": {"run", "_san"}}
+    commands = [fn for fn in functions if fn.name.startswith("_cmd_")]
+    assert len(commands) == 5
+    assert all([arg.arg for arg in fn.args.args] == ["cfg", "pop", "jobs"] for fn in commands)

@@ -151,6 +151,30 @@ def test_sup_constants_softmax_bound_sampled_ball(rng):
             assert np.max(sset.trace_hess(theta)) <= c.b2 * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("kind", ["huber_sqrt", "huber_logcosh"])
+@pytest.mark.parametrize("radius", [0.0, 0.3, 2.0])
+def test_sup_constants_huber_bound_sampled_ball_and_attained(rng, kind, radius):
+    atoms = [random_sample(rng, kind, 3) for _ in range(4)]
+    sset = stack_samples(make_loss(kind), atoms)
+    c = sup_constants(sset, radius)
+    for _ in range(100):
+        theta = ball_point(rng, 3, radius)
+        assert np.max(sset.grad_norms(theta)) <= c.b1 * (1.0 + 1e-12)
+        assert np.max(sset.trace_hess(theta)) <= c.b2 * (1.0 + 1e-12)
+    # |psi'| grows and psi'' shrinks with |t|, t = y - theta.Phi: on the sphere
+    # through -sign(y) Phi the residual is largest, toward theta.Phi = y smallest
+    b1_hit = b2_hit = 0.0
+    for i, z in enumerate(atoms):
+        unit = z.features / np.linalg.norm(z.features)
+        sign = 1.0 if z.label >= 0 else -1.0
+        far = -sign * radius * unit
+        near = sign * min(radius, abs(z.label) / np.linalg.norm(z.features)) * unit
+        b1_hit = max(b1_hit, sset.grad_norms(far)[i])
+        b2_hit = max(b2_hit, sset.trace_hess(near)[i])
+    assert b1_hit == pytest.approx(c.b1, rel=1e-12)
+    assert b2_hit == pytest.approx(c.b2, rel=1e-12)
+
+
 def test_sup_constants_empty_support():
     with pytest.raises(ContractViolation):
         sup_constants(SampleSet(SquareLoss(), np.zeros((0, 1)), []), 1.0)
