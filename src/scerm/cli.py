@@ -8,9 +8,9 @@ it as a CSV report plus a summary.json into the output directory, so a
 failed run leaves no output. The CSV starts with comment rows embedding the
 config digest and seed; summary.json holds them as fields and writes
 non-finite values as the strings "inf", "-inf" and "nan", so it is strict
-JSON. Writes go through a temp file + rename so partial output never lands
-under the final name. Reruns with identical config and seed produce
-byte-identical files.
+JSON. Both files are written to temp files before either is renamed into
+place, so a failed write leaves neither under its final name. Reruns with
+identical config and seed produce byte-identical files.
 
 Exit codes: 0 success, 1 assertion failure (a configured tolerance or
 threshold was missed, a solve did not converge, or a population minimum is
@@ -48,6 +48,7 @@ from .rates import (
     gradient_concentration_experiment,
     hessian_concentration_experiment,
     lambda_exponent,
+    lambda_schedule,
     rate_constants,
     run_rate_experiment,
 )
@@ -65,16 +66,28 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+def _atomic_write(files) -> None:
+    """Write every (path, text) pair or none: all temp files are written
+    before the first rename, and a failure removes the temp files and every
+    file this call already renamed into place. Files get mode 0o666 & ~umask."""
+    umask = os.umask(0)
+    os.umask(umask)
+    temps, placed = [], []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-",
+                                       suffix=".part")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
+            placed.append(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for name in temps + placed:
+            if os.path.lexists(name):
+                os.unlink(name)
         raise
 
 
@@ -211,9 +224,8 @@ def _cmd_rates(cfg: RunConfig, pop, jobs) -> _Report:
     spec = cfg.rates
     params = _rates_params(pop, spec.delta)
     lam_spec = spec.lambdas
-    override = None
     if lam_spec.mode == "explicit":
-        override = lam_spec.values
+        lambdas = lam_spec.values
     elif lam_spec.mode == "anchored":
         exponent = lam_spec.exponent
         if exponent is None:
@@ -221,7 +233,9 @@ def _cmd_rates(cfg: RunConfig, pop, jobs) -> _Report:
             exponent = lambda_exponent(spec.regime,
                                        params.r if params.r is not None else 0.5,
                                        params.alpha if params.alpha is not None else 1.0)
-        override = anchored_lambdas(spec.n_grid, exponent, lam_spec.anchor, lam_spec.n_anchor)
+        lambdas = anchored_lambdas(spec.n_grid, exponent, lam_spec.anchor, lam_spec.n_anchor)
+    else:  # corollary
+        lambdas = [lambda_schedule(spec.regime, n, params).value for n in spec.n_grid]
 
     plan = ExperimentPlan(
         population=pop,
@@ -230,8 +244,7 @@ def _cmd_rates(cfg: RunConfig, pop, jobs) -> _Report:
         replicates=spec.replicates,
         delta=spec.delta,
         seed=cfg.seed,
-        params=params,
-        lambda_override=override,
+        lambdas=lambdas,
         burn_in=spec.burn_in,
     )
     report = run_rate_experiment(plan, jobs=jobs)
@@ -323,10 +336,12 @@ def run(cfg: RunConfig, raw_document, out_dir: str, jobs: int = 1, quiet: bool =
     lines = ["# scerm report", f"# config_digest: {digest}", f"# seed: {cfg.seed}",
              ",".join(report.header)]
     lines += [",".join(_fmt(v) for v in row) for row in report.rows]
-    _atomic_write(os.path.join(out_dir, report.csv_name), "\n".join(lines) + "\n")
     summary = _san({"config_digest": digest, "seed": cfg.seed, **report.summary})
-    _atomic_write(os.path.join(out_dir, "summary.json"),
-                  json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    _atomic_write([
+        (os.path.join(out_dir, report.csv_name), "\n".join(lines) + "\n"),
+        (os.path.join(out_dir, "summary.json"),
+         json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"),
+    ])
     if not quiet:
         print(report.line)
     return 0 if report.ok else 1

@@ -352,8 +352,7 @@ def default_lambda_grid(b2_star: float, k_min: int, k_max: int) -> np.ndarray:
     return grid[grid <= b2_star]
 
 
-def compute_diagnostics(pop: FinitePopulation, lambda_grid,
-                        fit_exponents: bool = True) -> DiagnosticsReport:
+def compute_diagnostics(pop: FinitePopulation, lambda_grid) -> DiagnosticsReport:
     """Bias, df, Dikin radius, t_lambda and constants on a lambda grid.
 
     The localization bound on t_lambda (t <= log 2 when Bias <= r/2, else
@@ -385,7 +384,7 @@ def compute_diagnostics(pop: FinitePopulation, lambda_grid,
         t_lambda=tla,
         constants=consts,
     )
-    if fit_exponents and grid.size >= 3:
+    if grid.size >= 3:
         report = replace(report, fitted_r=estimate_source_exponent(report),
                          fitted_alpha=estimate_capacity_exponent(report))
     return report

@@ -8,8 +8,8 @@ rates:
     source_capacity  lambda ~ n^{-alpha/(1+a(1+2r))}   excess ~ n^{-a(1+2r)/(a(1+2r)+1)}
 
 ``lambda_schedule`` evaluates the corollaries' prescriptions literally (their
-constants are very conservative at desk scale, hence the clamp to (0, B2*]
-and the ``lambda_override`` hook on plans); ``run_rate_experiment`` draws
+constants are very conservative at desk scale, hence the clamp to (0, B2]
+and plans that take any ``lambdas``); ``run_rate_experiment`` draws
 i.i.d. multinomial samples from a finite population, solves the regularized
 ERM per cell, and compares exact excess risks against the refined
 bias/variance bound evaluated with the exact per-lambda constants. Every
@@ -113,14 +113,27 @@ def _exponents(regime: str, r, alpha) -> tuple[float, float]:
     return alpha / (1.0 + s), s / (s + 1.0)
 
 
+def _corollary_q_alpha(regime: str, params: RateParams) -> tuple[float, float]:
+    """The corollary's (Q, alpha): (B1*, 1) under the source condition alone,
+    (Q, alpha) under the source and capacity conditions."""
+    if regime == "source":
+        _require(params, ("b1_star", "source_norm", "r"))
+        return params.b1_star, 1.0
+    if regime == "source_capacity":
+        _require(params, ("capacity_q", "source_norm", "r", "alpha"))
+        return params.capacity_q, params.alpha
+    raise ContractViolation(f"unknown regime {regime!r}")
+
+
 def lambda_exponent(regime: str, r: float, alpha: float) -> float:
     """Decay exponent beta of the corollary's schedule lambda ~ n^-beta."""
     return _exponents(regime, r, alpha)[0]
 
 
 def lambda_schedule(regime: str, n: int, params: RateParams) -> ScheduledLambda:
-    """The corollary's lambda for sample size n, clamped to (0, B2*]. A lambda
-    of 0, from a zero B1 over the ball or Q, raises ContractViolation.
+    """The corollary's lambda for sample size n, clamped to (0, B2], with B2
+    over the ball for none and B2* otherwise. A lambda of 0, from a zero B1
+    over the ball or Q, raises ContractViolation.
 
     none:            16 B1_ball max(1, R) sqrt(log(2/delta)/n)
     source:          (256 (B1*/L)^2 / n)^{1/(2+2r)}
@@ -136,16 +149,10 @@ def lambda_schedule(regime: str, n: int, params: RateParams) -> ScheduledLambda:
         cap = params.b2_ball
         cause = "B1 over the ball"
     else:
-        if regime == "source":
-            _require(params, ("b1_star", "source_norm", "r", "b2_star"))
-            q = params.b1_star
-        elif regime == "source_capacity":
-            _require(params, ("capacity_q", "source_norm", "r", "alpha", "b2_star"))
-            q = params.capacity_q
-        else:
-            raise ContractViolation(f"unknown regime {regime!r}")
+        q, alpha = _corollary_q_alpha(regime, params)
+        _require(params, ("b2_star",))
         c0 = 256.0 * (q / params.source_norm) ** 2
-        raw = (c0 / n) ** lambda_exponent(regime, params.r, params.alpha)
+        raw = (c0 / n) ** lambda_exponent(regime, params.r, alpha)
         cap = params.b2_star
         cause = "Q"
     if raw <= 0:
@@ -199,15 +206,7 @@ def rate_constants(regime: str, params: RateParams) -> RateConstants:
         )
         return RateConstants(c0=c0, c1=c1, n_threshold=n_thr, gamma=theoretical_rate("none"))
 
-    if regime == "source":
-        _require(params, ("b1_star", "source_norm", "r"))
-        q, alpha = params.b1_star, 1.0
-    elif regime == "source_capacity":
-        _require(params, ("capacity_q", "source_norm", "r", "alpha"))
-        q, alpha = params.capacity_q, params.alpha
-    else:
-        raise ContractViolation(f"unknown regime {regime!r}")
-
+    q, alpha = _corollary_q_alpha(regime, params)
     _require(params, ("b2_star", "cert_radius"))
     r, ell = params.r, params.source_norm
     beta, gamma = _exponents(regime, r, alpha)
@@ -257,8 +256,7 @@ class ExperimentPlan:
     replicates: int
     delta: float
     seed: int
-    params: RateParams | None = None
-    lambda_override: tuple | None = None
+    lambdas: tuple
     burn_in: int = 1
 
     def __post_init__(self):
@@ -271,12 +269,11 @@ class ExperimentPlan:
             raise ContractViolation("replicates must be >= 1")
         if not 0.0 < self.delta <= 0.5:
             raise ContractViolation("delta must lie in (0, 0.5]")
-        if self.lambda_override is not None:
-            over = tuple(float(x) for x in self.lambda_override)
-            if len(over) != len(grid) or any(x <= 0 for x in over):
-                raise ContractViolation("lambda_override must give one positive lambda per n")
-            object.__setattr__(self, "lambda_override", over)
+        lambdas = tuple(float(x) for x in self.lambdas)
+        if len(lambdas) != len(grid) or not all(x > 0 for x in lambdas):
+            raise ContractViolation("lambdas must give one positive lambda per n")
         object.__setattr__(self, "n_grid", grid)
+        object.__setattr__(self, "lambdas", lambdas)
 
 
 @dataclass(frozen=True)
@@ -306,7 +303,6 @@ class RateReport:
     violation_freq: tuple
     guard_met: tuple
     solver_failures: int
-    clamped: tuple
 
 
 def _draw(pop: FinitePopulation, n: int, base: int, n_index: int, replicate: int):
@@ -315,6 +311,12 @@ def _draw(pop: FinitePopulation, n: int, base: int, n_index: int, replicate: int
     ss = np.random.SeedSequence([int(base), int(n_index), int(replicate)])
     counts = np.random.default_rng(ss).multinomial(n, pop.weights)
     return counts / float(n), int(ss.generate_state(1, dtype=np.uint32)[0])
+
+
+def _q_star_sq(pop: FinitePopulation) -> tuple[float, float]:
+    """(Q*^2, B2*) with Q*^2 = B1*^2 / B2*, or 0 when B2* is 0."""
+    b1_star, b2_star = pointwise_bounds(pop, pop.theta_star)
+    return (b1_star**2 / b2_star if b2_star > 0 else 0.0), b2_star
 
 
 def _bound_rhs(consts: ScConstants, q_star_sq: float, n: int, delta: float) -> float:
@@ -351,29 +353,17 @@ def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
     """Draw-solve-measure over the full (n, replicate) grid.
 
     Each cell draws n atoms i.i.d. by weight, solves the regularized ERM at
-    the scheduled lambda with the population's atoms weighted by their
+    the plan's lambda for its n with the population's atoms weighted by their
     multinomial counts / n, and records the exact excess risk together with
     the refined bound's RHS and guard status. Cells are independent;
     aggregation is keyed by (n, replicate) so the report is
     order-independent and reproducible.
     """
     pop = plan.population
-
-    # Per-n lambda and its population context (shared across replicates).
-    if plan.lambda_override is not None:
-        lambdas = list(plan.lambda_override)
-        clamped = [False] * len(lambdas)
-    else:
-        if plan.params is None:
-            raise ContractViolation("plan needs params unless lambda_override is given")
-        scheds = [lambda_schedule(plan.regime, n, plan.params) for n in plan.n_grid]
-        lambdas = [sched.value for sched in scheds]
-        clamped = [sched.clamped for sched in scheds]
-
+    lambdas = plan.lambdas
     risk_star = exact_risk(pop, pop.theta_star, 0.0)
-    b1_star, b2_star = pointwise_bounds(pop, pop.theta_star)
-    q_star_sq = b1_star**2 / b2_star if b2_star > 0 else 0.0
-
+    q_star_sq, b2_star = _q_star_sq(pop)
+    # each lambda's population context, shared across its replicates
     consts = {lam: constants_at(pop, lam=lam) for lam in set(lambdas)}
 
     tasks = [
@@ -433,17 +423,11 @@ def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
     else:
         fitted = math.nan
 
-    if plan.regime == "none":
-        theo = theoretical_rate("none")
-    elif plan.params is not None and plan.params.r is not None:
-        theo = theoretical_rate(plan.regime, plan.params.r, plan.params.alpha)
-    else:
-        meta = pop.meta
-        theo = (
-            theoretical_rate(plan.regime, meta.r, meta.alpha)
-            if meta is not None and meta.r is not None
-            else None
-        )
+    # the regime's exponent at the r and alpha the population was built with;
+    # none needs neither
+    r, alpha = getattr(pop.meta, "r", None), getattr(pop.meta, "alpha", None)
+    known = plan.regime == "none" or r is not None
+    theo = theoretical_rate(plan.regime, r, alpha) if known else None
 
     return RateReport(
         regime=plan.regime,
@@ -452,14 +436,13 @@ def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
         delta=plan.delta,
         seed=plan.seed,
         cells=tuple(cells),
-        lambdas=tuple(lambdas),
+        lambdas=lambdas,
         mean_excess=tuple(mean_excess),
         fitted_exponent=fitted,
         theoretical_exponent=theo,
         violation_freq=tuple(violation),
         guard_met=tuple(guard_met),
         solver_failures=failures,
-        clamped=tuple(clamped),
     )
 
 
@@ -558,8 +541,7 @@ def gradient_concentration_experiment(pop: FinitePopulation, lam: float, n: int 
         raise ContractViolation("the bound requires k >= 4")
     theta_lam = pop.theta_lambda(lam)
     factor = chol_factor(exact_hessian(pop, theta_lam, lam))
-    b1_star, b2_star = pointwise_bounds(pop, pop.theta_star)
-    q_star_sq = b1_star**2 / b2_star
+    q_star_sq, b2_star = _q_star_sq(pop)
     consts = constants_at(pop, lam=lam)
     # the bound's premise: n >= k^2 shift2^2 (B2*/lambda) log(2/delta)
     premise = k * k * consts.shift2**2 * (b2_star / consts.lam) * math.log(2.0 / delta)

@@ -203,7 +203,7 @@ def _rate_experiment(pop, regime, lambdas, seed, replicates=200, delta=0.1, n_gr
         replicates=replicates,
         delta=delta,
         seed=seed,
-        lambda_override=lambdas,
+        lambdas=lambdas,
     )
     return run_rate_experiment(plan)
 

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -10,7 +12,9 @@ import scerm.cli
 import scerm.rates
 from scerm import ConfigError, NonConvergenceError
 from scerm.cli import main
-from scerm.config import load_config_file, parse_config
+from scerm.config import build_population, load_config_file, parse_config
+from scerm.population import pointwise_bounds
+from scerm.rates import lambda_schedule
 from scerm.verify import LocalizationRecord
 
 
@@ -156,21 +160,23 @@ def test_diagnose_end_to_end(tmp_path, capsys):
     assert "fitted_r" in summary
 
 
+TWO_ATOM_SOLVE = {
+    "command": "solve",
+    "seed": 11,
+    "population": {
+        "generator": "inline",
+        "loss": {"kind": "square"},
+        "atoms": [
+            {"features": [1.0], "label": 0.0, "weight": 0.5},
+            {"features": [1.0], "label": 2.0, "weight": 0.5},
+        ],
+    },
+    "solve": {"lambda": 1.0},
+}
+
+
 def test_solve_end_to_end_and_byte_identical_rerun(tmp_path):
-    doc = {
-        "command": "solve",
-        "seed": 11,
-        "population": {
-            "generator": "inline",
-            "loss": {"kind": "square"},
-            "atoms": [
-                {"features": [1.0], "label": 0.0, "weight": 0.5},
-                {"features": [1.0], "label": 2.0, "weight": 0.5},
-            ],
-        },
-        "solve": {"lambda": 1.0},
-    }
-    cfg_path = write_cfg(tmp_path, doc)
+    cfg_path = write_cfg(tmp_path, TWO_ATOM_SOLVE)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["--config", cfg_path, "--out", str(out1)]) == 0
     assert main(["--config", cfg_path, "--out", str(out2)]) == 0
@@ -205,6 +211,25 @@ def test_rates_end_to_end(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["regime"] == "source_capacity"
     assert summary["theoretical_exponent"] == pytest.approx(0.8)
+
+
+@pytest.mark.parametrize("regime", ["none", "source_capacity"])
+def test_rates_corollary_lambdas_end_to_end(tmp_path, regime):
+    # no rates.lambda: the corollary's schedule, clamped to B2*, picks every lambda
+    doc = {
+        "command": "rates",
+        "seed": 2,
+        "population": {"generator": "source", "d": 8, "r": 0.5, "alpha": 2.0, "seed": 1},
+        "rates": {"regime": regime, "n_grid": [32, 64, 128], "replicates": 2, "delta": 0.25},
+    }
+    out = tmp_path / "out"
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
+    lambdas = json.loads((out / "summary.json").read_text())["lambdas"]
+    pop = build_population(parse_config(doc).population)
+    params = scerm.cli._rates_params(pop, 0.25)
+    assert lambdas == [lambda_schedule(regime, n, params).value for n in (32, 64, 128)]
+    _, b2_star = pointwise_bounds(pop, pop.theta_star)
+    assert all(0 < lam <= b2_star for lam in lambdas)
 
 
 def test_rates_seed_override_changes_digest_and_cells(tmp_path):
@@ -508,6 +533,31 @@ def test_degenerate_rates_run_writes_both_files_without_constants(tmp_path):
     assert (out / "rates.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert "n_threshold" not in summary
+
+
+@pytest.mark.parametrize("blocked", ["summary.json", "solve.csv"])
+def test_failed_write_leaves_no_output(tmp_path, capsys, blocked):
+    # a directory under one output name makes its rename fail after both
+    # files were written to temp files
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(["--config", write_cfg(tmp_path, TWO_ATOM_SOLVE), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: I/O failure") and captured.out == ""
+    assert [p.name for p in out.iterdir()] == [blocked]
+    assert not list((out / blocked).iterdir())
+
+
+def test_output_files_follow_the_umask(tmp_path):
+    out = tmp_path / "out"
+    umask = os.umask(0o022)
+    try:
+        assert main(["--config", write_cfg(tmp_path, TWO_ATOM_SOLVE), "--out", str(out),
+                     "--quiet"]) == 0
+    finally:
+        os.umask(umask)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert modes == {"solve.csv": 0o644, "summary.json": 0o644}
 
 
 def fail_first_solves(monkeypatch, count):

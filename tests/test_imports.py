@@ -63,6 +63,19 @@ def test_population_hessians_come_from_the_population():
     assert offenders == []
 
 
+def test_rate_lambdas_picked_only_by_cmd_rates():
+    """``cli._cmd_rates`` picks every rate experiment's lambdas, and
+    ``run_rate_experiment`` runs on the ones its plan holds."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    cmd = next(fn for fn in tree.body if getattr(fn, "name", None) == "_cmd_rates")
+    found = [(file, node.lineno) for file, name, node in calls()
+             if name in {"lambda_schedule", "anchored_lambdas"}]
+    inside = [(file, line) for file, line in found
+              if file == "cli.py" and cmd.lineno <= line <= cmd.end_lineno]
+    assert len(inside) == 2
+    assert found == inside
+
+
 def test_cli_files_written_only_by_run():
     """Each command returns its report, and ``cli.run`` alone writes the run's
     files and sanitizes the summary, so no command can leave partial output."""

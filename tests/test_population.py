@@ -319,7 +319,7 @@ def unit_noise_square_population(rng, d=4, n_x=6):
 
 
 def assert_columns_match_constants(pop, grid):
-    report = compute_diagnostics(pop, grid, fit_exponents=False)
+    report = compute_diagnostics(pop, grid)
     for i, lam in enumerate(report.lambda_grid):
         c = constants_at(pop, lam)
         for name in ("bias", "df", "dikin", "t_lambda"):
@@ -566,7 +566,7 @@ def test_capacity_estimate_flags_finite_dimension(p1):
 
 
 def test_estimators_reject_degenerate_grid(p1):
-    report = compute_diagnostics(p1, [0.5, 0.25], fit_exponents=False)
+    report = compute_diagnostics(p1, [0.5, 0.25])
     with pytest.raises(ContractViolation):
         estimate_source_exponent(report)
     with pytest.raises(ContractViolation):

@@ -143,7 +143,7 @@ def tiny_plan(seed=5, replicates=1, n_grid=(64,)):
         replicates=replicates,
         delta=0.1,
         seed=seed,
-        lambda_override=anchored_lambdas(n_grid, 0.4, 0.2, n_grid[0]),
+        lambdas=anchored_lambdas(n_grid, 0.4, 0.2, n_grid[0]),
     )
 
 
@@ -179,13 +179,13 @@ def test_plan_validation():
     pop = make_source_population(d=4, r=0.5, alpha=2.0, seed=1)
     with pytest.raises(ContractViolation):
         ExperimentPlan(population=pop, regime="none", n_grid=(64, 32), replicates=1,
-                       delta=0.1, seed=0)
+                       delta=0.1, seed=0, lambdas=(0.1, 0.05))
     with pytest.raises(ContractViolation):
         ExperimentPlan(population=pop, regime="none", n_grid=(32,), replicates=1,
-                       delta=0.7, seed=0)
+                       delta=0.7, seed=0, lambdas=(0.1,))
     with pytest.raises(ContractViolation):
         ExperimentPlan(population=pop, regime="none", n_grid=(32, 64), replicates=1,
-                       delta=0.1, seed=0, lambda_override=(0.1,))
+                       delta=0.1, seed=0, lambdas=(0.1,))
 
 
 def test_schedule_based_plan_runs():
@@ -195,11 +195,12 @@ def test_schedule_based_plan_runs():
     b1, b2 = pointwise_bounds(pop, pop.theta_star)
     params = RateParams(delta=0.25, b1_star=b1, b2_star=b2, source_norm=1.0, r=0.5,
                         capacity_q=pop.meta.capacity_q, alpha=2.0, cert_radius=0.0)
+    lambdas = [lambda_schedule("source_capacity", n, params).value for n in (64, 128)]
     plan = ExperimentPlan(population=pop, regime="source_capacity", n_grid=(64, 128),
-                          replicates=2, delta=0.25, seed=0, params=params)
+                          replicates=2, delta=0.25, seed=0, lambdas=lambdas)
     report = run_rate_experiment(plan)
     assert len(report.cells) == 4
-    assert all(l > 0 for l in report.lambdas)
+    assert report.lambdas == tuple(lambdas) and all(l > 0 for l in lambdas)
 
 
 def test_parallel_jobs_match_serial():
@@ -254,7 +255,7 @@ BLAS_PROBE = textwrap.dedent("""
         pop = make_source_population(d=8, r=0.5, alpha=2.0, seed=1)
         plan = rates.ExperimentPlan(population=pop, regime="source_capacity", n_grid=(32, 64),
                                     replicates=4, delta=0.1, seed=0,
-                                    lambda_override=(0.1, 0.05))
+                                    lambdas=(0.1, 0.05))
         rates.run_rate_experiment(plan, jobs=2)
         single_thread_blas()
         print(json.dumps(blas_threads()))
@@ -281,7 +282,7 @@ def logistic_plan():
     pop = make_logistic_population(d=4, alpha=1.0, seed=2)
     n_grid = (32, 64)
     return ExperimentPlan(population=pop, regime="none", n_grid=n_grid, replicates=3, delta=0.1,
-                          seed=13, lambda_override=anchored_lambdas(n_grid, 0.5, 0.1, 32))
+                          seed=13, lambdas=anchored_lambdas(n_grid, 0.5, 0.1, 32))
 
 
 @pytest.mark.parametrize("make_plan", [
