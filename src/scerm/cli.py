@@ -144,6 +144,10 @@ def _cmd_diagnose(cfg: RunConfig, pop, jobs) -> _Report:
     else:
         _, b2_star = pointwise_bounds(pop, pop.theta_star)
         grid = default_lambda_grid(b2_star, spec.log2_min, spec.log2_max)
+        if grid.size == 0:
+            raise ConfigError([("diagnose.log2_max", (
+                f"no lambda = 2^-k with k in [{spec.log2_min}, {spec.log2_max}] "
+                f"is at most B2* = {b2_star:.6g}"))])
     report = compute_diagnostics(pop, grid)
     rows = []
     for c in report.constants:
@@ -250,11 +254,11 @@ def _cmd_rates(cfg: RunConfig, pop, jobs) -> _Report:
     report = run_rate_experiment(plan, jobs=jobs)
     payload = {
         "command": "rates",
-        "regime": report.regime,
+        "regime": spec.regime,
         "fitted_exponent": report.fitted_exponent,
         "theoretical_exponent": report.theoretical_exponent,
         "mean_excess": report.mean_excess,
-        "lambdas": report.lambdas,
+        "lambdas": plan.lambdas,
         "violation_freq": report.violation_freq,
         "guard_met": report.guard_met,
         "solver_failures": report.solver_failures,
@@ -281,7 +285,7 @@ def _cmd_rates(cfg: RunConfig, pop, jobs) -> _Report:
         [(c.n, c.replicate, c.lam, c.excess_risk, c.bound_rhs, c.guard_ok, c.seed)
          for c in report.cells],
         payload,
-        f"rates[{report.regime}]: fitted={report.fitted_exponent:.4f} "
+        f"rates[{spec.regime}]: fitted={report.fitted_exponent:.4f} "
         f"theoretical={theo_txt} failures={report.solver_failures} "
         f"-> {'PASS' if ok else 'FAIL'}",
         ok,

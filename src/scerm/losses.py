@@ -11,7 +11,8 @@ quadratic form). The certificate vectors are {0} for the square loss,
 logistic loss and {2 Phi(x, y')} over the label set for the softmax GLM.
 
 A ``SampleSet`` holds a support as stacked feature and label arrays, so that
-population sums and empirical risks are single BLAS calls. ``Sample`` is one
+population sums and empirical risks are single BLAS calls; ``seminorm`` reads
+its one stack of certificate vectors, ``certificate_rows``. ``Sample`` is one
 observation, the input of the per-sample operations, which stay an
 independent oracle for the stacked sums.
 """
@@ -19,6 +20,7 @@ independent oracle for the stacked sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -458,33 +460,27 @@ class SampleSet:
     def grad_norms(self, theta) -> np.ndarray:
         return np.linalg.norm(self.grads(theta), axis=1)
 
-    def sc_factors(self, k) -> np.ndarray:
-        """Per-sample sup over certificate vectors of |k . g|, shape (m,)."""
-        loss = self.loss
-        k = _check_theta(k, self.dim)
-        if not loss.is_glm:
-            return loss.sc_coef * np.abs(self.features @ k)
-        return 2.0 * np.max(np.abs(self.features @ k), axis=1)
-
-    def sc_sup_norms(self) -> np.ndarray:
-        loss = self.loss
-        if not loss.is_glm:
-            return loss.sc_coef * np.linalg.norm(self.features, axis=1)
-        return 2.0 * np.max(np.linalg.norm(self.features, axis=2), axis=1)
-
     @property
     def quadratic(self) -> bool:
         """True when the certificate set is {0} (square loss): the third
         derivative vanishes, so the Hessian is the same at every theta."""
         return not self.loss.is_glm and self.loss.sc_coef == 0.0
 
+    @cached_property
     def certificate_rows(self) -> np.ndarray:
-        """All certificate vectors stacked row-wise (empty for the square loss)."""
+        """All certificate vectors stacked row-wise, atom-major and read-only,
+        built once (shape (0, d) for the square loss); every stacked sup over
+        the certificate set reads this one stack."""
         if self.quadratic:
-            return np.zeros((0, self.dim))
+            return _readonly(np.zeros((0, self.dim)))
         if not self.loss.is_glm:
-            return self.loss.sc_coef * self.features
-        return 2.0 * self.features.reshape(-1, self.dim)
+            return _readonly(self.loss.sc_coef * self.features)
+        return _readonly(2.0 * self.features.reshape(-1, self.dim))
+
+    def seminorm(self, k) -> float:
+        """sup over every certificate vector g of |g . k|; 0 when there is none."""
+        k = _check_theta(k, self.dim)
+        return float(np.max(np.abs(self.certificate_rows @ k), initial=0.0))
 
 
 # -- sup constants over a parameter ball ---------------------------------------

@@ -226,15 +226,17 @@ def dikin_radius(pop: FinitePopulation, theta, lam: float) -> float:
     if pop.sample_set.quadratic:
         return math.inf
     return radius_from_factor(chol_factor(exact_hessian(pop, theta, lam)),
-                              pop.sample_set.certificate_rows())
+                              pop.sample_set.certificate_rows)
 
 
 def t_lambda(pop: FinitePopulation, lam: float) -> float:
-    """Certificate seminorm of theta*_lambda - theta*, exact sup over atoms."""
+    """Certificate seminorm of theta*_lambda - theta*, exact sup over atoms;
+    0 for the square loss (certificate set {0}) without solving theta*_lambda."""
     if lam <= 0:
         raise ContractViolation("t_lambda requires lambda > 0")
-    direction = pop.theta_lambda(lam) - pop.theta_star
-    return float(np.max(pop.sample_set.sc_factors(direction)))
+    if pop.sample_set.quadratic:
+        return 0.0
+    return pop.sample_set.seminorm(pop.theta_lambda(lam) - pop.theta_star)
 
 
 def pointwise_bounds(pop: FinitePopulation, theta) -> tuple[float, float]:
@@ -384,15 +386,15 @@ def compute_diagnostics(pop: FinitePopulation, lambda_grid) -> DiagnosticsReport
         t_lambda=tla,
         constants=consts,
     )
-    if grid.size >= 3:
+    if _fittable(grid):
         report = replace(report, fitted_r=estimate_source_exponent(report),
                          fitted_alpha=estimate_capacity_exponent(report))
     return report
 
 
 def sup_norm_certificate(pop: FinitePopulation) -> float:
-    """R = sup over atoms of the largest certificate-vector norm."""
-    return float(np.max(pop.sample_set.sc_sup_norms()))
+    """R = the largest certificate-vector norm over atoms; 0 when there is none."""
+    return float(np.max(np.linalg.norm(pop.sample_set.certificate_rows, axis=1), initial=0.0))
 
 
 def _loglog_fit(lams, values):
@@ -421,8 +423,12 @@ def _fit_window(report: DiagnosticsReport) -> np.ndarray:
     return mask
 
 
+def _fittable(grid) -> bool:
+    return np.unique(grid).size >= 3
+
+
 def _check_grid(report: DiagnosticsReport):
-    if np.unique(report.lambda_grid).size < 3:
+    if not _fittable(report.lambda_grid):
         raise ContractViolation("exponent fit needs at least 3 distinct lambda values")
 
 

@@ -290,13 +290,7 @@ class CellResult:
 
 @dataclass(frozen=True)
 class RateReport:
-    regime: str
-    n_grid: tuple
-    replicates: int
-    delta: float
-    seed: int
     cells: tuple
-    lambdas: tuple
     mean_excess: tuple
     fitted_exponent: float
     theoretical_exponent: float | None
@@ -430,13 +424,7 @@ def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
     theo = theoretical_rate(plan.regime, r, alpha) if known else None
 
     return RateReport(
-        regime=plan.regime,
-        n_grid=plan.n_grid,
-        replicates=plan.replicates,
-        delta=plan.delta,
-        seed=plan.seed,
         cells=tuple(cells),
-        lambdas=lambdas,
         mean_excess=tuple(mean_excess),
         fitted_exponent=fitted,
         theoretical_exponent=theo,

@@ -124,7 +124,7 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
         trace.append(dec)
         if dec <= config.tol:
             # the localization lemma's proof that a lam = 0 minimum is attained
-            if lam == 0.0 and dec > radius_from_factor(factor, sset.certificate_rows()) / 2.0:
+            if lam == 0.0 and dec > radius_from_factor(factor, sset.certificate_rows) / 2.0:
                 raise NonConvergenceError(
                     f"population minimum not attained: decrement {dec:.3e} exceeds half "
                     f"the Dikin radius at lambda=0", trace)

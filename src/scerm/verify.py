@@ -51,9 +51,6 @@ __all__ = [
 
 DEFAULT_SLACK = 1e-9
 
-def _sup_sc(pop: FinitePopulation, direction) -> float:
-    return float(np.max(pop.sample_set.sc_factors(direction)))
-
 
 def _margin(lhs: float, rhs: float) -> float:
     return (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
@@ -73,7 +70,7 @@ def check_hess_control(pop: FinitePopulation, theta0, theta1, lam: float) -> flo
     if lam == 0.0 and eigmin(h0) <= 0.0:
         raise ContractViolation("H(theta0) must be positive definite when lambda = 0")
     h1 = exact_hessian(pop, theta1, lam)
-    m = _sup_sc(pop, theta1 - theta0)
+    m = pop.sample_set.seminorm(theta1 - theta0)
     mu_max = gen_eigmax(h1, h0)
     return _margin(mu_max, math.exp(m))
 
@@ -87,7 +84,7 @@ def _grad_sides(pop, theta0, theta1, lam):
     delta_g = exact_grad(pop, theta1, lam) - exact_grad(pop, theta0, lam)
     lhs = inv_norm(chol_factor(h0), delta_g)
     step_norm = norm_a(h0, theta1 - theta0)
-    m = _sup_sc(pop, theta1 - theta0)
+    m = pop.sample_set.seminorm(theta1 - theta0)
     return lhs, step_norm, m
 
 
@@ -115,7 +112,7 @@ def check_value_bound(pop: FinitePopulation, theta0, theta1, lam: float) -> floa
         - float(exact_grad(pop, theta0, lam) @ (theta1 - theta0))
     )
     h0 = exact_hessian(pop, theta0, lam)
-    m = _sup_sc(pop, theta1 - theta0)
+    m = pop.sample_set.seminorm(theta1 - theta0)
     rhs = scfun.psi(m) * norm_a(h0, theta1 - theta0) ** 2
     return _margin(gap, rhs)
 
@@ -163,6 +160,7 @@ def check_localization(pop: FinitePopulation, theta, lam: float,
     Passing ``weights``, count weights over the population's atoms (such as
     counts / n of a draw), evaluates the empirical variant against the
     empirical minimizer instead, with Varhat in place of the gradient norm.
+    The square loss's seminorm is 0, with neither minimizer solved.
     """
     if lam <= 0:
         raise ContractViolation("check_localization requires lambda > 0")
@@ -170,15 +168,18 @@ def check_localization(pop: FinitePopulation, theta, lam: float,
     sset = pop.sample_set
     h_pop = exact_hessian(pop, theta, lam)
     factor = chol_factor(h_pop)
-    radius = radius_from_factor(factor, sset.certificate_rows())
+    radius = radius_from_factor(factor, sset.certificate_rows)
     if weights is None:
         grad_norm = inv_norm(factor, exact_grad(pop, theta, lam))
-        target = pop.theta_lambda(lam)
     else:
         w = _as_weights(weights, len(sset))
         grad_norm = _varhat(pop, w, theta, lam, h_pop, factor)
-        target = newton_minimize(sset, w, lam).theta_hat
-    seminorm = _sup_sc(pop, theta - target)
+    if sset.quadratic:
+        seminorm = 0.0
+    else:
+        target = (pop.theta_lambda(lam) if weights is None
+                  else newton_minimize(sset, w, lam).theta_hat)
+        seminorm = sset.seminorm(theta - target)
     return LocalizationRecord(
         antecedent=grad_norm <= radius / 2.0,
         consequent=seminorm <= scfun.LOG2 + 1e-12,
@@ -220,7 +221,7 @@ def check_decomposition_bound(pop: FinitePopulation, lam: float, weights,
     h_lam = exact_hessian(pop, theta_lam, lam)
     factor = chol_factor(h_lam)
     varhat = _varhat(pop, w, theta_lam, lam, h_lam, factor)
-    guard_radius = radius_from_factor(factor, sset.certificate_rows())
+    guard_radius = radius_from_factor(factor, sset.certificate_rows)
     applicable = varhat <= guard_radius / 2.0
 
     consts = constants_at(pop, lam=lam)

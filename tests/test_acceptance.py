@@ -261,7 +261,7 @@ def test_criterion_7_theorem_bound_frequency():
     cap = 2 * delta + 3 * sigma
     ok = rep.solver_failures == 0
     freqs = []
-    for ni, n in enumerate(rep.n_grid):
+    for ni, n in enumerate(n_grid):
         freq = rep.violation_freq[ni]
         freqs.append(f"n={n}: {freq:.3f} (guard {'met' if rep.guard_met[ni] else 'unmet'})")
         # asserted whenever the guard holds; asserted here unconditionally

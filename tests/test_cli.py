@@ -440,6 +440,16 @@ def test_diagnose_log2_max_zero_gives_one_grid_point(tmp_path):
     assert json.loads((out / "summary.json").read_text())["n_grid_points"] == 1
 
 
+def test_diagnose_repeated_lambda_grid_runs_without_fits(tmp_path):
+    # 3 grid points but 2 distinct lambdas: too few for an exponent fit
+    doc = dict(MINIMAL_DIAGNOSE, diagnose={"lambda_grid": [0.1, 0.1, 0.05]})
+    out = tmp_path / "out"
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_grid_points"] == 3
+    assert not [key for key in summary if key.startswith("fitted_")]
+
+
 def _inline(atoms, loss=None):
     return {"generator": "inline", "loss": loss or {"kind": "square"},
             "atoms": [{"features": f, "label": 0.0, "weight": 0.5} for f in atoms]}
@@ -494,6 +504,13 @@ def at(path):
                  id="one-lambda-short"),
     pytest.param(dict(MINIMAL_DIAGNOSE, diagnose={"log2_min": 5, "log2_max": 4}), [],
                  at("diagnose.log2_max") + "must be >= log2_min", id="log2-max-below-min"),
+    # B2* = 4e-6 lies below 2^-16, so the default grid is empty
+    pytest.param({"command": "diagnose", "population": {
+        "generator": "inline", "loss": {"kind": "square"},
+        "atoms": [{"features": [0.001], "label": 1.0, "weight": 0.5},
+                  {"features": [0.002], "label": 0.0, "weight": 0.5}]}}, [],
+                 at("diagnose.log2_max") + "no lambda = 2^-k with k in [0, 16] is at most "
+                 "B2* = 4e-06", id="empty-default-lambda-grid"),
 ])
 def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, monkeypatch, doc, argv,
                                                  expect):

@@ -63,6 +63,27 @@ def test_population_hessians_come_from_the_population():
     assert offenders == []
 
 
+def sc_coef_reads(tree):
+    """Line numbers of every ``.sc_coef`` read under an AST node."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "sc_coef"]
+
+
+def test_certificate_constants_read_only_by_the_stack():
+    """Outside the per-sample oracle in losses.py, a loss's certificate
+    constant is read only where ``SampleSet`` stacks the certificate set, so
+    every stacked sup goes through ``certificate_rows``."""
+    outside = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+               if path.name != "losses.py"
+               for line in sc_coef_reads(ast.parse(path.read_text(encoding="utf-8")))]
+    tree = ast.parse((SRC / "losses.py").read_text(encoding="utf-8"))
+    sample_set = next(cls for cls in tree.body if getattr(cls, "name", None) == "SampleSet")
+    readers = {fn.name for fn in sample_set.body
+               if isinstance(fn, ast.FunctionDef) and sc_coef_reads(fn)}
+    assert outside == []
+    assert readers == {"quadratic", "certificate_rows"}
+
+
 def test_rate_lambdas_picked_only_by_cmd_rates():
     """``cli._cmd_rates`` picks every rate experiment's lambdas, and
     ``run_rate_experiment`` runs on the ones its plan holds."""

@@ -390,7 +390,23 @@ def test_sample_set_matches_per_sample_ops(kind, rng):
     np.testing.assert_allclose(sset.trace_hess(theta), traces, rtol=1e-11, atol=1e-12)
     k = rng.normal(size=d)
     facs = np.array([loss.sc_factor(z, k) for z in atoms])
-    np.testing.assert_allclose(sset.sc_factors(k), facs, rtol=1e-12, atol=1e-12)
+    # certificate_rows is atom-major: each atom's rows follow one another
+    rows = sset.certificate_rows
+    per_atom = np.abs(rows.reshape(7, rows.shape[0] // 7, d) @ k)
+    np.testing.assert_allclose(np.max(per_atom, axis=1, initial=0.0), facs,
+                               rtol=1e-12, atol=1e-12)
+    assert sset.seminorm(k) == pytest.approx(facs.max(), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_certificate_rows_are_one_read_only_stack(kind, rng):
+    atoms = [random_sample(rng, kind, 3) for _ in range(5)]
+    sset = stack_samples(make_loss(kind), atoms)
+    rows = sset.certificate_rows
+    assert sset.certificate_rows is rows
+    assert not rows.flags.writeable
+    expected = {"square": 0, "softmax_glm": 5 * 3}  # 3 label rows per GLM atom
+    assert rows.shape == (expected.get(kind, 5), 3)
 
 
 GLM3 = SoftmaxGLMLoss(np.ones(3) / 3)

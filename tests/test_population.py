@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scerm.population
+import scerm.verify
 from scerm import (
     ContractViolation,
     FinitePopulation,
@@ -186,6 +187,30 @@ def test_theta_star_and_each_lambda_solved_once(monkeypatch):
     gradient_concentration_experiment(pop, 0.2, n=64, replicates=2, delta=0.1, k=4.0)
     assert sorted(lams) == [0.0, 0.05, 0.1, 0.2]
     assert pop.theta_lambda(0.1) is pop.theta_lambda(0.1)
+
+
+def test_square_loss_seminorms_solve_only_theta_star(monkeypatch):
+    """The square loss's certificate set is {0}: t_lambda and both
+    localization variants read seminorm 0 without solving theta*_lambda or a
+    draw's minimizer, so theta* is the one solve."""
+    solve = scerm.population.newton_minimize
+    lams = []
+
+    def counted(sset, weights, lam, config=None, **kwargs):
+        lams.append(lam)
+        return solve(sset, weights, lam, config, **kwargs)
+
+    monkeypatch.setattr(scerm.population, "newton_minimize", counted)
+    monkeypatch.setattr(scerm.verify, "newton_minimize", counted)
+    pop = make_source_population(16, 0.5, 1.0, 0)
+    assert t_lambda(pop, lam=0.1) == 0.0
+    constants_at(pop, lam=0.1)
+    compute_diagnostics(pop, [0.2, 0.1, 0.05])
+    theta = pop.theta_star + 0.1
+    w = np.random.default_rng(3).multinomial(64, pop.weights) / 64
+    records = [check_localization(pop, theta, 0.1), check_localization(pop, theta, 0.1, w)]
+    assert [(r.seminorm, r.radius, r.holds) for r in records] == [(0.0, math.inf, True)] * 2
+    assert lams == [0.0]
 
 
 def test_failed_theta_lambda_solve_is_not_cached(monkeypatch, p2):
@@ -566,11 +591,15 @@ def test_capacity_estimate_flags_finite_dimension(p1):
 
 
 def test_estimators_reject_degenerate_grid(p1):
-    report = compute_diagnostics(p1, [0.5, 0.25])
-    with pytest.raises(ContractViolation):
-        estimate_source_exponent(report)
-    with pytest.raises(ContractViolation):
-        estimate_capacity_exponent(report)
+    # fewer than 3 distinct lambdas: the report carries no fit, and the
+    # estimators refuse one
+    for grid in ([0.5, 0.25], [0.5, 0.5, 0.25]):
+        report = compute_diagnostics(p1, grid)
+        assert report.fitted_r is None and report.fitted_alpha is None
+        with pytest.raises(ContractViolation):
+            estimate_source_exponent(report)
+        with pytest.raises(ContractViolation):
+            estimate_capacity_exponent(report)
 
 
 def test_generators_match_per_atom_loops():

@@ -200,7 +200,8 @@ def test_schedule_based_plan_runs():
                           replicates=2, delta=0.25, seed=0, lambdas=lambdas)
     report = run_rate_experiment(plan)
     assert len(report.cells) == 4
-    assert report.lambdas == tuple(lambdas) and all(l > 0 for l in lambdas)
+    assert [c.lam for c in report.cells] == [lam for lam in lambdas for _ in range(2)]
+    assert all(l > 0 for l in lambdas)
 
 
 def test_parallel_jobs_match_serial():
