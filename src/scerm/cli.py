@@ -249,7 +249,6 @@ def _cmd_rates(cfg: RunConfig, pop, jobs) -> _Report:
         delta=spec.delta,
         seed=cfg.seed,
         lambdas=lambdas,
-        burn_in=spec.burn_in,
     )
     report = run_rate_experiment(plan, jobs=jobs)
     payload = {

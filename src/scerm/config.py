@@ -71,7 +71,6 @@ class RatesSpec:
     replicates: int
     delta: float
     lambdas: LambdaSpec = field(default_factory=LambdaSpec)
-    burn_in: int = 1
     tolerance: float | None = None
 
 
@@ -197,8 +196,7 @@ _SECTIONS = {
         "regime": _choice("none", "source", "source_capacity"),
         "n_grid": _numbers(_COUNT, "must be strictly increasing positive integers",
                            increasing=True),
-        "replicates": _COUNT, "delta": _DELTA, "lambda": _any,
-        "burn_in": _number(lo=0, integer=True), "tolerance": _POSITIVE,
+        "replicates": _COUNT, "delta": _DELTA, "lambda": _any, "tolerance": _POSITIVE,
     })),
     "concentration": (ConcentrationSpec, (("kind", "lambda", "replicates", "delta"), {
         "kind": _choice("hessian", "gradient"), "lambda": _POSITIVE, "replicates": _COUNT,
@@ -314,10 +312,11 @@ def parse_config(document) -> RunConfig:
     """
     if isinstance(document, str):
         document = yaml.load(document, Loader=_Loader)
+    if not isinstance(document, dict):
+        got = "an empty document" if document is None else type(document).__name__
+        raise ConfigError([("document", f"expected a mapping, got {got}")])
     errs = []
     top = _fields(document, "", _TOP, errs)
-    if top is None:
-        raise ConfigError(errs)
     command = top.get("command")
     for key in _NEEDS.get(command, ()):
         if key not in top:

@@ -257,7 +257,6 @@ class ExperimentPlan:
     delta: float
     seed: int
     lambdas: tuple
-    burn_in: int = 1
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -339,29 +338,35 @@ def _run_cell(args):
     try:
         theta_hat = newton_minimize(pop.sample_set, weights, lam).theta_hat
     except NonConvergenceError:
-        return n_index, replicate, cell_seed, None, False
-    return n_index, replicate, cell_seed, theta_hat, True
+        theta_hat = None
+    return n_index, replicate, cell_seed, theta_hat
 
 
 def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
     """Draw-solve-measure over the full (n, replicate) grid.
 
-    Each cell draws n atoms i.i.d. by weight, solves the regularized ERM at
-    the plan's lambda for its n with the population's atoms weighted by their
-    multinomial counts / n, and records the exact excess risk together with
-    the refined bound's RHS and guard status. Cells are independent;
-    aggregation is keyed by (n, replicate) so the report is
-    order-independent and reproducible.
+    Each cell draws n atoms i.i.d. by weight and solves the regularized ERM
+    at the plan's lambda for its n, with the population's atoms weighted by
+    their multinomial counts / n. Its exact excess risk fills entry
+    (n_index, replicate) of one len(n_grid) x replicates table, NaN where the
+    solve failed. The refined bound's RHS and guard depend on n and lambda
+    alone, so they are evaluated once per n. Every per-n summary reduces one
+    row of the table over its solved entries, and the slope fit drops the
+    smallest n whenever the grid has more than two points. The cells come
+    out n-major, whatever order the workers finish in.
     """
     pop = plan.population
-    lambdas = plan.lambdas
     risk_star = exact_risk(pop, pop.theta_star, 0.0)
     q_star_sq, b2_star = _q_star_sq(pop)
-    # each lambda's population context, shared across its replicates
-    consts = {lam: constants_at(pop, lam=lam) for lam in set(lambdas)}
+    # each distinct lambda's population context, shared by every n it serves
+    consts = {lam: constants_at(pop, lam=lam) for lam in set(plan.lambdas)}
+    rhs, guard = [], []
+    for n, lam in zip(plan.n_grid, plan.lambdas):
+        rhs.append(_bound_rhs(consts[lam], q_star_sq, n, plan.delta))
+        guard.append(_guard(consts[lam], q_star_sq, n, plan.delta, b2_star))
 
     tasks = [
-        (pop, lambdas[ni], n, ni, rep, plan.seed)
+        (pop, plan.lambdas[ni], n, ni, rep, plan.seed)
         for ni, n in enumerate(plan.n_grid)
         for rep in range(plan.replicates)
     ]
@@ -370,50 +375,34 @@ def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
             raw = list(pool.map(_run_cell, tasks, chunksize=max(1, len(tasks) // (8 * jobs))))
     else:
         raw = [_run_cell(t) for t in tasks]
-    raw.sort(key=lambda item: (item[0], item[1]))
 
-    cells = []
-    failures = 0
-    for n_index, replicate, cell_seed, theta_hat, solved in raw:
-        n = plan.n_grid[n_index]
-        lam = lambdas[n_index]
-        if solved:
-            excess = exact_risk(pop, theta_hat, 0.0) - risk_star
-        else:
-            excess = math.nan
-            failures += 1
-        cells.append(
-            CellResult(
-                n=n,
-                replicate=replicate,
-                lam=lam,
-                excess_risk=excess,
-                bound_rhs=_bound_rhs(consts[lam], q_star_sq, n, plan.delta),
-                guard_ok=_guard(consts[lam], q_star_sq, n, plan.delta, b2_star),
-                seed=cell_seed,
-                solved=solved,
-            )
-        )
+    excess = np.full((len(plan.n_grid), plan.replicates), math.nan)
+    seeds = np.zeros(excess.shape, dtype=np.int64)
+    for n_index, replicate, cell_seed, theta_hat in raw:
+        seeds[n_index, replicate] = cell_seed
+        if theta_hat is not None:
+            excess[n_index, replicate] = exact_risk(pop, theta_hat, 0.0) - risk_star
+    solved = ~np.isnan(excess)
 
-    mean_excess = []
-    violation = []
-    guard_met = []
-    for ni, n in enumerate(plan.n_grid):
-        group = [c for c in cells if c.n == n and c.solved]
-        if not group:
-            mean_excess.append(math.nan)
-            violation.append(math.nan)
-            guard_met.append(False)
-            continue
-        mean_excess.append(float(np.mean([c.excess_risk for c in group])))
-        violation.append(float(np.mean([c.excess_risk > c.bound_rhs for c in group])))
-        guard_met.append(all(c.guard_ok for c in group))
+    cells = tuple(
+        CellResult(n=n, replicate=rep, lam=plan.lambdas[ni], excess_risk=float(excess[ni, rep]),
+                   bound_rhs=rhs[ni], guard_ok=guard[ni], seed=int(seeds[ni, rep]),
+                   solved=bool(solved[ni, rep]))
+        for ni, n in enumerate(plan.n_grid)
+        for rep in range(plan.replicates)
+    )
+    mean_excess, violation = [], []
+    for row, ok, bound in zip(excess, solved, rhs):
+        values = row[ok]
+        mean_excess.append(float(np.mean(values)) if values.size else math.nan)
+        violation.append(float(np.mean(values > bound)) if values.size else math.nan)
+    guard_met = tuple(bool(g and ok.any()) for g, ok in zip(guard, solved))
 
-    burn = min(plan.burn_in, len(plan.n_grid) - 2) if len(plan.n_grid) > 2 else 0
-    excess = np.maximum(np.asarray(mean_excess)[burn:], 1e-300)
-    ok = np.isfinite(excess)
-    if ok.sum() >= 2:
-        fitted = -_loglog_fit(np.asarray(plan.n_grid)[burn:][ok], excess[ok])[0]
+    burn = 1 if len(plan.n_grid) > 2 else 0
+    fit = np.maximum(np.asarray(mean_excess)[burn:], 1e-300)
+    finite = np.isfinite(fit)
+    if finite.sum() >= 2:
+        fitted = -_loglog_fit(np.asarray(plan.n_grid)[burn:][finite], fit[finite])[0]
     else:
         fitted = math.nan
 
@@ -424,13 +413,13 @@ def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
     theo = theoretical_rate(plan.regime, r, alpha) if known else None
 
     return RateReport(
-        cells=tuple(cells),
+        cells=cells,
         mean_excess=tuple(mean_excess),
         fitted_exponent=fitted,
         theoretical_exponent=theo,
         violation_freq=tuple(violation),
-        guard_met=tuple(guard_met),
-        solver_failures=failures,
+        guard_met=guard_met,
+        solver_failures=int((~solved).sum()),
     )
 
 

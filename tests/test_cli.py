@@ -189,6 +189,15 @@ def test_solve_end_to_end_and_byte_identical_rerun(tmp_path):
     assert abs(float(theta_line.split(",")[1]) - 0.5) < 1e-9
 
 
+def test_inline_weights_are_renormalized(tmp_path):
+    population = {**TWO_ATOM_SOLVE["population"], "atoms": [
+        dict(atom, weight=2) for atom in TWO_ATOM_SOLVE["population"]["atoms"]]}
+    doc = dict(TWO_ATOM_SOLVE, population=population)
+    assert build_population(parse_config(doc).population).weights.tolist() == [0.5, 0.5]
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+
+
 def test_rates_end_to_end(tmp_path):
     doc = {
         "command": "rates",
@@ -511,6 +520,43 @@ def at(path):
                   {"features": [0.002], "label": 0.0, "weight": 0.5}]}}, [],
                  at("diagnose.log2_max") + "no lambda = 2^-k with k in [0, 16] is at most "
                  "B2* = 4e-06", id="empty-default-lambda-grid"),
+    pytest.param("", [], at("document") + "expected a mapping, got an empty document",
+                 id="empty-document"),
+    pytest.param("just a string", [], at("document") + "expected a mapping, got str",
+                 id="string-document"),
+    pytest.param("[1, 2]", [], at("document") + "expected a mapping, got list",
+                 id="list-document"),
+    pytest.param(dict(SOLVE, solve=[0.1]), [], at("solve") + "expected a mapping, got list",
+                 id="section-not-a-mapping"),
+    pytest.param(dict(DEGENERATE_RATES, rates={
+        key: val for key, val in DEGENERATE_RATES["rates"].items() if key != "delta"}), [],
+                 at("rates.delta") + "missing required key", id="missing-delta"),
+    pytest.param(dict(MINIMAL_DIAGNOSE, population={"generator": "bogus"}), [],
+                 at("population.generator") + "must be one of ['inline', 'logistic', 'source']",
+                 id="unknown-generator"),
+    pytest.param(dict(MINIMAL_DIAGNOSE, population={"generator": 3}), [],
+                 at("population.generator") + "expected a string, got int",
+                 id="generator-not-a-string"),
+    pytest.param(dict(MINIMAL_DIAGNOSE, population=dict(MINIMAL_DIAGNOSE["population"],
+                                                        d="eight")), [],
+                 at("population.d") + "expected a number, got str", id="string-dimension"),
+    pytest.param(dict(MINIMAL_DIAGNOSE, population=dict(MINIMAL_DIAGNOSE["population"], d=8.5)),
+                 [], at("population.d") + "expected an integer", id="fractional-dimension"),
+    pytest.param(dict(DEGENERATE_RATES, rates=dict(DEGENERATE_RATES["rates"], n_grid=[])), [],
+                 at("rates.n_grid") + "must be strictly increasing positive integers",
+                 id="empty-n-grid"),
+    pytest.param(dict(SOLVE, population=_inline([])), [],
+                 at("population.atoms") + "inline population needs a nonempty atoms list",
+                 id="empty-atoms"),
+    pytest.param(dict(DEGENERATE_RATES, rates=dict(DEGENERATE_RATES["rates"],
+                                                   **{"lambda": {"mode": "magic"}})), [],
+                 at("rates.lambda.mode") + "must be one of ['anchored', 'corollary', 'explicit']",
+                 id="unknown-lambda-mode"),
+    pytest.param(dict(SOLVE, population=dict(_inline([[1.0]]), atoms=[[1.0, 0.0, 0.5]])), [],
+                 at("population.atoms[0]") + "expected a mapping, got list",
+                 id="atom-not-a-mapping"),
+    pytest.param(dict(DEGENERATE_RATES, rates=dict(DEGENERATE_RATES["rates"], burn_in=1)), [],
+                 at("rates.burn_in") + "unknown key", id="removed-burn-in"),
 ])
 def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, monkeypatch, doc, argv,
                                                  expect):
@@ -529,6 +575,7 @@ def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, monkeypatch, 
     assert main(["--config", str(cfg_path), "--out", str(out), "--quiet", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not [line for line in err.splitlines() if line.startswith("  :")]
     if expect is not None:
         assert expect in err
     assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scerm import (
     ContractViolation,
     ExperimentPlan,
+    NonConvergenceError,
     RateParams,
     SampleSet,
     anchored_lambdas,
@@ -27,6 +28,7 @@ from scerm import (
     solve_erm,
     theoretical_rate,
 )
+from scerm import rates
 from scerm.rates import hessian_premise_n
 
 
@@ -202,6 +204,48 @@ def test_schedule_based_plan_runs():
     assert len(report.cells) == 4
     assert [c.lam for c in report.cells] == [lam for lam in lambdas for _ in range(2)]
     assert all(l > 0 for l in lambdas)
+
+
+def test_bound_and_guard_evaluated_once_per_n(monkeypatch):
+    calls = {"_bound_rhs": 0, "_guard": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(rates, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(rates, name, counted)
+    report = run_rate_experiment(tiny_plan(replicates=4, n_grid=(32, 64, 128)))
+    assert len(report.cells) == 12
+    assert calls == {"_bound_rhs": 3, "_guard": 3}
+
+
+def test_partly_failed_n_reduces_its_solved_cells(monkeypatch):
+    # at jobs = 1 the cells run n-major, so the first solve is replicate 0 of the first n
+    solve = rates.newton_minimize
+    calls = []
+
+    def fail_first(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise NonConvergenceError("forced failure", [])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(rates, "newton_minimize", fail_first)
+    plan = tiny_plan(seed=2, replicates=3, n_grid=(32, 64, 128))
+    report = run_rate_experiment(plan)
+    cells = report.cells
+    assert [(c.n, c.replicate) for c in cells] == [
+        (n, rep) for n in plan.n_grid for rep in range(3)]
+    assert report.solver_failures == 1
+    assert not cells[0].solved and math.isnan(cells[0].excess_risk)
+    solved = [c for c in cells[:3] if c.solved]
+    assert len(solved) == 2
+    assert report.mean_excess[0] == float(np.mean([c.excess_risk for c in solved]))
+    assert report.violation_freq[0] == float(np.mean([c.excess_risk > c.bound_rhs
+                                                      for c in solved]))
+    for ni in range(len(plan.n_grid)):
+        group = cells[3 * ni:3 * ni + 3]
+        assert len({(c.bound_rhs, c.guard_ok) for c in group}) == 1
+        assert report.guard_met[ni] == group[0].guard_ok
 
 
 def test_parallel_jobs_match_serial():
