@@ -398,8 +398,7 @@ def main(argv=None) -> int:
         return 2
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-        if isinstance(raw, dict):
-            raw = {**raw, "seed": args.seed}
+        raw = {**raw, "seed": args.seed}
     try:
         return run(cfg, raw, args.out, jobs=jobs, quiet=args.quiet)
     except (ConfigError, ContractViolation) as exc:

@@ -11,8 +11,9 @@ quadratic form). The certificate vectors are {0} for the square loss,
 logistic loss and {2 Phi(x, y')} over the label set for the softmax GLM.
 
 A ``SampleSet`` holds a support as stacked feature and label arrays, so that
-population sums and empirical risks are single BLAS calls; ``seminorm`` reads
-its one stack of certificate vectors, ``certificate_rows``. ``Sample`` is one
+population sums and empirical risks are single BLAS calls; for a scalar loss
+the sums run over its distinct feature rows. ``seminorm`` reads its one stack
+of certificate vectors, ``certificate_rows``. ``Sample`` is one
 observation, the input of the per-sample operations, which stay an
 independent oracle for the stacked sums.
 """
@@ -356,6 +357,18 @@ LOSS_KINDS = {
 
 # -- stacked representation ----------------------------------------------------
 
+def _distinct_rows(feats) -> tuple[np.ndarray, np.ndarray]:
+    """The bit-distinct rows of feats in first-occurrence order, read-only
+    (feats itself when no two rows are equal), and each feats row's index
+    into them."""
+    index: dict[bytes, int] = {}
+    row_of = _readonly(np.fromiter((index.setdefault(row.tobytes(), len(index)) for row in feats),
+                                   dtype=np.intp, count=len(feats)))
+    if len(index) == len(feats):
+        return feats, row_of
+    return _readonly(feats[np.unique(row_of, return_index=True)[1]]), row_of
+
+
 class SampleSet:
     """Immutable support of one loss as stacked arrays, with vectorized sums.
 
@@ -363,19 +376,28 @@ class SampleSet:
     takes features (m, n_labels, d) and label indices (m,). Both are checked
     once, through ``loss.check_support``. Weighted risks, gradients and
     Hessians over the stack are exact finite sums.
+
+    A scalar loss also keeps its distinct feature rows once, ``rows`` (k, d),
+    and each atom's row index ``row_of`` (m,). Atoms that differ only in their
+    label share a row, so margins, weighted gradients and weighted Hessians
+    are computed once per row, with the atoms' coefficients summed first.
+    Rows merge only when bit-equal (0.0 and -0.0 stay apart), so merging
+    regroups the exact sums and changes nothing but rounding.
     """
 
     def __init__(self, loss: LossModel, features, labels):
         self.loss = loss
         self.features, self.labels = loss.check_support(features, labels)
         self.dim = self.features.shape[-1]
+        if not loss.is_glm:
+            self.rows, self.row_of = _distinct_rows(self.features)
 
     def __len__(self):
         return self.features.shape[0]
 
     # -- scalar-loss internals
     def _margins(self, theta):
-        return self.features @ theta
+        return (self.rows @ theta)[self.row_of]
 
     def values(self, theta) -> np.ndarray:
         """Per-sample loss values, shape (m,)."""
@@ -418,26 +440,31 @@ class SampleSet:
         theta = _check_theta(theta, self.dim)
         if not loss.is_glm:
             fp = np.asarray(loss._fp(self._margins(theta), self.labels), dtype=float)
-            return (weights * fp) @ self.features
+            return np.bincount(self.row_of, weights * fp) @ self.rows
         return weights @ self.grads(theta)
 
     def weighted_hess(self, weights, theta) -> np.ndarray:
         """Weighted sum of the per-sample Hessians, shape (d, d).
 
-        Rows of zero weight add exactly 0 and are left out of the sums, so a
-        draw's counts / n weights cost only the atoms it drew.
+        Terms that add exactly 0 are left out of the sums, so a draw's
+        counts / n weights cost only what it drew: for a scalar loss, the
+        distinct rows whose summed coefficient is 0; for the GLM, the atoms
+        of zero weight.
         """
         loss = self.loss
         theta = _check_theta(theta, self.dim)
         weights = np.asarray(weights, dtype=float)
-        feats, labels = self.features, self.labels
-        drawn = weights.nonzero()[0]
-        if drawn.size < len(self):
-            feats, labels, weights = feats.take(drawn, axis=0), labels.take(drawn), weights.take(drawn)
         if not loss.is_glm:
-            fpp = np.asarray(loss._fpp(feats @ theta, labels), dtype=float)
-            h = (feats.T * (weights * fpp)) @ feats
+            fpp = np.asarray(loss._fpp(self._margins(theta), self.labels), dtype=float)
+            coef, rows = np.bincount(self.row_of, weights * fpp), self.rows
+            kept = coef.nonzero()[0]
+            if kept.size < len(rows):
+                coef, rows = coef.take(kept), rows.take(kept, axis=0)
+            h = (rows.T * coef) @ rows
         else:
+            feats, drawn = self.features, weights.nonzero()[0]
+            if drawn.size < len(self):
+                feats, weights = feats.take(drawn, axis=0), weights.take(drawn)
             p, _ = self._glm_softmax(feats, theta)
             wp = weights[:, None] * p
             h = np.einsum("ml,mld,mle->de", wp, feats, feats)

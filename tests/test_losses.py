@@ -20,7 +20,11 @@ from scerm import (
 )
 from scerm.linalg import ball_point
 from scerm.losses import LOSS_KINDS
-from scerm.population import sup_norm_certificate
+from scerm.population import (
+    make_logistic_population,
+    make_source_population,
+    sup_norm_certificate,
+)
 
 SCALAR_KINDS = ["square", "huber_sqrt", "huber_logcosh", "logistic"]
 ALL_KINDS = SCALAR_KINDS + ["softmax_glm"]
@@ -364,6 +368,24 @@ def test_logistic_large_margin_stability():
 # -- stacked representation consistency ---------------------------------------------
 
 
+def assert_sums_match_per_sample_ops(loss, atoms, sset, theta, weight_sets):
+    """The stacked sums of sset against the per-sample LossModel methods."""
+    vals = np.array([loss.value(z, theta) for z in atoms])
+    np.testing.assert_allclose(sset.values(theta), vals, rtol=1e-12, atol=1e-12)
+    grads = np.stack([loss.grad(z, theta) for z in atoms])
+    np.testing.assert_allclose(sset.grads(theta), grads, rtol=1e-12, atol=1e-12)
+    for weights in weight_sets:
+        assert sset.weighted_value(weights, theta) == pytest.approx(weights @ vals, rel=1e-12,
+                                                                     abs=1e-12)
+        np.testing.assert_allclose(sset.weighted_grad(weights, theta), weights @ grads,
+                                   rtol=1e-12, atol=1e-12)
+        hess = sum(weights[i] * loss.hess(z, theta) for i, z in enumerate(atoms))
+        np.testing.assert_allclose(sset.weighted_hess(weights, theta), hess,
+                                   rtol=1e-11, atol=1e-12)
+    traces = np.array([np.trace(loss.hess(z, theta)) for z in atoms])
+    np.testing.assert_allclose(sset.trace_hess(theta), traces, rtol=1e-11, atol=1e-12)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_sample_set_matches_per_sample_ops(kind, rng):
     loss = make_loss(kind)
@@ -376,18 +398,7 @@ def test_sample_set_matches_per_sample_ops(kind, rng):
     w_drawn = np.where(np.arange(7) % 3 == 0, 0.0, w)
     w_drawn /= w_drawn.sum()
     theta = rng.normal(size=d)
-    vals = np.array([loss.value(z, theta) for z in atoms])
-    np.testing.assert_allclose(sset.values(theta), vals, rtol=1e-12, atol=1e-12)
-    grads = np.stack([loss.grad(z, theta) for z in atoms])
-    np.testing.assert_allclose(sset.grads(theta), grads, rtol=1e-12, atol=1e-12)
-    for weights in (w, w_drawn):
-        np.testing.assert_allclose(sset.weighted_grad(weights, theta), weights @ grads,
-                                   rtol=1e-12, atol=1e-12)
-        hess = sum(weights[i] * loss.hess(z, theta) for i, z in enumerate(atoms))
-        np.testing.assert_allclose(sset.weighted_hess(weights, theta), hess,
-                                   rtol=1e-11, atol=1e-12)
-    traces = np.array([np.trace(loss.hess(z, theta)) for z in atoms])
-    np.testing.assert_allclose(sset.trace_hess(theta), traces, rtol=1e-11, atol=1e-12)
+    assert_sums_match_per_sample_ops(loss, atoms, sset, theta, (w, w_drawn))
     k = rng.normal(size=d)
     facs = np.array([loss.sc_factor(z, k) for z in atoms])
     # certificate_rows is atom-major: each atom's rows follow one another
@@ -396,6 +407,46 @@ def test_sample_set_matches_per_sample_ops(kind, rng):
     np.testing.assert_allclose(np.max(per_atom, axis=1, initial=0.0), facs,
                                rtol=1e-12, atol=1e-12)
     assert sset.seminorm(k) == pytest.approx(facs.max(), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", SCALAR_KINDS)
+def test_sample_set_merges_shared_rows_exactly(kind, rng):
+    d = 4
+    shared, half_drawn, undrawn, plain = (rng.normal(size=d) for _ in range(4))
+    zero_row = rng.normal(size=d)
+    zero_row[1] = 0.0
+    negzero_row = zero_row.copy()
+    negzero_row[1] = -0.0
+    rows = [shared, shared, half_drawn, half_drawn, zero_row, negzero_row, plain,
+            undrawn, undrawn]
+    if kind == "logistic":
+        labels = [1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0]
+    else:
+        labels = [0.7, -1.3, 0.2, 1.9, -0.4, 0.6, 1.1, -0.8, 0.3]
+    loss = make_loss(kind)
+    atoms = [Sample(features=x, label=y) for x, y in zip(rows, labels)]
+    sset = stack_samples(loss, atoms)
+    # atoms that differ only in their label share a row; 0.0 and -0.0 stay apart
+    assert sset.rows.shape == (6, d)
+    assert sset.row_of[0] == sset.row_of[1] and sset.row_of[2] == sset.row_of[3]
+    assert sset.row_of[4] != sset.row_of[5]
+    w = rng.uniform(0.1, 1.0, size=9)
+    # one atom of a shared row drawn, and no atom of another
+    w_drawn = np.where(np.isin(np.arange(9), [3, 7, 8]), 0.0, w)
+    theta = rng.normal(size=d)
+    assert_sums_match_per_sample_ops(loss, atoms, sset, theta,
+                                     (w / w.sum(), w_drawn / w_drawn.sum()))
+
+
+@pytest.mark.parametrize("build,distinct", [
+    (lambda: make_source_population(256, 0.5, 1.0, 102), 512),
+    (lambda: make_logistic_population(16, 1.0, 103), 32),
+], ids=["source-b", "logistic-a"])
+def test_generated_populations_sum_each_row_once(build, distinct):
+    sset = build().sample_set
+    assert len(sset) == 2 * distinct
+    assert sset.rows.shape == (distinct, sset.dim)
+    np.testing.assert_array_equal(sset.rows[sset.row_of], sset.features)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
