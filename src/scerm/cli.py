@@ -174,7 +174,7 @@ def _cmd_diagnose(cfg: RunConfig, pop, jobs) -> _Report:
 
 def _cmd_verify(cfg: RunConfig, pop, jobs) -> _Report:
     spec = cfg.verify
-    reports = run_check_suite(spec.trials_per_case, cfg.seed, slack=spec.slack)
+    reports = run_check_suite(spec.trials_per_case, cfg.seed)
     total_trials = sum(r.trials for r in reports.values())
     total_violations = sum(r.violations for r in reports.values())
     loc_failures = 0
@@ -231,12 +231,10 @@ def _cmd_rates(cfg: RunConfig, pop, jobs) -> _Report:
     if lam_spec.mode == "explicit":
         lambdas = lam_spec.values
     elif lam_spec.mode == "anchored":
-        exponent = lam_spec.exponent
-        if exponent is None:
-            # a population without construction metadata decays as r = 1/2, alpha = 1
-            exponent = lambda_exponent(spec.regime,
-                                       params.r if params.r is not None else 0.5,
-                                       params.alpha if params.alpha is not None else 1.0)
+        # a population without construction metadata decays as r = 1/2, alpha = 1
+        exponent = lambda_exponent(spec.regime,
+                                   params.r if params.r is not None else 0.5,
+                                   params.alpha if params.alpha is not None else 1.0)
         lambdas = anchored_lambdas(spec.n_grid, exponent, lam_spec.anchor, lam_spec.n_anchor)
     else:  # corollary
         lambdas = [lambda_schedule(spec.regime, n, params).value for n in spec.n_grid]

@@ -29,14 +29,12 @@ from .population import (
     stack_samples,
 )
 from .solver import SolverConfig
-from .verify import DEFAULT_SLACK
 
 __all__ = [
     "RunConfig",
     "parse_config",
     "load_config_file",
     "build_population",
-    "population_to_config",
     "config_digest",
 ]
 
@@ -60,7 +58,6 @@ class LambdaSpec:
     mode: str = "corollary"  # "corollary" | "anchored" | "explicit"
     anchor: float | None = None
     n_anchor: int | None = None
-    exponent: float | None = None
     values: tuple | None = None
 
 
@@ -84,7 +81,6 @@ class DiagnoseSpec:
 @dataclass(frozen=True)
 class VerifySpec:
     trials_per_case: int = 650
-    slack: float = DEFAULT_SLACK
     localization_trials: int = 50
 
 
@@ -190,7 +186,7 @@ _SECTIONS = {
         "log2_max": _number(integer=True),
     })),
     "verify": (VerifySpec, ((), {
-        "trials_per_case": _COUNT, "slack": _POSITIVE, "localization_trials": _COUNT,
+        "trials_per_case": _COUNT, "localization_trials": _COUNT,
     })),
     "rates": (RatesSpec, (("regime", "n_grid", "replicates", "delta"), {
         "regime": _choice("none", "source", "source_capacity"),
@@ -226,9 +222,7 @@ _LOSSES = {kind: ((), {}) for kind in LOSS_KINDS}
 _LOSSES["softmax_glm"] = (("base_measure",), {"base_measure": _any})
 _LAMBDAS = {
     "corollary": ((), {}),
-    "anchored": (("anchor", "n_anchor"), {
-        "anchor": _POSITIVE, "n_anchor": _COUNT, "exponent": _number(lo=0.0),
-    }),
+    "anchored": (("anchor", "n_anchor"), {"anchor": _POSITIVE, "n_anchor": _COUNT}),
     "explicit": (("values",), {"values": _POSITIVES}),
 }
 # build_population checks the features
@@ -391,21 +385,6 @@ def build_population(spec: PopulationSpec) -> FinitePopulation:
         return FinitePopulation(stack_samples(loss, atoms), weights)
     except ContractViolation as exc:
         raise ConfigError([("population.atoms", str(exc))]) from exc
-
-
-def population_to_config(pop: FinitePopulation) -> dict:
-    """Serialize a population to the inline config format (round-trippable).
-
-    Floats are emitted at full precision so a rebuilt population reproduces
-    the original exactly.
-    """
-    loss_node = {"kind": pop.loss.kind}
-    if isinstance(pop.loss, SoftmaxGLMLoss):
-        loss_node["base_measure"] = [float(x) for x in pop.loss.base_measure]
-    sset = pop.sample_set
-    atoms = [{"features": x.tolist(), "label": y.item(), "weight": float(w)}
-             for x, y, w in zip(sset.features, sset.labels, pop.weights)]
-    return {"generator": "inline", "loss": loss_node, "atoms": atoms}
 
 
 def config_digest(raw_document) -> str:

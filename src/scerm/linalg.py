@@ -61,23 +61,15 @@ def chol_solve(factor, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
-def inv_quad(factor, v: np.ndarray) -> float:
-    """v^T A^{-1} v given a Cholesky factor of A (clipped at 0)."""
-    return float(max(np.dot(v, chol_solve(factor, v)), 0.0))
-
-
 def inv_norm(factor, v: np.ndarray) -> float:
-    """||v||_{A^{-1}} = sqrt(v^T A^{-1} v)."""
-    return float(np.sqrt(inv_quad(factor, v)))
-
-
-def quad(a: np.ndarray, v: np.ndarray) -> float:
-    return float(max(np.dot(v, a @ v), 0.0))
+    """||v||_{A^{-1}} = sqrt(v^T A^{-1} v) given a Cholesky factor of A, with
+    the quadratic form clipped at 0."""
+    return float(np.sqrt(max(np.dot(v, chol_solve(factor, v)), 0.0)))
 
 
 def norm_a(a: np.ndarray, v: np.ndarray) -> float:
-    """||v||_A = sqrt(v^T A v)."""
-    return float(np.sqrt(quad(a, v)))
+    """||v||_A = sqrt(v^T A v), with the quadratic form clipped at 0."""
+    return float(np.sqrt(max(np.dot(v, a @ v), 0.0)))
 
 
 def inv_quad_rows(factor, rows: np.ndarray) -> np.ndarray:

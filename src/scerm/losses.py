@@ -240,12 +240,6 @@ class HuberLogCoshLoss(_ScalarLoss):
         return np.cosh(y - u) ** -2.0
 
 
-def _log1pexp(x):
-    """log(1 + e^x), overflow-safe for large |x|."""
-    x = np.asarray(x, dtype=float)
-    return np.logaddexp(0.0, x)
-
-
 def _sigmoid(x):
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
@@ -268,7 +262,7 @@ class LogisticLoss(_ScalarLoss):
             raise ContractViolation(f"logistic label must be +1 or -1, got {labels[bad][0]}")
 
     def _f(self, u, y):
-        return _log1pexp(-y * np.asarray(u, dtype=float))
+        return np.logaddexp(0.0, -y * np.asarray(u, dtype=float))
 
     def _fp(self, u, y):
         return -y * _sigmoid(-y * np.asarray(u, dtype=float))
@@ -309,12 +303,9 @@ class SoftmaxGLMLoss(LossModel):
                 f"sample has {feats.shape[1]} label rows, base measure has {self.n_labels}"
             )
 
-    def _scores(self, feats, theta):
-        # log mu(y') + theta . Phi(x, y'), shape (n_labels,)
-        return feats @ theta + np.log(self.base_measure)
-
     def _probs_logz(self, feats, theta):
-        s = self._scores(feats, theta)
+        # scores log mu(y') + theta . Phi(x, y'), shape (n_labels,)
+        s = feats @ theta + np.log(self.base_measure)
         smax = s.max()
         es = np.exp(s - smax)
         zsum = es.sum()
@@ -523,9 +514,10 @@ class SupConstants:
 def sup_constants(sset: SampleSet, radius: float) -> SupConstants:
     """Derivative bounds over {||theta|| <= radius} for the atoms of ``sset``.
 
-    All bounds are closed forms. The square and Huber losses restrict the
-    residual/margin to its exact range over the ball; the logistic loss uses
-    its global Lipschitz and curvature bounds sup||Phi|| and sup||Phi||^2/4.
+    All bounds are closed forms. The square and Huber losses read their own
+    derivatives at the ends of the residual's exact range over the ball; the
+    logistic loss uses its global Lipschitz and curvature bounds sup||Phi||
+    and sup||Phi||^2/4.
     The softmax GLM gradient is a probability mixture of Phi(x,y') - Phi(x,y)
     and its Hessian trace is at most the mixture's E||Phi(x,y')||^2, so
     B1 = max ||Phi(x,y') - Phi(x,y)|| and B2 = max ||Phi(x,y')||^2 over atoms
@@ -542,23 +534,14 @@ def sup_constants(sset: SampleSet, radius: float) -> SupConstants:
         return SupConstants(b1=b1, b2=b2)
 
     phi_norms = np.linalg.norm(sset.features, axis=1)
-    y = sset.labels
-    if isinstance(loss, SquareLoss):
-        t_hi = np.abs(y) + radius * phi_norms
-        b1 = float(np.max(t_hi * phi_norms))
-        b2 = float(np.max(phi_norms**2))
-    elif isinstance(loss, LogisticLoss):
-        b1 = float(np.max(phi_norms))
-        b2 = float(np.max(phi_norms**2)) / 4.0
-    else:
-        # Huber losses: residual t = y - u ranges over an interval whose
-        # extreme |t| values give the exact sups of |psi'| and psi''.
-        t_hi = np.abs(y) + radius * phi_norms
-        t_lo = np.maximum(np.abs(y) - radius * phi_norms, 0.0)
-        if isinstance(loss, HuberSqrtLoss):
-            b1 = float(np.max(t_hi / np.sqrt(1.0 + t_hi**2) * phi_norms))
-            b2 = float(np.max((1.0 + t_lo**2) ** -1.5 * phi_norms**2))
-        else:
-            b1 = float(np.max(np.tanh(t_hi) * phi_norms))
-            b2 = float(np.max(np.cosh(t_lo) ** -2.0 * phi_norms**2))
+    if isinstance(loss, LogisticLoss):
+        return SupConstants(b1=float(np.max(phi_norms)), b2=float(np.max(phi_norms**2)) / 4.0)
+    # square and Huber losses: over the ball the residual t = y - u keeps |t|
+    # in [t_lo, t_hi], and _fp(0, t), _fpp(0, t) are -psi'(t), psi''(t). The
+    # sups sit at these ends because |psi'| is nondecreasing and psi''
+    # nonincreasing in |t|, which any loss that reaches this branch must keep.
+    t_hi = np.abs(sset.labels) + radius * phi_norms
+    t_lo = np.maximum(np.abs(sset.labels) - radius * phi_norms, 0.0)
+    b1 = float(np.max(np.abs(loss._fp(0.0, t_hi)) * phi_norms))
+    b2 = float(np.max(loss._fpp(0.0, t_lo) * phi_norms**2))
     return SupConstants(b1=b1, b2=b2)

@@ -75,7 +75,6 @@ _POP_SOLVE_TOL = 1e-12
 class ConstructionMeta:
     """Ground-truth attributes of a synthetically constructed population."""
 
-    kind: str
     theta_star: np.ndarray
     hess_eigenvalues: np.ndarray
     r: float | None = None
@@ -517,7 +516,6 @@ def make_source_population(d: int, r: float, alpha: float, seed: int) -> FiniteP
     weights = np.repeat(probs / 4.0, 4)
     weights /= weights.sum()
     meta = ConstructionMeta(
-        kind="source",
         theta_star=theta_star,
         hess_eigenvalues=eigs,
         r=r,
@@ -565,7 +563,6 @@ def make_logistic_population(d: int, alpha: float, seed: int,
     base = 1.0 / (2 * d)
     weights = np.where(labels > 0, base * p_plus, base * (1.0 - p_plus))
     meta = ConstructionMeta(
-        kind="logistic",
         theta_star=theta_star,
         hess_eigenvalues=h,
         r=None,

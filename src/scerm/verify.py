@@ -46,10 +46,9 @@ __all__ = [
     "check_decomposition_bound",
     "run_check_suite",
     "random_population",
-    "DEFAULT_SLACK",
 ]
 
-DEFAULT_SLACK = 1e-9
+_SLACK = 1e-9  # the suite counts a margin below -_SLACK as a violation
 
 
 def _margin(lhs: float, rhs: float) -> float:
@@ -304,8 +303,7 @@ def _suite_lambda(rng, pop, check: str) -> float:
     return lam
 
 
-def run_check_suite(trials_per_case: int, seed: int,
-                    slack: float = DEFAULT_SLACK) -> dict:
+def run_check_suite(trials_per_case: int, seed: int) -> dict:
     """Randomized margins for all four inequalities over every loss kind.
 
     Returns a dict keyed by (kind, check_name) -> CheckReport. Total trial
@@ -332,7 +330,7 @@ def run_check_suite(trials_per_case: int, seed: int,
                 lam = _suite_lambda(rng, pop, name)
                 margin = fn(pop, theta0, theta1, lam)
                 worst = min(worst, margin)
-                if margin < -slack:
+                if margin < -_SLACK:
                     violations += 1
             reports[(kind, name)] = CheckReport(
                 trials=trials_per_case,

@@ -119,14 +119,13 @@ def test_yaml_exponent_floats_parse_as_numbers(tmp_path):
         "command: rates\n"
         "population: {generator: source, d: 8, r: 0.5, alpha: 2.0}\n"
         "solve: {lambda: 1e-3}\n"
-        "verify: {slack: 1e-9}\n"
-        "rates: {regime: source, n_grid: [16, 32], replicates: 2, delta: 0.1,\n"
+        "rates: {regime: source, n_grid: [16, 32], replicates: 2, delta: 0.1, tolerance: 5E-2,\n"
         "        lambda: {mode: anchored, anchor: 6e-2, n_anchor: 16}}\n"
     )
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
     for cfg in (parse_config(text), load_config_file(str(path))[0]):
-        assert (cfg.solve.lam, cfg.verify.slack, cfg.rates.lambdas.anchor) == (1e-3, 1e-9, 6e-2)
+        assert (cfg.solve.lam, cfg.rates.tolerance, cfg.rates.lambdas.anchor) == (1e-3, 5e-2, 6e-2)
     with pytest.raises(ConfigError) as err:
         parse_config(text.replace("1e-3", ".inf"))
     assert [path for path, _ in err.value.errors] == ["solve.lambda"]
@@ -291,25 +290,6 @@ def test_verify_localization_trials(tmp_path, capsys, monkeypatch):
     assert "-> FAIL" in capsys.readouterr().out
     assert (out / "verify.csv").exists()
     assert json.loads((out / "summary.json").read_text())["localization_failures"] == 5
-
-
-def test_population_round_trips_through_config():
-    from scerm.config import build_population, parse_config, population_to_config
-    from scerm.population import make_source_population
-
-    pop = make_source_population(d=4, r=0.5, alpha=2.0, seed=8)
-    doc = {
-        "command": "solve",
-        "population": population_to_config(pop),
-        "solve": {"lambda": 0.5},
-    }
-    cfg = parse_config(doc)
-    rebuilt = build_population(cfg.population)
-    import numpy as np
-
-    np.testing.assert_array_equal(rebuilt.weights, pop.weights)
-    np.testing.assert_array_equal(rebuilt.sample_set.features, pop.sample_set.features)
-    np.testing.assert_array_equal(rebuilt.sample_set.labels, pop.sample_set.labels)
 
 
 def test_concentration_command_auto_n(tmp_path):
@@ -557,6 +537,11 @@ def at(path):
                  id="atom-not-a-mapping"),
     pytest.param(dict(DEGENERATE_RATES, rates=dict(DEGENERATE_RATES["rates"], burn_in=1)), [],
                  at("rates.burn_in") + "unknown key", id="removed-burn-in"),
+    pytest.param(dict(MINIMAL_DIAGNOSE, command="verify", verify={"slack": 1e-9}), [],
+                 at("verify.slack") + "unknown key", id="removed-verify-slack"),
+    pytest.param(dict(DEGENERATE_RATES, rates=dict(DEGENERATE_RATES["rates"], **{"lambda": {
+        "mode": "anchored", "anchor": 0.1, "n_anchor": 16, "exponent": 0.5}})), [],
+                 at("rates.lambda.exponent") + "unknown key", id="removed-lambda-exponent"),
 ])
 def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, monkeypatch, doc, argv,
                                                  expect):
