@@ -15,7 +15,7 @@ identical config and seed produce byte-identical files.
 Exit codes: 0 success, 1 assertion failure (a configured tolerance or
 threshold was missed, a solve did not converge, or a population minimum is
 not attained), 2 usage error (bad flags or $SCERM_JOBS, a config that is
-unreadable, not YAML or invalid, I/O).
+unreadable, not UTF-8 YAML or invalid, I/O).
 """
 
 from __future__ import annotations
@@ -237,6 +237,12 @@ def _cmd_rates(cfg: RunConfig, pop, jobs) -> _Report:
                                    params.alpha if params.alpha is not None else 1.0)
         lambdas = anchored_lambdas(spec.n_grid, exponent, lam_spec.anchor, lam_spec.n_anchor)
     else:  # corollary
+        needs = {"source": ("r",), "source_capacity": ("r", "alpha")}.get(spec.regime, ())
+        missing = [name for name in needs if getattr(params, name) is None]
+        if missing:
+            raise ConfigError([("rates.regime", (
+                f"the corollary's lambda needs the population's {' and '.join(missing)}, "
+                "which it does not define; set rates.lambda.mode: anchored|explicit"))])
         lambdas = [lambda_schedule(spec.regime, n, params).value for n in spec.n_grid]
 
     plan = ExperimentPlan(
@@ -387,6 +393,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: cannot read config file: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: config file is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except yaml.YAMLError as exc:
         print(f"error: config file is not valid YAML: {exc}", file=sys.stderr)

@@ -207,14 +207,17 @@ _NEEDS = {"solve": ("population", "solve"), "diagnose": ("population",), "verify
           "rates": ("population", "rates"), "concentration": ("population", "concentration")}
 
 # Tagged sections: the tag's value picks the table, and the tag itself is required.
-_GENERATED = {"d": _number(lo=2, integer=True), "seed": _SEED,
-              "alpha": _number(lo=1.0, message="alpha must be >= 1 (capacity condition range)")}
+# Each generator's table accepts the domain of its library constructor.
 _POPULATIONS = {
     "source": (("d", "r", "alpha"), {
-        **_GENERATED,
+        "d": _number(lo=2, integer=True), "seed": _SEED,
         "r": _number(0.0, 0.5, message="r must lie in [0, 0.5] (source condition range)"),
+        "alpha": _number(lo=1.0, message="alpha must be >= 1 (capacity condition range)"),
     }),
-    "logistic": (("d",), _GENERATED),
+    "logistic": (("d",), {
+        "d": _number(lo=1, integer=True, message="d must be >= 1"), "seed": _SEED,
+        "alpha": _number(lo=0.0, message="alpha must be nonnegative"),
+    }),
     "inline": (("loss", "atoms"), {"loss": _any, "atoms": _any}),
 }
 # the loss constructor checks base_measure
@@ -299,6 +302,27 @@ _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
     r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+0123456789."))
 
 
+def _alias_cycle(node, path, open_ids, done_ids) -> str | None:
+    """The dotted path of the first place where a YAML alias makes a value
+    contain itself, or None. Each shared value is walked once."""
+    if not isinstance(node, (dict, list)) or id(node) in done_ids:
+        return None
+    if id(node) in open_ids:
+        return path
+    open_ids.add(id(node))
+    if isinstance(node, dict):
+        items = ((f"{path}.{key}" if path else str(key), val) for key, val in node.items())
+    else:
+        items = ((f"{path}[{i}]", val) for i, val in enumerate(node))
+    for sub, val in items:
+        found = _alias_cycle(val, sub, open_ids, done_ids)
+        if found is not None:
+            return found
+    open_ids.discard(id(node))
+    done_ids.add(id(node))
+    return None
+
+
 def parse_config(document) -> RunConfig:
     """Validate a config mapping (or YAML string) into a RunConfig.
 
@@ -309,6 +333,9 @@ def parse_config(document) -> RunConfig:
     if not isinstance(document, dict):
         got = "an empty document" if document is None else type(document).__name__
         raise ConfigError([("document", f"expected a mapping, got {got}")])
+    cycle = _alias_cycle(document, "", set(), set())
+    if cycle is not None:
+        raise ConfigError([(cycle, "a YAML alias makes this value contain itself")])
     errs = []
     top = _fields(document, "", _TOP, errs)
     command = top.get("command")

@@ -370,9 +370,11 @@ def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
         for ni, n in enumerate(plan.n_grid)
         for rep in range(plan.replicates)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=single_thread_blas) as pool:
-            raw = list(pool.map(_run_cell, tasks, chunksize=max(1, len(tasks) // (8 * jobs))))
+    # a pool starts every worker at once, so it gets no more workers than cells
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=single_thread_blas) as pool:
+            raw = list(pool.map(_run_cell, tasks, chunksize=max(1, len(tasks) // (8 * workers))))
     else:
         raw = [_run_cell(t) for t in tasks]
 

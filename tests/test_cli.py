@@ -422,6 +422,14 @@ def test_nonconvergence_exits_1_with_one_line_error(tmp_path, population, comman
     assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()
 
 
+def test_logistic_population_takes_the_generators_domain(tmp_path):
+    # make_logistic_population accepts d >= 1 and alpha >= 0
+    doc = {"command": "diagnose", "population": {"generator": "logistic", "d": 1, "alpha": 0.5}}
+    out = tmp_path / "out"
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "summary.json").read_text())["n_grid_points"] > 0
+
+
 def test_diagnose_log2_max_zero_gives_one_grid_point(tmp_path):
     doc = dict(MINIMAL_DIAGNOSE, diagnose={"log2_min": 0, "log2_max": 0})
     out = tmp_path / "out"
@@ -537,6 +545,26 @@ def at(path):
                  id="atom-not-a-mapping"),
     pytest.param(dict(DEGENERATE_RATES, rates=dict(DEGENERATE_RATES["rates"], burn_in=1)), [],
                  at("rates.burn_in") + "unknown key", id="removed-burn-in"),
+    pytest.param(b"command: verify\n# \xff\n", [], "error: config file is not UTF-8 text: ",
+                 id="config-not-utf-8"),
+    pytest.param("command: solve\nsolve: {lambda: 0.1}\npopulation: {generator: inline, "
+                 "loss: {kind: square}, atoms: [{features: &f [1.0, *f], label: 1.0, "
+                 "weight: 1.0}]}\n", [],
+                 at("population.atoms[0].features[1]") + "a YAML alias makes this value "
+                 "contain itself", id="yaml-alias-cycle"),
+    pytest.param(dict(MINIMAL_DIAGNOSE, population={"generator": "logistic", "d": 2,
+                                                    "alpha": -0.5}), [],
+                 at("population.alpha") + "alpha must be nonnegative",
+                 id="negative-logistic-alpha"),
+    pytest.param(dict(DEGENERATE_RATES, population={"generator": "logistic", "d": 2},
+                      rates=dict(DEGENERATE_RATES["rates"], regime="source")), [],
+                 at("rates.regime") + "the corollary's lambda needs the population's r, which "
+                 "it does not define; set rates.lambda.mode: anchored|explicit",
+                 id="corollary-lambda-without-r"),
+    pytest.param(dict(DEGENERATE_RATES, rates=dict(DEGENERATE_RATES["rates"],
+                                                   regime="source_capacity")), [],
+                 at("rates.regime") + "the corollary's lambda needs the population's r and "
+                 "alpha, which it does not define", id="corollary-lambda-without-r-and-alpha"),
     pytest.param(dict(MINIMAL_DIAGNOSE, command="verify", verify={"slack": 1e-9}), [],
                  at("verify.slack") + "unknown key", id="removed-verify-slack"),
     pytest.param(dict(DEGENERATE_RATES, rates=dict(DEGENERATE_RATES["rates"], **{"lambda": {
@@ -554,6 +582,9 @@ def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, monkeypatch, 
     elif isinstance(doc, str):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(doc)
+    elif isinstance(doc, bytes):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_bytes(doc)
     else:
         cfg_path = write_cfg(tmp_path, doc)
     out = tmp_path / "out"

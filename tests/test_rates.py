@@ -262,6 +262,31 @@ def test_jobs_invariance(seed, replicates):
     assert run_rate_experiment(plan, jobs=1).cells == run_rate_experiment(plan, jobs=2).cells
 
 
+def test_pool_gets_no_more_workers_than_cells(monkeypatch):
+    # a stand-in pool that records its worker count and runs the cells in
+    # this process, so a huge jobs value starts no process
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(rates, "ProcessPoolExecutor", SerialPool)
+    plan = tiny_plan(seed=5, replicates=2, n_grid=(32, 64))
+    capped = run_rate_experiment(plan, jobs=10**6)
+    assert started == [4]
+    assert capped.cells == run_rate_experiment(plan, jobs=1).cells
+
+
 # Run in a fresh interpreter with OPENBLAS_NUM_THREADS=2: rate cells on a
 # two-worker pool record both OpenBLAS thread counts (numpy's copy, then
 # scipy's) of the worker that ran them; the parent, which was not pinned
