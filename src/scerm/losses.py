@@ -268,8 +268,9 @@ class LogisticLoss(_ScalarLoss):
         return -y * _sigmoid(-y * np.asarray(u, dtype=float))
 
     def _fpp(self, u, y):
-        m = y * np.asarray(u, dtype=float)
-        return _sigmoid(m) * _sigmoid(-m)
+        # sigma(m) sigma(-m) = e / (1 + e)^2 with e = exp(-|m|), which cannot overflow
+        e = np.exp(-np.abs(y * np.asarray(u, dtype=float)))
+        return e / (1.0 + e) ** 2
 
 
 class SoftmaxGLMLoss(LossModel):
