@@ -1,18 +1,33 @@
 """Dense symmetric linear algebra helpers.
 
 All quantities of the form ||v||_{A^{-1}} are computed through a Cholesky
-solve rather than an explicit inverse square root; generalized eigenvalues go
-through scipy's Cholesky-whitening reduction. Matrices here are small and
+solve rather than an explicit inverse square root. Matrices here are small and
 dense (d up to a few hundred), so BLAS runs on one thread per process
 (``single_thread_blas``) and experiments parallelise over worker processes.
+
+The helpers call four LAPACK routines of scipy's compiled ``_flapack``
+module, with the arguments scipy's own wrappers pass, so their results are
+bit for bit those of ``scipy.linalg``:
+
+    chol_factor   dpotrf                 (cho_factor, lower)
+    chol_solve    dpotrs                 (cho_solve)
+    gen_eigmax    dsygvd                 (eigh(a, b, eigvals_only=True))
+    eigmin        dsyevr, dsyevr_lwork   (eigvalsh)
+
+The module is loaded once, from its file, so that neither the ``scipy``
+package nor ``scipy.linalg`` is imported. Importing ``scipy.linalg`` costs
+more than half of a CLI run's set-up: its numpy compatibility layer touches
+every lazy numpy submodule (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``),
+while ``_flapack`` itself loads in a few milliseconds.
 """
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import math
 import os
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractViolation
 
@@ -46,19 +61,51 @@ def single_thread_blas() -> None:
             set_threads(1)
 
 
-def chol_factor(a: np.ndarray):
-    """Cholesky factorization of a symmetric positive definite matrix.
+def _load_flapack():
+    """scipy's compiled LAPACK module, loaded from its file without running
+    any of scipy's Python code. It keeps its own name, so a later import of
+    ``scipy.linalg`` reuses it."""
+    spec = importlib.util.find_spec("scipy")
+    dirs = [os.path.join(loc, "linalg") for loc in spec.submodule_search_locations] if spec else []
+    for path in (os.path.join(d, "_flapack" + suffix)
+                 for d in dirs for suffix in importlib.machinery.EXTENSION_SUFFIXES):
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(loader.name, loader))
+            loader.exec_module(module)
+            return module
+    where = " or ".join(dirs) or "an installed scipy"
+    raise ImportError(f"scipy's LAPACK module _flapack is not in {where}")
+
+
+_LAPACK = _load_flapack()
+
+
+def _check_legal(info: int, routine: str) -> None:
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in argument {-info} of {routine}")
+
+
+def chol_factor(a: np.ndarray) -> np.ndarray:
+    """Cholesky factorization of a symmetric positive definite matrix: L in
+    the lower triangle, a's own entries above it.
 
     Raises ContractViolation if the matrix is not numerically PD.
     """
-    try:
-        return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise ContractViolation(f"matrix is not positive definite: {exc}") from exc
+    c, info = _LAPACK.dpotrf(a, lower=1, clean=0)
+    _check_legal(info, "dpotrf")
+    if info > 0:
+        raise ContractViolation("matrix is not positive definite: "
+                                f"{info}-th leading minor of the array is not positive definite")
+    return c
 
 
-def chol_solve(factor, b: np.ndarray) -> np.ndarray:
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+def chol_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^{-1} b for a vector or a stack of columns b, given chol_factor(A)."""
+    x, info = _LAPACK.dpotrs(factor, b, lower=1)
+    _check_legal(info, "dpotrs")
+    return x
 
 
 def inv_norm(factor, v: np.ndarray) -> float:
@@ -93,15 +140,30 @@ def gen_eigmax(a: np.ndarray, b: np.ndarray) -> float:
 
     b must be symmetric positive definite.
     """
-    try:
-        vals = scipy.linalg.eigh(a, b, eigvals_only=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise ContractViolation(f"generalized eigenproblem failed: {exc}") from exc
+    vals, _, info = _LAPACK.dsygvd(a, b, itype=1, jobz="N", uplo="L")
+    _check_legal(info, "dsygvd")
+    n = len(vals)
+    if info > n:
+        raise ContractViolation(
+            f"generalized eigenproblem failed: The leading minor of order {info - n} of B is not "
+            "positive definite. The factorization of B could not be completed and no eigenvalues "
+            "or eigenvectors were computed.")
+    if info > 0:
+        raise ContractViolation(
+            f"generalized eigenproblem failed: The algorithm failed to converge; {info} "
+            "off-diagonal elements of an intermediate tridiagonal form did not converge to zero.")
     return float(vals[-1])
 
 
 def eigmin(a: np.ndarray) -> float:
-    return float(scipy.linalg.eigvalsh(a, check_finite=False)[0])
+    """Smallest eigenvalue of a symmetric matrix."""
+    work, iwork, info = _LAPACK.dsyevr_lwork(len(a), lower=1)
+    _check_legal(info, "dsyevr_lwork")
+    vals, _, _, _, info = _LAPACK.dsyevr(a, compute_v=0, lower=1, lwork=int(work), liwork=iwork)
+    _check_legal(info, "dsyevr")
+    if info > 0:
+        raise ContractViolation(f"eigenvalue solve failed: dsyevr reported internal error {info}")
+    return float(vals[0])
 
 
 def add_ridge(a: np.ndarray, lam: float) -> np.ndarray:

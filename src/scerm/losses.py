@@ -358,7 +358,10 @@ def _distinct_rows(feats) -> tuple[np.ndarray, np.ndarray]:
                                    dtype=np.intp, count=len(feats)))
     if len(index) == len(feats):
         return feats, row_of
-    return _readonly(feats[np.unique(row_of, return_index=True)[1]]), row_of
+    # not np.unique, which imports numpy.ma: indices are numbered in order of
+    # first occurrence, so a row occurs first where row_of's running max steps up
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(row_of), prepend=-1))
+    return _readonly(feats[first]), row_of
 
 
 class SampleSet:

@@ -423,7 +423,8 @@ def _fit_window(report: DiagnosticsReport) -> np.ndarray:
 
 
 def _fittable(grid) -> bool:
-    return np.unique(grid).size >= 3
+    # a set, not np.unique: np.unique imports numpy.ma on its first call
+    return len(set(grid.tolist())) >= 3
 
 
 def _check_grid(report: DiagnosticsReport):

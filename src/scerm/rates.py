@@ -19,8 +19,8 @@ population's atoms by their multinomial counts / n.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,7 +373,9 @@ def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
     # a pool starts every worker at once, so it gets no more workers than cells
     workers = min(jobs, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=single_thread_blas) as pool:
+        # naming the attribute imports concurrent.futures.process: serial runs never do
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                    initializer=single_thread_blas) as pool:
             raw = list(pool.map(_run_cell, tasks, chunksize=max(1, len(tasks) // (8 * workers))))
     else:
         raw = [_run_cell(t) for t in tasks]

@@ -1,5 +1,11 @@
 import ast
+import json
 import pathlib
+import subprocess
+import sys
+import textwrap
+
+import yaml
 
 import scerm
 
@@ -111,3 +117,49 @@ def test_cli_files_written_only_by_run():
     commands = [fn for fn in functions if fn.name.startswith("_cmd_")]
     assert len(commands) == 5
     assert all([arg.arg for arg in fn.args.args] == ["cfg", "pop", "jobs"] for fn in commands)
+
+
+# Modules that no CLI run may load. scipy.linalg's numpy compatibility layer
+# touches numpy's lazy submodules (numpy.f2py pulls in charset_normalizer),
+# np.unique imports numpy.ma, and only a pool of workers needs
+# concurrent.futures.process and multiprocessing.
+HEAVY = ("scipy.linalg", "numpy.f2py", "numpy.ma", "numpy.testing", "charset_normalizer",
+         "concurrent.futures.process", "multiprocessing")
+
+# a tiny run of every command; the inline population has two equal feature
+# rows, which the stack merges
+TINY_RUNS = [
+    {"command": "solve", "population": {"generator": "logistic", "d": 3, "seed": 1},
+     "solve": {"lambda": 0.1}},
+    {"command": "diagnose", "population": {"generator": "source", "d": 8, "r": 0.5, "alpha": 2.0},
+     "diagnose": {"log2_min": 1, "log2_max": 8}},
+    {"command": "verify", "verify": {"trials_per_case": 2, "localization_trials": 2}},
+    {"command": "rates", "population": {"generator": "source", "d": 8, "r": 0.5, "alpha": 2.0},
+     "rates": {"regime": "source", "n_grid": [32, 64, 128], "replicates": 2, "delta": 0.1}},
+    {"command": "concentration", "population": {
+        "generator": "inline", "loss": {"kind": "square"},
+        "atoms": [{"features": [1.0], "label": 0.0, "weight": 0.5},
+                  {"features": [1.0], "label": 2.0, "weight": 0.5}]},
+     "concentration": {"kind": "gradient", "lambda": 0.5, "replicates": 20, "delta": 0.1}},
+]
+
+RUN_AND_LIST_LOADED = textwrap.dedent("""
+    import json, sys
+    from scerm.cli import main
+    out, heavy, configs = sys.argv[1], sys.argv[2].split(","), sys.argv[3:]
+    codes = [main(["--config", cfg, "--out", out, "--quiet"]) for cfg in configs]
+    print(json.dumps([codes, [name for name in heavy if name in sys.modules]]))
+""")
+
+
+def test_cli_runs_leave_the_heavy_modules_unloaded(tmp_path):
+    configs = []
+    for doc in TINY_RUNS:
+        configs.append(str(tmp_path / f"{doc['command']}.yaml"))
+        pathlib.Path(configs[-1]).write_text(yaml.safe_dump(doc))
+    proc = subprocess.run([sys.executable, "-c", RUN_AND_LIST_LOADED, str(tmp_path / "out"),
+                           ",".join(HEAVY), *configs], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert len(codes) == 5 and set(codes) <= {0, 1}
+    assert loaded == []

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -280,7 +281,7 @@ def test_pool_gets_no_more_workers_than_cells(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(rates, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     plan = tiny_plan(seed=5, replicates=2, n_grid=(32, 64))
     capped = run_rate_experiment(plan, jobs=10**6)
     assert started == [4]
