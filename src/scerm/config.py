@@ -302,25 +302,45 @@ _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
     r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+0123456789."))
 
 
-def _alias_cycle(node, path, open_ids, done_ids) -> str | None:
-    """The dotted path of the first place where a YAML alias makes a value
-    contain itself, or None. Each shared value is walked once."""
-    if not isinstance(node, (dict, list)) or id(node) in done_ids:
+# the scalar types of a JSON document: config_digest hashes the config's JSON form
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def _json_fault(node, path, open_ids, done_ids) -> tuple[str, str] | None:
+    """The dotted path and message of the first place where the document is
+    not JSON, or None: a value of another type (a YAML date, ``!!binary``
+    bytes, a ``!!set``), a mapping key that is not a string, or a value that
+    a YAML alias makes contain itself. Each shared value is walked once."""
+    if isinstance(node, _JSON_SCALARS) or id(node) in done_ids:
         return None
+    if not isinstance(node, (dict, list)):
+        return path, ("expected a mapping, list, string, number, boolean or null, "
+                      f"got {type(node).__name__}")
     if id(node) in open_ids:
-        return path
+        return path, "a YAML alias makes this value contain itself"
     open_ids.add(id(node))
     if isinstance(node, dict):
-        items = ((f"{path}.{key}" if path else str(key), val) for key, val in node.items())
+        for key in node:
+            if not isinstance(key, str):
+                return f"{path}.{key}" if path else str(key), \
+                    f"expected a string key, got {type(key).__name__}"
+        items = ((f"{path}.{key}" if path else key, val) for key, val in node.items())
     else:
         items = ((f"{path}[{i}]", val) for i, val in enumerate(node))
     for sub, val in items:
-        found = _alias_cycle(val, sub, open_ids, done_ids)
+        found = _json_fault(val, sub, open_ids, done_ids)
         if found is not None:
             return found
     open_ids.discard(id(node))
     done_ids.add(id(node))
     return None
+
+
+def _load_yaml(stream):
+    try:
+        return yaml.load(stream, Loader=_Loader)
+    except RecursionError:
+        raise ConfigError([("document", "nested too deeply to load")]) from None
 
 
 def parse_config(document) -> RunConfig:
@@ -329,13 +349,13 @@ def parse_config(document) -> RunConfig:
     Raises ConfigError listing every violation with its dotted path.
     """
     if isinstance(document, str):
-        document = yaml.load(document, Loader=_Loader)
+        document = _load_yaml(document)
     if not isinstance(document, dict):
         got = "an empty document" if document is None else type(document).__name__
         raise ConfigError([("document", f"expected a mapping, got {got}")])
-    cycle = _alias_cycle(document, "", set(), set())
-    if cycle is not None:
-        raise ConfigError([(cycle, "a YAML alias makes this value contain itself")])
+    fault = _json_fault(document, "", set(), set())
+    if fault is not None:
+        raise ConfigError([fault])
     errs = []
     top = _fields(document, "", _TOP, errs)
     command = top.get("command")
@@ -375,7 +395,7 @@ def parse_config(document) -> RunConfig:
 
 def load_config_file(path) -> tuple[RunConfig, dict]:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.load(fh, Loader=_Loader)
+        raw = _load_yaml(fh)
     return parse_config(raw), raw
 
 

@@ -464,6 +464,12 @@ DEGENERATE_RATES = {
 }
 
 
+# an inline solve config whose one atom has the given YAML features
+INLINE_SOLVE_YAML = ("command: solve\nsolve: {{lambda: 0.1}}\npopulation: {{generator: inline, "
+                     "loss: {{kind: square}}, atoms: [{{features: {features}, label: 1.0, "
+                     "weight: 1.0}}]}}\n")
+
+
 def at(path):
     """The error-list line of a config violation at a dotted path."""
     return f"  {path}: "
@@ -570,6 +576,20 @@ def at(path):
     pytest.param(dict(DEGENERATE_RATES, rates=dict(DEGENERATE_RATES["rates"], **{"lambda": {
         "mode": "anchored", "anchor": 0.1, "n_anchor": 16, "exponent": 0.5}})), [],
                  at("rates.lambda.exponent") + "unknown key", id="removed-lambda-exponent"),
+    pytest.param(INLINE_SOLVE_YAML.format(features="[2020-01-01]"), [],
+                 at("population.atoms[0].features[0]") + "expected a mapping, list, string, "
+                 "number, boolean or null, got date", id="yaml-date-value"),
+    pytest.param(INLINE_SOLVE_YAML.format(features="!!binary aGVsbG8="), [],
+                 at("population.atoms[0].features") + "expected a mapping, list, string, "
+                 "number, boolean or null, got bytes", id="yaml-binary-value"),
+    pytest.param(INLINE_SOLVE_YAML.format(features="!!set {1.0, 2.0}"), [],
+                 at("population.atoms[0].features") + "expected a mapping, list, string, "
+                 "number, boolean or null, got set", id="yaml-set-value"),
+    pytest.param(INLINE_SOLVE_YAML.format(features="{1: 2.0, a: 3.0}"), [],
+                 at("population.atoms[0].features.1") + "expected a string key, got int",
+                 id="yaml-integer-key"),
+    pytest.param(INLINE_SOLVE_YAML.format(features="[" * 600 + "1.0" + "]" * 600), [],
+                 at("document") + "nested too deeply to load", id="deeply-nested-features"),
 ])
 def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, monkeypatch, doc, argv,
                                                  expect):
