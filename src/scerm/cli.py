@@ -3,12 +3,12 @@
     scerm --config cfg.yaml [--seed N] [--out DIR] [--jobs N] [--quiet]
 
 Commands (selected inside the config): solve, diagnose, verify, rates,
-concentration. Each command computes its full report before ``run`` writes
-it as a CSV report plus a summary.json into the output directory, so a
-failed run leaves no output. The CSV starts with comment rows embedding the
-config digest and seed; summary.json holds them as fields and writes
-non-finite values as the strings "inf", "-inf" and "nan", so it is strict
-JSON. Both files are written to temp files before either is renamed into
+concentration. Each command computes its full report before ``run`` makes
+the output directory and writes the report into it as a CSV file plus a
+summary.json, so a run that fails first leaves no output, not even the
+directory. The CSV starts with comment rows embedding the config digest and
+seed; summary.json holds them as fields and writes non-finite values as the
+strings "inf", "-inf" and "nan", so it is strict JSON. Both files are written to temp files before either is renamed into
 place, so a failed write leaves neither under its final name. Reruns with
 identical config and seed produce byte-identical files.
 
@@ -128,12 +128,10 @@ def _cmd_solve(cfg: RunConfig, pop, jobs) -> _Report:
             "command": "solve",
             "lambda": spec.lam,
             "iterations": res.iterations,
-            "converged": res.converged,
             "final_decrement": res.decrement_trace[-1],
             "decrement_trace": res.decrement_trace,
         },
-        f"solve: converged={res.converged} iterations={res.iterations} "
-        f"decrement={res.decrement_trace[-1]:.3e}",
+        f"solve: iterations={res.iterations} decrement={res.decrement_trace[-1]:.3e}",
     )
 
 
@@ -337,13 +335,13 @@ _COMMANDS = {
 
 def run(cfg: RunConfig, raw_document, out_dir: str, jobs: int = 1, quiet: bool = False) -> int:
     digest = config_digest(raw_document)
-    os.makedirs(out_dir, exist_ok=True)
     pop = build_population(cfg.population) if cfg.population is not None else None
     report = _COMMANDS[cfg.command](cfg, pop, jobs)
     lines = ["# scerm report", f"# config_digest: {digest}", f"# seed: {cfg.seed}",
              ",".join(report.header)]
     lines += [",".join(_fmt(v) for v in row) for row in report.rows]
     summary = _san({"config_digest": digest, "seed": cfg.seed, **report.summary})
+    os.makedirs(out_dir, exist_ok=True)
     _atomic_write([
         (os.path.join(out_dir, report.csv_name), "\n".join(lines) + "\n"),
         (os.path.join(out_dir, "summary.json"),

@@ -464,18 +464,34 @@ def _capacity_constant(eigs: np.ndarray, alpha: float) -> float:
     return float(np.max(df * lams ** (1.0 / alpha)))
 
 
-# Both constructions put atoms 4j to 4j + 3 at s_j e_j, s_j e_j, -s_j e_j and
+# Atoms 4j to 4j + 3 of an axis population sit at s_j e_j, s_j e_j, -s_j e_j and
 # -s_j e_j, with label signs +, -, +, -.
 _AXIS_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 _LABEL_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def _axis_features(scales: np.ndarray) -> np.ndarray:
+def _axis_population(loss: LossModel, scales: np.ndarray, theta_star: np.ndarray,
+                     probs: np.ndarray, meta: ConstructionMeta) -> FinitePopulation:
+    """The axis population of the square or the logistic loss: direction j is
+    carried by the points +-s_j e_j of probability q_j / 2 each, and each
+    point's conditional label law at theta* is folded into its atoms' weights:
+    labels theta*.x +- 1 with probability 1/2 each (square loss), or +-1 with
+    probability sigmoid(+-theta*.x) (logistic loss). theta* is then the exact
+    minimizer, and H(theta*) is diagonal."""
     d = scales.size
     rows = np.arange(4 * d)
     features = np.zeros((4 * d, d))
     features[rows, rows // 4] = np.outer(scales, _AXIS_SIGNS).ravel()
-    return features
+    margins = np.outer(theta_star * scales, _AXIS_SIGNS)
+    if isinstance(loss, SquareLoss):
+        labels = (margins + _LABEL_SIGNS).ravel()
+        weights = np.repeat(probs / 4.0, 4)
+        weights /= weights.sum()  # not the logistic weights: that shifts their last bits
+    else:
+        labels = np.tile(_LABEL_SIGNS, d)
+        p_plus = _sigmoid(margins).ravel()
+        weights = np.repeat(probs / 2.0, 4) * np.where(labels > 0, p_plus, 1.0 - p_plus)
+    return FinitePopulation(SampleSet(loss, features, labels), weights, meta)
 
 
 def make_source_population(d: int, r: float, alpha: float, seed: int) -> FinitePopulation:
@@ -510,12 +526,6 @@ def make_source_population(d: int, r: float, alpha: float, seed: int) -> FiniteP
     theta_star = eigs**r * v
     probs = np.sqrt(eigs)
     probs /= probs.sum()
-    scales = np.sqrt(eigs / probs)
-
-    means = np.outer(theta_star * scales, _AXIS_SIGNS)
-    labels = (means + _LABEL_SIGNS).ravel()
-    weights = np.repeat(probs / 4.0, 4)
-    weights /= weights.sum()
     meta = ConstructionMeta(
         theta_star=theta_star,
         hess_eigenvalues=eigs,
@@ -524,22 +534,23 @@ def make_source_population(d: int, r: float, alpha: float, seed: int) -> FiniteP
         source_norm=1.0,
         capacity_q=_capacity_constant(eigs, alpha),
     )
-    return FinitePopulation(SampleSet(SquareLoss(), _axis_features(scales), labels),
-                            weights, meta)
+    return _axis_population(SquareLoss(), np.sqrt(eigs / probs), theta_star, probs, meta)
 
 
-def make_logistic_population(d: int, alpha: float, seed: int,
-                             top_curvature: float = 0.25,
-                             coeff_scale: float = 0.1) -> FinitePopulation:
-    """Well-specified logistic population with a prescribed Hessian spectrum.
+_TOP_CURVATURE = 0.25
+_COEFF_SCALE = 0.1
 
-    Feature atoms are +-s_j e_j and labels are drawn from the true
-    conditional P(y=+1 | x) = sigmoid(theta* . x) folded into atom weights,
-    so theta* is the exact risk minimizer and the Bartlett identity holds.
-    The margins m_j solve sigma(m)sigma(-m)m^2 = d h_j a_j^2 so that
-    H(theta*) is diagonal with h_j = top_curvature * j^-alpha while
-    theta*_j^2 = coeff_scale / j (a no-source coefficient profile: the bias
-    exponent stays at the slow-rate value 1/2).
+
+def make_logistic_population(d: int, alpha: float, seed: int) -> FinitePopulation:
+    """Well-specified logistic axis population with a prescribed Hessian spectrum.
+
+    Every direction has probability q_j = 1/d, and labels follow the true
+    conditional sigmoid(theta*.x), so the Bartlett identity holds. The
+    margins m_j = s_j |theta*_j| solve sigma(m)sigma(-m)m^2 = d h_j
+    theta*_j^2, so that H(theta*) is diagonal with h_j = _TOP_CURVATURE *
+    j^-alpha while theta*_j^2 = _COEFF_SCALE / j (a no-source coefficient
+    profile: the bias exponent stays at the slow-rate value 1/2). The margin
+    equation is solvable for d <= 17.
     """
     if d < 1:
         raise ContractViolation("d must be >= 1")
@@ -547,32 +558,17 @@ def make_logistic_population(d: int, alpha: float, seed: int,
         raise ContractViolation("alpha must be nonnegative")
     rng = np.random.default_rng(seed)
     j = np.arange(1, d + 1, dtype=float)
-    h = top_curvature * j**-alpha
-    a2 = coeff_scale / j
+    h = _TOP_CURVATURE * j**-alpha
+    a2 = _COEFF_SCALE / j
     kappa = d * h * a2
     # g(m) = sigma(m)sigma(-m)m^2 increases on [0, 2.39] up to ~0.4395
     if np.any(kappa > 0.43):
         raise ContractViolation(
-            "spectrum/coefficient profile infeasible: reduce top_curvature * coeff_scale * d"
-        )
-    margins = _bisect_margins(kappa)
+            f"logistic profile infeasible at d={d}: the margin equation needs d <= 17")
     theta_star = np.sqrt(a2) * rng.choice([-1.0, 1.0], size=d)
-    scales = margins / np.abs(theta_star)
-
-    p_plus = _sigmoid(np.outer(theta_star * scales, _AXIS_SIGNS)).ravel()
-    labels = np.tile(_LABEL_SIGNS, d)
-    base = 1.0 / (2 * d)
-    weights = np.where(labels > 0, base * p_plus, base * (1.0 - p_plus))
-    meta = ConstructionMeta(
-        theta_star=theta_star,
-        hess_eigenvalues=h,
-        r=None,
-        alpha=alpha,
-        source_norm=None,
-        capacity_q=None,
-    )
-    return FinitePopulation(SampleSet(LogisticLoss(), _axis_features(scales), labels),
-                            weights, meta)
+    scales = _bisect_margins(kappa) / np.abs(theta_star)
+    meta = ConstructionMeta(theta_star=theta_star, hess_eigenvalues=h, alpha=alpha)
+    return _axis_population(LogisticLoss(), scales, theta_star, np.full(d, 1.0 / d), meta)
 
 
 def _bisect_margins(kappa: np.ndarray) -> np.ndarray:

@@ -57,7 +57,6 @@ class SolveResult:
     theta_hat: np.ndarray
     decrement_trace: tuple
     iterations: int
-    converged: bool
 
 
 def _as_weights(weights, m):
@@ -129,7 +128,7 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
                     f"population minimum not attained: decrement {dec:.3e} exceeds half "
                     f"the Dikin radius at lambda=0", trace)
             theta.setflags(write=False)
-            return SolveResult(theta, tuple(trace), len(trace) - 1, True)
+            return SolveResult(theta, tuple(trace), len(trace) - 1)
         if dec < config.pure_newton_below:
             theta = theta + step
             continue

@@ -33,8 +33,10 @@ def calls():
                 yield path.name, name, node
 
 
-# modules that build a population's SampleSet: the generators and the Sample
-# stacking helper; all other code sums over an existing SampleSet with weights
+# modules that build a population's SampleSet: the axis construction behind
+# both generators and the Sample stacking helper (population.py), and the
+# random populations of the check suite (verify.py); all other code sums over
+# an existing SampleSet with weights
 SAMPLESET_BUILDERS = {"population.py", "verify.py"}
 
 

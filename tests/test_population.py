@@ -602,41 +602,47 @@ def test_estimators_reject_degenerate_grid(p1):
             estimate_capacity_exponent(report)
 
 
-def test_generators_match_per_atom_loops():
-    """Both constructions equal the per-atom loops they are written from:
-    4 atoms per direction j, at +s_j e_j twice and -s_j e_j twice, with label
-    signs +, -, +, -."""
-    pop = make_source_population(d=6, r=0.25, alpha=1.5, seed=3)
-    eigs, theta_star = pop.meta.hess_eigenvalues, pop.meta.theta_star
-    probs = np.sqrt(eigs) / np.sqrt(eigs).sum()
-    scales = np.sqrt(eigs / probs)
+@pytest.mark.parametrize("make, kwargs", [
+    pytest.param(make_source_population, dict(d=6, r=0.25, alpha=1.5, seed=3), id="source"),
+    pytest.param(make_source_population, dict(d=2, r=0.0, alpha=1.0, seed=0), id="source-d2-r0"),
+    # case (b), the benchmarked population
+    pytest.param(make_source_population, dict(d=256, r=0.5, alpha=1.0, seed=102), id="case-b"),
+    pytest.param(make_logistic_population, dict(d=5, alpha=1.0, seed=4), id="logistic"),
+    pytest.param(make_logistic_population, dict(d=1, alpha=0.0, seed=0), id="logistic-d1-alpha0"),
+])
+def test_generators_match_per_atom_loops(make, kwargs):
+    """Each construction equals the per-atom loop it is written from: 4 atoms
+    per direction j, at +s_j e_j twice and -s_j e_j twice, with label signs
+    +, -, +, -."""
+    pop = make(**kwargs)
+    d, theta_star = kwargs["d"], pop.meta.theta_star
+    square = make is make_source_population
+    if square:
+        eigs = pop.meta.hess_eigenvalues
+        probs = np.sqrt(eigs) / np.sqrt(eigs).sum()
+        scales = np.sqrt(eigs / probs)
+    else:
+        scales = pop.sample_set.features[::4].max(axis=1)
+        base = 1.0 / (2 * d)
     atoms, weights = [], []
-    for j in range(6):
+    for j in range(d):
         for sign_phi in (1.0, -1.0):
-            phi = np.zeros(6)
+            phi = np.zeros(d)
             phi[j] = sign_phi * scales[j]
-            for eps in (1.0, -1.0):
-                atoms.append(Sample(features=phi, label=theta_star[j] * sign_phi * scales[j] + eps))
-                weights.append(probs[j] / 4.0)
-    expect = stack_samples(SquareLoss(), atoms)
+            if square:
+                for eps in (1.0, -1.0):
+                    atoms.append(Sample(features=phi,
+                                        label=theta_star[j] * sign_phi * scales[j] + eps))
+                    weights.append(probs[j] / 4.0)
+            else:
+                p_plus = float(_sigmoid(theta_star[j] * phi[j]))
+                atoms += [Sample(features=phi, label=1.0), Sample(features=phi, label=-1.0)]
+                weights += [base * p_plus, base * (1.0 - p_plus)]
+    expect = stack_samples(pop.loss, atoms)
     np.testing.assert_array_equal(pop.sample_set.features, expect.features)
     np.testing.assert_array_equal(pop.sample_set.labels, expect.labels)
-    np.testing.assert_array_equal(pop.weights, np.asarray(weights) / np.sum(weights))
-
-    pop = make_logistic_population(d=5, alpha=1.0, seed=4)
-    theta_star = pop.meta.theta_star
-    scales = pop.sample_set.features[::4].max(axis=1)
-    atoms, weights = [], []
-    for j in range(5):
-        for sign_phi in (1.0, -1.0):
-            phi = np.zeros(5)
-            phi[j] = sign_phi * scales[j]
-            p_plus = float(_sigmoid(theta_star[j] * phi[j]))
-            atoms += [Sample(features=phi, label=1.0), Sample(features=phi, label=-1.0)]
-            weights += [0.1 * p_plus, 0.1 * (1.0 - p_plus)]
-    expect = stack_samples(LogisticLoss(), atoms)
-    np.testing.assert_array_equal(pop.sample_set.features, expect.features)
-    np.testing.assert_array_equal(pop.sample_set.labels, expect.labels)
+    if square:
+        weights = np.asarray(weights) / np.sum(weights)
     np.testing.assert_array_equal(pop.weights, weights)
 
 
