@@ -265,7 +265,10 @@ class LogisticLoss(_ScalarLoss):
         return np.logaddexp(0.0, -y * np.asarray(u, dtype=float))
 
     def _fp(self, u, y):
-        return -y * _sigmoid(-y * np.asarray(u, dtype=float))
+        # sigma(-m) is e / (1 + e) for m >= 0 and 1 / (1 + e) below, with e = exp(-|m|)
+        m = y * np.asarray(u, dtype=float)
+        e = np.exp(-np.abs(m))
+        return -y * np.where(m >= 0.0, e, 1.0) / (1.0 + e)
 
     def _fpp(self, u, y):
         # sigma(m) sigma(-m) = e / (1 + e)^2 with e = exp(-|m|), which cannot overflow
