@@ -215,7 +215,9 @@ _POPULATIONS = {
         "alpha": _number(lo=1.0, message="alpha must be >= 1 (capacity condition range)"),
     }),
     "logistic": (("d",), {
-        "d": _number(lo=1, integer=True, message="d must be >= 1"), "seed": _SEED,
+        "d": _number(lo=1, hi=17, integer=True,
+                     message="d must lie in [1, 17] (the margin equation needs d <= 17)"),
+        "seed": _SEED,
         "alpha": _number(lo=0.0, message="alpha must be nonnegative"),
     }),
     "inline": (("loss", "atoms"), {"loss": _any, "atoms": _any}),

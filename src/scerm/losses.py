@@ -352,19 +352,37 @@ LOSS_KINDS = {
 
 # -- stacked representation ----------------------------------------------------
 
-def _distinct_rows(feats) -> tuple[np.ndarray, np.ndarray]:
-    """The bit-distinct rows of feats in first-occurrence order, read-only
-    (feats itself when no two rows are equal), and each feats row's index
-    into them."""
+def _distinct_rows(feats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of feats up to sign, in first-occurrence order and read-only
+    (feats itself when no row repeats), each feats row's index into them and
+    its sign (m,) of +-1.
+
+    A row joins an earlier kept row x when it is bit-equal to x (sign +1) or
+    to 0.0 - x (sign -1): the negation that writes every zero as +0.0, as a
+    generator writes the point -x. Rows that differ only in the sign of a
+    zero entry stay apart, and rows[row_of] * row_sign equals feats entry for
+    entry (up to the sign of a zero).
+    """
     index: dict[bytes, int] = {}
-    row_of = _readonly(np.fromiter((index.setdefault(row.tobytes(), len(index)) for row in feats),
-                                   dtype=np.intp, count=len(feats)))
-    if len(index) == len(feats):
-        return feats, row_of
-    # not np.unique, which imports numpy.ma: indices are numbered in order of
-    # first occurrence, so a row occurs first where row_of's running max steps up
-    first = np.flatnonzero(np.diff(np.maximum.accumulate(row_of), prepend=-1))
-    return _readonly(feats[first]), row_of
+    first, codes = [], []
+    negated = 0.0 - feats
+    for i, row in enumerate(feats):
+        key = row.tobytes()
+        code = index.get(key)
+        if code is None:
+            # a kept row's code is its index j; rows equal to its negation get ~j
+            code = index[key] = len(first)
+            index.setdefault(negated[i].tobytes(), ~code)
+            first.append(i)
+        codes.append(code)
+    row_of = np.array(codes, dtype=np.intp)
+    flipped = row_of < 0
+    row_sign = np.where(flipped, -1.0, 1.0)
+    np.invert(row_of, out=row_of, where=flipped)
+    row_of.setflags(write=False)
+    row_sign.setflags(write=False)
+    rows = feats if len(first) == len(feats) else _readonly(feats[first])
+    return rows, row_of, row_sign
 
 
 class SampleSet:
@@ -375,12 +393,16 @@ class SampleSet:
     once, through ``loss.check_support``. Weighted risks, gradients and
     Hessians over the stack are exact finite sums.
 
-    A scalar loss also keeps its distinct feature rows once, ``rows`` (k, d),
-    and each atom's row index ``row_of`` (m,). Atoms that differ only in their
-    label share a row, so margins, weighted gradients and weighted Hessians
-    are computed once per row, with the atoms' coefficients summed first.
-    Rows merge only when bit-equal (0.0 and -0.0 stay apart), so merging
-    regroups the exact sums and changes nothing but rounding.
+    A scalar loss also keeps its feature rows up to sign once, ``rows``
+    (k, d), with each atom's row index ``row_of`` (m,) and sign ``row_sign``
+    (m,) of +-1, so that atom i's features are row_sign[i] * rows[row_of[i]].
+    Atoms that differ only in their label share a row, and so do the points x
+    and -x, which add the same outer product to a Hessian. Margins, weighted
+    gradients and weighted Hessians are computed once per row, with the
+    atoms' signed (gradient) or plain (Hessian) coefficients summed first.
+    Rows merge only when bit-equal up to the exact negation, so merging
+    regroups the exact sums and changes nothing but rounding. The Hessian of
+    a scalar loss is a^T a with a = rows * sqrt(coef), one SYRK product.
     """
 
     def __init__(self, loss: LossModel, features, labels):
@@ -388,14 +410,14 @@ class SampleSet:
         self.features, self.labels = loss.check_support(features, labels)
         self.dim = self.features.shape[-1]
         if not loss.is_glm:
-            self.rows, self.row_of = _distinct_rows(self.features)
+            self.rows, self.row_of, self.row_sign = _distinct_rows(self.features)
 
     def __len__(self):
         return self.features.shape[0]
 
     # -- scalar-loss internals
     def _margins(self, theta):
-        return (self.rows @ theta)[self.row_of]
+        return (self.rows @ theta)[self.row_of] * self.row_sign
 
     def values(self, theta) -> np.ndarray:
         """Per-sample loss values, shape (m,)."""
@@ -438,7 +460,7 @@ class SampleSet:
         theta = _check_theta(theta, self.dim)
         if not loss.is_glm:
             fp = np.asarray(loss._fp(self._margins(theta), self.labels), dtype=float)
-            return np.bincount(self.row_of, weights * fp) @ self.rows
+            return np.bincount(self.row_of, weights * fp * self.row_sign) @ self.rows
         return weights @ self.grads(theta)
 
     def weighted_hess(self, weights, theta) -> np.ndarray:
@@ -446,28 +468,33 @@ class SampleSet:
 
         Terms that add exactly 0 are left out of the sums, so a draw's
         counts / n weights cost only what it drew: for a scalar loss, the
-        distinct rows whose summed coefficient is 0; for the GLM, the atoms
-        of zero weight.
+        rows whose summed coefficient is 0; for the GLM, the atoms of zero
+        weight. Weights must be nonnegative: every loss is convex, so a
+        scalar loss's row coefficients are too, and the Hessian is the SYRK
+        product a^T a of the rows scaled by their square roots, exactly
+        symmetric.
         """
         loss = self.loss
         theta = _check_theta(theta, self.dim)
         weights = np.asarray(weights, dtype=float)
+        if (weights < 0).any():
+            raise ContractViolation("Hessian weights must be nonnegative")
         if not loss.is_glm:
             fpp = np.asarray(loss._fpp(self._margins(theta), self.labels), dtype=float)
             coef, rows = np.bincount(self.row_of, weights * fpp), self.rows
             kept = coef.nonzero()[0]
             if kept.size < len(rows):
                 coef, rows = coef.take(kept), rows.take(kept, axis=0)
-            h = (rows.T * coef) @ rows
-        else:
-            feats, drawn = self.features, weights.nonzero()[0]
-            if drawn.size < len(self):
-                feats, weights = feats.take(drawn, axis=0), weights.take(drawn)
-            p, _ = self._glm_softmax(feats, theta)
-            wp = weights[:, None] * p
-            h = np.einsum("ml,mld,mle->de", wp, feats, feats)
-            means = np.einsum("ml,mld->md", p, feats)
-            h -= np.einsum("m,md,me->de", weights, means, means)
+            a = rows * np.sqrt(coef)[:, None]
+            return a.T @ a
+        feats, drawn = self.features, weights.nonzero()[0]
+        if drawn.size < len(self):
+            feats, weights = feats.take(drawn, axis=0), weights.take(drawn)
+        p, _ = self._glm_softmax(feats, theta)
+        wp = weights[:, None] * p
+        h = np.einsum("ml,mld,mle->de", wp, feats, feats)
+        means = np.einsum("ml,mld->md", p, feats)
+        h -= np.einsum("m,md,me->de", weights, means, means)
         return 0.5 * (h + h.T)
 
     def trace_hess(self, theta) -> np.ndarray:

@@ -82,6 +82,18 @@ def test_parse_rejects_unknown_nested_key():
     assert any(path == "population.noise" for path, _ in err.value.errors)
 
 
+@pytest.mark.parametrize("d", [0, 18])
+def test_parse_rejects_logistic_d_outside_the_generators_domain(d):
+    doc = {"command": "diagnose", "population": {"generator": "logistic", "d": d}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.errors == [
+        ("population.d", "d must lie in [1, 17] (the margin equation needs d <= 17)")]
+    # the edges of the domain pass
+    for edge in (1, 17):
+        assert parse_config(dict(doc, population={"generator": "logistic", "d": edge}))
+
+
 def test_parse_inline_population():
     doc = {
         "command": "solve",
@@ -422,7 +434,7 @@ def test_nonconvergence_exits_1_with_one_line_error(tmp_path, population, comman
 
 
 def test_logistic_population_takes_the_generators_domain(tmp_path):
-    # make_logistic_population accepts d >= 1 and alpha >= 0
+    # make_logistic_population accepts 1 <= d <= 17 and alpha >= 0
     doc = {"command": "diagnose", "population": {"generator": "logistic", "d": 1, "alpha": 0.5}}
     out = tmp_path / "out"
     assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), "--quiet"]) == 0

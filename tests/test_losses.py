@@ -417,36 +417,68 @@ def test_sample_set_merges_shared_rows_exactly(kind, rng):
     zero_row[1] = 0.0
     negzero_row = zero_row.copy()
     negzero_row[1] = -0.0
+    signed = rng.normal(size=d)
     rows = [shared, shared, half_drawn, half_drawn, zero_row, negzero_row, plain,
-            undrawn, undrawn]
+            undrawn, undrawn, signed, -signed]
     if kind == "logistic":
-        labels = [1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0]
+        labels = [1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0]
     else:
-        labels = [0.7, -1.3, 0.2, 1.9, -0.4, 0.6, 1.1, -0.8, 0.3]
+        labels = [0.7, -1.3, 0.2, 1.9, -0.4, 0.6, 1.1, -0.8, 0.3, 0.5, -0.9]
     loss = make_loss(kind)
     atoms = [Sample(features=x, label=y) for x, y in zip(rows, labels)]
     sset = stack_samples(loss, atoms)
-    # atoms that differ only in their label share a row; 0.0 and -0.0 stay apart
-    assert sset.rows.shape == (6, d)
+    # atoms that differ only in their label share a row, and so do x and -x;
+    # 0.0 and -0.0 stay apart
+    assert sset.rows.shape == (7, d)
     assert sset.row_of[0] == sset.row_of[1] and sset.row_of[2] == sset.row_of[3]
     assert sset.row_of[4] != sset.row_of[5]
-    w = rng.uniform(0.1, 1.0, size=9)
+    assert sset.row_of[9] == sset.row_of[10]
+    assert sset.row_sign.tolist() == [1.0] * 10 + [-1.0]
+    rebuilt = sset.rows[sset.row_of] * sset.row_sign[:, None]
+    assert rebuilt.tobytes() == sset.features.tobytes()
+    w = rng.uniform(0.1, 1.0, size=11)
     # one atom of a shared row drawn, and no atom of another
-    w_drawn = np.where(np.isin(np.arange(9), [3, 7, 8]), 0.0, w)
+    w_drawn = np.where(np.isin(np.arange(11), [3, 7, 8]), 0.0, w)
     theta = rng.normal(size=d)
     assert_sums_match_per_sample_ops(loss, atoms, sset, theta,
                                      (w / w.sum(), w_drawn / w_drawn.sum()))
 
 
 @pytest.mark.parametrize("build,distinct", [
-    (lambda: make_source_population(256, 0.5, 1.0, 102), 512),
-    (lambda: make_logistic_population(16, 1.0, 103), 32),
+    (lambda: make_source_population(256, 0.5, 1.0, 102), 256),
+    (lambda: make_logistic_population(16, 1.0, 103), 16),
 ], ids=["source-b", "logistic-a"])
 def test_generated_populations_sum_each_row_once(build, distinct):
+    # four atoms per axis: +-s e_j, each with two labels
     sset = build().sample_set
-    assert len(sset) == 2 * distinct
+    assert len(sset) == 4 * distinct
     assert sset.rows.shape == (distinct, sset.dim)
-    np.testing.assert_array_equal(sset.rows[sset.row_of], sset.features)
+    assert not sset.row_sign.flags.writeable
+    # equal entry for entry; a zero entry of a negated row reads -0.0
+    rebuilt = sset.rows[sset.row_of] * sset.row_sign[:, None]
+    np.testing.assert_array_equal(rebuilt, sset.features)
+    nonzero = sset.features != 0.0
+    assert rebuilt[nonzero].tobytes() == sset.features[nonzero].tobytes()
+
+
+@pytest.mark.parametrize("kind", SCALAR_KINDS)
+def test_scalar_weighted_hess_is_exactly_symmetric(kind, rng):
+    d = 5
+    atoms = [random_sample(rng, kind, d) for _ in range(6)]
+    atoms += [Sample(features=-z.features, label=z.label) for z in atoms[:3]]
+    sset = stack_samples(make_loss(kind), atoms)
+    assert sset.rows.shape == (6, d)
+    w = rng.uniform(0.1, 1.0, size=len(atoms))
+    h = sset.weighted_hess(w / w.sum(), rng.normal(size=d))
+    assert h.tobytes() == h.T.copy().tobytes()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_weighted_hess_rejects_negative_weights(kind, rng):
+    atoms = [random_sample(rng, kind, 3) for _ in range(4)]
+    sset = stack_samples(make_loss(kind), atoms)
+    with np.errstate(invalid="raise"), pytest.raises(ContractViolation, match="nonnegative"):
+        sset.weighted_hess(np.array([0.5, 0.75, -0.25, 0.0]), np.zeros(3))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
