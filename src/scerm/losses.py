@@ -352,6 +352,11 @@ LOSS_KINDS = {
 
 # -- stacked representation ----------------------------------------------------
 
+def _row_keys(a) -> list:
+    """The bytes of each row of the C-contiguous 2-D array a."""
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel().tolist()
+
+
 def _distinct_rows(feats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows of feats up to sign, in first-occurrence order and read-only
     (feats itself when no row repeats), each feats row's index into them and
@@ -365,23 +370,25 @@ def _distinct_rows(feats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     index: dict[bytes, int] = {}
     first, codes = [], []
-    negated = 0.0 - feats
-    for i, row in enumerate(feats):
-        key = row.tobytes()
+    negated = _row_keys(0.0 - feats)
+    for i, key in enumerate(_row_keys(feats)):
         code = index.get(key)
         if code is None:
             # a kept row's code is its index j; rows equal to its negation get ~j
             code = index[key] = len(first)
-            index.setdefault(negated[i].tobytes(), ~code)
+            index.setdefault(negated[i], ~code)
             first.append(i)
         codes.append(code)
-    row_of = np.array(codes, dtype=np.intp)
-    flipped = row_of < 0
-    row_sign = np.where(flipped, -1.0, 1.0)
-    np.invert(row_of, out=row_of, where=flipped)
-    row_of.setflags(write=False)
-    row_sign.setflags(write=False)
-    rows = feats if len(first) == len(feats) else _readonly(feats[first])
+    m = len(feats)
+    if len(first) == m:
+        rows, row_of, row_sign = feats, np.arange(m), np.ones(m)
+    else:
+        rows, row_of = feats[first], np.array(codes, dtype=np.intp)
+        flipped = row_of < 0
+        row_sign = np.where(flipped, -1.0, 1.0)
+        np.invert(row_of, out=row_of, where=flipped)
+    for a in (rows, row_of, row_sign):
+        a.setflags(write=False)
     return rows, row_of, row_sign
 
 
