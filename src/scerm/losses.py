@@ -352,9 +352,13 @@ LOSS_KINDS = {
 
 # -- stacked representation ----------------------------------------------------
 
+# rows keyed at a time, so that a wide support's keys are made a block at a time
+_KEY_BLOCK = 64
+
+
 def _row_keys(a) -> list:
     """The bytes of each row of the C-contiguous 2-D array a."""
-    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel().tolist()
+    return a.view(f"V{a.shape[1] * a.itemsize}").ravel().tolist()
 
 
 def _distinct_rows(feats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -370,15 +374,17 @@ def _distinct_rows(feats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     index: dict[bytes, int] = {}
     first, codes = [], []
-    negated = _row_keys(0.0 - feats)
-    for i, key in enumerate(_row_keys(feats)):
-        code = index.get(key)
-        if code is None:
-            # a kept row's code is its index j; rows equal to its negation get ~j
-            code = index[key] = len(first)
-            index.setdefault(negated[i], ~code)
-            first.append(i)
-        codes.append(code)
+    for lo in range(0, len(feats), _KEY_BLOCK):
+        block = feats[lo:lo + _KEY_BLOCK]
+        for i, key, negated in zip(range(lo, lo + len(block)), _row_keys(block),
+                                   _row_keys(0.0 - block)):
+            code = index.get(key)
+            if code is None:
+                # a kept row's code is its index j; rows equal to its negation get ~j
+                code = index[key] = len(first)
+                index.setdefault(negated, ~code)
+                first.append(i)
+            codes.append(code)
     m = len(feats)
     if len(first) == m:
         rows, row_of, row_sign = feats, np.arange(m), np.ones(m)
