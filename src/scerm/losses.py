@@ -12,7 +12,7 @@ logistic loss and {2 Phi(x, y')} over the label set for the softmax GLM.
 
 A ``SampleSet`` holds a support as stacked feature and label arrays, so that
 population sums and empirical risks are single BLAS calls; for a scalar loss
-the sums run over its distinct feature rows. ``seminorm`` reads its one stack
+the sums run over its feature rows up to sign. ``seminorm`` reads its one stack
 of certificate vectors, ``certificate_rows``. ``Sample`` is one
 observation, the input of the per-sample operations, which stay an
 independent oracle for the stacked sums.
@@ -352,7 +352,8 @@ LOSS_KINDS = {
 
 # -- stacked representation ----------------------------------------------------
 
-# rows keyed at a time, so that a wide support's keys are made a block at a time
+# rows keyed together: a wide support's keys and negated rows are made one
+# block at a time, which keeps the build's transient memory small
 _KEY_BLOCK = 64
 
 
@@ -376,8 +377,7 @@ def _distinct_rows(feats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first, codes = [], []
     for lo in range(0, len(feats), _KEY_BLOCK):
         block = feats[lo:lo + _KEY_BLOCK]
-        for i, key, negated in zip(range(lo, lo + len(block)), _row_keys(block),
-                                   _row_keys(0.0 - block)):
+        for i, (key, negated) in enumerate(zip(_row_keys(block), _row_keys(0.0 - block)), lo):
             code = index.get(key)
             if code is None:
                 # a kept row's code is its index j; rows equal to its negation get ~j
@@ -413,9 +413,10 @@ class SampleSet:
     and -x, which add the same outer product to a Hessian. Margins, weighted
     gradients and weighted Hessians are computed once per row, with the
     atoms' signed (gradient) or plain (Hessian) coefficients summed first.
-    Rows merge only when bit-equal up to the exact negation, so merging
-    regroups the exact sums and changes nothing but rounding. The Hessian of
-    a scalar loss is a^T a with a = rows * sqrt(coef), one SYRK product.
+    A row merges only with a bit-equal row or with its negation 0.0 - x, so
+    merging regroups the exact sums and changes nothing but rounding. The
+    Hessian of a scalar loss is a^T a with a = rows * sqrt(coef), one SYRK
+    product.
     """
 
     def __init__(self, loss: LossModel, features, labels):
