@@ -389,10 +389,10 @@ def _distinct_rows(feats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if len(first) == m:
         rows, row_of, row_sign = feats, np.arange(m), np.ones(m)
     else:
-        rows, row_of = feats[first], np.array(codes, dtype=np.intp)
-        flipped = row_of < 0
-        row_sign = np.where(flipped, -1.0, 1.0)
-        np.invert(row_of, out=row_of, where=flipped)
+        codes = np.array(codes, dtype=np.intp)
+        flipped = codes < 0
+        rows = feats[first]
+        row_of, row_sign = np.where(flipped, ~codes, codes), np.where(flipped, -1.0, 1.0)
     for a in (rows, row_of, row_sign):
         a.setflags(write=False)
     return rows, row_of, row_sign
