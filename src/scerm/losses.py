@@ -53,7 +53,8 @@ def _stacked(features, labels) -> tuple[np.ndarray, np.ndarray]:
     the rules that hold whatever the loss: m >= 1 rows of (d,) scalar or
     (n_labels, d) GLM features, all finite, one finite label per row, and GLM
     labels that are integer indices of a row of their sample."""
-    feats = np.asarray(features, dtype=float)
+    # C order, so that each row's bytes are one contiguous run (_row_keys)
+    feats = np.asarray(features, dtype=float, order="C")
     labels = np.asarray(labels, dtype=float)
     if feats.ndim not in (2, 3) or feats.shape[-1] < 1:
         raise ContractViolation(
@@ -370,8 +371,11 @@ def _distinct_rows(feats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A row joins an earlier kept row x when it is bit-equal to x (sign +1) or
     to 0.0 - x (sign -1): the negation that writes every zero as +0.0, as a
     generator writes the point -x. Rows that differ only in the sign of a
-    zero entry stay apart, and rows[row_of] * row_sign equals feats entry for
-    entry (up to the sign of a zero).
+    zero entry stay apart unless one of them is 0.0 - the other, which
+    happens only for zero rows: an all-+0.0 row joins an earlier zero row
+    holding a -0.0 with sign -1, while the reverse order keeps them apart.
+    Either way such rows add nothing to a sum. rows[row_of] * row_sign
+    equals feats entry for entry (up to the sign of a zero).
     """
     index: dict[bytes, int] = {}
     first, codes = [], []

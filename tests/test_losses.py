@@ -461,6 +461,33 @@ def test_generated_populations_sum_each_row_once(build, distinct):
     assert rebuilt[nonzero].tobytes() == sset.features[nonzero].tobytes()
 
 
+def test_zero_rows_merge_only_after_a_negative_zero_row():
+    # 0.0 - (-0.0) is +0.0, so an all-+0.0 row is the negation of an earlier
+    # -0.0 row and joins it; the reverse order keeps the two apart
+    loss = SquareLoss()
+    negzero, zero = np.full(3, -0.0), np.zeros(3)
+    sset = SampleSet(loss, np.stack([negzero, zero]), [0.5, -0.5])
+    assert sset.rows.shape == (1, 3) and sset.row_sign.tolist() == [1.0, -1.0]
+    sset = SampleSet(loss, np.stack([zero, negzero]), [0.5, -0.5])
+    assert sset.rows.shape == (2, 3) and sset.row_sign.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("kind", SCALAR_KINDS)
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_sample_set_accepts_any_memory_layout(kind, layout, rng):
+    d = 4
+    atoms = [random_sample(rng, kind, d) for _ in range(5)]
+    atoms += [Sample(features=-z.features, label=z.label) for z in atoms[:2]]
+    x = np.stack([z.features for z in atoms])
+    x = np.asfortranarray(x) if layout == "fortran" else np.repeat(x, 2, axis=1)[:, ::2]
+    assert not x.flags.c_contiguous
+    loss = make_loss(kind)
+    sset = SampleSet(loss, x, [z.label for z in atoms])
+    assert sset.rows.shape == (5, d)
+    w = rng.uniform(0.1, 1.0, size=len(atoms))
+    assert_sums_match_per_sample_ops(loss, atoms, sset, rng.normal(size=d), (w / w.sum(),))
+
+
 @pytest.mark.parametrize("kind", SCALAR_KINDS)
 def test_scalar_weighted_hess_is_exactly_symmetric(kind, rng):
     d = 5
