@@ -242,13 +242,10 @@ class HuberLogCoshLoss(_ScalarLoss):
 
 
 def _sigmoid(x):
+    # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|), which cannot overflow
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 class LogisticLoss(_ScalarLoss):
@@ -266,10 +263,7 @@ class LogisticLoss(_ScalarLoss):
         return np.logaddexp(0.0, -y * np.asarray(u, dtype=float))
 
     def _fp(self, u, y):
-        # sigma(-m) is e / (1 + e) for m >= 0 and 1 / (1 + e) below, with e = exp(-|m|)
-        m = y * np.asarray(u, dtype=float)
-        e = np.exp(-np.abs(m))
-        return -y * np.where(m >= 0.0, e, 1.0) / (1.0 + e)
+        return -y * _sigmoid(-y * np.asarray(u, dtype=float))
 
     def _fpp(self, u, y):
         # sigma(m) sigma(-m) = e / (1 + e)^2 with e = exp(-|m|), which cannot overflow
