@@ -496,8 +496,11 @@ class SampleSet:
             coef, rows = np.bincount(self.row_of, weights * fpp), self.rows
             kept = coef.nonzero()[0]
             if kept.size < len(rows):
-                coef, rows = coef.take(kept), rows.take(kept, axis=0)
-            a = rows * np.sqrt(coef)[:, None]
+                # take already copies the kept rows, so scale that copy in place
+                a = rows.take(kept, axis=0)
+                a *= np.sqrt(coef.take(kept))[:, None]
+            else:
+                a = rows * np.sqrt(coef)[:, None]
             return a.T @ a
         feats, drawn = self.features, weights.nonzero()[0]
         if drawn.size < len(self):
@@ -515,14 +518,35 @@ class SampleSet:
         theta = _check_theta(theta, self.dim)
         if not loss.is_glm:
             fpp = np.asarray(loss._fpp(self._margins(theta), self.labels), dtype=float)
-            return fpp * np.einsum("md,md->m", self.features, self.features)
+            return fpp * self.row_sqnorms[self.row_of]
         p, _ = self._glm_softmax(self.features, theta)
         sq = np.einsum("mld,mld->ml", self.features, self.features)
         means = np.einsum("ml,mld->md", p, self.features)
         return np.einsum("ml,ml->m", p, sq) - np.einsum("md,md->m", means, means)
 
     def grad_norms(self, theta) -> np.ndarray:
+        """Per-sample gradient norms, shape (m,)."""
+        loss = self.loss
+        theta = _check_theta(theta, self.dim)
+        if not loss.is_glm:
+            fp = np.asarray(loss._fp(self._margins(theta), self.labels), dtype=float)
+            return np.abs(fp) * np.sqrt(self.row_sqnorms)[self.row_of]
         return np.linalg.norm(self.grads(theta), axis=1)
+
+    def grad_moments(self, weights, theta, basis) -> np.ndarray:
+        """Weighted second moments sum_i w_i (b . grad l_i(theta))^2 along each
+        column b of basis (d, k), shape (k,)."""
+        loss = self.loss
+        theta = _check_theta(theta, self.dim)
+        if not loss.is_glm:
+            fp = np.asarray(loss._fp(self._margins(theta), self.labels), dtype=float)
+            return np.bincount(self.row_of, weights * fp * fp) @ (self.rows @ basis) ** 2
+        return weights @ (self.grads(theta) @ basis) ** 2
+
+    @cached_property
+    def row_sqnorms(self) -> np.ndarray:
+        """Squared norms of a scalar loss's ``rows``, shape (k,), read-only."""
+        return _readonly(np.einsum("kd,kd->k", self.rows, self.rows))
 
     @property
     def quadratic(self) -> bool:
@@ -579,7 +603,7 @@ def sup_constants(sset: SampleSet, radius: float) -> SupConstants:
         b2 = float(np.max(np.einsum("mld,mld->ml", feats, feats)))
         return SupConstants(b1=b1, b2=b2)
 
-    phi_norms = np.linalg.norm(sset.features, axis=1)
+    phi_norms = np.sqrt(sset.row_sqnorms)[sset.row_of]
     if isinstance(loss, LogisticLoss):
         return SupConstants(b1=float(np.max(phi_norms)), b2=float(np.max(phi_norms**2)) / 4.0)
     # square and Huber losses: over the ball the residual t = y - u keeps |t|

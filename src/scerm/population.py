@@ -126,8 +126,8 @@ class FinitePopulation:
         """Eigenvalues e_i of H(theta*), with (u_i . theta*)^2 and
         E[(u_i . grad l_Z(theta*))^2] over its eigenvectors u_i."""
         eigs, vecs = np.linalg.eigh(self.hessian_at_star)
-        grads = self.sample_set.grads(self.theta_star) @ vecs
-        return np.maximum(eigs, 0.0), (self.theta_star @ vecs) ** 2, self.weights @ grads**2
+        grad_sq = self.sample_set.grad_moments(self.weights, self.theta_star, vecs)
+        return np.maximum(eigs, 0.0), (self.theta_star @ vecs) ** 2, grad_sq
 
     def theta_lambda(self, lam: float) -> np.ndarray:
         """Minimizer theta*_lambda of the lambda-regularized risk, lambda > 0,

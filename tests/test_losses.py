@@ -374,11 +374,16 @@ def assert_sums_match_per_sample_ops(loss, atoms, sset, theta, weight_sets):
     np.testing.assert_allclose(sset.values(theta), vals, rtol=1e-12, atol=1e-12)
     grads = np.stack([loss.grad(z, theta) for z in atoms])
     np.testing.assert_allclose(sset.grads(theta), grads, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(sset.grad_norms(theta), np.linalg.norm(grads, axis=1),
+                               rtol=1e-12, atol=1e-12)
+    basis = np.random.default_rng(len(atoms)).normal(size=(sset.dim, 3))
     for weights in weight_sets:
         assert sset.weighted_value(weights, theta) == pytest.approx(weights @ vals, rel=1e-12,
                                                                      abs=1e-12)
         np.testing.assert_allclose(sset.weighted_grad(weights, theta), weights @ grads,
                                    rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sset.grad_moments(weights, theta, basis),
+                                   weights @ (grads @ basis) ** 2, rtol=1e-12, atol=1e-12)
         hess = sum(weights[i] * loss.hess(z, theta) for i, z in enumerate(atoms))
         np.testing.assert_allclose(sset.weighted_hess(weights, theta), hess,
                                    rtol=1e-11, atol=1e-12)

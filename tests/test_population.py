@@ -37,9 +37,10 @@ from scerm import (
     stack_samples,
     t_lambda,
 )
-from scerm.losses import _sigmoid
+from scerm.losses import _sigmoid, sup_constants
 from scerm.population import pointwise_bounds, sup_norm_certificate
 from scerm.scfun import LOG2
+from test_rotation import rotated
 
 
 def well_specified_logistic(rng, d=3, n_x=6, scale=1.0):
@@ -656,6 +657,34 @@ def test_logistic_population_construction():
     grads = pop.sample_set.grads(pop.theta_star)
     outer = (grads.T * pop.weights) @ grads
     np.testing.assert_allclose(outer, h, atol=1e-10)
+
+
+def _no_per_atom_grads(monkeypatch):
+    def grads(self, theta):
+        raise AssertionError("SampleSet.grads built the per-atom gradient matrix")
+    monkeypatch.setattr(SampleSet, "grads", grads)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_source_population(64, 0.5, 2.0, 101),
+    lambda: make_logistic_population(16, 1.0, 103),
+    lambda: rotated(make_source_population(64, 0.5, 2.0, 101), seed=0),
+], ids=["source", "logistic", "rotated-source"])
+def test_scalar_population_quantities_skip_per_atom_gradients(build, monkeypatch):
+    pop = build()
+    _no_per_atom_grads(monkeypatch)
+    _ = pop.spectrum
+    pointwise_bounds(pop, pop.theta_star)
+    sup_constants(pop.sample_set, float(np.linalg.norm(pop.theta_star)))
+
+
+def test_softmax_population_quantities_read_per_atom_gradients(monkeypatch):
+    pop = small_population(np.random.default_rng(5), "softmax_glm")
+    _no_per_atom_grads(monkeypatch)
+    with pytest.raises(AssertionError, match="per-atom"):
+        _ = pop.spectrum
+    with pytest.raises(AssertionError, match="per-atom"):
+        pointwise_bounds(pop, pop.theta_star)
 
 
 def test_default_lambda_grid_respects_cap():
