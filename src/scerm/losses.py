@@ -414,7 +414,12 @@ class SampleSet:
     A row merges only with a bit-equal row or with its negation 0.0 - x, so
     merging regroups the exact sums and changes nothing but rounding. The
     Hessian of a scalar loss is a^T a with a = rows * sqrt(coef), one SYRK
-    product.
+    product. The per-atom quantities that population bounds read also come
+    from the rows: ``row_sqnorms``, the squared row norms (computed on first
+    use), give each atom's gradient norm |f'| ||x|| and Hessian trace
+    f'' ||x||^2, and ``grad_moments`` sums w f'^2 per row before it projects
+    the rows on its directions. None of them builds the (m, d) gradient
+    matrix ``grads``, which the GLM and the tests still use.
     """
 
     def __init__(self, loss: LossModel, features, labels):

@@ -24,6 +24,11 @@ one spectrum that every lambda of the population shares:
     Bias^2 = lambda^2 sum_i (u_i . t*)^2 / (e_i + lambda)
     df     = sum_i E[(u_i . grad l_Z(t*))^2] / (e_i + lambda)
 
+For a scalar loss the gradient moments E[(u_i . grad l_Z(t*))^2] are summed
+once per distinct feature row (``SampleSet.grad_moments``), and the pointwise
+bounds B1 and B2 read each row's norm once, so no population quantity builds
+the per-atom gradient matrix.
+
 Where the Bartlett identity E[grad grad^T] = H(t*) holds, df is the effective
 dimension Tr H (H + lambda)^{-1} = sum_i e_i / (e_i + lambda) of Caponnetto
 and De Vito (Optimal rates for the regularized least-squares algorithm, 2007).
