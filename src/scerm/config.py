@@ -28,6 +28,7 @@ from .population import (
     make_source_population,
     stack_samples,
 )
+from .rates import REGIMES
 from .solver import SolverConfig
 
 __all__ = [
@@ -189,7 +190,7 @@ _SECTIONS = {
         "trials_per_case": _COUNT, "localization_trials": _COUNT,
     })),
     "rates": (RatesSpec, (("regime", "n_grid", "replicates", "delta"), {
-        "regime": _choice("none", "source", "source_capacity"),
+        "regime": _choice(*REGIMES),
         "n_grid": _numbers(_COUNT, "must be strictly increasing positive integers",
                            increasing=True),
         "replicates": _COUNT, "delta": _DELTA, "lambda": _any, "tolerance": _POSITIVE,

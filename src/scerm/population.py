@@ -102,7 +102,7 @@ class FinitePopulation:
         w = np.array(self.weights, dtype=float)
         if w.shape != (len(self.sample_set),):
             raise ContractViolation("weights and atoms disagree in length")
-        if np.any(w <= 0):
+        if not np.all(w > 0):
             raise ContractViolation("weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ContractViolation(f"weights sum to {w.sum()!r}, not 1")

@@ -251,7 +251,6 @@ class CheckReport:
             raise ContractViolation("a check report needs at least one trial")
 
 
-_SUITE_KINDS = ("square", "huber_sqrt", "huber_logcosh", "logistic", "softmax_glm")
 # size limits of the suite's random populations
 _MAX_ATOMS = 16
 _MAX_DIM = 5
@@ -318,7 +317,7 @@ def run_check_suite(trials_per_case: int, seed: int) -> dict:
         "value_bound": check_value_bound,
     }
     reports = {}
-    for ki, kind in enumerate(_SUITE_KINDS):
+    for ki, kind in enumerate(LOSS_KINDS):
         for ci, (name, fn) in enumerate(checks.items()):
             rng = np.random.default_rng(np.random.SeedSequence([seed, ki, ci]))
             worst = math.inf

@@ -701,4 +701,6 @@ def test_population_validation():
     with pytest.raises(ContractViolation):
         FinitePopulation(two, np.array([1.5, -0.5]))
     with pytest.raises(ContractViolation):
+        FinitePopulation(two, np.array([np.nan, 0.5]))
+    with pytest.raises(ContractViolation):
         FinitePopulation(two, np.array([1.0]))

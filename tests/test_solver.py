@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from scerm import (
     SolverConfig,
     SquareLoss,
     decrement,
+    make_logistic_population,
     solve_erm,
     stack_samples,
 )
@@ -136,6 +138,58 @@ def test_monotone_descent_logistic(rng):
     ratios = [b / a**2 for a, b in zip(tail, tail[1:]) if a > 0]
     assert all(np.isfinite(r) for r in ratios)
     print("quadratic-tail constants:", [f"{r:.3g}" for r in ratios])
+
+
+def test_every_step_is_certified_by_the_value_bound(monkeypatch):
+    # case (a): its draws at lambda = 0.25 and the population at 0.05 take
+    # first steps whose certificate seminorm mu exceeds 1
+    pop = make_logistic_population(d=16, alpha=1.0, seed=103)
+    sset = pop.sample_set
+    draws = np.random.default_rng(7).multinomial(128, pop.weights, size=6) / 128
+    grad = SampleSet.weighted_grad
+    iterates = []
+
+    def recording(self, weights, theta):
+        # weighted_grad runs once per iteration, at the iterate
+        iterates.append(np.array(theta))
+        return grad(self, weights, theta)
+
+    damped = 0
+    for w, lam in [(pop.weights, 0.05)] + [(w, 0.25) for w in draws]:
+        iterates.clear()
+        monkeypatch.setattr(SampleSet, "weighted_grad", recording)
+        res = solver.newton_minimize(sset, w, lam)
+        monkeypatch.setattr(SampleSet, "weighted_grad", grad)
+        assert len(iterates) == res.iterations + 1
+        np.testing.assert_array_equal(iterates[-1], res.theta_hat)
+        for a, b in zip(iterates, iterates[1:]):
+            h = sset.weighted_hess(w, a) + lam * np.eye(sset.dim)
+            p = -np.linalg.solve(h, sset.weighted_grad(w, a) + lam * a)
+            dec2 = float(p @ h @ p)
+            mu = sset.seminorm(p)
+            t = float((b - a) @ p / (p @ p))
+            expected = 1.0 if mu <= 1.0 else math.log1p(mu) / mu
+            assert t == pytest.approx(expected, rel=1e-8)
+            damped += expected < 1.0
+            # L(a) - L(b) >= dec^2 (t - (e^{t mu} - t mu - 1) / mu^2)
+            f0 = sset.weighted_value(w, a) + 0.5 * lam * float(a @ a)
+            f1 = sset.weighted_value(w, b) + 0.5 * lam * float(b @ b)
+            certified = dec2 * (t - (math.expm1(t * mu) - t * mu) / mu**2)
+            slack = 64 * np.finfo(float).eps * abs(f0) if dec2 < 1e-10 * abs(f0) else 0.0
+            assert f0 - f1 >= certified - slack
+    assert damped >= 1
+
+
+def test_solver_config_contract():
+    assert SolverConfig.pure_newton_below == math.inf
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["tol", "max_iter"]
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ContractViolation):
+            SolverConfig(tol=bad)
+    with pytest.raises(ContractViolation):
+        SolverConfig(max_iter=0)
+    with pytest.raises(TypeError):
+        SolverConfig(pure_newton_below=1e-4)
 
 
 def test_determinism_bitwise(rng):
