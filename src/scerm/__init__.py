@@ -49,7 +49,7 @@ from .rates import (
     run_rate_experiment,
     theoretical_rate,
 )
-from .solver import SolveResult, SolverConfig, decrement, solve_erm
+from .solver import SolveResult, SolverConfig, solve_erm
 from .verify import (
     CheckReport,
     check_decomposition_bound,

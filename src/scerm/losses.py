@@ -11,9 +11,10 @@ quadratic form). The certificate vectors are {0} for the square loss,
 logistic loss and {2 Phi(x, y')} over the label set for the softmax GLM.
 
 A ``SampleSet`` holds a support as stacked feature and label arrays, so that
-population sums and empirical risks are single BLAS calls; for a scalar loss
-the sums run over its feature rows up to sign. ``seminorm`` reads its one stack
-of certificate vectors, ``certificate_rows``. ``Sample`` is one
+population sums and empirical risks are single BLAS calls. It keeps every
+loss's feature rows (the GLM's (atom, label) rows) once up to sign: scalar
+sums and ``certificate_rows``, the one stack ``seminorm`` reads, run over
+them, and every weighted Hessian is one SYRK product. ``Sample`` is one
 observation, the input of the per-sample operations, which stay an
 independent oracle for the stacked sums.
 """
@@ -112,6 +113,8 @@ class LossModel:
 
     kind: str = ""
     is_glm: bool = False
+    # certificate set {sc_coef * feature row}; 0 is a quadratic loss
+    sc_coef: float = 0.0
 
     # -- per-sample interface -------------------------------------------------
     def value(self, z: Sample, theta: np.ndarray) -> float:
@@ -155,8 +158,6 @@ class _ScalarLoss(LossModel):
     first two derivatives in the margin u = theta . Phi) plus the constant
     ``sc_coef`` with certificate set {sc_coef * Phi(x)} (sign irrelevant).
     """
-
-    sc_coef: float = 0.0
 
     def _f(self, u, y):
         raise NotImplementedError
@@ -283,6 +284,7 @@ class SoftmaxGLMLoss(LossModel):
 
     kind = "softmax_glm"
     is_glm = True
+    sc_coef = 2.0
 
     def __init__(self, base_measure):
         mu = np.asarray(base_measure, dtype=float)
@@ -404,30 +406,31 @@ class SampleSet:
     once, through ``loss.check_support``. Weighted risks, gradients and
     Hessians over the stack are exact finite sums.
 
-    A scalar loss also keeps its feature rows up to sign once, ``rows``
-    (k, d), with each atom's row index ``row_of`` (m,) and sign ``row_sign``
-    (m,) of +-1, so that atom i's features are row_sign[i] * rows[row_of[i]].
-    Atoms that differ only in their label share a row, and so do the points x
-    and -x, which add the same outer product to a Hessian. Margins, weighted
-    gradients and weighted Hessians are computed once per row, with the
-    atoms' signed (gradient) or plain (Hessian) coefficients summed first.
+    Every loss keeps its feature rows up to sign once, ``rows`` (k, d), with
+    each feature row's index ``row_of`` and sign ``row_sign`` of +-1, so that
+    feature row i is row_sign[i] * rows[row_of[i]]. The feature rows are the
+    m scalar atoms, or the GLM's m * n_labels (atom, label) rows, atom-major.
     A row merges only with a bit-equal row or with its negation 0.0 - x, so
-    merging regroups the exact sums and changes nothing but rounding. The
-    Hessian of a scalar loss is a^T a with a = rows * sqrt(coef), one SYRK
-    product. The per-atom quantities that population bounds read also come
-    from the rows: ``row_sqnorms``, the squared row norms (computed on first
-    use), give each atom's gradient norm |f'| ||x|| and Hessian trace
-    f'' ||x||^2, and ``grad_moments`` sums w f'^2 per row before it projects
-    the rows on its directions. None of them builds the (m, d) gradient
-    matrix ``grads``, which the GLM and the tests still use.
+    merging regroups the exact sums and changes nothing but rounding.
+    ``certificate_rows`` and ``row_sqnorms`` (computed on first use) are read
+    off the rows.
+
+    A scalar loss's atoms that differ only in their label share a row, and so
+    do the points x and -x. Margins and gradient and Hessian sums are computed
+    once per row, with the atoms' signed (gradient) or plain (Hessian)
+    coefficients summed first; ``row_sqnorms`` gives each atom's gradient norm
+    |f'| ||x|| and Hessian trace f'' ||x||^2, and ``grad_moments`` sums
+    w f'^2 per row. So no scalar sum builds the (m, d) gradient matrix
+    ``grads``, which the GLM's gradient sums read. Every weighted Hessian is
+    one SYRK product (``weighted_hess``).
     """
 
     def __init__(self, loss: LossModel, features, labels):
         self.loss = loss
         self.features, self.labels = loss.check_support(features, labels)
         self.dim = self.features.shape[-1]
-        if not loss.is_glm:
-            self.rows, self.row_of, self.row_sign = _distinct_rows(self.features)
+        self.rows, self.row_of, self.row_sign = _distinct_rows(
+            self.features.reshape(-1, self.dim))
 
     def __len__(self):
         return self.features.shape[0]
@@ -442,7 +445,7 @@ class SampleSet:
         loss = self.loss
         if not loss.is_glm:
             return np.asarray(loss._f(self._margins(theta), self.labels), dtype=float)
-        _, logz = self._glm_softmax(self.features, theta)
+        _, logz = self._glm_softmax(theta)
         picked = np.take_along_axis(
             self.features @ theta, self.labels[:, None], axis=1
         ).ravel()
@@ -455,19 +458,24 @@ class SampleSet:
         if not loss.is_glm:
             fp = np.asarray(loss._fp(self._margins(theta), self.labels), dtype=float)
             return fp[:, None] * self.features
-        p, _ = self._glm_softmax(self.features, theta)
-        mean = np.einsum("ml,mld->md", p, self.features)
-        picked = self.features[np.arange(len(self)), self.labels]
-        return mean - picked
+        _, centered = self._glm_centered(theta)
+        return -centered[np.arange(len(self)), self.labels]
 
-    def _glm_softmax(self, feats, theta):
-        """Label probabilities (m, n_labels) and log-partition (m,) of the
-        stacked GLM features feats through a max-shifted log-sum-exp."""
-        s = feats @ theta + np.log(self.loss.base_measure)[None, :]
+    def _glm_softmax(self, theta):
+        """Label probabilities (m, n_labels) and log-partition (m,) of the GLM
+        through a max-shifted log-sum-exp."""
+        s = self.features @ theta + np.log(self.loss.base_measure)[None, :]
         smax = s.max(axis=1, keepdims=True)
         es = np.exp(s - smax)
         zsum = es.sum(axis=1, keepdims=True)
         return es / zsum, (smax + np.log(zsum))[:, 0]
+
+    def _glm_centered(self, theta):
+        """Label probabilities p (m, n_labels) and the centered label rows
+        Phi(x, y') - E_p Phi(x, .), shape (m, n_labels, d)."""
+        p, _ = self._glm_softmax(theta)
+        means = np.einsum("ml,mld->md", p, self.features)
+        return p, self.features - means[:, None, :]
 
     def weighted_value(self, weights, theta) -> float:
         return float(weights @ self.values(theta))
@@ -483,13 +491,13 @@ class SampleSet:
     def weighted_hess(self, weights, theta) -> np.ndarray:
         """Weighted sum of the per-sample Hessians, shape (d, d).
 
-        Terms that add exactly 0 are left out of the sums, so a draw's
-        counts / n weights cost only what it drew: for a scalar loss, the
-        rows whose summed coefficient is 0; for the GLM, the atoms of zero
-        weight. Weights must be nonnegative: every loss is convex, so a
-        scalar loss's row coefficients are too, and the Hessian is the SYRK
-        product a^T a of the rows scaled by their square roots, exactly
-        symmetric.
+        One SYRK product a^T a, exactly symmetric: a holds rows scaled by the
+        square roots of their coefficients, a scalar loss's ``rows`` with
+        their summed w f'', or the GLM's centered rows Phi(x, y') - E_p Phi(x, .)
+        with w p(y'), whose sum is each atom's covariance of Phi under p.
+        Weights must be nonnegative: every loss is convex, so the coefficients
+        are too. A row of coefficient 0 adds exactly 0 and is left out, so a
+        draw's counts / n weights cost only the rows it drew.
         """
         loss = self.loss
         theta = _check_theta(theta, self.dim)
@@ -499,23 +507,17 @@ class SampleSet:
         if not loss.is_glm:
             fpp = np.asarray(loss._fpp(self._margins(theta), self.labels), dtype=float)
             coef, rows = np.bincount(self.row_of, weights * fpp), self.rows
-            kept = coef.nonzero()[0]
-            if kept.size < len(rows):
-                # take already copies the kept rows, so scale that copy in place
-                a = rows.take(kept, axis=0)
-                a *= np.sqrt(coef.take(kept))[:, None]
-            else:
-                a = rows * np.sqrt(coef)[:, None]
-            return a.T @ a
-        feats, drawn = self.features, weights.nonzero()[0]
-        if drawn.size < len(self):
-            feats, weights = feats.take(drawn, axis=0), weights.take(drawn)
-        p, _ = self._glm_softmax(feats, theta)
-        wp = weights[:, None] * p
-        h = np.einsum("ml,mld,mle->de", wp, feats, feats)
-        means = np.einsum("ml,mld->md", p, feats)
-        h -= np.einsum("m,md,me->de", weights, means, means)
-        return 0.5 * (h + h.T)
+        else:
+            p, centered = self._glm_centered(theta)
+            coef, rows = (weights[:, None] * p).ravel(), centered.reshape(-1, self.dim)
+        kept = coef.nonzero()[0]
+        if kept.size < len(rows):
+            # take already copies the kept rows, so scale that copy in place
+            a = rows.take(kept, axis=0)
+            a *= np.sqrt(coef.take(kept))[:, None]
+        else:
+            a = rows * np.sqrt(coef)[:, None]
+        return a.T @ a
 
     def trace_hess(self, theta) -> np.ndarray:
         """Per-sample Tr(hessian), shape (m,)."""
@@ -524,10 +526,8 @@ class SampleSet:
         if not loss.is_glm:
             fpp = np.asarray(loss._fpp(self._margins(theta), self.labels), dtype=float)
             return fpp * self.row_sqnorms[self.row_of]
-        p, _ = self._glm_softmax(self.features, theta)
-        sq = np.einsum("mld,mld->ml", self.features, self.features)
-        means = np.einsum("ml,mld->md", p, self.features)
-        return np.einsum("ml,ml->m", p, sq) - np.einsum("md,md->m", means, means)
+        p, centered = self._glm_centered(theta)
+        return np.einsum("ml,ml->m", p, np.einsum("mld,mld->ml", centered, centered))
 
     def grad_norms(self, theta) -> np.ndarray:
         """Per-sample gradient norms, shape (m,)."""
@@ -550,25 +550,24 @@ class SampleSet:
 
     @cached_property
     def row_sqnorms(self) -> np.ndarray:
-        """Squared norms of a scalar loss's ``rows``, shape (k,), read-only."""
+        """Squared norms of ``rows``, shape (k,), read-only."""
         return _readonly(np.einsum("kd,kd->k", self.rows, self.rows))
 
     @property
     def quadratic(self) -> bool:
         """True when the certificate set is {0} (square loss): the third
         derivative vanishes, so the Hessian is the same at every theta."""
-        return not self.loss.is_glm and self.loss.sc_coef == 0.0
+        return self.loss.sc_coef == 0.0
 
     @cached_property
     def certificate_rows(self) -> np.ndarray:
-        """All certificate vectors stacked row-wise, atom-major and read-only,
-        built once (shape (0, d) for the square loss); every stacked sup over
-        the certificate set reads this one stack."""
+        """The certificate vectors sc_coef * rows, one per feature row up to
+        sign, stacked row-wise and read-only, built once (shape (0, d) for the
+        square loss); every stacked sup over the certificate set reads this
+        one stack."""
         if self.quadratic:
             return _readonly(np.zeros((0, self.dim)))
-        if not self.loss.is_glm:
-            return _readonly(self.loss.sc_coef * self.features)
-        return _readonly(2.0 * self.features.reshape(-1, self.dim))
+        return _readonly(self.loss.sc_coef * self.rows)
 
     def seminorm(self, k) -> float:
         """sup over every certificate vector g of |g . k|; 0 when there is none."""
@@ -605,8 +604,7 @@ def sup_constants(sset: SampleSet, radius: float) -> SupConstants:
         feats = sset.features
         observed = feats[np.arange(len(sset)), sset.labels]
         b1 = float(np.max(np.linalg.norm(feats - observed[:, None, :], axis=2)))
-        b2 = float(np.max(np.einsum("mld,mld->ml", feats, feats)))
-        return SupConstants(b1=b1, b2=b2)
+        return SupConstants(b1=b1, b2=float(np.max(sset.row_sqnorms)))
 
     phi_norms = np.sqrt(sset.row_sqnorms)[sset.row_of]
     if isinstance(loss, LogisticLoss):

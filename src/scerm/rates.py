@@ -262,8 +262,8 @@ class ExperimentPlan:
         if self.regime not in REGIMES:
             raise ContractViolation(f"unknown regime {self.regime!r}")
         grid = tuple(int(n) for n in self.n_grid)
-        if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ContractViolation("n_grid must be nonempty and strictly increasing")
+        if len(grid) < 1 or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ContractViolation("n_grid must be nonempty, positive and strictly increasing")
         if self.replicates < 1:
             raise ContractViolation("replicates must be >= 1")
         if not 0.0 < self.delta <= 0.5:
@@ -474,6 +474,15 @@ def _concentration_report(kind: str, n: int, replicates: int, delta: float, prem
     )
 
 
+def _sample_size(n: int | None, premise: float) -> int:
+    """n, which must be >= 1, or the smallest n that meets the premise when None."""
+    if n is None:
+        return max(1, math.ceil(premise))
+    if n < 1:
+        raise ContractViolation(f"n must be >= 1, got {n}")
+    return n
+
+
 def hessian_premise_n(pop: FinitePopulation, theta, lam: float, delta: float) -> float:
     """Sample size above which the two-sided Hessian equivalence is guaranteed:
     24 B2(theta)/lambda * log(8 B2(theta)/(lambda delta))."""
@@ -495,7 +504,7 @@ def hessian_concentration_experiment(pop: FinitePopulation, theta, lam: float, n
         raise ContractViolation("lambda must be positive")
     theta = np.asarray(theta, dtype=float)
     premise = hessian_premise_n(pop, theta, lam, delta)
-    n = max(1, math.ceil(premise)) if n is None else n
+    n = _sample_size(n, premise)
     h_lam = exact_hessian(pop, theta, lam)
     outcomes = []
     for rep in range(replicates):
@@ -526,7 +535,7 @@ def gradient_concentration_experiment(pop: FinitePopulation, lam: float, n: int 
     consts = constants_at(pop, lam=lam)
     # the bound's premise: n >= k^2 shift2^2 (B2*/lambda) log(2/delta)
     premise = k * k * consts.shift2**2 * (b2_star / consts.lam) * math.log(2.0 / delta)
-    n = max(1, math.ceil(premise)) if n is None else n
+    n = _sample_size(n, premise)
 
     log2d = math.log(2.0 / delta)
     rhs = (2.0 * math.sqrt(3.0) / k) * consts.bias + 2.0 * consts.shift1 * math.sqrt(

@@ -40,7 +40,7 @@ from .errors import ContractViolation, NonConvergenceError
 from .linalg import chol_factor, chol_solve, radius_from_factor
 from .losses import SampleSet
 
-__all__ = ["SolverConfig", "SolveResult", "solve_erm", "decrement", "newton_minimize"]
+__all__ = ["SolverConfig", "SolveResult", "solve_erm", "newton_minimize"]
 
 
 @dataclass(frozen=True)
@@ -141,15 +141,3 @@ def solve_erm(sset: SampleSet, weights, lam: float,
         raise ContractViolation("solve_erm requires lambda > 0")
     return newton_minimize(sset, weights, lam, config)
 
-
-def decrement(sset: SampleSet, weights, lam: float, theta) -> float:
-    """Newton decrement sqrt(grad^T (H_hat + lam I)^{-1} grad) at theta."""
-    if lam <= 0:
-        raise ContractViolation("decrement requires lambda > 0")
-    w = _as_weights(weights, len(sset))
-    theta = np.asarray(theta, dtype=float)
-    g = sset.weighted_grad(w, theta) + lam * theta
-    h = sset.weighted_hess(w, theta)
-    h[np.diag_indices_from(h)] += lam
-    factor = chol_factor(h)
-    return float(np.sqrt(max(g @ chol_solve(factor, g), 0.0)))

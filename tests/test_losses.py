@@ -406,10 +406,10 @@ def test_sample_set_matches_per_sample_ops(kind, rng):
     assert_sums_match_per_sample_ops(loss, atoms, sset, theta, (w, w_drawn))
     k = rng.normal(size=d)
     facs = np.array([loss.sc_factor(z, k) for z in atoms])
-    # certificate_rows is atom-major: each atom's rows follow one another
-    rows = sset.certificate_rows
-    per_atom = np.abs(rows.reshape(7, rows.shape[0] // 7, d) @ k)
-    np.testing.assert_allclose(np.max(per_atom, axis=1, initial=0.0), facs,
+    # an atom's certificate vectors are sc_coef times its feature rows, and
+    # feature row i is row_sign[i] * rows[row_of[i]], atom-major
+    per_row = loss.sc_coef * (sset.rows @ k)[sset.row_of] * sset.row_sign
+    np.testing.assert_allclose(np.abs(per_row.reshape(7, -1)).max(axis=1), facs,
                                rtol=1e-12, atol=1e-12)
     assert sset.seminorm(k) == pytest.approx(facs.max(), rel=1e-12, abs=1e-12)
 
@@ -464,6 +464,59 @@ def test_generated_populations_sum_each_row_once(build, distinct):
     np.testing.assert_array_equal(rebuilt, sset.features)
     nonzero = sset.features != 0.0
     assert rebuilt[nonzero].tobytes() == sset.features[nonzero].tobytes()
+    # one certificate vector per row up to sign, with the per-atom sup
+    assert sset.certificate_rows.shape == (0 if sset.quadratic else distinct, sset.dim)
+    k = np.random.default_rng(5).normal(size=sset.dim)
+    facs = [sset.loss.sc_factor(Sample(features=x, label=y), k)
+            for x, y in zip(sset.features, sset.labels)]
+    assert sset.seminorm(k) == pytest.approx(max(facs), rel=1e-12)
+
+
+def test_glm_sample_set_merges_repeated_label_rows(rng):
+    d, loss = 4, make_loss("softmax_glm")
+    shared, signed = rng.normal(size=d), rng.normal(size=d)
+    # label 0 is a zero reference row in every atom
+    feats = np.zeros((4, 3, d))
+    feats[0, 1:] = shared, signed
+    feats[1, 1:] = rng.normal(size=d), shared
+    feats[2, 1:] = -signed, rng.normal(size=d)
+    feats[3, 1:] = rng.normal(size=(2, d))
+    labels = [1, 2, 0, 1]
+    sset = SampleSet(loss, feats, labels)
+    # one zero row, shared and signed once each, and four rows of their own
+    assert sset.rows.shape == (7, d)
+    assert (sset.row_of.reshape(4, 3)[:, 0] == sset.row_of[0]).all()
+    assert sset.row_of[1] == sset.row_of[5] and sset.row_of[2] == sset.row_of[7]
+    assert sset.row_sign.tolist() == [1.0] * 7 + [-1.0] + [1.0] * 4
+    rebuilt = sset.rows[sset.row_of] * sset.row_sign[:, None]
+    np.testing.assert_array_equal(rebuilt.reshape(feats.shape), feats)
+    assert sset.certificate_rows.shape == (7, d)
+    atoms = [Sample(features=x, label=y) for x, y in zip(feats, labels)]
+    k = rng.normal(size=d)
+    assert sset.seminorm(k) == pytest.approx(max(loss.sc_factor(z, k) for z in atoms),
+                                             rel=1e-12, abs=1e-12)
+    w = rng.uniform(0.1, 1.0, size=4)
+    w_drawn = np.where(np.arange(4) == 1, 0.0, w)
+    assert_sums_match_per_sample_ops(loss, atoms, sset, rng.normal(size=d),
+                                     (w / w.sum(), w_drawn / w_drawn.sum()))
+
+
+def test_near_one_hot_softmax_hessian_matches_closed_form():
+    # binary softmax with uniform base measure: an atom's Hessian is
+    # sigma(s) sigma(-s) delta delta^T, delta = Phi_1 - Phi_0 and s = theta . delta;
+    # at |theta| = 60 every p is near one-hot, sigma(s) sigma(-s) <= 5e-7
+    rng = np.random.default_rng(7)
+    m, d = 12, 4
+    theta = rng.normal(size=d)
+    theta *= 60.0 / np.linalg.norm(theta)
+    feats = rng.normal(size=(m, 2, d))
+    sset = SampleSet(SoftmaxGLMLoss(np.array([0.5, 0.5])), feats, rng.integers(2, size=m))
+    w = rng.uniform(0.1, 1.0, size=m)
+    w /= w.sum()
+    delta = feats[:, 1] - feats[:, 0]
+    e = np.exp(-np.abs(delta @ theta))
+    expected = ((w * e / (1.0 + e) ** 2)[:, None] * delta).T @ delta
+    np.testing.assert_allclose(sset.weighted_hess(w, theta), expected, rtol=1e-13, atol=0)
 
 
 def test_zero_rows_merge_only_after_a_negative_zero_row():
@@ -493,13 +546,13 @@ def test_sample_set_accepts_any_memory_layout(kind, layout, rng):
     assert_sums_match_per_sample_ops(loss, atoms, sset, rng.normal(size=d), (w / w.sum(),))
 
 
-@pytest.mark.parametrize("kind", SCALAR_KINDS)
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_scalar_weighted_hess_is_exactly_symmetric(kind, rng):
     d = 5
     atoms = [random_sample(rng, kind, d) for _ in range(6)]
     atoms += [Sample(features=-z.features, label=z.label) for z in atoms[:3]]
     sset = stack_samples(make_loss(kind), atoms)
-    assert sset.rows.shape == (6, d)
+    assert sset.rows.shape == (6 * (3 if kind == "softmax_glm" else 1), d)
     w = rng.uniform(0.1, 1.0, size=len(atoms))
     h = sset.weighted_hess(w / w.sum(), rng.normal(size=d))
     assert h.tobytes() == h.T.copy().tobytes()

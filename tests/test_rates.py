@@ -189,6 +189,10 @@ def test_plan_validation():
     with pytest.raises(ContractViolation):
         ExperimentPlan(population=pop, regime="none", n_grid=(32, 64), replicates=1,
                        delta=0.1, seed=0, lambdas=(0.1,))
+    for grid in ((0, 8), (-8, 8)):
+        with pytest.raises(ContractViolation, match="positive"):
+            ExperimentPlan(population=pop, regime="none", n_grid=grid, replicates=1,
+                           delta=0.1, seed=0, lambdas=(0.1, 0.05))
 
 
 def test_schedule_based_plan_runs():
@@ -408,6 +412,10 @@ def test_hessian_concentration_premise_and_skip():
                                             delta=0.1, seed=1)
     assert rep2.premise_ok
     assert rep2.frequency >= rep2.threshold
+    for bad in (0, -3):
+        with pytest.raises(ContractViolation, match="n must be >= 1"):
+            hessian_concentration_experiment(pop, pop.theta_star, lam, n=bad, replicates=1,
+                                             delta=0.1)
 
 
 def test_gradient_concentration_p1(p1):
@@ -430,3 +438,6 @@ def test_gradient_concentration_rhs_positive(p1):
 def test_gradient_concentration_k_contract(p1):
     with pytest.raises(ContractViolation):
         gradient_concentration_experiment(p1, 0.25, n=100, replicates=5, delta=0.1, k=2.0)
+    for bad in (0, -3):
+        with pytest.raises(ContractViolation, match="n must be >= 1"):
+            gradient_concentration_experiment(p1, 0.25, n=bad, replicates=5, delta=0.1, k=4.0)

@@ -12,7 +12,6 @@ from scerm import (
     SampleSet,
     SolverConfig,
     SquareLoss,
-    decrement,
     make_logistic_population,
     solve_erm,
     stack_samples,
@@ -52,9 +51,11 @@ def test_square_converges_in_one_step(rng, monkeypatch):
     assert res.iterations == 1
     assert len(res.decrement_trace) == 2
     assert res.decrement_trace[1] <= 1e-10
-    # each decrement equals the one from a fresh Hessian at its iterate
-    assert res.decrement_trace == (decrement(sset, w, 0.1, np.zeros(5)),
-                                   decrement(sset, w, 0.1, res.theta_hat))
+    # each decrement is sqrt(g^T (H + lambda I)^{-1} g) at its iterate
+    h = (x.T * w) @ x + 0.1 * np.eye(5)
+    for dec, theta in zip(res.decrement_trace, (np.zeros(5), res.theta_hat)):
+        g = x.T @ (w * (x @ theta - y)) + 0.1 * theta
+        assert dec == pytest.approx(math.sqrt(g @ np.linalg.solve(h, g)), rel=1e-12, abs=1e-14)
 
 
 def test_given_hessian_replaces_the_build(rng, monkeypatch):
@@ -91,14 +92,14 @@ def test_matches_ridge_closed_form(rng):
 def test_decrement_single_sample_example():
     # one sample y=1, Phi=1, theta=0, lambda=1: grad=-1, H_lam=2 -> 1/sqrt(2)
     sset = SampleSet(SquareLoss(), [[1.0]], [1.0])
-    val = decrement(sset, np.array([1.0]), 1.0, np.zeros(1))
-    assert val == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+    res = solve_erm(sset, np.array([1.0]), 1.0)
+    assert res.decrement_trace[0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
 
 
 def test_decrement_zero_at_solution(rng):
     sset, w, *_ = ridge_instance(rng, 3, 30)
     res = solve_erm(sset, w, 0.5)
-    assert decrement(sset, w, 0.5, res.theta_hat) <= 1e-10
+    assert res.decrement_trace[-1] <= 1e-10
 
 
 def test_logistic_huge_lambda_first_order_bound(rng):
@@ -209,8 +210,6 @@ def test_lambda_contract():
     sset = SampleSet(SquareLoss(), [[1.0]], [1.0])
     with pytest.raises(ContractViolation):
         solve_erm(sset, np.array([1.0]), 0.0)
-    with pytest.raises(ContractViolation):
-        decrement(sset, np.array([1.0]), -1.0, np.zeros(1))
 
 
 def test_nonconvergence_carries_trace(rng):
