@@ -14,8 +14,8 @@ identical config and seed produce byte-identical files.
 
 Exit codes: 0 success, 1 assertion failure (a configured tolerance or
 threshold was missed, a solve did not converge, or a population minimum is
-not attained), 2 usage error (bad flags or $SCERM_JOBS, a config that is
-unreadable, not UTF-8 YAML or invalid, I/O).
+not attained), 2 usage error (bad flags or $SCERM_JOBS, a worker count
+below 1, a config that is unreadable, not UTF-8 YAML or invalid, I/O).
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def _cmd_diagnose(cfg: RunConfig, pop, jobs) -> _Report:
     if spec.lambda_grid is not None:
         grid = np.asarray(spec.lambda_grid, dtype=float)
     else:
-        _, b2_star = pointwise_bounds(pop, pop.theta_star)
+        _, b2_star = pointwise_bounds(pop)
         grid = default_lambda_grid(b2_star, spec.log2_min, spec.log2_max)
         if grid.size == 0:
             raise ConfigError([("diagnose.log2_max", (
@@ -202,9 +202,8 @@ def _cmd_verify(cfg: RunConfig, pop, jobs) -> _Report:
 
 
 def _rates_params(pop, delta) -> RateParams:
-    theta_star = pop.theta_star
-    b1_star, b2_star = pointwise_bounds(pop, theta_star)
-    theta_norm = float(np.linalg.norm(theta_star))
+    b1_star, b2_star = pointwise_bounds(pop)
+    theta_norm = float(np.linalg.norm(pop.theta_star))
     sup = sup_constants(pop.sample_set, theta_norm)
     meta = pop.meta
     return RateParams(
@@ -226,6 +225,13 @@ def _cmd_rates(cfg: RunConfig, pop, jobs) -> _Report:
     spec = cfg.rates
     params = _rates_params(pop, spec.delta)
     lam_spec = spec.lambdas
+    # the regime's exponent, and so its corollary lambda, needs these
+    needs = {"source": ("r",), "source_capacity": ("r", "alpha")}.get(spec.regime, ())
+    missing = " and ".join(name for name in needs if getattr(params, name) is None)
+    if missing and spec.tolerance is not None:
+        raise ConfigError([("rates.tolerance", (
+            f"the {spec.regime} exponent needs the population's {missing}, which it does not "
+            "define, so no tolerance can be checked; drop rates.tolerance"))])
     if lam_spec.mode == "explicit":
         lambdas = lam_spec.values
     elif lam_spec.mode == "anchored":
@@ -235,11 +241,9 @@ def _cmd_rates(cfg: RunConfig, pop, jobs) -> _Report:
                                    params.alpha if params.alpha is not None else 1.0)
         lambdas = anchored_lambdas(spec.n_grid, exponent, lam_spec.anchor, lam_spec.n_anchor)
     else:  # corollary
-        needs = {"source": ("r",), "source_capacity": ("r", "alpha")}.get(spec.regime, ())
-        missing = [name for name in needs if getattr(params, name) is None]
         if missing:
             raise ConfigError([("rates.regime", (
-                f"the corollary's lambda needs the population's {' and '.join(missing)}, "
+                f"the corollary's lambda needs the population's {missing}, "
                 "which it does not define; set rates.lambda.mode: anchored|explicit"))])
         lambdas = [lambda_schedule(spec.regime, n, params).value for n in spec.n_grid]
 
@@ -296,9 +300,8 @@ def _cmd_rates(cfg: RunConfig, pop, jobs) -> _Report:
 def _cmd_concentration(cfg: RunConfig, pop, jobs) -> _Report:
     spec = cfg.concentration
     if spec.kind == "hessian":
-        report = hessian_concentration_experiment(
-            pop, pop.theta_star, spec.lam, spec.n, spec.replicates, spec.delta, seed=cfg.seed
-        )
+        report = hessian_concentration_experiment(pop, spec.lam, spec.n, spec.replicates,
+                                                  spec.delta, seed=cfg.seed)
     else:
         report = gradient_concentration_experiment(
             pop, spec.lam, spec.n, spec.replicates, spec.delta, k=spec.k, seed=cfg.seed
@@ -363,23 +366,26 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default="scerm-out", help="output directory")
     parser.add_argument("--jobs", type=int, default=None,
-                        help=f"worker processes for experiment cells; BLAS runs on one "
-                             f"thread per process (default: ${JOBS_ENV_VAR} or 1)")
+                        help=f"worker processes for experiment cells, at least 1; BLAS runs "
+                             f"on one thread per process (default: ${JOBS_ENV_VAR} or 1)")
     parser.add_argument("--quiet", action="store_true", help="suppress the result digest line")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    jobs = args.jobs
+    jobs, jobs_from = args.jobs, "--jobs"
     if jobs is None:
+        jobs_from = f"${JOBS_ENV_VAR}"
         env_jobs = os.environ.get(JOBS_ENV_VAR) or "1"
         try:
             jobs = int(env_jobs)
         except ValueError:
             print(f"error: ${JOBS_ENV_VAR} must be an integer, got {env_jobs!r}", file=sys.stderr)
             return 2
-    jobs = max(1, jobs)
+    if jobs < 1:
+        print(f"error: {jobs_from} must be a positive integer, got {jobs}", file=sys.stderr)
+        return 2
     if args.seed is not None and args.seed < 0:
         print(f"error: --seed must be a nonnegative integer, got {args.seed}", file=sys.stderr)
         return 2

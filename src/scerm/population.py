@@ -6,27 +6,28 @@ radius — is a finite sum computed exactly. Populations therefore serve as
 ground truth when checking inequalities and convergence rates against Monte
 Carlo draws.
 
-Diagnostic quantities at a regularization level lambda:
+Diagnostic quantities at the minimizer t* and a regularization level lambda:
 
     Bias   = lambda * || (H(t*) + lambda I)^{-1/2} t* ||
     df     = E || (H(t*) + lambda I)^{-1/2} grad l_Z(t*) ||^2
-    1/r    = sup over atoms and certificate vectors of ||g||_{H_lambda^{-1}}
+    1/r    = sup over atoms and certificate vectors of ||g||_{H_lambda(t*)^{-1}}
     t_lam  = sup over atoms of the certificate factor at direction t*_lam - t*
 
 A population solves t* = argmin L, H(t*) and its eigendecomposition
 H(t*) = sum_i e_i u_i u_i^T once, on first use, and each t*_lam once per
-lambda. For a quadratic loss (certificate set {0}, ``SampleSet.quadratic``)
-H(t) = sum_i w_i x_i x_i^T is the same at every t: the population builds it
-once, without solving t* first, and ``exact_hessian`` and every t* and t*_lam
-solve reuse it instead of rebuilding it. Bias and df are O(d) sums over the
-one spectrum that every lambda of the population shares:
+lambda; ``exact_hessian`` builds H at other points. For a quadratic loss
+(certificate set {0}, ``SampleSet.quadratic``) H(t) = sum_i w_i x_i x_i^T is
+the same at every t: the population builds it once, without solving t*
+first, and ``exact_hessian`` and every t* and t*_lam solve reuse it instead
+of rebuilding it. Bias and df are O(d) sums over the one spectrum that every
+lambda of the population shares:
 
     Bias^2 = lambda^2 sum_i (u_i . t*)^2 / (e_i + lambda)
     df     = sum_i E[(u_i . grad l_Z(t*))^2] / (e_i + lambda)
 
 For a scalar loss the gradient moments E[(u_i . grad l_Z(t*))^2] are summed
 once per distinct feature row (``SampleSet.grad_moments``), and the pointwise
-bounds B1 and B2 read each row's norm once, so no population quantity builds
+bounds B1* and B2* read each row's norm once, so no population quantity builds
 the per-atom gradient matrix.
 
 Where the Bartlett identity E[grad grad^T] = H(t*) holds, df is the effective
@@ -118,7 +119,8 @@ class FinitePopulation:
 
     @cached_property
     def hessian_at_star(self) -> np.ndarray:
-        """H(theta*), read-only; for a quadratic loss, H at every theta, built
+        """H(theta*), read-only, the one behind the spectrum, the Dikin radius and
+        the Hessian experiment; for a quadratic loss, H at every theta, built
         without solving theta*."""
         sset = self.sample_set
         theta = np.zeros(self.dim) if sset.quadratic else self.theta_star
@@ -220,16 +222,14 @@ def df_lambda(pop: FinitePopulation, lam: float) -> float:
     return float(np.sum(grad_sq / (eigs + lam)))
 
 
-def dikin_radius(pop: FinitePopulation, theta, lam: float) -> float:
-    """Inverse of the largest H_lambda^{-1/2}-norm of a certificate vector.
-
-    Returns inf when every certificate vector is zero (square loss).
-    """
+def dikin_radius(pop: FinitePopulation, lam: float) -> float:
+    """r_lambda(theta*): the inverse of the largest H_lambda(theta*)^{-1/2}-norm
+    of a certificate vector; inf when every one is zero (square loss)."""
     if lam <= 0:
         raise ContractViolation("dikin_radius requires lambda > 0")
     if pop.sample_set.quadratic:
         return math.inf
-    return radius_from_factor(chol_factor(exact_hessian(pop, theta, lam)),
+    return radius_from_factor(chol_factor(add_ridge(pop.hessian_at_star, lam)),
                               pop.sample_set.certificate_rows)
 
 
@@ -243,10 +243,9 @@ def t_lambda(pop: FinitePopulation, lam: float) -> float:
     return pop.sample_set.seminorm(pop.theta_lambda(lam) - pop.theta_star)
 
 
-def pointwise_bounds(pop: FinitePopulation, theta) -> tuple[float, float]:
-    """Exact B1(theta) = sup ||grad l_z||, B2(theta) = sup Tr(hess l_z) over atoms."""
-    sset = pop.sample_set
-    theta = np.asarray(theta, dtype=float)
+def pointwise_bounds(pop: FinitePopulation) -> tuple[float, float]:
+    """Exact B1* = sup ||grad l_z(theta*)||, B2* = sup Tr(hess l_z(theta*)) over atoms."""
+    sset, theta = pop.sample_set, pop.theta_star
     return float(np.max(sset.grad_norms(theta))), float(np.max(sset.trace_hess(theta)))
 
 
@@ -326,7 +325,7 @@ def constants_at(pop: FinitePopulation, lam: float) -> ScConstants:
     """Bias, df, Dikin radius r_lambda(theta*) and t_lambda of this population,
     with every decomposition constant evaluated at them."""
     return _constants_from_t(lam, t_lambda(pop, lam=lam), bias_lambda(pop, lam=lam),
-                             df_lambda(pop, lam=lam), dikin_radius(pop, pop.theta_star, lam))
+                             df_lambda(pop, lam=lam), dikin_radius(pop, lam=lam))
 
 
 # -- diagnostics over a lambda grid ---------------------------------------------

@@ -308,7 +308,7 @@ def _draw(pop: FinitePopulation, n: int, base: int, n_index: int, replicate: int
 
 def _q_star_sq(pop: FinitePopulation) -> tuple[float, float]:
     """(Q*^2, B2*) with Q*^2 = B1*^2 / B2*, or 0 when B2* is 0."""
-    b1_star, b2_star = pointwise_bounds(pop, pop.theta_star)
+    b1_star, b2_star = pointwise_bounds(pop)
     return (b1_star**2 / b2_star if b2_star > 0 else 0.0), b2_star
 
 
@@ -483,17 +483,17 @@ def _sample_size(n: int | None, premise: float) -> int:
     return n
 
 
-def hessian_premise_n(pop: FinitePopulation, theta, lam: float, delta: float) -> float:
-    """Sample size above which the two-sided Hessian equivalence is guaranteed:
-    24 B2(theta)/lambda * log(8 B2(theta)/(lambda delta))."""
-    _, b2 = pointwise_bounds(pop, theta)
+def hessian_premise_n(pop: FinitePopulation, lam: float, delta: float) -> float:
+    """Sample size above which the two-sided Hessian equivalence at theta* is
+    guaranteed: 24 B2*/lambda * log(8 B2*/(lambda delta))."""
+    _, b2 = pointwise_bounds(pop)
     return 24.0 * b2 / lam * math.log(8.0 * b2 / (lam * delta))
 
 
-def hessian_concentration_experiment(pop: FinitePopulation, theta, lam: float, n: int | None,
+def hessian_concentration_experiment(pop: FinitePopulation, lam: float, n: int | None,
                                      replicates: int, delta: float,
                                      seed: int = 0) -> ConcentrationReport:
-    """Monte Carlo frequency of H_lambda(theta) <= 2 Hhat_lambda(theta).
+    """Monte Carlo frequency of H_lambda(theta*) <= 2 Hhat_lambda(theta*).
 
     The event is tested through the largest generalized eigenvalue of
     (H_lambda, Hhat_lambda). When n is below the lemma's premise the
@@ -502,10 +502,9 @@ def hessian_concentration_experiment(pop: FinitePopulation, theta, lam: float, n
     """
     if lam <= 0:
         raise ContractViolation("lambda must be positive")
-    theta = np.asarray(theta, dtype=float)
-    premise = hessian_premise_n(pop, theta, lam, delta)
+    premise = hessian_premise_n(pop, lam, delta)
     n = _sample_size(n, premise)
-    h_lam = exact_hessian(pop, theta, lam)
+    theta, h_lam = pop.theta_star, add_ridge(pop.hessian_at_star, lam)
     outcomes = []
     for rep in range(replicates):
         w, _ = _draw(pop, n, seed, 0, rep)

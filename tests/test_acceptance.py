@@ -277,8 +277,8 @@ def test_criterion_8_hessian_concentration():
     pop = logistic_pop_a()
     lam = 0.5
     delta = 0.1
-    n = int(math.ceil(hessian_premise_n(pop, pop.theta_star, lam, delta)))
-    rep = hessian_concentration_experiment(pop, pop.theta_star, lam, n=n,
+    n = int(math.ceil(hessian_premise_n(pop, lam, delta)))
+    rep = hessian_concentration_experiment(pop, lam, n=n,
                                            replicates=500, delta=delta, seed=2008)
     elapsed = time.time() - t0
     ok = rep.premise_ok and rep.frequency >= rep.threshold

@@ -248,7 +248,7 @@ def test_rates_corollary_lambdas_end_to_end(tmp_path, regime):
     pop = build_population(parse_config(doc).population)
     params = scerm.cli._rates_params(pop, 0.25)
     assert lambdas == [lambda_schedule(regime, n, params).value for n in (32, 64, 128)]
-    _, b2_star = pointwise_bounds(pop, pop.theta_star)
+    _, b2_star = pointwise_bounds(pop)
     assert all(0 < lam <= b2_star for lam in lambdas)
 
 
@@ -507,6 +507,11 @@ def at(path):
     pytest.param(dict(MINIMAL_DIAGNOSE, seed=-3), [], at("seed"), id="negative-seed"),
     pytest.param(MINIMAL_DIAGNOSE, ["--seed", "-1"], None, id="negative-seed-flag"),
     pytest.param(MINIMAL_DIAGNOSE, {"SCERM_JOBS": "abc"}, None, id="non-integer-jobs-env"),
+    pytest.param(MINIMAL_DIAGNOSE, ["--jobs", "0"],
+                 "error: --jobs must be a positive integer, got 0\n", id="zero-jobs"),
+    pytest.param(MINIMAL_DIAGNOSE, {"SCERM_JOBS": "-4"},
+                 "error: $SCERM_JOBS must be a positive integer, got -4\n",
+                 id="negative-jobs-env"),
     pytest.param("command: [solve\n", [], None, id="yaml-syntax-error"),
     pytest.param(None, [], None, id="config-is-a-directory"),
     pytest.param(DEGENERATE_RATES, [],
@@ -582,6 +587,13 @@ def at(path):
                                                    regime="source_capacity")), [],
                  at("rates.regime") + "the corollary's lambda needs the population's r and "
                  "alpha, which it does not define", id="corollary-lambda-without-r-and-alpha"),
+    pytest.param(dict(DEGENERATE_RATES, population={"generator": "logistic", "d": 4},
+                      rates=dict(DEGENERATE_RATES["rates"], regime="source", tolerance=1e-4,
+                                 **{"lambda": {"mode": "anchored", "anchor": 0.1,
+                                               "n_anchor": 16}})), [],
+                 at("rates.tolerance") + "the source exponent needs the population's r, which "
+                 "it does not define, so no tolerance can be checked; drop rates.tolerance",
+                 id="tolerance-without-theoretical-exponent"),
     pytest.param(dict(MINIMAL_DIAGNOSE, command="verify", verify={"slack": 1e-9}), [],
                  at("verify.slack") + "unknown key", id="removed-verify-slack"),
     pytest.param(dict(DEGENERATE_RATES, rates=dict(DEGENERATE_RATES["rates"], **{"lambda": {

@@ -17,6 +17,7 @@ from scerm import (
     SampleSet,
     SoftmaxGLMLoss,
     SquareLoss,
+    anchored_lambdas,
     bias_lambda,
     check_decomposition_bound,
     check_localization,
@@ -37,6 +38,7 @@ from scerm import (
     stack_samples,
     t_lambda,
 )
+from scerm.linalg import chol_factor, radius_from_factor
 from scerm.losses import _sigmoid, sup_constants
 from scerm.population import pointwise_bounds, sup_norm_certificate
 from scerm.scfun import LOG2
@@ -118,29 +120,45 @@ def test_p2_df_bartlett_value(p2):
 
 
 def test_df_vanishes_at_huge_lambda(p2):
-    _, b2 = pointwise_bounds(p2, p2.theta_star)
+    _, b2 = pointwise_bounds(p2)
     lam = 1e6 * b2
     assert df_lambda(p2, lam) < 1e-4 * p2.dim
 
 
 def test_dikin_square_infinite(p1):
-    assert dikin_radius(p1, np.array([0.3]), 0.5) == math.inf
+    assert dikin_radius(p1, 0.5) == math.inf
 
 
 def test_dikin_p2_value(p2):
-    r = dikin_radius(p2, p2.theta_star, 1.0 / 16.0)
+    r = dikin_radius(p2, 1.0 / 16.0)
     assert r == pytest.approx(0.5, abs=1e-9)
 
 
 def test_dikin_scaling_at_huge_lambda(p2):
     lam = 1e6
-    assert dikin_radius(p2, p2.theta_star, lam) / math.sqrt(lam) == pytest.approx(1.0, rel=1e-6)
+    assert dikin_radius(p2, lam) / math.sqrt(lam) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_dikin_lower_bound_sqrt_lambda_over_r(p2):
     r_cert = sup_norm_certificate(p2)
     for lam in (1e-3, 0.1, 2.0):
-        assert dikin_radius(p2, p2.theta_star, lam) >= math.sqrt(lam) / r_cert - 1e-12
+        assert dikin_radius(p2, lam) >= math.sqrt(lam) / r_cert - 1e-12
+
+
+def test_dikin_radius_reads_the_cached_hessian_at_star(monkeypatch):
+    # case (a) at the logistic rate experiment's seven lambdas: the one cached
+    # H(theta*) serves every radius, bit for bit the radius of a rebuilt one
+    pop = make_logistic_population(16, 1.0, 103)
+    lams = anchored_lambdas(tuple(2**k for k in range(7, 14)), 0.5, 0.25, 128)
+    _ = pop.hessian_at_star
+    expect = [radius_from_factor(chol_factor(exact_hessian(pop, pop.theta_star, lam)),
+                                 pop.sample_set.certificate_rows) for lam in lams]
+
+    def no_hessian(*args):
+        raise AssertionError("H(theta*) rebuilt")
+
+    monkeypatch.setattr(SampleSet, "weighted_hess", no_hessian)
+    assert [dikin_radius(pop, lam=lam) for lam in lams] == expect
 
 
 def test_t_lambda_square_zero(p1):
@@ -165,7 +183,7 @@ def test_lambda_contracts(p1):
         with pytest.raises(ContractViolation):
             fn(p1, 0.0)
     with pytest.raises(ContractViolation):
-        dikin_radius(p1, np.zeros(1), -1.0)
+        dikin_radius(p1, -1.0)
 
 
 # -- population solutions, each solved once ------------------------------------------
@@ -318,7 +336,7 @@ def test_bias_monotone_df_antitone(rng):
 
 def test_bias_and_df_global_bounds(rng):
     pop, _ = well_specified_logistic(rng)
-    b1_star, _ = pointwise_bounds(pop, pop.theta_star)
+    b1_star, _ = pointwise_bounds(pop)
     star_norm = np.linalg.norm(pop.theta_star)
     for lam in (1e-4, 1e-2, 0.5, 4.0):
         assert bias_lambda(pop, lam) <= math.sqrt(lam) * star_norm + 1e-12
@@ -382,7 +400,7 @@ def test_bartlett_identity_and_df(rng):
 
 def test_lemma_localization_bound_over_grid(rng):
     pop, _ = well_specified_logistic(rng)
-    _, b2_star = pointwise_bounds(pop, pop.theta_star)
+    _, b2_star = pointwise_bounds(pop)
     grid = default_lambda_grid(b2_star, 0, 12)
     report = compute_diagnostics(pop, grid)  # raises on violation
     r_cert = sup_norm_certificate(pop)
@@ -674,7 +692,7 @@ def test_scalar_population_quantities_skip_per_atom_gradients(build, monkeypatch
     pop = build()
     _no_per_atom_grads(monkeypatch)
     _ = pop.spectrum
-    pointwise_bounds(pop, pop.theta_star)
+    pointwise_bounds(pop)
     sup_constants(pop.sample_set, float(np.linalg.norm(pop.theta_star)))
 
 
@@ -684,7 +702,7 @@ def test_softmax_population_quantities_read_per_atom_gradients(monkeypatch):
     with pytest.raises(AssertionError, match="per-atom"):
         _ = pop.spectrum
     with pytest.raises(AssertionError, match="per-atom"):
-        pointwise_bounds(pop, pop.theta_star)
+        pointwise_bounds(pop)
 
 
 def test_default_lambda_grid_respects_cap():

@@ -18,6 +18,7 @@ from scerm import (
     RateParams,
     SampleSet,
     anchored_lambdas,
+    exact_hessian,
     exact_risk,
     gradient_concentration_experiment,
     hessian_concentration_experiment,
@@ -30,6 +31,7 @@ from scerm import (
     theoretical_rate,
 )
 from scerm import rates
+from scerm.linalg import add_ridge, gen_eigmax
 from scerm.rates import hessian_premise_n
 
 
@@ -199,7 +201,7 @@ def test_schedule_based_plan_runs():
     pop = make_source_population(d=6, r=0.5, alpha=2.0, seed=2)
     from scerm.population import pointwise_bounds
 
-    b1, b2 = pointwise_bounds(pop, pop.theta_star)
+    b1, b2 = pointwise_bounds(pop)
     params = RateParams(delta=0.25, b1_star=b1, b2_star=b2, source_norm=1.0, r=0.5,
                         capacity_q=pop.meta.capacity_q, alpha=2.0, cert_radius=0.0)
     lambdas = [lambda_schedule("source_capacity", n, params).value for n in (64, 128)]
@@ -392,9 +394,9 @@ def test_hessian_concentration_trivial_when_lambda_dominates():
     pop = make_logistic_population(d=4, alpha=1.0, seed=2)
     from scerm.population import pointwise_bounds
 
-    _, b2 = pointwise_bounds(pop, pop.theta_star)
+    _, b2 = pointwise_bounds(pop)
     lam = 2.0 * b2  # generalized eigenvalue <= (B2+lam)/lam <= 1.5 always
-    rep = hessian_concentration_experiment(pop, pop.theta_star, lam, n=50, replicates=40,
+    rep = hessian_concentration_experiment(pop, lam, n=50, replicates=40,
                                            delta=0.1, seed=1)
     assert rep.frequency == 1.0
 
@@ -402,20 +404,47 @@ def test_hessian_concentration_trivial_when_lambda_dominates():
 def test_hessian_concentration_premise_and_skip():
     pop = make_logistic_population(d=4, alpha=1.0, seed=2)
     lam = 0.5
-    premise = hessian_premise_n(pop, pop.theta_star, lam, 0.1)
+    premise = hessian_premise_n(pop, lam, 0.1)
     assert premise > 1
-    rep = hessian_concentration_experiment(pop, pop.theta_star, lam, n=5, replicates=10,
+    rep = hessian_concentration_experiment(pop, lam, n=5, replicates=10,
                                            delta=0.1, seed=1)
     assert rep.skipped and not rep.premise_ok
     n = int(math.ceil(premise))
-    rep2 = hessian_concentration_experiment(pop, pop.theta_star, lam, n=n, replicates=60,
+    rep2 = hessian_concentration_experiment(pop, lam, n=n, replicates=60,
                                             delta=0.1, seed=1)
     assert rep2.premise_ok
     assert rep2.frequency >= rep2.threshold
     for bad in (0, -3):
         with pytest.raises(ContractViolation, match="n must be >= 1"):
-            hessian_concentration_experiment(pop, pop.theta_star, lam, n=bad, replicates=1,
+            hessian_concentration_experiment(pop, lam, n=bad, replicates=1,
                                              delta=0.1)
+
+
+def test_hessian_concentration_reads_the_cached_hessian_at_star(monkeypatch):
+    pop = make_logistic_population(d=4, alpha=1.0, seed=2)
+    lam, n, replicates = 0.02, 40, 30
+    _ = pop.hessian_at_star
+    # the outcomes against an H_lambda(theta*) rebuilt over the population weights
+    h_lam = exact_hessian(pop, pop.theta_star, lam)
+    expect = []
+    for rep in range(replicates):
+        w, _ = rates._draw(pop, n, 1, 0, rep)
+        h_hat = add_ridge(pop.sample_set.weighted_hess(w, pop.theta_star), lam)
+        expect.append(bool(gen_eigmax(h_lam, h_hat) <= 2.0 + 1e-12))
+    assert 0 < sum(expect) < replicates
+
+    weights_seen, weighted_hess = [], SampleSet.weighted_hess
+
+    def recording(self, weights, theta):
+        weights_seen.append(weights)
+        return weighted_hess(self, weights, theta)
+
+    monkeypatch.setattr(SampleSet, "weighted_hess", recording)
+    report = hessian_concentration_experiment(pop, lam, n=n, replicates=replicates, delta=0.1,
+                                              seed=1)
+    assert report.outcomes == tuple(expect)
+    assert len(weights_seen) == replicates
+    assert not any(w is pop.weights for w in weights_seen)
 
 
 def test_gradient_concentration_p1(p1):
