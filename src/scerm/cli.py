@@ -26,12 +26,12 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .config import RunConfig, build_population, config_digest, load_config_file
+from .config import build_population, config_digest, load_config_file
 from .errors import ConfigError, ContractViolation, NonConvergenceError
 from .linalg import single_thread_blas
 from .losses import sup_constants
@@ -117,16 +117,16 @@ class _Report:
     ok: bool = True
 
 
-def _cmd_solve(cfg: RunConfig, pop, jobs) -> _Report:
-    spec = cfg.solve
-    config = SolverConfig(tol=spec.tol, max_iter=spec.max_iter)
-    res = solve_erm(pop.sample_set, pop.weights, spec.lam, config)
+def _cmd_solve(cfg: dict, pop, jobs) -> _Report:
+    spec = cfg["solve"]
+    config = SolverConfig(tol=spec["tol"], max_iter=spec["max_iter"])
+    res = solve_erm(pop.sample_set, pop.weights, spec["lambda"], config)
     return _Report(
         "solve.csv", ("index", "theta"),
         [(i, float(v)) for i, v in enumerate(res.theta_hat)],
         {
             "command": "solve",
-            "lambda": spec.lam,
+            "lambda": spec["lambda"],
             "iterations": res.iterations,
             "final_decrement": res.decrement_trace[-1],
             "decrement_trace": res.decrement_trace,
@@ -135,16 +135,16 @@ def _cmd_solve(cfg: RunConfig, pop, jobs) -> _Report:
     )
 
 
-def _cmd_diagnose(cfg: RunConfig, pop, jobs) -> _Report:
-    spec = cfg.diagnose
-    if spec.lambda_grid is not None:
-        grid = np.asarray(spec.lambda_grid, dtype=float)
+def _cmd_diagnose(cfg: dict, pop, jobs) -> _Report:
+    spec = cfg["diagnose"]
+    if spec["lambda_grid"] is not None:
+        grid = np.asarray(spec["lambda_grid"], dtype=float)
     else:
         _, b2_star = pointwise_bounds(pop)
-        grid = default_lambda_grid(b2_star, spec.log2_min, spec.log2_max)
+        grid = default_lambda_grid(b2_star, spec["log2_min"], spec["log2_max"])
         if grid.size == 0:
             raise ConfigError([("diagnose.log2_max", (
-                f"no lambda = 2^-k with k in [{spec.log2_min}, {spec.log2_max}] "
+                f"no lambda = 2^-k with k in [{spec['log2_min']}, {spec['log2_max']}] "
                 f"is at most B2* = {b2_star:.6g}"))])
     report = compute_diagnostics(pop, grid)
     rows = []
@@ -170,15 +170,15 @@ def _cmd_diagnose(cfg: RunConfig, pop, jobs) -> _Report:
     )
 
 
-def _cmd_verify(cfg: RunConfig, pop, jobs) -> _Report:
-    spec = cfg.verify
-    reports = run_check_suite(spec.trials_per_case, cfg.seed)
+def _cmd_verify(cfg: dict, pop, jobs) -> _Report:
+    spec = cfg["verify"]
+    reports = run_check_suite(spec["trials_per_case"], cfg["seed"])
     total_trials = sum(r.trials for r in reports.values())
     total_violations = sum(r.violations for r in reports.values())
     loc_failures = 0
     if pop is not None:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 999]))
-        for _ in range(spec.localization_trials):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 999]))
+        for _ in range(spec["localization_trials"]):
             lam = float(np.exp(rng.uniform(np.log(1e-3), 0.0)))
             theta = pop.theta_star + rng.normal(0.0, 0.1, size=pop.dim)
             if not check_localization(pop, theta, lam).holds:
@@ -221,45 +221,45 @@ def _rates_params(pop, delta) -> RateParams:
     )
 
 
-def _cmd_rates(cfg: RunConfig, pop, jobs) -> _Report:
-    spec = cfg.rates
-    params = _rates_params(pop, spec.delta)
-    lam_spec = spec.lambdas
+def _cmd_rates(cfg: dict, pop, jobs) -> _Report:
+    spec = cfg["rates"]
+    regime, n_grid, lam_spec = spec["regime"], spec["n_grid"], spec["lambda"]
+    params = _rates_params(pop, spec["delta"])
     # the regime's exponent, and so its corollary lambda, needs these
-    needs = {"source": ("r",), "source_capacity": ("r", "alpha")}.get(spec.regime, ())
+    needs = {"source": ("r",), "source_capacity": ("r", "alpha")}.get(regime, ())
     missing = " and ".join(name for name in needs if getattr(params, name) is None)
-    if missing and spec.tolerance is not None:
+    if missing and spec["tolerance"] is not None:
         raise ConfigError([("rates.tolerance", (
-            f"the {spec.regime} exponent needs the population's {missing}, which it does not "
+            f"the {regime} exponent needs the population's {missing}, which it does not "
             "define, so no tolerance can be checked; drop rates.tolerance"))])
-    if lam_spec.mode == "explicit":
-        lambdas = lam_spec.values
-    elif lam_spec.mode == "anchored":
+    if lam_spec["mode"] == "explicit":
+        lambdas = lam_spec["values"]
+    elif lam_spec["mode"] == "anchored":
         # a population without construction metadata decays as r = 1/2, alpha = 1
-        exponent = lambda_exponent(spec.regime,
+        exponent = lambda_exponent(regime,
                                    params.r if params.r is not None else 0.5,
                                    params.alpha if params.alpha is not None else 1.0)
-        lambdas = anchored_lambdas(spec.n_grid, exponent, lam_spec.anchor, lam_spec.n_anchor)
+        lambdas = anchored_lambdas(n_grid, exponent, lam_spec["anchor"], lam_spec["n_anchor"])
     else:  # corollary
         if missing:
             raise ConfigError([("rates.regime", (
                 f"the corollary's lambda needs the population's {missing}, "
                 "which it does not define; set rates.lambda.mode: anchored|explicit"))])
-        lambdas = [lambda_schedule(spec.regime, n, params).value for n in spec.n_grid]
+        lambdas = [lambda_schedule(regime, n, params).value for n in n_grid]
 
     plan = ExperimentPlan(
         population=pop,
-        regime=spec.regime,
-        n_grid=spec.n_grid,
-        replicates=spec.replicates,
-        delta=spec.delta,
-        seed=cfg.seed,
+        regime=regime,
+        n_grid=n_grid,
+        replicates=spec["replicates"],
+        delta=spec["delta"],
+        seed=cfg["seed"],
         lambdas=lambdas,
     )
     report = run_rate_experiment(plan, jobs=jobs)
     payload = {
         "command": "rates",
-        "regime": spec.regime,
+        "regime": regime,
         "fitted_exponent": report.fitted_exponent,
         "theoretical_exponent": report.theoretical_exponent,
         "mean_excess": report.mean_excess,
@@ -269,7 +269,7 @@ def _cmd_rates(cfg: RunConfig, pop, jobs) -> _Report:
         "solver_failures": report.solver_failures,
     }
     try:
-        consts = rate_constants(spec.regime, params)
+        consts = rate_constants(regime, params)
         # the sample threshold is reported, never enforced: desk-scale n
         # sits far below it while the rates already manifest
         payload["schedule_c0"] = consts.c0
@@ -278,10 +278,10 @@ def _cmd_rates(cfg: RunConfig, pop, jobs) -> _Report:
     except ContractViolation:
         pass
     ok = report.solver_failures == 0
-    if ok and spec.tolerance is not None and report.theoretical_exponent is not None:
+    if ok and spec["tolerance"] is not None and report.theoretical_exponent is not None:
         ok = (
             math.isfinite(report.fitted_exponent)
-            and abs(report.fitted_exponent - report.theoretical_exponent) <= spec.tolerance
+            and abs(report.fitted_exponent - report.theoretical_exponent) <= spec["tolerance"]
         )
     theo = report.theoretical_exponent
     theo_txt = f"{theo:.4f}" if theo is not None else "n/a"
@@ -290,22 +290,20 @@ def _cmd_rates(cfg: RunConfig, pop, jobs) -> _Report:
         [(c.n, c.replicate, c.lam, c.excess_risk, c.bound_rhs, c.guard_ok, c.seed)
          for c in report.cells],
         payload,
-        f"rates[{spec.regime}]: fitted={report.fitted_exponent:.4f} "
+        f"rates[{regime}]: fitted={report.fitted_exponent:.4f} "
         f"theoretical={theo_txt} failures={report.solver_failures} "
         f"-> {'PASS' if ok else 'FAIL'}",
         ok,
     )
 
 
-def _cmd_concentration(cfg: RunConfig, pop, jobs) -> _Report:
-    spec = cfg.concentration
-    if spec.kind == "hessian":
-        report = hessian_concentration_experiment(pop, spec.lam, spec.n, spec.replicates,
-                                                  spec.delta, seed=cfg.seed)
+def _cmd_concentration(cfg: dict, pop, jobs) -> _Report:
+    spec = cfg["concentration"]
+    args = (pop, spec["lambda"], spec["n"], spec["replicates"], spec["delta"])
+    if spec["kind"] == "hessian":
+        report = hessian_concentration_experiment(*args, seed=cfg["seed"])
     else:
-        report = gradient_concentration_experiment(
-            pop, spec.lam, spec.n, spec.replicates, spec.delta, k=spec.k, seed=cfg.seed
-        )
+        report = gradient_concentration_experiment(*args, k=spec["k"], seed=cfg["seed"])
     status = "SKIPPED (premise unmet)" if report.skipped else (
         "PASS" if report.passed else "FAIL")
     return _Report(
@@ -336,14 +334,14 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig, raw_document, out_dir: str, jobs: int = 1, quiet: bool = False) -> int:
+def run(cfg: dict, raw_document, out_dir: str, jobs: int = 1, quiet: bool = False) -> int:
     digest = config_digest(raw_document)
-    pop = build_population(cfg.population) if cfg.population is not None else None
-    report = _COMMANDS[cfg.command](cfg, pop, jobs)
-    lines = ["# scerm report", f"# config_digest: {digest}", f"# seed: {cfg.seed}",
+    pop = build_population(cfg["population"]) if cfg["population"] is not None else None
+    report = _COMMANDS[cfg["command"]](cfg, pop, jobs)
+    lines = ["# scerm report", f"# config_digest: {digest}", f"# seed: {cfg['seed']}",
              ",".join(report.header)]
     lines += [",".join(_fmt(v) for v in row) for row in report.rows]
-    summary = _san({"config_digest": digest, "seed": cfg.seed, **report.summary})
+    summary = _san({"config_digest": digest, "seed": cfg["seed"], **report.summary})
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write([
         (os.path.join(out_dir, report.csv_name), "\n".join(lines) + "\n"),
@@ -408,7 +406,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = {**cfg, "seed": args.seed}
         raw = {**raw, "seed": args.seed}
     try:
         return run(cfg, raw, args.out, jobs=jobs, quiet=args.quiet)

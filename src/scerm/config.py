@@ -2,10 +2,11 @@
 
 Configs are YAML mappings, validated strictly before any computation runs:
 unknown keys are rejected and every violation is reported with its dotted
-path. Each section is checked against one table of field rules, and a key
-that is left out takes its spec dataclass's default. ``parse_config``
-returns a fully typed ``RunConfig`` or raises ``ConfigError`` carrying the
-complete error list. Inline atoms are checked by the library itself when
+path. Each section is checked against one table that declares every key
+once, with its rule and its default, and a key that is left out takes that
+default. ``parse_config`` returns the checked document as plain dicts keyed
+by the YAML keys, or raises ``ConfigError`` carrying the complete error
+list. Inline atoms are checked by the library itself when
 ``build_population`` constructs them.
 """
 
@@ -15,7 +16,6 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -28,11 +28,10 @@ from .population import (
     make_source_population,
     stack_samples,
 )
-from .rates import REGIMES
+from .rates import MAX_SAMPLE_SIZE, REGIMES
 from .solver import SolverConfig
 
 __all__ = [
-    "RunConfig",
     "parse_config",
     "load_config_file",
     "build_population",
@@ -40,79 +39,6 @@ __all__ = [
 ]
 
 COMMANDS = ("solve", "diagnose", "verify", "rates", "concentration")
-
-
-@dataclass(frozen=True)
-class PopulationSpec:
-    generator: str  # "source" | "logistic" | "inline"
-    d: int | None = None
-    r: float | None = None
-    alpha: float = 1.0
-    seed: int = 0
-    loss_kind: str | None = None
-    base_measure: tuple | None = None
-    atoms: tuple | None = None  # inline: ({"features", "label", "weight"}, ...)
-
-
-@dataclass(frozen=True)
-class LambdaSpec:
-    mode: str = "corollary"  # "corollary" | "anchored" | "explicit"
-    anchor: float | None = None
-    n_anchor: int | None = None
-    values: tuple | None = None
-
-
-@dataclass(frozen=True)
-class RatesSpec:
-    regime: str
-    n_grid: tuple
-    replicates: int
-    delta: float
-    lambdas: LambdaSpec = field(default_factory=LambdaSpec)
-    tolerance: float | None = None
-
-
-@dataclass(frozen=True)
-class DiagnoseSpec:
-    lambda_grid: tuple | None = None
-    log2_min: int = 0
-    log2_max: int = 16
-
-
-@dataclass(frozen=True)
-class VerifySpec:
-    trials_per_case: int = 650
-    localization_trials: int = 50
-
-
-@dataclass(frozen=True)
-class ConcentrationSpec:
-    kind: str  # "hessian" | "gradient"
-    lam: float
-    replicates: int
-    delta: float
-    n: int | None = None  # None -> the experiment's premise-conforming n
-    k: float = 4.0
-
-
-@dataclass(frozen=True)
-class SolveSpec:
-    lam: float
-    tol: float = SolverConfig.tol
-    max_iter: int = SolverConfig.max_iter
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    seed: int = 0
-    population: PopulationSpec | None = None
-    solve: SolveSpec | None = None
-    diagnose: DiagnoseSpec | None = None
-    verify: VerifySpec = field(default_factory=VerifySpec)
-    rates: RatesSpec | None = None
-    concentration: ConcentrationSpec | None = None
-
 
 
 # -- field rules ----------------------------------------------------------------------
@@ -172,92 +98,96 @@ def _any(val):
 
 _POSITIVE = _number(lo=0.0, lo_open=True)
 _COUNT = _number(lo=1, integer=True)
+# numpy draws a sample of size n only for n that fits a C long
+_SAMPLE_SIZE = _number(lo=1, hi=MAX_SAMPLE_SIZE, integer=True)
 _SEED = _number(lo=0, integer=True, message="seeds must be nonnegative integers")
 _DELTA = _number(lo=0.0, hi=0.5, lo_open=True, message="delta must lie in (0, 0.5]")
 _POSITIVES = _numbers(_POSITIVE, "expected a nonempty list of positive numbers")
 
-# A table is (required keys, rules by key).
-# command section -> (spec dataclass, table)
+# A table maps each key to (rule, default); a key whose default is _REQUIRED
+# must be given.
+_REQUIRED = object()
 _SECTIONS = {
-    "solve": (SolveSpec, (("lambda",), {
-        "lambda": _POSITIVE, "tol": _POSITIVE, "max_iter": _COUNT,
-    })),
-    "diagnose": (DiagnoseSpec, ((), {
-        "lambda_grid": _POSITIVES, "log2_min": _number(integer=True),
-        "log2_max": _number(integer=True),
-    })),
-    "verify": (VerifySpec, ((), {
-        "trials_per_case": _COUNT, "localization_trials": _COUNT,
-    })),
-    "rates": (RatesSpec, (("regime", "n_grid", "replicates", "delta"), {
-        "regime": _choice(*REGIMES),
-        "n_grid": _numbers(_COUNT, "must be strictly increasing positive integers",
-                           increasing=True),
-        "replicates": _COUNT, "delta": _DELTA, "lambda": _any, "tolerance": _POSITIVE,
-    })),
-    "concentration": (ConcentrationSpec, (("kind", "lambda", "replicates", "delta"), {
-        "kind": _choice("hessian", "gradient"), "lambda": _POSITIVE, "replicates": _COUNT,
-        "delta": _DELTA, "n": _COUNT,
-        "k": _number(lo=4.0, message="the gradient bound requires k >= 4"),
-    })),
+    "solve": {"lambda": (_POSITIVE, _REQUIRED), "tol": (_POSITIVE, SolverConfig.tol),
+              "max_iter": (_COUNT, SolverConfig.max_iter)},
+    "diagnose": {"lambda_grid": (_POSITIVES, None), "log2_min": (_number(integer=True), 0),
+                 "log2_max": (_number(integer=True), 16)},
+    "verify": {"trials_per_case": (_COUNT, 650), "localization_trials": (_COUNT, 50)},
+    "rates": {
+        "regime": (_choice(*REGIMES), _REQUIRED),
+        "n_grid": (_numbers(_SAMPLE_SIZE, "must be strictly increasing positive integers",
+                            increasing=True), _REQUIRED),
+        "replicates": (_COUNT, _REQUIRED), "delta": (_DELTA, _REQUIRED),
+        "lambda": (_any, {"mode": "corollary"}), "tolerance": (_POSITIVE, None),
+    },
+    "concentration": {
+        "kind": (_choice("hessian", "gradient"), _REQUIRED), "lambda": (_POSITIVE, _REQUIRED),
+        "replicates": (_COUNT, _REQUIRED), "delta": (_DELTA, _REQUIRED),
+        "n": (_SAMPLE_SIZE, None),  # None: the experiment's premise-conforming n
+        "k": (_number(lo=4.0, message="the gradient bound requires k >= 4"), 4.0),
+    },
 }
-_TOP = (("command",), {"command": _choice(*COMMANDS), "seed": _SEED, "population": _any,
-                       **dict.fromkeys(_SECTIONS, _any)})
+_TOP = {"command": (_choice(*COMMANDS), _REQUIRED), "seed": (_SEED, 0),
+        **dict.fromkeys(("population", *_SECTIONS), (_any, None))}
 # sections a command cannot run without
 _NEEDS = {"solve": ("population", "solve"), "diagnose": ("population",), "verify": (),
           "rates": ("population", "rates"), "concentration": ("population", "concentration")}
 
 # Tagged sections: the tag's value picks the table, and the tag itself is required.
-# Each generator's table accepts the domain of its library constructor.
+# A generator's table holds the keyword parameters of its library constructor
+# and accepts their domain.
+_GENERATORS = {"source": make_source_population, "logistic": make_logistic_population}
 _POPULATIONS = {
-    "source": (("d", "r", "alpha"), {
-        "d": _number(lo=2, integer=True), "seed": _SEED,
-        "r": _number(0.0, 0.5, message="r must lie in [0, 0.5] (source condition range)"),
-        "alpha": _number(lo=1.0, message="alpha must be >= 1 (capacity condition range)"),
-    }),
-    "logistic": (("d",), {
-        "d": _number(lo=1, hi=17, integer=True,
-                     message="d must lie in [1, 17] (the margin equation needs d <= 17)"),
-        "seed": _SEED,
-        "alpha": _number(lo=0.0, message="alpha must be nonnegative"),
-    }),
-    "inline": (("loss", "atoms"), {"loss": _any, "atoms": _any}),
+    "source": {
+        "d": (_number(lo=2, integer=True), _REQUIRED), "seed": (_SEED, 0),
+        "r": (_number(0.0, 0.5, message="r must lie in [0, 0.5] (source condition range)"),
+              _REQUIRED),
+        "alpha": (_number(lo=1.0, message="alpha must be >= 1 (capacity condition range)"),
+                  _REQUIRED),
+    },
+    "logistic": {
+        "d": (_number(lo=1, hi=17, integer=True,
+                      message="d must lie in [1, 17] (the margin equation needs d <= 17)"),
+              _REQUIRED),
+        "seed": (_SEED, 0),
+        "alpha": (_number(lo=0.0, message="alpha must be nonnegative"), 1.0),
+    },
+    "inline": {"loss": (_any, _REQUIRED), "atoms": (_any, _REQUIRED)},
 }
 # the loss constructor checks base_measure
-_LOSSES = {kind: ((), {}) for kind in LOSS_KINDS}
-_LOSSES["softmax_glm"] = (("base_measure",), {"base_measure": _any})
+_LOSSES = {kind: {} for kind in LOSS_KINDS}
+_LOSSES["softmax_glm"] = {"base_measure": (_any, _REQUIRED)}
 _LAMBDAS = {
-    "corollary": ((), {}),
-    "anchored": (("anchor", "n_anchor"), {"anchor": _POSITIVE, "n_anchor": _COUNT}),
-    "explicit": (("values",), {"values": _POSITIVES}),
+    "corollary": {},
+    "anchored": {"anchor": (_POSITIVE, _REQUIRED), "n_anchor": (_COUNT, _REQUIRED)},
+    "explicit": {"values": (_POSITIVES, _REQUIRED)},
 }
 # build_population checks the features
-_ATOM = (("features", "label", "weight"), {
-    "features": _any, "label": _number(),
-    "weight": _number(lo=0.0, lo_open=True, message="expected a positive number"),
-})
+_ATOM = {
+    "features": (_any, _REQUIRED), "label": (_number(), _REQUIRED),
+    "weight": (_number(lo=0.0, lo_open=True, message="expected a positive number"), _REQUIRED),
+}
 
 
 def _fields(node, path, table, errs) -> dict | None:
     """Check a mapping against a table of field rules.
 
     Reports unknown keys, missing required keys and every value that breaks
-    its rule. Returns the checked values of the keys that are present, or
-    None when ``node`` is not a mapping.
+    its rule. Returns the checked values, with the default of every optional
+    key that is left out or broken, or None when ``node`` is not a mapping.
     """
-    required, rules = table
     if not isinstance(node, dict):
         errs.append((path, f"expected a mapping, got {type(node).__name__}"))
         return None
     prefix = f"{path}." if path else ""
     for key in node:
-        if key not in rules:
+        if key not in table:
             errs.append((f"{prefix}{key}", "unknown key"))
-    for key in required:
-        if key not in node:
+    for key, (_, default) in table.items():
+        if default is _REQUIRED and key not in node:
             errs.append((f"{prefix}{key}", "missing required key"))
-    out = {}
-    for key, rule in rules.items():
+    out = {key: default for key, (_, default) in table.items() if default is not _REQUIRED}
+    for key, (rule, _) in table.items():
         if key in node:
             try:
                 out[key] = rule(node[key])
@@ -270,12 +200,11 @@ def _tagged(node, path, tag, tables, errs) -> dict | None:
     """``_fields`` for a mapping whose ``tag`` value picks one of ``tables``."""
     choice = node.get(tag) if isinstance(node, dict) else None
     if isinstance(choice, str) and choice in tables:
-        required, rules = tables[choice]
-        return _fields(node, path, ((tag, *required), {tag: _any, **rules}), errs)
+        return _fields(node, path, {tag: (_any, _REQUIRED), **tables[choice]}, errs)
     # without a valid tag no other key can be judged
     if isinstance(node, dict):
         node = {key: val for key, val in node.items() if key == tag}
-    _fields(node, path, ((tag,), {tag: _choice(*tables)}), errs)
+    _fields(node, path, {tag: (_choice(*tables), _REQUIRED)}, errs)
     return None
 
 
@@ -284,16 +213,14 @@ def _population(node, errs) -> dict | None:
     if pop is None or pop["generator"] != "inline":
         return pop
     if "loss" in pop:
-        loss = _tagged(pop.pop("loss"), "population.loss", "kind", _LOSSES, errs)
-        if loss is not None:
-            pop["loss_kind"], pop["base_measure"] = loss["kind"], loss.get("base_measure")
+        pop["loss"] = _tagged(pop["loss"], "population.loss", "kind", _LOSSES, errs)
     if "atoms" in pop:
         atoms = pop["atoms"]
         if not isinstance(atoms, list) or not atoms:
             errs.append(("population.atoms", "inline population needs a nonempty atoms list"))
         else:
-            pop["atoms"] = tuple(_fields(atom, f"population.atoms[{i}]", _ATOM, errs)
-                                 for i, atom in enumerate(atoms))
+            pop["atoms"] = [_fields(atom, f"population.atoms[{i}]", _ATOM, errs)
+                            for i, atom in enumerate(atoms)]
     return pop
 
 
@@ -346,10 +273,13 @@ def _load_yaml(stream):
         raise ConfigError([("document", "nested too deeply to load")]) from None
 
 
-def parse_config(document) -> RunConfig:
-    """Validate a config mapping (or YAML string) into a RunConfig.
+def parse_config(document) -> dict:
+    """Validate a config mapping (or YAML string) into plain dicts keyed as in YAML.
 
-    Raises ConfigError listing every violation with its dotted path.
+    Every top-level key is present; a section the document leaves out is
+    None, except the command's own optional section (diagnose, verify), which
+    takes its table's defaults. Raises ConfigError listing every violation
+    with its dotted path.
     """
     if isinstance(document, str):
         document = _load_yaml(document)
@@ -360,66 +290,53 @@ def parse_config(document) -> RunConfig:
     if fault is not None:
         raise ConfigError([fault])
     errs = []
-    top = _fields(document, "", _TOP, errs)
-    command = top.get("command")
+    cfg = _fields(document, "", _TOP, errs)
+    command = cfg.get("command")
     for key in _NEEDS.get(command, ()):
-        if key not in top:
+        if key not in document:
             errs.append((key, "missing required key for this command"))
-    population = _population(top["population"], errs) if "population" in top else None
-    sections = {key: _fields(top[key], key, table, errs)
-                for key, (_, table) in _SECTIONS.items() if key in top}
-    rates = sections.get("rates")
-    if rates is not None and "lambda" in rates:
+    if "population" in document:
+        cfg["population"] = _population(document["population"], errs)
+    for key, table in _SECTIONS.items():
+        if key in document or key == command and key not in _NEEDS[command]:
+            cfg[key] = _fields(document.get(key, {}), key, table, errs)
+    rates = cfg["rates"]
+    if rates is not None:
         lam = rates["lambda"] = _tagged(rates["lambda"], "rates.lambda", "mode", _LAMBDAS, errs)
         if lam is not None and "values" in lam and "n_grid" in rates \
                 and len(lam["values"]) != len(rates["n_grid"]):
             errs.append(("rates.lambda.values", "must have one value per n_grid entry"))
-    diagnose = sections.get("diagnose")
-    if diagnose is not None and (diagnose.get("log2_max", DiagnoseSpec.log2_max)
-                                 < diagnose.get("log2_min", DiagnoseSpec.log2_min)):
+    diagnose = cfg["diagnose"]
+    if diagnose is not None and diagnose["log2_max"] < diagnose["log2_min"]:
         errs.append(("diagnose.log2_max", "must be >= log2_min"))
     if errs:
         raise ConfigError(errs)
-
-    # every value present is valid; a key left out takes its dataclass default
-    cfg = {key: top[key] for key in ("command", "seed") if key in top}
-    if population is not None:
-        cfg["population"] = PopulationSpec(**population)
-    if command == "diagnose":
-        sections.setdefault("diagnose", {})
-    for key, kw in sections.items():
-        if key == "rates" and "lambda" in kw:
-            kw["lambdas"] = LambdaSpec(**kw.pop("lambda"))
-        elif "lambda" in kw:
-            kw["lam"] = kw.pop("lambda")
-        cfg[key] = _SECTIONS[key][0](**kw)
-    return RunConfig(**cfg)
+    return cfg
 
 
-def load_config_file(path) -> tuple[RunConfig, dict]:
+def load_config_file(path) -> tuple[dict, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         raw = _load_yaml(fh)
     return parse_config(raw), raw
 
 
-def build_population(spec: PopulationSpec) -> FinitePopulation:
-    """The population a spec describes.
+def build_population(spec: dict) -> FinitePopulation:
+    """The population of a checked ``population`` mapping.
 
     Inline losses and atoms are checked here by the library's own
     constructors; each failure becomes a ConfigError entry at its dotted path.
     """
-    if spec.generator == "source":
-        return make_source_population(spec.d, spec.r, spec.alpha, spec.seed)
-    if spec.generator == "logistic":
-        return make_logistic_population(spec.d, spec.alpha, spec.seed)
-    errs = []
+    generator = spec["generator"]
+    if generator in _GENERATORS:
+        return _GENERATORS[generator](**{k: v for k, v in spec.items() if k != "generator"})
+    loss = spec["loss"]
     try:
-        loss = (SoftmaxGLMLoss(spec.base_measure) if spec.loss_kind == "softmax_glm"
-                else LOSS_KINDS[spec.loss_kind]())
+        loss = (SoftmaxGLMLoss(loss["base_measure"]) if loss["kind"] == "softmax_glm"
+                else LOSS_KINDS[loss["kind"]]())
     except (TypeError, ValueError) as exc:
         raise ConfigError([("population.loss.base_measure", str(exc))]) from exc
-    atoms = []
-    for i, atom in enumerate(spec.atoms):
+    atoms, errs = [], []
+    for i, atom in enumerate(spec["atoms"]):
         try:
             z = Sample(features=np.asarray(atom["features"], dtype=float), label=atom["label"])
             loss.validate_sample(z)
@@ -428,7 +345,7 @@ def build_population(spec: PopulationSpec) -> FinitePopulation:
             errs.append((f"population.atoms[{i}]", str(exc)))
     if errs:
         raise ConfigError(errs)
-    weights = np.asarray([atom["weight"] for atom in spec.atoms], dtype=float)
+    weights = np.asarray([atom["weight"] for atom in spec["atoms"]], dtype=float)
     if abs(weights.sum() - 1.0) > 1e-12:
         weights = weights / weights.sum()
     try:

@@ -91,13 +91,18 @@ def chol_factor(a: np.ndarray) -> np.ndarray:
     """Cholesky factorization of a symmetric positive definite matrix: L in
     the lower triangle, a's own entries above it.
 
-    Raises ContractViolation if the matrix is not numerically PD.
+    Raises ContractViolation if the matrix is not numerically PD, which
+    includes a factor with a non-finite diagonal: dpotrf factors a matrix
+    with an infinite diagonal entry without complaint.
     """
     c, info = _LAPACK.dpotrf(a, lower=1, clean=0)
     _check_legal(info, "dpotrf")
     if info > 0:
         raise ContractViolation("matrix is not positive definite: "
                                 f"{info}-th leading minor of the array is not positive definite")
+    if not np.isfinite(np.diagonal(c)).all():
+        raise ContractViolation("matrix is not positive definite: its factor has a "
+                                "non-finite diagonal")
     return c
 
 

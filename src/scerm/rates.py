@@ -40,6 +40,7 @@ from .solver import newton_minimize
 
 __all__ = [
     "REGIMES",
+    "MAX_SAMPLE_SIZE",
     "RateParams",
     "ExperimentPlan",
     "CellResult",
@@ -57,6 +58,8 @@ __all__ = [
 ]
 
 REGIMES = ("none", "source", "source_capacity")
+# the largest n a multinomial draw takes: numpy reads n as a C long
+MAX_SAMPLE_SIZE = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -264,6 +267,8 @@ class ExperimentPlan:
         grid = tuple(int(n) for n in self.n_grid)
         if len(grid) < 1 or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ContractViolation("n_grid must be nonempty, positive and strictly increasing")
+        if grid[-1] > MAX_SAMPLE_SIZE:
+            raise ContractViolation(f"n_grid entries must be <= {MAX_SAMPLE_SIZE}")
         if self.replicates < 1:
             raise ContractViolation("replicates must be >= 1")
         if not 0.0 < self.delta <= 0.5:
@@ -475,11 +480,14 @@ def _concentration_report(kind: str, n: int, replicates: int, delta: float, prem
 
 
 def _sample_size(n: int | None, premise: float) -> int:
-    """n, which must be >= 1, or the smallest n that meets the premise when None."""
+    """n, which must lie in [1, MAX_SAMPLE_SIZE], or the smallest n that meets
+    the premise when None."""
     if n is None:
+        if not premise <= MAX_SAMPLE_SIZE:  # also an infinite premise
+            raise ContractViolation(f"the premise needs n >= {premise:.6g} > {MAX_SAMPLE_SIZE}")
         return max(1, math.ceil(premise))
-    if n < 1:
-        raise ContractViolation(f"n must be >= 1, got {n}")
+    if not 1 <= n <= MAX_SAMPLE_SIZE:
+        raise ContractViolation(f"n must be >= 1 and <= {MAX_SAMPLE_SIZE}, got {n}")
     return n
 
 

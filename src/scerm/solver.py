@@ -75,6 +75,9 @@ def _as_weights(weights, m):
     return w
 
 
+# an overflowing sum is not warned about: the solver rejects a non-finite
+# Hessian factor or Newton system itself
+@np.errstate(over="ignore", invalid="ignore")
 def newton_minimize(sset: SampleSet, weights, lam: float,
                     config: SolverConfig | None = None,
                     hessian: np.ndarray | None = None) -> SolveResult:
@@ -86,9 +89,10 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
     used in place of building it; it is not written to. Each step's decrease
     is certified by the value bound (see the module docstring), so no
     objective value is computed. Raises NonConvergenceError, carrying the
-    decrement trace, on iteration exhaustion, or at lam = 0 a singular Hessian
-    or a final decrement above half the Dikin radius (a small decrement alone
-    also occurs on separable data).
+    decrement trace, on iteration exhaustion, a regularized Hessian that is
+    not positive definite, a gradient or Newton step that is not finite, or
+    at lam = 0 a final decrement above half the Dikin radius (a small
+    decrement alone also occurs on separable data).
     """
     config = config or SolverConfig()
     if lam < 0:
@@ -117,7 +121,10 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
                     f"regularized Hessian not positive definite (lambda={lam}): {exc}", trace
                 ) from exc
         step = -chol_solve(factor, g)
-        dec = float(np.sqrt(max(-float(g @ step), 0.0)))
+        sq = -float(g @ step)
+        if not math.isfinite(sq):  # checked before the clip: max(0.0, nan) is 0.0
+            raise NonConvergenceError(f"Newton system is not finite (lambda={lam})", trace)
+        dec = float(np.sqrt(max(0.0, sq)))
         trace.append(dec)
         if dec <= config.tol:
             # the localization lemma's proof that a lam = 0 minimum is attained

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import scerm.cli
 import scerm.rates
 from scerm import ConfigError, NonConvergenceError, SolverConfig
 from scerm.cli import main
-from scerm.config import build_population, load_config_file, parse_config
+from scerm.config import _GENERATORS, _POPULATIONS, build_population, load_config_file, parse_config
 from scerm.population import pointwise_bounds
 from scerm.rates import lambda_schedule
 from scerm.verify import LocalizationRecord
@@ -37,9 +38,46 @@ def write_cfg(tmp_path, doc, name="cfg.yaml"):
 
 def test_parse_minimal_diagnose():
     cfg = parse_config(MINIMAL_DIAGNOSE)
-    assert cfg.command == "diagnose"
-    assert cfg.population.generator == "source"
-    assert cfg.diagnose.log2_max == 8
+    assert cfg["command"] == "diagnose"
+    assert cfg["population"]["generator"] == "source"
+    assert cfg["diagnose"]["log2_max"] == 8
+
+
+def test_parse_fills_table_defaults():
+    pop = {"generator": "logistic", "d": 4}
+    sections = {
+        "solve": {"lambda": 0.1},
+        "diagnose": None,
+        "verify": None,
+        "rates": {"regime": "none", "n_grid": [8, 16], "replicates": 1, "delta": 0.1},
+        "concentration": {"kind": "hessian", "lambda": 0.1, "replicates": 1, "delta": 0.1},
+    }
+    cfgs = {}
+    for command, section in sections.items():
+        doc = {"command": command, "population": pop}
+        if section is not None:
+            doc[command] = section
+        cfgs[command] = cfg = parse_config(doc)
+        assert cfg["seed"] == 0
+        assert cfg["population"] == {"generator": "logistic", "d": 4, "seed": 0, "alpha": 1.0}
+    assert cfgs["solve"]["solve"] == {
+        "lambda": 0.1, "tol": SolverConfig().tol, "max_iter": SolverConfig().max_iter}
+    assert cfgs["diagnose"]["diagnose"] == {"lambda_grid": None, "log2_min": 0, "log2_max": 16}
+    assert cfgs["verify"]["verify"] == {"trials_per_case": 650, "localization_trials": 50}
+    rates = cfgs["rates"]["rates"]
+    assert (rates["lambda"], rates["tolerance"]) == ({"mode": "corollary"}, None)
+    concentration = cfgs["concentration"]["concentration"]
+    assert (concentration["n"], concentration["k"]) == (None, 4.0)
+    source = parse_config(MINIMAL_DIAGNOSE | {"population": {
+        "generator": "source", "d": 8, "r": 0.5, "alpha": 2.0}})["population"]
+    assert source["seed"] == 0
+
+
+def test_generator_tables_are_constructor_parameters():
+    # build_population passes a generator's checked keys as its keyword arguments
+    assert set(_GENERATORS) == set(_POPULATIONS) - {"inline"}
+    for generator, constructor in _GENERATORS.items():
+        assert set(_POPULATIONS[generator]) == set(inspect.signature(constructor).parameters)
 
 
 def test_parse_rejects_bad_delta():
@@ -108,8 +146,8 @@ def test_parse_inline_population():
         "solve": {"lambda": 0.1},
     }
     cfg = parse_config(doc)
-    assert cfg.population.loss_kind == "logistic"
-    assert len(cfg.population.atoms) == 2
+    assert cfg["population"]["loss"]["kind"] == "logistic"
+    assert len(cfg["population"]["atoms"]) == 2
 
 
 def test_parse_collects_multiple_errors():
@@ -137,7 +175,8 @@ def test_yaml_exponent_floats_parse_as_numbers(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
     for cfg in (parse_config(text), load_config_file(str(path))[0]):
-        assert (cfg.solve.lam, cfg.rates.tolerance, cfg.rates.lambdas.anchor) == (1e-3, 5e-2, 6e-2)
+        assert (cfg["solve"]["lambda"], cfg["rates"]["tolerance"],
+                cfg["rates"]["lambda"]["anchor"]) == (1e-3, 5e-2, 6e-2)
     with pytest.raises(ConfigError) as err:
         parse_config(text.replace("1e-3", ".inf"))
     assert [path for path, _ in err.value.errors] == ["solve.lambda"]
@@ -204,7 +243,7 @@ def test_inline_weights_are_renormalized(tmp_path):
     population = {**TWO_ATOM_SOLVE["population"], "atoms": [
         dict(atom, weight=2) for atom in TWO_ATOM_SOLVE["population"]["atoms"]]}
     doc = dict(TWO_ATOM_SOLVE, population=population)
-    assert build_population(parse_config(doc).population).weights.tolist() == [0.5, 0.5]
+    assert build_population(parse_config(doc)["population"]).weights.tolist() == [0.5, 0.5]
     assert main(["--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "out"),
                  "--quiet"]) == 0
 
@@ -245,7 +284,7 @@ def test_rates_corollary_lambdas_end_to_end(tmp_path, regime):
     out = tmp_path / "out"
     assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
     lambdas = json.loads((out / "summary.json").read_text())["lambdas"]
-    pop = build_population(parse_config(doc).population)
+    pop = build_population(parse_config(doc)["population"])
     params = scerm.cli._rates_params(pop, 0.25)
     assert lambdas == [lambda_schedule(regime, n, params).value for n in (32, 64, 128)]
     _, b2_star = pointwise_bounds(pop)
@@ -381,6 +420,13 @@ def test_jobs_env_var(tmp_path, monkeypatch):
     assert (out / "rates.csv").exists()
 
 
+def _overflow(kind, feature, label0, label1):
+    """A one-dimensional inline population whose sums overflow at theta = 0."""
+    return {"generator": "inline", "loss": {"kind": kind},
+            "atoms": [{"features": [feature], "label": label0, "weight": 0.75},
+                      {"features": [feature], "label": label1, "weight": 0.25}]}
+
+
 # H(theta*) = diag(5/2, 0): theta* is not unique and the lambda = 0 solve fails
 SINGULAR_POPULATION = {
     "generator": "inline",
@@ -418,6 +464,12 @@ SEPARABLE_POPULATION = {
                  id="separable-rates"),
     pytest.param(SEPARABLE_POPULATION, "verify",
                  {"trials_per_case": 1, "localization_trials": 1}, id="separable-verify"),
+    # the Hessian overflows to inf, which dpotrf factors without complaint
+    *[pytest.param(_overflow(kind, 1.0e200, 1, -1), "solve", {"lambda": 1.0},
+                   id=f"overflowing-hessian-{kind}")
+      for kind in ("logistic", "square", "huber_sqrt")],
+    pytest.param(_overflow("square", 1.0e10, 1.0e300, -1.0e300), "solve", {"lambda": 1.0},
+                 id="overflowing-gradient"),
 ])
 def test_nonconvergence_exits_1_with_one_line_error(tmp_path, population, command, spec):
     doc = {"command": command, "population": population, command: spec}
@@ -472,6 +524,13 @@ DEGENERATE_RATES = {
                    "atoms": [{"features": [1.0], "label": 0.0, "weight": 0.5},
                              {"features": [2.0], "label": 0.0, "weight": 0.5}]},
     "rates": {"regime": "none", "n_grid": [16, 32, 64], "replicates": 2, "delta": 0.1},
+}
+
+
+CONCENTRATION = {
+    "command": "concentration",
+    "population": {"generator": "source", "d": 4, "r": 0.5, "alpha": 2.0},
+    "concentration": {"kind": "hessian", "lambda": 0.1, "replicates": 2, "delta": 0.1},
 }
 
 
@@ -613,6 +672,20 @@ def at(path):
                  id="yaml-integer-key"),
     pytest.param(INLINE_SOLVE_YAML.format(features="[" * 600 + "1.0" + "]" * 600), [],
                  at("document") + "nested too deeply to load", id="deeply-nested-features"),
+    # numpy's multinomial takes the sample size as a C long
+    pytest.param({"command": "rates", "population": CONCENTRATION["population"], "rates": {
+        "regime": "none", "n_grid": [128, 10**19], "replicates": 1, "delta": 0.1,
+        "lambda": {"mode": "explicit", "values": [0.1, 0.05]}}}, [],
+                 at("rates.n_grid") + "must be strictly increasing positive integers",
+                 id="n-grid-above-c-long"),
+    pytest.param(dict(CONCENTRATION, concentration=dict(CONCENTRATION["concentration"],
+                                                        n=10**19)), [],
+                 at("concentration.n") + "value 10000000000000000000 out of range",
+                 id="concentration-n-above-c-long"),
+    *[pytest.param(dict(CONCENTRATION, concentration=dict(
+        CONCENTRATION["concentration"], kind=kind, **{"lambda": 1.0e-18})), [],
+                   "error: the premise needs n >= ", id=f"{kind}-premise-above-c-long")
+      for kind in ("hessian", "gradient")],
 ])
 def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, monkeypatch, doc, argv,
                                                  expect):

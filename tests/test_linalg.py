@@ -38,6 +38,9 @@ INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])
 def test_not_positive_definite_raises_contract_violation():
     with pytest.raises(ContractViolation, match="2-th leading minor"):
         chol_factor(INDEFINITE)
+    # dpotrf factors an infinite diagonal entry with info 0
+    with pytest.raises(ContractViolation, match="non-finite diagonal"):
+        chol_factor(np.array([[np.inf]]))
     with pytest.raises(ContractViolation, match="leading minor of order 2 of B"):
         gen_eigmax(np.eye(2), INDEFINITE)
 

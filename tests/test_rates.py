@@ -32,7 +32,7 @@ from scerm import (
 )
 from scerm import rates
 from scerm.linalg import add_ridge, gen_eigmax
-from scerm.rates import hessian_premise_n
+from scerm.rates import MAX_SAMPLE_SIZE, hessian_premise_n
 
 
 def test_schedule_none_worked_example():
@@ -195,6 +195,10 @@ def test_plan_validation():
         with pytest.raises(ContractViolation, match="positive"):
             ExperimentPlan(population=pop, regime="none", n_grid=grid, replicates=1,
                            delta=0.1, seed=0, lambdas=(0.1, 0.05))
+    # numpy's multinomial takes n as a C long
+    with pytest.raises(ContractViolation, match="must be <= 9223372036854775807"):
+        ExperimentPlan(population=pop, regime="none", n_grid=(8, MAX_SAMPLE_SIZE + 1),
+                       replicates=1, delta=0.1, seed=0, lambdas=(0.1, 0.05))
 
 
 def test_schedule_based_plan_runs():
@@ -418,6 +422,12 @@ def test_hessian_concentration_premise_and_skip():
         with pytest.raises(ContractViolation, match="n must be >= 1"):
             hessian_concentration_experiment(pop, lam, n=bad, replicates=1,
                                              delta=0.1)
+    with pytest.raises(ContractViolation, match="n must be >= 1 and <= 9223372036854775807"):
+        hessian_concentration_experiment(pop, lam, n=MAX_SAMPLE_SIZE + 1, replicates=1,
+                                         delta=0.1)
+    # the premise at a tiny lambda asks for more than the largest sample size
+    with pytest.raises(ContractViolation, match="the premise needs n >= "):
+        hessian_concentration_experiment(pop, 1e-18, n=None, replicates=1, delta=0.1)
 
 
 def test_hessian_concentration_reads_the_cached_hessian_at_star(monkeypatch):
