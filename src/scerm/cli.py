@@ -34,13 +34,7 @@ import yaml
 from .config import build_population, config_digest, load_config_file
 from .errors import ConfigError, ContractViolation, NonConvergenceError
 from .linalg import single_thread_blas
-from .losses import sup_constants
-from .population import (
-    compute_diagnostics,
-    default_lambda_grid,
-    pointwise_bounds,
-    sup_norm_certificate,
-)
+from .population import compute_diagnostics, default_lambda_grid, pointwise_bounds
 from .rates import (
     ExperimentPlan,
     RateParams,
@@ -201,33 +195,11 @@ def _cmd_verify(cfg: dict, pop, jobs) -> _Report:
     )
 
 
-def _rates_params(pop, delta) -> RateParams:
-    b1_star, b2_star = pointwise_bounds(pop)
-    theta_norm = float(np.linalg.norm(pop.theta_star))
-    sup = sup_constants(pop.sample_set, theta_norm)
-    meta = pop.meta
-    return RateParams(
-        delta=delta,
-        b1_ball=sup.b1,
-        b2_ball=sup.b2,
-        b1_star=b1_star,
-        b2_star=b2_star,
-        cert_radius=sup_norm_certificate(pop),
-        theta_norm=theta_norm,
-        source_norm=(meta.source_norm if meta else None) or theta_norm,
-        capacity_q=(meta.capacity_q if meta else None) or b1_star,
-        r=meta.r if meta and meta.r is not None else None,
-        alpha=meta.alpha if meta else None,
-    )
-
-
 def _cmd_rates(cfg: dict, pop, jobs) -> _Report:
     spec = cfg["rates"]
     regime, n_grid, lam_spec = spec["regime"], spec["n_grid"], spec["lambda"]
-    params = _rates_params(pop, spec["delta"])
-    # the regime's exponent, and so its corollary lambda, needs these
-    needs = {"source": ("r",), "source_capacity": ("r", "alpha")}.get(regime, ())
-    missing = " and ".join(name for name in needs if getattr(params, name) is None)
+    params = RateParams.of(pop, spec["delta"])
+    missing = " and ".join(params.missing(regime))
     if missing and spec["tolerance"] is not None:
         raise ConfigError([("rates.tolerance", (
             f"the {regime} exponent needs the population's {missing}, which it does not "
@@ -236,9 +208,8 @@ def _cmd_rates(cfg: dict, pop, jobs) -> _Report:
         lambdas = lam_spec["values"]
     elif lam_spec["mode"] == "anchored":
         # a population without construction metadata decays as r = 1/2, alpha = 1
-        exponent = lambda_exponent(regime,
-                                   params.r if params.r is not None else 0.5,
-                                   params.alpha if params.alpha is not None else 1.0)
+        exponent = lambda_exponent(regime, 0.5 if params.r is None else params.r,
+                                   1.0 if params.alpha is None else params.alpha)
         lambdas = anchored_lambdas(n_grid, exponent, lam_spec["anchor"], lam_spec["n_anchor"])
     else:  # corollary
         if missing:

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ContractViolation, NonConvergenceError
 from .linalg import add_ridge, chol_factor, gen_eigmax, inv_norm, single_thread_blas
+from .losses import sup_constants
 from .population import (
     FinitePopulation,
     ScConstants,
@@ -35,6 +36,7 @@ from .population import (
     exact_hessian,
     exact_risk,
     pointwise_bounds,
+    sup_norm_certificate,
 )
 from .solver import newton_minimize
 
@@ -57,9 +59,19 @@ __all__ = [
     "gradient_concentration_experiment",
 ]
 
-REGIMES = ("none", "source", "source_capacity")
+# the exponent parameters each regime's rate, and so its corollary lambda, reads
+_EXPONENT_PARAMS = {"none": (), "source": ("r",), "source_capacity": ("r", "alpha")}
+REGIMES = tuple(_EXPONENT_PARAMS)
 # the largest n a multinomial draw takes: numpy reads n as a C long
 MAX_SAMPLE_SIZE = 2**63 - 1
+
+
+def _missing(regime: str, r, alpha) -> tuple:
+    """The exponent parameters ``regime`` needs that are None."""
+    if regime not in _EXPONENT_PARAMS:
+        raise ContractViolation(f"unknown regime {regime!r}")
+    given = {"r": r, "alpha": alpha}
+    return tuple(name for name in _EXPONENT_PARAMS[regime] if given[name] is None)
 
 
 @dataclass(frozen=True)
@@ -68,30 +80,52 @@ class RateParams:
 
     b1_ball/b2_ball are sups over the ||theta*||-ball (slow-rate regime),
     b1_star/b2_star the values at theta*; cert_radius is R, source_norm is
-    the source-condition norm L, capacity_q the capacity constant Q.
+    the source-condition norm L, capacity_q the capacity constant Q. These
+    eight must be finite and >= 0; only the exponents r and alpha may be None.
     """
 
     delta: float
-    b1_ball: float | None = None
-    b2_ball: float | None = None
-    b1_star: float | None = None
-    b2_star: float | None = None
-    cert_radius: float | None = None
-    theta_norm: float | None = None
-    source_norm: float | None = None
-    capacity_q: float | None = None
+    b1_ball: float
+    b2_ball: float
+    b1_star: float
+    b2_star: float
+    cert_radius: float
+    theta_norm: float
+    source_norm: float
+    capacity_q: float
     r: float | None = None
     alpha: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 0.5:
             raise ContractViolation("delta must lie in (0, 0.5]")
+        measured = {f.name: getattr(self, f.name) for f in fields(self)
+                    if f.name not in ("delta", "r", "alpha")}
+        bad = [name for name, v in measured.items() if v is None or not 0.0 <= v < math.inf]
+        if bad:
+            raise ContractViolation(f"rate params {bad} must be finite and >= 0")
 
+    @classmethod
+    def of(cls, pop: FinitePopulation, delta: float) -> RateParams:
+        """The population's constants at confidence delta. r, alpha, L and Q
+        come from its construction metadata; without them L falls back to
+        ||theta*|| and Q to B1*, and r and alpha stay None."""
+        b1_star, b2_star = pointwise_bounds(pop)
+        theta_norm = float(np.linalg.norm(pop.theta_star))
+        sup, meta = sup_constants(pop.sample_set, theta_norm), pop.meta
+        return cls(delta, sup.b1, sup.b2, b1_star, b2_star, sup_norm_certificate(pop), theta_norm,
+                   getattr(meta, "source_norm", None) or theta_norm,
+                   getattr(meta, "capacity_q", None) or b1_star,
+                   getattr(meta, "r", None), getattr(meta, "alpha", None))
 
-def _require(params: RateParams, names) -> None:
-    missing = [n for n in names if getattr(params, n) is None]
-    if missing:
-        raise ContractViolation(f"rate params missing {missing} for this regime")
+    @property
+    def q_star_sq(self) -> float:
+        """Q*^2 = B1*^2 / B2*, or 0 when B2* is 0."""
+        return self.b1_star**2 / self.b2_star if self.b2_star > 0 else 0.0
+
+    def missing(self, regime: str) -> tuple:
+        """The exponent parameters ``regime`` needs that this population leaves None."""
+        return _missing(regime, self.r, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -104,14 +138,15 @@ class ScheduledLambda:
 def _exponents(regime: str, r, alpha) -> tuple[float, float]:
     """(beta, gamma) of the regime: lambda ~ n^-beta and excess risk ~ n^-gamma.
 
-    source is source_capacity at alpha = 1; none has beta = gamma = 1/2.
+    source is source_capacity at alpha = 1; none has beta = gamma = 1/2. A
+    regime whose r or alpha is None raises ContractViolation.
     """
+    if _missing(regime, r, alpha):
+        raise ContractViolation(f"{regime} regime needs {' and '.join(_EXPONENT_PARAMS[regime])}")
     if regime == "none":
         return 0.5, 0.5
     if regime == "source":
         alpha = 1.0
-    elif regime != "source_capacity":
-        raise ContractViolation(f"unknown regime {regime!r}")
     s = alpha * (1.0 + 2.0 * r)
     return alpha / (1.0 + s), s / (s + 1.0)
 
@@ -120,12 +155,8 @@ def _corollary_q_alpha(regime: str, params: RateParams) -> tuple[float, float]:
     """The corollary's (Q, alpha): (B1*, 1) under the source condition alone,
     (Q, alpha) under the source and capacity conditions."""
     if regime == "source":
-        _require(params, ("b1_star", "source_norm", "r"))
         return params.b1_star, 1.0
-    if regime == "source_capacity":
-        _require(params, ("capacity_q", "source_norm", "r", "alpha"))
-        return params.capacity_q, params.alpha
-    raise ContractViolation(f"unknown regime {regime!r}")
+    return params.capacity_q, params.alpha
 
 
 def lambda_exponent(regime: str, r: float, alpha: float) -> float:
@@ -145,7 +176,6 @@ def lambda_schedule(regime: str, n: int, params: RateParams) -> ScheduledLambda:
     if n < 1:
         raise ContractViolation("n must be >= 1")
     if regime == "none":
-        _require(params, ("b1_ball", "cert_radius", "b2_ball"))
         raw = 16.0 * params.b1_ball * max(1.0, params.cert_radius) * math.sqrt(
             math.log(2.0 / params.delta) / n
         )
@@ -153,7 +183,6 @@ def lambda_schedule(regime: str, n: int, params: RateParams) -> ScheduledLambda:
         cause = "B1 over the ball"
     else:
         q, alpha = _corollary_q_alpha(regime, params)
-        _require(params, ("b2_star",))
         c0 = 256.0 * (q / params.source_norm) ** 2
         raw = (c0 / n) ** lambda_exponent(regime, params.r, alpha)
         cap = params.b2_star
@@ -170,10 +199,6 @@ def lambda_schedule(regime: str, n: int, params: RateParams) -> ScheduledLambda:
 
 def theoretical_rate(regime: str, r: float | None = None, alpha: float | None = None) -> float:
     """Exponent gamma of the optimal excess-risk rate n^-gamma."""
-    if regime == "source" and r is None:
-        raise ContractViolation("source regime needs r")
-    if regime == "source_capacity" and (r is None or alpha is None):
-        raise ContractViolation("source_capacity regime needs r and alpha")
     return _exponents(regime, r, alpha)[1]
 
 
@@ -195,7 +220,6 @@ def rate_constants(regime: str, params: RateParams) -> RateConstants:
     delta = params.delta
     log2d = math.log(2.0 / delta)
     if regime == "none":
-        _require(params, ("b1_ball", "b2_ball", "cert_radius", "theta_norm"))
         if params.b1_ball == 0.0:
             raise ContractViolation("sample threshold unavailable: B1 over the ball is 0")
         rmax = max(1.0, params.cert_radius)
@@ -210,7 +234,6 @@ def rate_constants(regime: str, params: RateParams) -> RateConstants:
         return RateConstants(c0=c0, c1=c1, n_threshold=n_thr, gamma=theoretical_rate("none"))
 
     q, alpha = _corollary_q_alpha(regime, params)
-    _require(params, ("b2_star", "cert_radius"))
     r, ell = params.r, params.source_norm
     beta, gamma = _exponents(regime, r, alpha)
     c0 = 256.0 * (q / ell) ** 2
@@ -311,21 +334,15 @@ def _draw(pop: FinitePopulation, n: int, base: int, n_index: int, replicate: int
     return counts / float(n), int(ss.generate_state(1, dtype=np.uint32)[0])
 
 
-def _q_star_sq(pop: FinitePopulation) -> tuple[float, float]:
-    """(Q*^2, B2*) with Q*^2 = B1*^2 / B2*, or 0 when B2* is 0."""
-    b1_star, b2_star = pointwise_bounds(pop)
-    return (b1_star**2 / b2_star if b2_star > 0 else 0.0), b2_star
-
-
-def _bound_rhs(consts: ScConstants, q_star_sq: float, n: int, delta: float) -> float:
+def _bound_rhs(consts: ScConstants, params: RateParams, n: int) -> float:
     """The refined bound's RHS C_bias Bias^2 + C_var (df v Q*^2) log(2/delta) / n."""
-    dfq = max(consts.df, q_star_sq)
-    return consts.c_bias * consts.bias**2 + consts.c_var * dfq * math.log(2.0 / delta) / n
+    dfq = max(consts.df, params.q_star_sq)
+    return consts.c_bias * consts.bias**2 + consts.c_var * dfq * math.log(2.0 / params.delta) / n
 
 
-def _guard(consts: ScConstants, q_star_sq: float, n: int, delta: float, b2_star: float) -> bool:
+def _guard(consts: ScConstants, params: RateParams, n: int) -> bool:
     """Whether n meets both sample-size conditions of the refined bound."""
-    lam = consts.lam
+    lam, delta, q_star_sq, b2_star = consts.lam, params.delta, params.q_star_sq, params.b2_star
     n1 = consts.n_factor_hessian * (b2_star / lam) * math.log(
         8.0 * consts.shift1**2 * b2_star / (lam * delta)
     )
@@ -362,13 +379,13 @@ def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
     """
     pop = plan.population
     risk_star = exact_risk(pop, pop.theta_star, 0.0)
-    q_star_sq, b2_star = _q_star_sq(pop)
+    params = RateParams.of(pop, plan.delta)
     # each distinct lambda's population context, shared by every n it serves
     consts = {lam: constants_at(pop, lam=lam) for lam in set(plan.lambdas)}
     rhs, guard = [], []
     for n, lam in zip(plan.n_grid, plan.lambdas):
-        rhs.append(_bound_rhs(consts[lam], q_star_sq, n, plan.delta))
-        guard.append(_guard(consts[lam], q_star_sq, n, plan.delta, b2_star))
+        rhs.append(_bound_rhs(consts[lam], params, n))
+        guard.append(_guard(consts[lam], params, n))
 
     tasks = [
         (pop, plan.lambdas[ni], n, ni, rep, plan.seed)
@@ -415,11 +432,9 @@ def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
     else:
         fitted = math.nan
 
-    # the regime's exponent at the r and alpha the population was built with;
-    # none needs neither
-    r, alpha = getattr(pop.meta, "r", None), getattr(pop.meta, "alpha", None)
-    known = plan.regime == "none" or r is not None
-    theo = theoretical_rate(plan.regime, r, alpha) if known else None
+    # the regime's exponent at the r and alpha the population was built with
+    theo = (None if params.missing(plan.regime)
+            else theoretical_rate(plan.regime, params.r, params.alpha))
 
     return RateReport(
         cells=cells,
@@ -538,15 +553,14 @@ def gradient_concentration_experiment(pop: FinitePopulation, lam: float, n: int 
         raise ContractViolation("the bound requires k >= 4")
     theta_lam = pop.theta_lambda(lam)
     factor = chol_factor(exact_hessian(pop, theta_lam, lam))
-    q_star_sq, b2_star = _q_star_sq(pop)
+    params = RateParams.of(pop, delta)
     consts = constants_at(pop, lam=lam)
-    # the bound's premise: n >= k^2 shift2^2 (B2*/lambda) log(2/delta)
-    premise = k * k * consts.shift2**2 * (b2_star / consts.lam) * math.log(2.0 / delta)
-    n = _sample_size(n, premise)
-
     log2d = math.log(2.0 / delta)
+    # the bound's premise: n >= k^2 shift2^2 (B2*/lambda) log(2/delta)
+    premise = k * k * consts.shift2**2 * (params.b2_star / consts.lam) * log2d
+    n = _sample_size(n, premise)
     rhs = (2.0 * math.sqrt(3.0) / k) * consts.bias + 2.0 * consts.shift1 * math.sqrt(
-        max(consts.df, q_star_sq) * log2d / n
+        max(consts.df, params.q_star_sq) * log2d / n
     )
     outcomes = []
     for rep in range(replicates):

@@ -15,7 +15,7 @@ from scerm import ConfigError, NonConvergenceError, SolverConfig
 from scerm.cli import main
 from scerm.config import _GENERATORS, _POPULATIONS, build_population, load_config_file, parse_config
 from scerm.population import pointwise_bounds
-from scerm.rates import lambda_schedule
+from scerm.rates import RateParams, lambda_schedule
 from scerm.verify import LocalizationRecord
 
 
@@ -285,7 +285,7 @@ def test_rates_corollary_lambdas_end_to_end(tmp_path, regime):
     assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
     lambdas = json.loads((out / "summary.json").read_text())["lambdas"]
     pop = build_population(parse_config(doc)["population"])
-    params = scerm.cli._rates_params(pop, 0.25)
+    params = RateParams.of(pop, 0.25)
     assert lambdas == [lambda_schedule(regime, n, params).value for n in (32, 64, 128)]
     _, b2_star = pointwise_bounds(pop)
     assert all(0 < lam <= b2_star for lam in lambdas)

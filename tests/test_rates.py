@@ -35,8 +35,15 @@ from scerm.linalg import add_ridge, gen_eigmax
 from scerm.rates import MAX_SAMPLE_SIZE, hessian_premise_n
 
 
+def complete_params(**given):
+    """RateParams with unit constants wherever ``given`` names none."""
+    units = dict.fromkeys(("b1_ball", "b2_ball", "b1_star", "b2_star", "cert_radius",
+                           "theta_norm", "source_norm", "capacity_q"), 1.0)
+    return RateParams(**{**units, **given})
+
+
 def test_schedule_none_worked_example():
-    params = RateParams(delta=0.25, b1_ball=1.0, b2_ball=10.0, cert_radius=1.0)
+    params = complete_params(delta=0.25, b1_ball=1.0, b2_ball=10.0, cert_radius=1.0)
     sched = lambda_schedule("none", 1024, params)
     expect = 16.0 * math.sqrt(math.log(8.0) / 1024.0)
     assert sched.value == pytest.approx(expect, rel=1e-12)
@@ -44,7 +51,7 @@ def test_schedule_none_worked_example():
 
 
 def test_schedule_none_clamps_to_b2():
-    params = RateParams(delta=0.25, b1_ball=1.0, b2_ball=0.25, cert_radius=1.0)
+    params = complete_params(delta=0.25, b1_ball=1.0, b2_ball=0.25, cert_radius=1.0)
     sched = lambda_schedule("none", 128, params)
     assert sched.clamped
     assert sched.value == 0.25
@@ -55,15 +62,15 @@ def test_schedule_source_unit_base():
     # C0/n = 1 -> lambda = 1 regardless of r
     for r in (0.1, 0.5):
         c0 = 256.0
-        params = RateParams(delta=0.1, b1_star=1.0, source_norm=1.0, r=r, b2_star=100.0)
+        params = complete_params(delta=0.1, b1_star=1.0, source_norm=1.0, r=r, b2_star=100.0)
         sched = lambda_schedule("source", int(c0), params)
         assert sched.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_schedule_source_capacity_alpha_inf_limit():
     # exponent alpha/(1+alpha(1+2r)) -> 1/(1+2r) = 1/2 at r=1/2 as alpha grows
-    params = RateParams(delta=0.1, capacity_q=1.0, source_norm=1.0, r=0.5, alpha=1e9,
-                        b2_star=1e9)
+    params = complete_params(delta=0.1, capacity_q=1.0, source_norm=1.0, r=0.5, alpha=1e9,
+                             b2_star=1e9)
     n = 256 * 10**4
     sched = lambda_schedule("source_capacity", n, params)
     assert sched.value == pytest.approx((256.0 / n) ** 0.5, rel=1e-3)
@@ -71,10 +78,11 @@ def test_schedule_source_capacity_alpha_inf_limit():
 
 def test_schedule_strictly_decreasing_in_n():
     cases = [
-        ("none", RateParams(delta=0.2, b1_ball=2.0, b2_ball=50.0, cert_radius=0.5)),
-        ("source", RateParams(delta=0.2, b1_star=1.0, source_norm=1.0, r=0.3, b2_star=50.0)),
+        ("none", complete_params(delta=0.2, b1_ball=2.0, b2_ball=50.0, cert_radius=0.5)),
+        ("source", complete_params(delta=0.2, b1_star=1.0, source_norm=1.0, r=0.3, b2_star=50.0)),
         ("source_capacity",
-         RateParams(delta=0.2, capacity_q=2.0, source_norm=1.0, r=0.5, alpha=2.0, b2_star=50.0)),
+         complete_params(delta=0.2, capacity_q=2.0, source_norm=1.0, r=0.5, alpha=2.0,
+                         b2_star=50.0)),
     ]
     for regime, params in cases:
         vals = [lambda_schedule(regime, n, params).value for n in (10**3, 10**4, 10**5, 10**6)]
@@ -83,9 +91,9 @@ def test_schedule_strictly_decreasing_in_n():
 
 def test_schedule_missing_params():
     with pytest.raises(ContractViolation):
-        lambda_schedule("source", 100, RateParams(delta=0.1, b1_star=1.0))
+        lambda_schedule("source", 100, complete_params(delta=0.1, b1_star=1.0))
     with pytest.raises(ContractViolation):
-        lambda_schedule("bogus", 100, RateParams(delta=0.1))
+        lambda_schedule("bogus", 100, complete_params(delta=0.1))
 
 
 def test_theoretical_rates():
@@ -98,7 +106,7 @@ def test_theoretical_rates():
 
 
 def test_rate_constants_none():
-    params = RateParams(delta=0.1, b1_ball=1.0, b2_ball=1.0, cert_radius=1.0, theta_norm=1.0)
+    params = complete_params(delta=0.1, b1_ball=1.0, b2_ball=1.0, cert_radius=1.0, theta_norm=1.0)
     c = rate_constants("none", params)
     assert c.c0 == pytest.approx(16.0)
     assert c.c1 == pytest.approx(48.0)
@@ -108,8 +116,8 @@ def test_rate_constants_none():
 
 
 def test_rate_constants_source_gamma_two_thirds():
-    params = RateParams(delta=0.1, b1_star=1.0, b2_star=1.0, source_norm=1.0, r=0.5,
-                        cert_radius=1.0)
+    params = complete_params(delta=0.1, b1_star=1.0, b2_star=1.0, source_norm=1.0, r=0.5,
+                             cert_radius=1.0)
     c = rate_constants("source", params)
     assert c.gamma == pytest.approx(2.0 / 3.0)
     assert c.c1 == pytest.approx(8.0 * 256.0 ** (2.0 / 3.0), rel=1e-12)
@@ -117,15 +125,15 @@ def test_rate_constants_source_gamma_two_thirds():
 
 
 def test_rate_constants_square_loss_lambda0():
-    params = RateParams(delta=0.1, b1_star=1.0, b2_star=1.0, source_norm=1.0, r=0.5,
-                        cert_radius=0.0)
+    params = complete_params(delta=0.1, b1_star=1.0, b2_star=1.0, source_norm=1.0, r=0.5,
+                             cert_radius=0.0)
     c = rate_constants("source", params)
     assert c.lambda0 == 1.0
 
 
 def test_rate_constants_r_zero_with_radius_flagged():
-    params = RateParams(delta=0.1, b1_star=1.0, b2_star=1.0, source_norm=1.0, r=0.0,
-                        cert_radius=1.0)
+    params = complete_params(delta=0.1, b1_star=1.0, b2_star=1.0, source_norm=1.0, r=0.0,
+                             cert_radius=1.0)
     with pytest.raises(ContractViolation):
         rate_constants("source", params)
 
@@ -206,8 +214,8 @@ def test_schedule_based_plan_runs():
     from scerm.population import pointwise_bounds
 
     b1, b2 = pointwise_bounds(pop)
-    params = RateParams(delta=0.25, b1_star=b1, b2_star=b2, source_norm=1.0, r=0.5,
-                        capacity_q=pop.meta.capacity_q, alpha=2.0, cert_radius=0.0)
+    params = complete_params(delta=0.25, b1_star=b1, b2_star=b2, source_norm=1.0, r=0.5,
+                             capacity_q=pop.meta.capacity_q, alpha=2.0, cert_radius=0.0)
     lambdas = [lambda_schedule("source_capacity", n, params).value for n in (64, 128)]
     plan = ExperimentPlan(population=pop, regime="source_capacity", n_grid=(64, 128),
                           replicates=2, delta=0.25, seed=0, lambdas=lambdas)
