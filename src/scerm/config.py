@@ -115,8 +115,8 @@ _SECTIONS = {
     "verify": {"trials_per_case": (_COUNT, 650), "localization_trials": (_COUNT, 50)},
     "rates": {
         "regime": (_choice(*REGIMES), _REQUIRED),
-        "n_grid": (_numbers(_SAMPLE_SIZE, "must be strictly increasing positive integers",
-                            increasing=True), _REQUIRED),
+        "n_grid": (_numbers(_SAMPLE_SIZE, "must be strictly increasing positive integers, "
+                            f"each <= {MAX_SAMPLE_SIZE}", increasing=True), _REQUIRED),
         "replicates": (_COUNT, _REQUIRED), "delta": (_DELTA, _REQUIRED),
         "lambda": (_any, {"mode": "corollary"}), "tolerance": (_POSITIVE, None),
     },

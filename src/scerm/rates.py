@@ -7,6 +7,12 @@ rates:
     source           lambda ~ n^{-1/(2+2r)}            excess ~ n^{-(1+2r)/(2+2r)}
     source_capacity  lambda ~ n^{-alpha/(1+a(1+2r))}   excess ~ n^{-a(1+2r)/(a(1+2r)+1)}
 
+``RateParams.of`` reads a population's constants: B1 and B2 over the
+||theta*||-ball and at theta*, R, ||theta*||, and L, Q, r and alpha from its
+construction metadata, with L = ||theta*|| and Q = B1* where the metadata
+gives none. The measured constants are always defined; r and alpha may be
+None, and one table says which of them each regime's exponent needs.
+
 ``lambda_schedule`` evaluates the corollaries' prescriptions literally (their
 constants are very conservative at desk scale, hence the clamp to (0, B2]
 and plans that take any ``lambdas``); ``run_rate_experiment`` draws
@@ -269,6 +275,8 @@ def anchored_lambdas(n_grid, exponent: float, anchor: float, n_anchor: int) -> t
     """
     if anchor <= 0:
         raise ContractViolation("anchor must be positive")
+    if n_anchor < 1 or any(n < 1 for n in n_grid):
+        raise ContractViolation("n_anchor and every n must be >= 1")
     return tuple(anchor * (n / n_anchor) ** (-exponent) for n in n_grid)
 
 
@@ -494,6 +502,13 @@ def _concentration_report(kind: str, n: int, replicates: int, delta: float, prem
     )
 
 
+def _check_run(lam: float, replicates: int) -> None:
+    if lam <= 0:
+        raise ContractViolation("lambda must be positive")
+    if replicates < 1:
+        raise ContractViolation("replicates must be >= 1")
+
+
 def _sample_size(n: int | None, premise: float) -> int:
     """n, which must lie in [1, MAX_SAMPLE_SIZE], or the smallest n that meets
     the premise when None."""
@@ -523,8 +538,7 @@ def hessian_concentration_experiment(pop: FinitePopulation, lam: float, n: int |
     experiment is marked skipped (frequencies still reported); n = None runs
     at the smallest n that meets it.
     """
-    if lam <= 0:
-        raise ContractViolation("lambda must be positive")
+    _check_run(lam, replicates)
     premise = hessian_premise_n(pop, lam, delta)
     n = _sample_size(n, premise)
     theta, h_lam = pop.theta_star, add_ridge(pop.hessian_at_star, lam)
@@ -545,10 +559,10 @@ def gradient_concentration_experiment(pop: FinitePopulation, lam: float, n: int 
             <= (2 sqrt(3)/k) Bias_lam
                + 2 shift1 sqrt((df_lam v Q*^2) log(2/delta) / n).
 
-    n = None runs at the smallest n that meets the premise.
+    n = None runs at the smallest n that meets the premise. delta must lie in
+    (0, 0.5], where RateParams takes it.
     """
-    if lam <= 0:
-        raise ContractViolation("lambda must be positive")
+    _check_run(lam, replicates)
     if k < 4.0:
         raise ContractViolation("the bound requires k >= 4")
     theta_lam = pop.theta_lambda(lam)

@@ -612,7 +612,8 @@ def at(path):
     pytest.param(dict(MINIMAL_DIAGNOSE, population=dict(MINIMAL_DIAGNOSE["population"], d=8.5)),
                  [], at("population.d") + "expected an integer", id="fractional-dimension"),
     pytest.param(dict(DEGENERATE_RATES, rates=dict(DEGENERATE_RATES["rates"], n_grid=[])), [],
-                 at("rates.n_grid") + "must be strictly increasing positive integers",
+                 at("rates.n_grid") + "must be strictly increasing positive integers, "
+                 "each <= 9223372036854775807",
                  id="empty-n-grid"),
     pytest.param(dict(SOLVE, population=_inline([])), [],
                  at("population.atoms") + "inline population needs a nonempty atoms list",
@@ -676,7 +677,8 @@ def at(path):
     pytest.param({"command": "rates", "population": CONCENTRATION["population"], "rates": {
         "regime": "none", "n_grid": [128, 10**19], "replicates": 1, "delta": 0.1,
         "lambda": {"mode": "explicit", "values": [0.1, 0.05]}}}, [],
-                 at("rates.n_grid") + "must be strictly increasing positive integers",
+                 at("rates.n_grid") + "must be strictly increasing positive integers, "
+                 "each <= 9223372036854775807",
                  id="n-grid-above-c-long"),
     pytest.param(dict(CONCENTRATION, concentration=dict(CONCENTRATION["concentration"],
                                                         n=10**19)), [],

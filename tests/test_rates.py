@@ -32,6 +32,13 @@ from scerm import (
 )
 from scerm import rates
 from scerm.linalg import add_ridge, gen_eigmax
+from scerm.losses import LogisticLoss, sup_constants
+from scerm.population import (
+    ConstructionMeta,
+    FinitePopulation,
+    pointwise_bounds,
+    sup_norm_certificate,
+)
 from scerm.rates import MAX_SAMPLE_SIZE, hessian_premise_n
 
 
@@ -142,6 +149,42 @@ def test_anchored_lambdas():
     vals = anchored_lambdas((128, 512), 0.5, 0.2, 128)
     assert vals[0] == pytest.approx(0.2)
     assert vals[1] == pytest.approx(0.1)
+    for grid, n_anchor in (((128, 256), 0), ((128, 256), -4), ((-128, 256), 128)):
+        with pytest.raises(ContractViolation, match="must be >= 1"):
+            anchored_lambdas(grid, 0.5, 0.1, n_anchor)
+
+
+@pytest.mark.parametrize("make, source_norm, capacity_q, exponents", [
+    pytest.param(lambda: make_source_population(d=6, r=0.5, alpha=2.0, seed=2),
+                 lambda pop: 1.0, lambda pop: pop.meta.capacity_q, (0.5, 2.0), id="source"),
+    pytest.param(lambda: make_logistic_population(d=4, alpha=1.0, seed=2),
+                 lambda pop: float(np.linalg.norm(pop.theta_star)),
+                 lambda pop: pointwise_bounds(pop)[0], (None, 1.0), id="logistic"),
+    pytest.param(lambda: FinitePopulation(
+                     SampleSet(LogisticLoss(), [[1.0, 0.5], [1.0, 0.5], [-0.5, 1.0], [-0.5, 1.0]],
+                               [1.0, -1.0, 1.0, -1.0]), [0.3, 0.2, 0.1, 0.4]),
+                 lambda pop: float(np.linalg.norm(pop.theta_star)),
+                 lambda pop: pointwise_bounds(pop)[0], (None, None), id="inline"),
+])
+def test_rate_params_of(make, source_norm, capacity_q, exponents):
+    pop = make()
+    params = RateParams.of(pop, 0.2)
+    b1_star, b2_star = pointwise_bounds(pop)
+    theta_norm = float(np.linalg.norm(pop.theta_star))
+    sup = sup_constants(pop.sample_set, theta_norm)
+    assert (params.delta, params.b1_ball, params.b2_ball) == (0.2, sup.b1, sup.b2)
+    assert (params.b1_star, params.b2_star) == (b1_star, b2_star)
+    assert (params.cert_radius, params.theta_norm) == (sup_norm_certificate(pop), theta_norm)
+    assert (params.source_norm, params.capacity_q) == (source_norm(pop), capacity_q(pop))
+    assert (params.r, params.alpha) == exponents
+    assert params.q_star_sq == b1_star**2 / b2_star
+
+
+@pytest.mark.parametrize("value", [None, math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("field", ["b1_ball", "b2_star", "cert_radius", "capacity_q"])
+def test_rate_params_rejects_unmeasured_constants(field, value):
+    with pytest.raises(ContractViolation, match=f"rate params \\['{field}'\\] must be finite"):
+        complete_params(delta=0.1, **{field: value})
 
 
 # -- experiment plumbing ---------------------------------------------------------
@@ -223,6 +266,17 @@ def test_schedule_based_plan_runs():
     assert len(report.cells) == 4
     assert [c.lam for c in report.cells] == [lam for lam in lambdas for _ in range(2)]
     assert all(l > 0 for l in lambdas)
+
+
+def test_theoretical_exponent_needs_every_exponent_of_the_regime():
+    # a population built with r but not alpha has no source_capacity exponent
+    pop = make_source_population(d=6, r=0.5, alpha=2.0, seed=2)
+    meta = ConstructionMeta(theta_star=pop.meta.theta_star,
+                            hess_eigenvalues=pop.meta.hess_eigenvalues, r=0.5)
+    plan = ExperimentPlan(population=FinitePopulation(pop.sample_set, pop.weights, meta),
+                          regime="source_capacity", n_grid=(32, 64), replicates=1, delta=0.1,
+                          seed=0, lambdas=(0.1, 0.05))
+    assert run_rate_experiment(plan).theoretical_exponent is None
 
 
 def test_bound_and_guard_evaluated_once_per_n(monkeypatch):
@@ -436,6 +490,9 @@ def test_hessian_concentration_premise_and_skip():
     # the premise at a tiny lambda asks for more than the largest sample size
     with pytest.raises(ContractViolation, match="the premise needs n >= "):
         hessian_concentration_experiment(pop, 1e-18, n=None, replicates=1, delta=0.1)
+    for bad in (0, -2):
+        with pytest.raises(ContractViolation, match="replicates must be >= 1"):
+            hessian_concentration_experiment(pop, lam, n=100, replicates=bad, delta=0.1)
 
 
 def test_hessian_concentration_reads_the_cached_hessian_at_star(monkeypatch):
@@ -488,3 +545,6 @@ def test_gradient_concentration_k_contract(p1):
     for bad in (0, -3):
         with pytest.raises(ContractViolation, match="n must be >= 1"):
             gradient_concentration_experiment(p1, 0.25, n=bad, replicates=5, delta=0.1, k=4.0)
+    for bad in (0, -2):
+        with pytest.raises(ContractViolation, match="replicates must be >= 1"):
+            gradient_concentration_experiment(p1, 0.25, n=100, replicates=bad, delta=0.1, k=4.0)
