@@ -182,7 +182,7 @@ def test_rate_params_of(make, source_norm, capacity_q, exponents):
 
 @pytest.mark.parametrize("value", [None, math.nan, math.inf, -1.0])
 @pytest.mark.parametrize("field", ["b1_ball", "b2_star", "cert_radius", "capacity_q"])
-def test_rate_params_rejects_unmeasured_constants(field, value):
+def test_rate_params_rejects_bad_measured_constants(field, value):
     with pytest.raises(ContractViolation, match=f"rate params \\['{field}'\\] must be finite"):
         complete_params(delta=0.1, **{field: value})
 
@@ -254,8 +254,6 @@ def test_plan_validation():
 
 def test_schedule_based_plan_runs():
     pop = make_source_population(d=6, r=0.5, alpha=2.0, seed=2)
-    from scerm.population import pointwise_bounds
-
     b1, b2 = pointwise_bounds(pop)
     params = complete_params(delta=0.25, b1_star=b1, b2_star=b2, source_norm=1.0, r=0.5,
                              capacity_q=pop.meta.capacity_q, alpha=2.0, cert_radius=0.0)
@@ -458,8 +456,6 @@ def test_cells_match_restacked_draws(make_plan):
 
 def test_hessian_concentration_trivial_when_lambda_dominates():
     pop = make_logistic_population(d=4, alpha=1.0, seed=2)
-    from scerm.population import pointwise_bounds
-
     _, b2 = pointwise_bounds(pop)
     lam = 2.0 * b2  # generalized eigenvalue <= (B2+lam)/lam <= 1.5 always
     rep = hessian_concentration_experiment(pop, lam, n=50, replicates=40,
