@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the lambda check that
+every lambda entry point calls."""
+
+import math
 
 
 class ContractViolation(ValueError):
@@ -31,3 +34,12 @@ class ConfigError(ValueError):
         self.errors = list(errors)
         lines = [f"{path}: {msg}" for path, msg in self.errors]
         super().__init__("invalid configuration:\n  " + "\n  ".join(lines))
+
+
+def check_lambda(lam, where: str, *, zero_ok: bool = False) -> None:
+    """Raise ContractViolation unless lam is finite and > 0 (>= 0 with
+    zero_ok). A NaN fails every comparison, so ``lam <= 0`` alone lets it
+    through."""
+    if not (math.isfinite(lam) and (lam >= 0.0 if zero_ok else lam > 0.0)):
+        raise ContractViolation(
+            f"{where} requires a finite lambda {'>= 0' if zero_ok else '> 0'}, got {lam!r}")

@@ -13,6 +13,7 @@ bit for bit those of ``scipy.linalg``:
     chol_solve    dpotrs                 (cho_solve)
     gen_eigmax    dsygvd                 (eigh(a, b, eigvals_only=True))
     eigmin        dsyevr, dsyevr_lwork   (eigvalsh)
+    eigh          dsyevr with vectors    (eigh(a, driver="evr"))
 
 The module is loaded once, from its file, so that neither the ``scipy``
 package nor ``scipy.linalg`` is imported. Importing ``scipy.linalg`` costs
@@ -160,20 +161,31 @@ def gen_eigmax(a: np.ndarray, b: np.ndarray) -> float:
     return float(vals[-1])
 
 
-def eigmin(a: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
+def _syevr(a: np.ndarray, compute_v: int):
     work, iwork, info = _LAPACK.dsyevr_lwork(len(a), lower=1)
     _check_legal(info, "dsyevr_lwork")
-    vals, _, _, _, info = _LAPACK.dsyevr(a, compute_v=0, lower=1, lwork=int(work), liwork=iwork)
+    vals, vecs, _, _, info = _LAPACK.dsyevr(a, compute_v=compute_v, lower=1, lwork=int(work),
+                                            liwork=iwork)
     _check_legal(info, "dsyevr")
     if info > 0:
         raise ContractViolation(f"eigenvalue solve failed: dsyevr reported internal error {info}")
-    return float(vals[0])
+    return vals, vecs
+
+
+def eigmin(a: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric matrix."""
+    return float(_syevr(a, 0)[0][0])
+
+
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a symmetric matrix in ascending order, and its
+    orthonormal eigenvectors as the columns of a matrix."""
+    return _syevr(a, 1)
 
 
 def add_ridge(a: np.ndarray, lam: float) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
-    out[np.diag_indices_from(out)] += lam
+    out.flat[::len(out) + 1] += lam
     return out
 
 

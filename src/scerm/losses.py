@@ -64,9 +64,9 @@ def _stacked(features, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ContractViolation("empty sample list")
     if labels.shape != feats.shape[:1]:
         raise ContractViolation(f"labels have shape {labels.shape}, expected ({feats.shape[0]},)")
-    if not np.all(np.isfinite(feats)):
+    if not np.isfinite(feats).all():
         raise DomainError("features contain non-finite entries")
-    if not np.all(np.isfinite(labels)):
+    if not np.isfinite(labels).all():
         raise DomainError("label is non-finite")
     if feats.ndim == 3:
         bad = (labels != np.floor(labels)) | (labels < 0) | (labels >= feats.shape[1])
@@ -103,7 +103,7 @@ def _check_theta(theta: np.ndarray, d: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (d,):
         raise ContractViolation(f"parameter has shape {theta.shape}, expected ({d},)")
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise DomainError("parameter contains non-finite entries")
     return theta
 
@@ -290,7 +290,7 @@ class SoftmaxGLMLoss(LossModel):
         mu = np.asarray(base_measure, dtype=float)
         if mu.ndim != 1 or mu.size < 2:
             raise ContractViolation("base_measure must be a vector of >= 2 weights")
-        if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
+        if not np.isfinite(mu).all() or (mu <= 0).any():
             raise ContractViolation("base_measure weights must be positive and finite")
         self.base_measure = _readonly(mu)
         self.n_labels = mu.size

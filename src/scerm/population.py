@@ -14,13 +14,14 @@ Diagnostic quantities at the minimizer t* and a regularization level lambda:
     t_lam  = sup over atoms of the certificate factor at direction t*_lam - t*
 
 A population solves t* = argmin L, H(t*) and its eigendecomposition
-H(t*) = sum_i e_i u_i u_i^T once, on first use, and each t*_lam once per
-lambda; ``exact_hessian`` builds H at other points. For a quadratic loss
-(certificate set {0}, ``SampleSet.quadratic``) H(t) = sum_i w_i x_i x_i^T is
-the same at every t: the population builds it once, without solving t*
-first, and ``exact_hessian`` and every t* and t*_lam solve reuse it instead
-of rebuilding it. Bias and df are O(d) sums over the one spectrum that every
-lambda of the population shares:
+H(t*) = sum_i e_i u_i u_i^T (``eigenpairs``) once, on first use, and each
+t*_lam once per lambda; ``exact_hessian`` builds H at other points. For a
+quadratic loss (certificate set {0}, ``SampleSet.quadratic``)
+H(t) = sum_i w_i x_i x_i^T is the same at every t: the population builds it
+once, without solving t* first, and ``exact_hessian`` and every t* and t*_lam
+solve reuse it instead of rebuilding it, as the population localization check
+reuses the eigenpairs for ||g||_{H_lambda(t)^{-1}} at any t. Bias and df are
+O(d) sums over the one spectrum that every lambda of the population shares:
 
     Bias^2 = lambda^2 sum_i (u_i . t*)^2 / (e_i + lambda)
     df     = sum_i E[(u_i . grad l_Z(t*))^2] / (e_i + lambda)
@@ -45,8 +46,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import scfun
-from .errors import ContractViolation
-from .linalg import add_ridge, chol_factor, radius_from_factor
+from .errors import ContractViolation, check_lambda
+from .linalg import add_ridge, chol_factor, eigh, radius_from_factor
 from .losses import LogisticLoss, LossModel, SampleSet, SquareLoss, _check_theta, _sigmoid
 from .solver import SolverConfig, newton_minimize
 
@@ -92,8 +93,8 @@ class ConstructionMeta:
 @dataclass(frozen=True)
 class FinitePopulation:
     """Finitely supported distribution: a ``SampleSet`` of atoms and their
-    strictly positive weights. theta*, H(theta*), its spectrum and each
-    theta*_lambda are computed on first use and kept."""
+    strictly positive weights. theta*, H(theta*), its eigenpairs and spectrum
+    and each theta*_lambda are computed on first use and kept."""
 
     sample_set: SampleSet
     weights: np.ndarray
@@ -103,7 +104,7 @@ class FinitePopulation:
         w = np.array(self.weights, dtype=float)
         if w.shape != (len(self.sample_set),):
             raise ContractViolation("weights and atoms disagree in length")
-        if not np.all(w > 0):
+        if not (w > 0).all():
             raise ContractViolation("weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ContractViolation(f"weights sum to {w.sum()!r}, not 1")
@@ -129,19 +130,29 @@ class FinitePopulation:
         return hessian
 
     @cached_property
+    def eigenpairs(self) -> tuple:
+        """The eigenvalues e_i of ``hessian_at_star``, clipped at 0, and its
+        eigenvectors u_i as columns, both read-only: one eigensolve per
+        population."""
+        eigs, vecs = eigh(self.hessian_at_star)
+        eigs = np.maximum(eigs, 0.0)
+        eigs.setflags(write=False)
+        vecs.setflags(write=False)
+        return eigs, vecs
+
+    @cached_property
     def spectrum(self) -> tuple:
         """Eigenvalues e_i of H(theta*), with (u_i . theta*)^2 and
         E[(u_i . grad l_Z(theta*))^2] over its eigenvectors u_i."""
-        eigs, vecs = np.linalg.eigh(self.hessian_at_star)
+        eigs, vecs = self.eigenpairs
         grad_sq = self.sample_set.grad_moments(self.weights, self.theta_star, vecs)
-        return np.maximum(eigs, 0.0), (self.theta_star @ vecs) ** 2, grad_sq
+        return eigs, (self.theta_star @ vecs) ** 2, grad_sq
 
     def theta_lambda(self, lam: float) -> np.ndarray:
         """Minimizer theta*_lambda of the lambda-regularized risk, lambda > 0,
         solved once per lambda (a failed solve raises and is not cached)."""
         lam = float(lam)
-        if lam <= 0:
-            raise ContractViolation("theta_lambda requires lambda > 0")
+        check_lambda(lam, "theta_lambda")
         solved = self._theta_lambdas
         if lam not in solved:
             solved[lam] = _minimize_population(self, lam)
@@ -168,15 +179,13 @@ def stack_samples(loss: LossModel, samples) -> SampleSet:
 
 
 def exact_risk(pop: FinitePopulation, theta, lam: float = 0.0) -> float:
-    if lam < 0:
-        raise ContractViolation("lambda must be nonnegative")
+    check_lambda(lam, "exact_risk", zero_ok=True)
     theta = np.asarray(theta, dtype=float)
     return pop.sample_set.weighted_value(pop.weights, theta) + 0.5 * lam * float(theta @ theta)
 
 
 def exact_grad(pop: FinitePopulation, theta, lam: float = 0.0) -> np.ndarray:
-    if lam < 0:
-        raise ContractViolation("lambda must be nonnegative")
+    check_lambda(lam, "exact_grad", zero_ok=True)
     theta = np.asarray(theta, dtype=float)
     return pop.sample_set.weighted_grad(pop.weights, theta) + lam * theta
 
@@ -184,8 +193,7 @@ def exact_grad(pop: FinitePopulation, theta, lam: float = 0.0) -> np.ndarray:
 def exact_hessian(pop: FinitePopulation, theta, lam: float = 0.0) -> np.ndarray:
     """H(theta) + lam I as a new, writable array; a quadratic loss copies the
     population's one cached H."""
-    if lam < 0:
-        raise ContractViolation("lambda must be nonnegative")
+    check_lambda(lam, "exact_hessian", zero_ok=True)
     theta = _check_theta(theta, pop.dim)
     if pop.sample_set.quadratic:
         return add_ridge(pop.hessian_at_star, lam)
@@ -208,16 +216,14 @@ def _minimize_population(pop: FinitePopulation, lam: float) -> np.ndarray:
 
 def bias_lambda(pop: FinitePopulation, lam: float) -> float:
     """lambda * ||theta*||_{H_lambda(theta*)^{-1}}; always <= sqrt(lambda)||theta*||."""
-    if lam <= 0:
-        raise ContractViolation("bias_lambda requires lambda > 0")
+    check_lambda(lam, "bias_lambda")
     eigs, theta_sq, _ = pop.spectrum
     return lam * math.sqrt(float(np.sum(theta_sq / (eigs + lam))))
 
 
 def df_lambda(pop: FinitePopulation, lam: float) -> float:
     """Exact degrees of freedom E ||grad l_Z(theta*)||^2_{H_lambda^{-1}(theta*)}."""
-    if lam <= 0:
-        raise ContractViolation("df_lambda requires lambda > 0")
+    check_lambda(lam, "df_lambda")
     eigs, _, grad_sq = pop.spectrum
     return float(np.sum(grad_sq / (eigs + lam)))
 
@@ -225,8 +231,7 @@ def df_lambda(pop: FinitePopulation, lam: float) -> float:
 def dikin_radius(pop: FinitePopulation, lam: float) -> float:
     """r_lambda(theta*): the inverse of the largest H_lambda(theta*)^{-1/2}-norm
     of a certificate vector; inf when every one is zero (square loss)."""
-    if lam <= 0:
-        raise ContractViolation("dikin_radius requires lambda > 0")
+    check_lambda(lam, "dikin_radius")
     if pop.sample_set.quadratic:
         return math.inf
     return radius_from_factor(chol_factor(add_ridge(pop.hessian_at_star, lam)),
@@ -236,8 +241,7 @@ def dikin_radius(pop: FinitePopulation, lam: float) -> float:
 def t_lambda(pop: FinitePopulation, lam: float) -> float:
     """Certificate seminorm of theta*_lambda - theta*, exact sup over atoms;
     0 for the square loss (certificate set {0}) without solving theta*_lambda."""
-    if lam <= 0:
-        raise ContractViolation("t_lambda requires lambda > 0")
+    check_lambda(lam, "t_lambda")
     if pop.sample_set.quadratic:
         return 0.0
     return pop.sample_set.seminorm(pop.theta_lambda(lam) - pop.theta_star)
@@ -365,8 +369,8 @@ def compute_diagnostics(pop: FinitePopulation, lambda_grid) -> DiagnosticsReport
     falsify the implementation and raises immediately.
     """
     grid = np.sort(np.asarray(lambda_grid, dtype=float))[::-1]
-    if grid.size == 0 or np.any(grid <= 0):
-        raise ContractViolation("lambda grid must be nonempty and positive")
+    if grid.size == 0 or not ((grid > 0) & (grid < math.inf)).all():
+        raise ContractViolation("lambda grid must be nonempty, finite and positive")
     sup = sup_norm_certificate(pop)
     theta_norm = float(np.linalg.norm(pop.theta_star))
     consts = tuple(constants_at(pop, lam=lam) for lam in grid)
@@ -566,7 +570,7 @@ def make_logistic_population(d: int, alpha: float, seed: int) -> FinitePopulatio
     a2 = _COEFF_SCALE / j
     kappa = d * h * a2
     # g(m) = sigma(m)sigma(-m)m^2 increases on [0, 2.39] up to ~0.4395
-    if np.any(kappa > 0.43):
+    if (kappa > 0.43).any():
         raise ContractViolation(
             f"logistic profile infeasible at d={d}: the margin equation needs d <= 17")
     theta_star = np.sqrt(a2) * rng.choice([-1.0, 1.0], size=d)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ContractViolation, NonConvergenceError
+from .errors import ContractViolation, NonConvergenceError, check_lambda
 from .linalg import add_ridge, chol_factor, gen_eigmax, inv_norm, single_thread_blas
 from .losses import sup_constants
 from .population import (
@@ -72,6 +72,11 @@ REGIMES = tuple(_EXPONENT_PARAMS)
 MAX_SAMPLE_SIZE = 2**63 - 1
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta <= 0.5:
+        raise ContractViolation("delta must lie in (0, 0.5]")
+
+
 def _missing(regime: str, r, alpha) -> tuple:
     """The exponent parameters ``regime`` needs that are None."""
     if regime not in _EXPONENT_PARAMS:
@@ -103,8 +108,7 @@ class RateParams:
     alpha: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.delta <= 0.5:
-            raise ContractViolation("delta must lie in (0, 0.5]")
+        _check_delta(self.delta)
         measured = {f.name: getattr(self, f.name) for f in fields(self)
                     if f.name not in ("delta", "r", "alpha")}
         bad = [name for name, v in measured.items() if v is None or not 0.0 <= v < math.inf]
@@ -302,11 +306,12 @@ class ExperimentPlan:
             raise ContractViolation(f"n_grid entries must be <= {MAX_SAMPLE_SIZE}")
         if self.replicates < 1:
             raise ContractViolation("replicates must be >= 1")
-        if not 0.0 < self.delta <= 0.5:
-            raise ContractViolation("delta must lie in (0, 0.5]")
+        _check_delta(self.delta)
         lambdas = tuple(float(x) for x in self.lambdas)
-        if len(lambdas) != len(grid) or not all(x > 0 for x in lambdas):
-            raise ContractViolation("lambdas must give one positive lambda per n")
+        if len(lambdas) != len(grid):
+            raise ContractViolation("lambdas must give one lambda per n")
+        for lam in lambdas:
+            check_lambda(lam, "a rate experiment")
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "lambdas", lambdas)
 
@@ -502,11 +507,11 @@ def _concentration_report(kind: str, n: int, replicates: int, delta: float, prem
     )
 
 
-def _check_run(lam: float, replicates: int) -> None:
-    if lam <= 0:
-        raise ContractViolation("lambda must be positive")
+def _check_run(lam: float, replicates: int, delta: float) -> None:
+    check_lambda(lam, "a concentration experiment")
     if replicates < 1:
         raise ContractViolation("replicates must be >= 1")
+    _check_delta(delta)
 
 
 def _sample_size(n: int | None, premise: float) -> int:
@@ -524,6 +529,8 @@ def _sample_size(n: int | None, premise: float) -> int:
 def hessian_premise_n(pop: FinitePopulation, lam: float, delta: float) -> float:
     """Sample size above which the two-sided Hessian equivalence at theta* is
     guaranteed: 24 B2*/lambda * log(8 B2*/(lambda delta))."""
+    check_lambda(lam, "hessian_premise_n")
+    _check_delta(delta)
     _, b2 = pointwise_bounds(pop)
     return 24.0 * b2 / lam * math.log(8.0 * b2 / (lam * delta))
 
@@ -538,7 +545,7 @@ def hessian_concentration_experiment(pop: FinitePopulation, lam: float, n: int |
     experiment is marked skipped (frequencies still reported); n = None runs
     at the smallest n that meets it.
     """
-    _check_run(lam, replicates)
+    _check_run(lam, replicates, delta)
     premise = hessian_premise_n(pop, lam, delta)
     n = _sample_size(n, premise)
     theta, h_lam = pop.theta_star, add_ridge(pop.hessian_at_star, lam)
@@ -559,10 +566,9 @@ def gradient_concentration_experiment(pop: FinitePopulation, lam: float, n: int 
             <= (2 sqrt(3)/k) Bias_lam
                + 2 shift1 sqrt((df_lam v Q*^2) log(2/delta) / n).
 
-    n = None runs at the smallest n that meets the premise. delta must lie in
-    (0, 0.5], where RateParams takes it.
+    n = None runs at the smallest n that meets the premise.
     """
-    _check_run(lam, replicates)
+    _check_run(lam, replicates, delta)
     if k < 4.0:
         raise ContractViolation("the bound requires k >= 4")
     theta_lam = pop.theta_lambda(lam)

@@ -36,7 +36,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ContractViolation, NonConvergenceError
+from .errors import ContractViolation, NonConvergenceError, check_lambda
 from .linalg import chol_factor, chol_solve, radius_from_factor
 from .losses import SampleSet
 
@@ -68,7 +68,7 @@ def _as_weights(weights, m):
     w = np.asarray(weights, dtype=float)
     if w.shape != (m,):
         raise ContractViolation(f"weights have shape {w.shape}, expected ({m},)")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
+    if (w < 0).any() or not np.isfinite(w).all():
         raise ContractViolation("weights must be finite and nonnegative")
     if abs(w.sum() - 1.0) > 1e-9:
         raise ContractViolation("weights must sum to 1")
@@ -95,8 +95,7 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
     decrement alone also occurs on separable data).
     """
     config = config or SolverConfig()
-    if lam < 0:
-        raise ContractViolation("lambda must be nonnegative")
+    check_lambda(lam, "newton_minimize", zero_ok=True)
     w = _as_weights(weights, len(sset))
     quadratic = sset.quadratic
     if hessian is not None:
@@ -113,7 +112,7 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
         g = sset.weighted_grad(w, theta) + lam * theta
         if factor is None or not quadratic:
             h = sset.weighted_hess(w, theta) if hessian is None else np.array(hessian, dtype=float)
-            h[np.diag_indices_from(h)] += lam
+            h.flat[::sset.dim + 1] += lam
             try:
                 factor = chol_factor(h)
             except ContractViolation as exc:
@@ -144,7 +143,6 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
 def solve_erm(sset: SampleSet, weights, lam: float,
               config: SolverConfig | None = None) -> SolveResult:
     """Unique minimizer of sum_i w_i l_{z_i}(theta) + lam/2 ||theta||^2, lam > 0."""
-    if lam <= 0:
-        raise ContractViolation("solve_erm requires lambda > 0")
+    check_lambda(lam, "solve_erm")
     return newton_minimize(sset, weights, lam, config)
 

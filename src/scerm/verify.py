@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scfun
-from .errors import ContractViolation
+from .errors import ContractViolation, check_lambda
 from .linalg import (add_ridge, ball_point, chol_factor, eigmin, gen_eigmax, inv_norm, norm_a,
                      radius_from_factor)
-from .losses import LOSS_KINDS, SampleSet, SoftmaxGLMLoss
+from .losses import LOSS_KINDS, SampleSet, SoftmaxGLMLoss, _check_theta
 from .population import (
     FinitePopulation,
     constants_at,
@@ -61,10 +61,9 @@ def check_hess_control(pop: FinitePopulation, theta0, theta1, lam: float) -> flo
 
     lam = 0 requires H(theta0) positive definite.
     """
+    check_lambda(lam, "check_hess_control", zero_ok=True)
     theta0 = np.asarray(theta0, dtype=float)
     theta1 = np.asarray(theta1, dtype=float)
-    if lam < 0:
-        raise ContractViolation("lambda must be nonnegative")
     h0 = exact_hessian(pop, theta0, lam)
     if lam == 0.0 and eigmin(h0) <= 0.0:
         raise ContractViolation("H(theta0) must be positive definite when lambda = 0")
@@ -75,8 +74,7 @@ def check_hess_control(pop: FinitePopulation, theta0, theta1, lam: float) -> flo
 
 
 def _grad_sides(pop, theta0, theta1, lam):
-    if lam <= 0:
-        raise ContractViolation("gradient checks require lambda > 0")
+    check_lambda(lam, "a gradient check")
     theta0 = np.asarray(theta0, dtype=float)
     theta1 = np.asarray(theta1, dtype=float)
     h0 = exact_hessian(pop, theta0, lam)
@@ -101,8 +99,7 @@ def check_grad_upper(pop: FinitePopulation, theta0, theta1, lam: float) -> float
 
 def check_value_bound(pop: FinitePopulation, theta0, theta1, lam: float) -> float:
     """Margin of the Bregman gap against psi(m) ||theta1-theta0||^2_{H_lam(theta0)}."""
-    if lam < 0:
-        raise ContractViolation("lambda must be nonnegative")
+    check_lambda(lam, "check_value_bound", zero_ok=True)
     theta0 = np.asarray(theta0, dtype=float)
     theta1 = np.asarray(theta1, dtype=float)
     gap = (
@@ -159,20 +156,29 @@ def check_localization(pop: FinitePopulation, theta, lam: float,
     Passing ``weights``, count weights over the population's atoms (such as
     counts / n of a draw), evaluates the empirical variant against the
     empirical minimizer instead, with Varhat in place of the gradient norm.
-    The square loss's seminorm is 0, with neither minimizer solved.
+    The square loss's seminorm is 0, with neither minimizer solved. Its
+    population variant factors nothing: H is the same at every theta, so
+    ||g||_{H_lam^{-1}}^2 = sum_i (u_i . g)^2 / (e_i + lam) over the
+    population's cached eigenpairs, and the radius is inf (no certificate
+    vectors).
     """
-    if lam <= 0:
-        raise ContractViolation("check_localization requires lambda > 0")
-    theta = np.asarray(theta, dtype=float)
+    check_lambda(lam, "check_localization")
+    theta = _check_theta(theta, pop.dim)
     sset = pop.sample_set
-    h_pop = exact_hessian(pop, theta, lam)
-    factor = chol_factor(h_pop)
-    radius = radius_from_factor(factor, sset.certificate_rows)
-    if weights is None:
-        grad_norm = inv_norm(factor, exact_grad(pop, theta, lam))
+    if weights is None and sset.quadratic:
+        eigs, vecs = pop.eigenpairs
+        proj = exact_grad(pop, theta, lam) @ vecs
+        grad_norm = math.sqrt(float(np.sum(proj * proj / (eigs + lam))))
+        radius = math.inf
     else:
-        w = _as_weights(weights, len(sset))
-        grad_norm = _varhat(pop, w, theta, lam, h_pop, factor)
+        h_pop = exact_hessian(pop, theta, lam)
+        factor = chol_factor(h_pop)
+        radius = radius_from_factor(factor, sset.certificate_rows)
+        if weights is None:
+            grad_norm = inv_norm(factor, exact_grad(pop, theta, lam))
+        else:
+            w = _as_weights(weights, len(sset))
+            grad_norm = _varhat(pop, w, theta, lam, h_pop, factor)
     if sset.quadratic:
         seminorm = 0.0
     else:
@@ -211,8 +217,7 @@ def check_decomposition_bound(pop: FinitePopulation, lam: float, weights,
     """Evaluate the decomposition bound for the empirical minimizer theta_hat
     of ``weights``, count weights over the population's atoms (such as
     counts / n of a draw)."""
-    if lam <= 0:
-        raise ContractViolation("check_decomposition_bound requires lambda > 0")
+    check_lambda(lam, "check_decomposition_bound")
     sset = pop.sample_set
     w = _as_weights(weights, len(sset))
     theta_hat = np.asarray(theta_hat, dtype=float)

@@ -33,6 +33,19 @@ def calls():
                 yield path.name, name, node
 
 
+# numpy functions whose Python-level dispatch costs more than the work at the
+# sizes the hot checks see; the array methods (.all(), .any()) and a strided
+# .flat diagonal do the same work without it
+SLOW_NUMPY_CALLS = {"all", "any", "diag_indices_from"}
+
+
+def test_no_slow_numpy_dispatch():
+    offenders = [f"{file}:{node.lineno} np.{name}" for file, name, node in calls()
+                 if name in SLOW_NUMPY_CALLS and isinstance(node.func, ast.Attribute)
+                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"]
+    assert offenders == []
+
+
 # modules that build a population's SampleSet: the axis construction behind
 # both generators and the Sample stacking helper (population.py), and the
 # random populations of the check suite (verify.py); all other code sums over

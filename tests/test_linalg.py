@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from scerm import ContractViolation, NonConvergenceError, SampleSet, SquareLoss
-from scerm.linalg import chol_factor, chol_solve, eigmin, gen_eigmax, inv_quad_rows
+from scerm.linalg import chol_factor, chol_solve, eigh, eigmin, gen_eigmax, inv_quad_rows
 from scerm.solver import newton_minimize
 
 
@@ -30,6 +30,18 @@ def test_lapack_calls_equal_scipy_linalg_bit_for_bit(d):
     assert np.array_equal(inv_quad_rows(factor, rows), np.maximum(quad, 0.0))
     assert gen_eigmax(a, b) == scipy.linalg.eigh(a, b, eigvals_only=True)[-1]
     assert eigmin(a) == scipy.linalg.eigvalsh(a)[0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 256])
+def test_eigh_matches_numpy(d):
+    rng = np.random.default_rng(100 + d)
+    a = spd(rng, d, 1e-3)
+    vals, vecs = eigh(a)
+    ref_vals, _ = np.linalg.eigh(a)
+    scale = np.abs(ref_vals).max()
+    np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(d), rtol=0, atol=1e-12)
+    np.testing.assert_allclose((vecs * vals) @ vecs.T, a, rtol=0, atol=1e-12 * scale)
 
 
 INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])

@@ -184,6 +184,18 @@ def test_lambda_contracts(p1):
             fn(p1, 0.0)
     with pytest.raises(ContractViolation):
         dikin_radius(p1, -1.0)
+    # a NaN passes lam <= 0; on this square population dikin_radius and
+    # t_lambda would answer inf and 0 without reading lambda
+    for lam in (math.nan, math.inf):
+        for fn in (bias_lambda, df_lambda, t_lambda, dikin_radius, constants_at,
+                   FinitePopulation.theta_lambda):
+            with pytest.raises(ContractViolation, match="finite lambda > 0"):
+                fn(p1, lam)
+        for fn in (exact_risk, exact_grad, exact_hessian):
+            with pytest.raises(ContractViolation, match="finite lambda >= 0"):
+                fn(p1, np.zeros(1), lam)
+        with pytest.raises(ContractViolation, match="finite and positive"):
+            compute_diagnostics(p1, [0.5, lam, 0.25])
 
 
 # -- population solutions, each solved once ------------------------------------------

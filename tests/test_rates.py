@@ -242,6 +242,10 @@ def test_plan_validation():
     with pytest.raises(ContractViolation):
         ExperimentPlan(population=pop, regime="none", n_grid=(32, 64), replicates=1,
                        delta=0.1, seed=0, lambdas=(0.1,))
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ContractViolation, match="finite lambda > 0"):
+            ExperimentPlan(population=pop, regime="none", n_grid=(32, 64), replicates=1,
+                           delta=0.1, seed=0, lambdas=(0.1, bad))
     for grid in ((0, 8), (-8, 8)):
         with pytest.raises(ContractViolation, match="positive"):
             ExperimentPlan(population=pop, regime="none", n_grid=grid, replicates=1,
@@ -489,6 +493,17 @@ def test_hessian_concentration_premise_and_skip():
     for bad in (0, -2):
         with pytest.raises(ContractViolation, match="replicates must be >= 1"):
             hessian_concentration_experiment(pop, lam, n=100, replicates=bad, delta=0.1)
+    # delta 1.5 raised a math domain error, and delta 0 a ZeroDivisionError
+    for bad in (1.5, 0.0, -0.1, math.nan):
+        with pytest.raises(ContractViolation, match="delta must lie in"):
+            hessian_concentration_experiment(pop, lam, n=100, replicates=5, delta=bad)
+        with pytest.raises(ContractViolation, match="delta must lie in"):
+            hessian_premise_n(pop, lam, bad)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ContractViolation, match="finite lambda > 0"):
+            hessian_concentration_experiment(pop, bad, n=100, replicates=5, delta=0.1)
+        with pytest.raises(ContractViolation, match="finite lambda > 0"):
+            hessian_premise_n(pop, bad, 0.1)
 
 
 def test_hessian_concentration_reads_the_cached_hessian_at_star(monkeypatch):
@@ -544,3 +559,9 @@ def test_gradient_concentration_k_contract(p1):
     for bad in (0, -2):
         with pytest.raises(ContractViolation, match="replicates must be >= 1"):
             gradient_concentration_experiment(p1, 0.25, n=100, replicates=bad, delta=0.1, k=4.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ContractViolation, match="finite lambda > 0"):
+            gradient_concentration_experiment(p1, bad, n=100, replicates=5, delta=0.1, k=4.0)
+    for bad in (0.0, 0.7, math.nan):
+        with pytest.raises(ContractViolation, match="delta must lie in"):
+            gradient_concentration_experiment(p1, 0.25, n=100, replicates=5, delta=bad, k=4.0)

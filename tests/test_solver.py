@@ -210,6 +210,11 @@ def test_lambda_contract():
     sset = SampleSet(SquareLoss(), [[1.0]], [1.0])
     with pytest.raises(ContractViolation):
         solve_erm(sset, np.array([1.0]), 0.0)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ContractViolation, match="finite lambda > 0"):
+            solve_erm(sset, np.array([1.0]), lam)
+        with pytest.raises(ContractViolation, match="finite lambda >= 0"):
+            solver.newton_minimize(sset, np.array([1.0]), lam)
 
 
 def test_nonconvergence_carries_trace(rng):

@@ -23,10 +23,12 @@ from scerm import (
     solve_erm,
     stack_samples,
 )
-from scerm.linalg import chol_factor
-from scerm.population import exact_hessian, make_logistic_population
+from scerm.linalg import chol_factor, inv_norm
+from scerm.population import (exact_grad, exact_hessian, make_logistic_population,
+                              make_source_population)
 from scerm.rates import _draw
 from scerm.verify import random_population
+from test_rotation import rotated
 
 CHECKS = (check_hess_control, check_grad_lower, check_grad_upper, check_value_bound)
 
@@ -90,10 +92,21 @@ def test_hess_control_lambda_zero_requires_pd(rng):
         check_hess_control(thin, np.zeros(2), np.ones(2), 0.0)
 
 
-def test_grad_checks_require_positive_lambda(p2):
+def test_grad_checks_require_positive_lambda(p1, p2):
     for fn in (check_grad_lower, check_grad_upper):
         with pytest.raises(ContractViolation):
             fn(p2, np.zeros(1), np.ones(1), 0.0)
+    # a NaN lambda passes lam <= 0: check_value_bound returned a NaN margin,
+    # which the suite's margin < -slack does not count
+    for pop in (p1, p2):
+        for lam in (math.nan, math.inf):
+            for fn in CHECKS:
+                with pytest.raises(ContractViolation, match="finite lambda"):
+                    fn(pop, np.zeros(1), np.ones(1), lam)
+            with pytest.raises(ContractViolation, match="finite lambda > 0"):
+                check_localization(pop, np.ones(1), lam)
+            with pytest.raises(ContractViolation, match="finite lambda > 0"):
+                check_decomposition_bound(pop, lam, pop.weights, np.ones(1))
 
 
 def test_randomized_small_suite_no_violations():
@@ -140,6 +153,33 @@ def test_localization_square_antecedent_always_true(rng):
     assert rec.antecedent
     assert rec.seminorm == 0.0
     assert rec.holds
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_source_population(32, 0.5, 1.5, 4),
+    lambda: rotated(make_source_population(32, 0.5, 1.5, 4), seed=1),
+], ids=["source", "rotated-source"])
+def test_square_population_localization_reads_the_eigenpairs(build, monkeypatch):
+    """On a square population the population variant answers from the cached
+    eigenpairs, as the factor path would, and factors nothing."""
+    pop = build()
+    rng = np.random.default_rng(9)
+    cases = []
+    for lam in (1e-3, 0.05, 0.7):
+        theta = pop.theta_star + rng.normal(0.0, 0.1, size=pop.dim)
+        factor = chol_factor(exact_hessian(pop, theta, lam))
+        cases.append((theta, lam, inv_norm(factor, exact_grad(pop, theta, lam))))
+
+    def no_factor(a):
+        raise AssertionError("check_localization factored H + lambda")
+
+    monkeypatch.setattr(scerm.verify, "chol_factor", no_factor)
+    for theta, lam, expect in cases:
+        rec = check_localization(pop, theta, lam)
+        assert rec.gradient_norm == pytest.approx(expect, rel=1e-12, abs=0)
+        assert math.isinf(rec.radius)
+        assert rec.antecedent and rec.consequent and rec.holds
+        assert not rec.empirical
 
 
 def test_localization_empirical_variant(p2, rng):
