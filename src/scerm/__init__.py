@@ -32,6 +32,7 @@ from .population import (
     exact_grad,
     exact_hessian,
     exact_risk,
+    excess_risk,
     make_logistic_population,
     make_source_population,
     stack_samples,

@@ -422,7 +422,12 @@ class SampleSet:
     |f'| ||x|| and Hessian trace f'' ||x||^2, and ``grad_moments`` sums
     w f'^2 per row. So no scalar sum builds the (m, d) gradient matrix
     ``grads``, which the GLM's gradient sums read. Every weighted Hessian is
-    one SYRK product (``weighted_hess``).
+    one SYRK product (``weighted_hess``). A scalar loss also gives its
+    weighted gradient and Hessian as per-row coefficients (``grad_coefs``,
+    ``hess_coefs``), which, with the rows' (k, k) Gram matrix ``row_gram``
+    (computed on first use, as big as one Hessian when k = d), are what a
+    square-loss solve over at most d rows reads in place of a (d, d) Hessian
+    (``solver.newton_minimize``).
     """
 
     def __init__(self, loss: LossModel, features, labels):
@@ -481,12 +486,25 @@ class SampleSet:
         return float(weights @ self.values(theta))
 
     def weighted_grad(self, weights, theta) -> np.ndarray:
-        loss = self.loss
-        theta = _check_theta(theta, self.dim)
-        if not loss.is_glm:
-            fp = np.asarray(loss._fp(self._margins(theta), self.labels), dtype=float)
-            return np.bincount(self.row_of, weights * fp * self.row_sign) @ self.rows
+        if not self.loss.is_glm:
+            return self.grad_coefs(weights, theta) @ self.rows
         return weights @ self.grads(theta)
+
+    def grad_coefs(self, weights, theta) -> np.ndarray:
+        """A scalar loss's weighted gradient as per-row coefficients, shape
+        (k,): the sums of w f' times the atoms' signs over each row, so that
+        the weighted gradient is grad_coefs @ rows."""
+        theta = _check_theta(theta, self.dim)
+        fp = np.asarray(self.loss._fp(self._margins(theta), self.labels), dtype=float)
+        return np.bincount(self.row_of, weights * fp * self.row_sign)
+
+    def hess_coefs(self, weights, theta) -> np.ndarray:
+        """A scalar loss's weighted Hessian as per-row coefficients, shape
+        (k,): the sums of w f'' over each row, so that the weighted Hessian
+        is rows^T diag(hess_coefs) rows."""
+        theta = _check_theta(theta, self.dim)
+        fpp = np.asarray(self.loss._fpp(self._margins(theta), self.labels), dtype=float)
+        return np.bincount(self.row_of, weights * fpp)
 
     def weighted_hess(self, weights, theta) -> np.ndarray:
         """Weighted sum of the per-sample Hessians, shape (d, d).
@@ -499,16 +517,13 @@ class SampleSet:
         are too. A row of coefficient 0 adds exactly 0 and is left out, so a
         draw's counts / n weights cost only the rows it drew.
         """
-        loss = self.loss
-        theta = _check_theta(theta, self.dim)
         weights = np.asarray(weights, dtype=float)
         if (weights < 0).any():
             raise ContractViolation("Hessian weights must be nonnegative")
-        if not loss.is_glm:
-            fpp = np.asarray(loss._fpp(self._margins(theta), self.labels), dtype=float)
-            coef, rows = np.bincount(self.row_of, weights * fpp), self.rows
+        if not self.loss.is_glm:
+            coef, rows = self.hess_coefs(weights, theta), self.rows
         else:
-            p, centered = self._glm_centered(theta)
+            p, centered = self._glm_centered(_check_theta(theta, self.dim))
             coef, rows = (weights[:, None] * p).ravel(), centered.reshape(-1, self.dim)
         kept = coef.nonzero()[0]
         if kept.size < len(rows):
@@ -552,6 +567,15 @@ class SampleSet:
     def row_sqnorms(self) -> np.ndarray:
         """Squared norms of ``rows``, shape (k,), read-only."""
         return _readonly(np.einsum("kd,kd->k", self.rows, self.rows))
+
+    @cached_property
+    def row_gram(self) -> np.ndarray:
+        """The Gram matrix rows rows^T of the rows, shape (k, k), read-only,
+        built on first use: a square-loss solve over at most d rows reads it
+        in place of a (d, d) Hessian (``solver.newton_minimize``)."""
+        gram = self.rows @ self.rows.T
+        gram.setflags(write=False)
+        return gram
 
     @property
     def quadratic(self) -> bool:

@@ -58,6 +58,7 @@ __all__ = [
     "ExponentFit",
     "ConstructionMeta",
     "exact_risk",
+    "excess_risk",
     "exact_grad",
     "exact_hessian",
     "bias_lambda",
@@ -93,8 +94,8 @@ class ConstructionMeta:
 @dataclass(frozen=True)
 class FinitePopulation:
     """Finitely supported distribution: a ``SampleSet`` of atoms and their
-    strictly positive weights. theta*, H(theta*), its eigenpairs and spectrum
-    and each theta*_lambda are computed on first use and kept."""
+    strictly positive weights. theta*, L(theta*), H(theta*), its eigenpairs
+    and spectrum and each theta*_lambda are computed on first use and kept."""
 
     sample_set: SampleSet
     weights: np.ndarray
@@ -117,6 +118,12 @@ class FinitePopulation:
         """Minimizer theta* of the unregularized risk (a failed solve raises
         and is not cached)."""
         return _minimize_population(self, 0.0)
+
+    @cached_property
+    def risk_at_star(self) -> float:
+        """The unregularized risk L(theta*), which ``excess_risk`` subtracts
+        for a loss that is not quadratic."""
+        return exact_risk(self, self.theta_star)
 
     @cached_property
     def hessian_at_star(self) -> np.ndarray:
@@ -182,6 +189,18 @@ def exact_risk(pop: FinitePopulation, theta, lam: float = 0.0) -> float:
     check_lambda(lam, "exact_risk", zero_ok=True)
     theta = np.asarray(theta, dtype=float)
     return pop.sample_set.weighted_value(pop.weights, theta) + 0.5 * lam * float(theta @ theta)
+
+
+def excess_risk(pop: FinitePopulation, theta) -> float:
+    """Excess risk L(theta) - L(theta*). For a quadratic loss it is the
+    quadratic form (theta - theta*)^T H (theta - theta*) / 2, which keeps its
+    relative precision however small it is; otherwise the difference of the
+    two exact risks, which loses what they share of their digits."""
+    theta = _check_theta(theta, pop.dim)
+    if pop.sample_set.quadratic:
+        delta = theta - pop.theta_star
+        return 0.5 * float(delta @ pop.hessian_at_star @ delta)
+    return exact_risk(pop, theta) - pop.risk_at_star
 
 
 def exact_grad(pop: FinitePopulation, theta, lam: float = 0.0) -> np.ndarray:

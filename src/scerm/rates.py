@@ -40,7 +40,7 @@ from .population import (
     _loglog_fit,
     constants_at,
     exact_hessian,
-    exact_risk,
+    excess_risk,
     pointwise_bounds,
     sup_norm_certificate,
 )
@@ -391,7 +391,6 @@ def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
     out n-major, whatever order the workers finish in.
     """
     pop = plan.population
-    risk_star = exact_risk(pop, pop.theta_star, 0.0)
     params = RateParams.of(pop, plan.delta)
     # each distinct lambda's population context, shared by every n it serves
     consts = {lam: constants_at(pop, lam=lam) for lam in set(plan.lambdas)}
@@ -420,7 +419,7 @@ def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
     for n_index, replicate, cell_seed, theta_hat in raw:
         seeds[n_index, replicate] = cell_seed
         if theta_hat is not None:
-            excess[n_index, replicate] = exact_risk(pop, theta_hat, 0.0) - risk_star
+            excess[n_index, replicate] = excess_risk(pop, theta_hat)
     solved = ~np.isnan(excess)
 
     cells = tuple(

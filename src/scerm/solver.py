@@ -19,13 +19,22 @@ no line search.
 On quadratic objectives (square loss) mu = 0 and the first full step is exact,
 so the solver stops after one iteration. A loss whose certificate set is {0}
 (``SampleSet.quadratic``) has a vanishing third derivative, so its Hessian is
-the same at every theta: the solver builds and factors H + lambda I once and
-reuses the factor to certify the decrement.
+the same at every theta: the solver factors one Newton system once and
+reuses the factor to certify the decrement. Which system depends on the
+input:
 
-For such a loss the caller may pass that Hessian sum_i w_i H_i itself, as
-``newton_minimize(..., hessian=H)``; a population keeps its H and hands it to
-each of its solves, while draw solves, whose weights change every time, let
-the solver build theirs.
+- Over at most d distinct rows (``len(sset.rows) <= sset.dim``), at
+  lambda > 0 and with no ``hessian=``, the solve runs in the span of the rows
+  K of nonzero Hessian coefficient c_K, where the minimizer lies (the
+  representer theorem): theta = R_K^T beta, and the system is the k x k
+  M = G_KK + diag(lambda / c_K), with G_KK a block of the row Gram
+  ``SampleSet.row_gram``, in place of the (d, d) H + lambda I. It is the
+  coefficient form of kernel ridge regression; the Woodbury identity's
+  difference form (g - R_K^T M^{-1} R_K g) / lambda would lose digits as
+  lambda shrinks.
+- Otherwise the solver builds H + lambda I and factors it. The caller may
+  pass H = sum_i w_i H_i itself, as ``newton_minimize(..., hessian=H)``; a
+  population keeps its H and hands it to each of its solves.
 """
 
 from __future__ import annotations
@@ -75,6 +84,36 @@ def _as_weights(weights, m):
     return w
 
 
+def _factor(a: np.ndarray, lam: float, trace: list) -> np.ndarray:
+    try:
+        return chol_factor(a)
+    except ContractViolation as exc:
+        raise NonConvergenceError(
+            f"regularized Hessian not positive definite (lambda={lam}): {exc}", trace
+        ) from exc
+
+
+def _decrement(sq: float, lam: float, trace: list) -> float:
+    """The decrement sqrt(g . (H + lam I)^{-1} g) of one Newton system, given
+    that quadratic form, appended to the trace."""
+    if not math.isfinite(sq):  # checked before the clip: max(0.0, nan) is 0.0
+        raise NonConvergenceError(f"Newton system is not finite (lambda={lam})", trace)
+    dec = float(np.sqrt(max(0.0, sq)))
+    trace.append(dec)
+    return dec
+
+
+def _result(theta: np.ndarray, trace: list) -> SolveResult:
+    theta.setflags(write=False)
+    return SolveResult(theta, tuple(trace), len(trace) - 1)
+
+
+def _exhausted(config: SolverConfig, trace: list) -> NonConvergenceError:
+    return NonConvergenceError(
+        f"no convergence to decrement {config.tol} within {config.max_iter} iterations", trace
+    )
+
+
 # an overflowing sum is not warned about: the solver rejects a non-finite
 # Hessian factor or Newton system itself
 @np.errstate(over="ignore", invalid="ignore")
@@ -88,7 +127,9 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
     quadratic ``sset``, is the (d, d) weighted Hessian of these weights and is
     used in place of building it; it is not written to. Each step's decrease
     is certified by the value bound (see the module docstring), so no
-    objective value is computed. Raises NonConvergenceError, carrying the
+    objective value is computed. A quadratic solve at lam > 0 without
+    ``hessian`` over at most d distinct rows runs in the span of its rows
+    (see the module docstring). Raises NonConvergenceError, carrying the
     decrement trace, on iteration exhaustion, a regularized Hessian that is
     not positive definite, a gradient or Newton step that is not finite, or
     at lam = 0 a final decrement above half the Dikin radius (a small
@@ -104,6 +145,8 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
         if np.shape(hessian) != (sset.dim, sset.dim):
             raise ContractViolation(
                 f"hessian has shape {np.shape(hessian)}, expected ({sset.dim}, {sset.dim})")
+    elif quadratic and lam > 0.0 and len(sset.rows) <= sset.dim:
+        return _row_span_minimize(sset, w, lam, config)
     theta = np.zeros(sset.dim)
     trace: list[float] = []
     # a quadratic loss has one Hessian, built (or given) and factored once
@@ -113,31 +156,49 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
         if factor is None or not quadratic:
             h = sset.weighted_hess(w, theta) if hessian is None else np.array(hessian, dtype=float)
             h.flat[::sset.dim + 1] += lam
-            try:
-                factor = chol_factor(h)
-            except ContractViolation as exc:
-                raise NonConvergenceError(
-                    f"regularized Hessian not positive definite (lambda={lam}): {exc}", trace
-                ) from exc
+            factor = _factor(h, lam, trace)
         step = -chol_solve(factor, g)
-        sq = -float(g @ step)
-        if not math.isfinite(sq):  # checked before the clip: max(0.0, nan) is 0.0
-            raise NonConvergenceError(f"Newton system is not finite (lambda={lam})", trace)
-        dec = float(np.sqrt(max(0.0, sq)))
-        trace.append(dec)
+        dec = _decrement(-float(g @ step), lam, trace)
         if dec <= config.tol:
             # the localization lemma's proof that a lam = 0 minimum is attained
             if lam == 0.0 and dec > radius_from_factor(factor, sset.certificate_rows) / 2.0:
                 raise NonConvergenceError(
                     f"population minimum not attained: decrement {dec:.3e} exceeds half "
                     f"the Dikin radius at lambda=0", trace)
-            theta.setflags(write=False)
-            return SolveResult(theta, tuple(trace), len(trace) - 1)
+            return _result(theta, trace)
         mu = sset.seminorm(step)
         theta = theta + (step if mu <= 1.0 else math.log1p(mu) / mu * step)
-    raise NonConvergenceError(
-        f"no convergence to decrement {config.tol} within {config.max_iter} iterations", trace
-    )
+    raise _exhausted(config, trace)
+
+
+def _row_span_minimize(sset: SampleSet, w: np.ndarray, lam: float,
+                       config: SolverConfig) -> SolveResult:
+    """newton_minimize of a quadratic loss at lam > 0 in the coefficients beta
+    of theta = R^T beta over the rows, nonzero only on the rows K of nonzero
+    Hessian coefficient c_K. With v = gamma + lam beta, gamma the gradient's
+    row coefficients, the gradient is g = R^T v and the Newton step is
+    beta_K <- beta_K - s with s = M^{-1}(v_K / c_K) and M = G_KK + diag(lam / c_K)
+    from the row Gram G. The squared decrement is g . R_K^T s, which equals
+    v_K . G_KK s without a second copy of G_KK."""
+    coef = sset.hess_coefs(w, np.zeros(sset.dim))
+    kept = coef.nonzero()[0]
+    c = coef.take(kept)
+    # one gather through flat indices: take(kept, 0).take(kept, 1) would
+    # first copy k full rows of G, a transient that raised the peak RSS
+    system = sset.row_gram.reshape(-1).take((kept * len(sset.rows))[:, None] + kept)
+    system.flat[::len(kept) + 1] += lam / c
+    trace: list[float] = []
+    factor = _factor(system, lam, trace)
+    beta, step = np.zeros(len(sset.rows)), np.zeros(len(sset.rows))
+    theta = np.zeros(sset.dim)
+    for _ in range(config.max_iter):
+        v = sset.grad_coefs(w, theta) + lam * beta
+        step[kept] = chol_solve(factor, v.take(kept) / c)
+        if _decrement(float((v @ sset.rows) @ (step @ sset.rows)), lam, trace) <= config.tol:
+            return _result(theta, trace)
+        beta = beta - step
+        theta = beta @ sset.rows
+    raise _exhausted(config, trace)
 
 
 def solve_erm(sset: SampleSet, weights, lam: float,

@@ -31,6 +31,7 @@ from .population import (
     exact_grad,
     exact_hessian,
     exact_risk,
+    excess_risk,
 )
 from .solver import _as_weights, newton_minimize
 
@@ -229,7 +230,7 @@ def check_decomposition_bound(pop: FinitePopulation, lam: float, weights,
     applicable = varhat <= guard_radius / 2.0
 
     consts = constants_at(pop, lam=lam)
-    lhs = exact_risk(pop, theta_hat, 0.0) - exact_risk(pop, pop.theta_star, 0.0)
+    lhs = excess_risk(pop, theta_hat)
     rhs = consts.k_bias * consts.bias**2 + consts.k_var * varhat**2
     return DecompositionRecord(
         applicable=applicable,

@@ -13,6 +13,7 @@ from scerm import (
     FinitePopulation,
     LogisticLoss,
     NonConvergenceError,
+    RateParams,
     Sample,
     SampleSet,
     SoftmaxGLMLoss,
@@ -31,7 +32,9 @@ from scerm import (
     exact_grad,
     exact_hessian,
     exact_risk,
+    excess_risk,
     gradient_concentration_experiment,
+    lambda_schedule,
     make_logistic_population,
     make_source_population,
     solve_erm,
@@ -41,6 +44,7 @@ from scerm import (
 from scerm.linalg import chol_factor, radius_from_factor
 from scerm.losses import _sigmoid, sup_constants
 from scerm.population import pointwise_bounds, sup_norm_certificate
+from scerm.rates import _draw
 from scerm.scfun import LOG2
 from test_rotation import rotated
 
@@ -67,6 +71,31 @@ def well_specified_logistic(rng, d=3, n_x=6, scale=1.0):
 
 def test_p1_exact_risk(p1):
     assert exact_risk(p1, np.zeros(1), 0.0) == pytest.approx(1.0, abs=0)
+
+
+def test_excess_risk_reads_both_forms(p1, p2):
+    # square: L(t) - L(1) = (t - 1)^2 / 2 on p1
+    assert excess_risk(p1, np.array([3.0])) == 2.0
+    # logistic: the difference of the two exact risks
+    theta = np.array([0.3])
+    assert excess_risk(p2, theta) == exact_risk(p2, theta) - exact_risk(p2, p2.theta_star)
+
+
+def test_square_excess_risk_keeps_its_precision_at_large_n():
+    """On case (c) draws at the corollary's lambda, the excess risk matches a
+    per-atom fsum oracle where the difference of two O(1) risks loses it."""
+    pop = make_source_population(64, 0.5, 2.0, 101)
+    sset, params = pop.sample_set, RateParams.of(pop, 0.1)
+    residual = sset.labels - sset.features @ pop.theta_star
+    for k in (28, 40, 50):
+        lam = lambda_schedule("source_capacity", 2**k, params).value
+        w, _ = _draw(pop, 2**k, 0, 0, 0)
+        theta = solve_erm(sset, w, lam).theta_hat
+        a = sset.features @ (theta - pop.theta_star)
+        oracle = math.fsum(pop.weights * (0.5 * a * a - residual * a))
+        assert excess_risk(pop, theta) == pytest.approx(oracle, rel=1e-8, abs=0)
+    difference = exact_risk(pop, theta) - exact_risk(pop, pop.theta_star)
+    assert difference != pytest.approx(oracle, rel=1e-8, abs=0)
 
 
 def test_p1_exact_hessian(p1):

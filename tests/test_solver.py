@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -13,10 +14,13 @@ from scerm import (
     SolverConfig,
     SquareLoss,
     make_logistic_population,
+    make_source_population,
     solve_erm,
     stack_samples,
 )
 from scerm import solver
+from scerm.rates import _draw
+from test_rotation import rotated
 
 
 def ridge_instance(rng, d, n):
@@ -33,29 +37,75 @@ def ridge_closed_form(x, y, w, lam):
     return np.linalg.solve(a, x.T @ (w * y))
 
 
-def test_square_converges_in_one_step(rng, monkeypatch):
-    sset, w, x, y = ridge_instance(rng, 5, 40)
-    calls = {"weighted_hess": 0, "chol_factor": 0}
+def counting(monkeypatch):
+    """Count weighted_hess calls and record the shape of every matrix the
+    solver factors."""
+    calls = {"weighted_hess": 0, "factored": []}
+    build, factor = SampleSet.weighted_hess, solver.chol_factor
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_build(*args, **kwargs):
+        calls["weighted_hess"] += 1
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(SampleSet, "weighted_hess", counted("weighted_hess", SampleSet.weighted_hess))
-    monkeypatch.setattr(solver, "chol_factor", counted("chol_factor", solver.chol_factor))
+    def recorded_factor(a):
+        calls["factored"].append(a.shape)
+        return factor(a)
+
+    monkeypatch.setattr(SampleSet, "weighted_hess", counted_build)
+    monkeypatch.setattr(solver, "chol_factor", recorded_factor)
+    return calls
+
+
+# 40 rows in d=5 take the primal path, which builds and factors the (5, 5)
+# Hessian; 6 rows in d=8 take the row-span path, which factors a (6, 6)
+# system and builds no Hessian
+@pytest.mark.parametrize("d, n, builds, factored", [(5, 40, 1, (5, 5)), (8, 6, 0, (6, 6))],
+                         ids=["primal", "row-span"])
+def test_square_converges_in_one_step(rng, monkeypatch, d, n, builds, factored):
+    sset, w, x, y = ridge_instance(rng, d, n)
+    calls = counting(monkeypatch)
     res = solve_erm(sset, w, 0.1)
-    # the constant Hessian is built and factored once, for both iterations
-    assert calls == {"weighted_hess": 1, "chol_factor": 1}
+    # the constant Hessian, or the row-span system, is factored once for both iterations
+    assert calls == {"weighted_hess": builds, "factored": [factored]}
     assert res.iterations == 1
     assert len(res.decrement_trace) == 2
     assert res.decrement_trace[1] <= 1e-10
+    assert not res.theta_hat.flags.writeable
     # each decrement is sqrt(g^T (H + lambda I)^{-1} g) at its iterate
-    h = (x.T * w) @ x + 0.1 * np.eye(5)
-    for dec, theta in zip(res.decrement_trace, (np.zeros(5), res.theta_hat)):
+    h = (x.T * w) @ x + 0.1 * np.eye(d)
+    for dec, theta in zip(res.decrement_trace, (np.zeros(d), res.theta_hat)):
         g = x.T @ (w * (x @ theta - y)) + 0.1 * theta
         assert dec == pytest.approx(math.sqrt(g @ np.linalg.solve(h, g)), rel=1e-12, abs=1e-14)
+
+
+def test_row_span_path_is_chosen_by_the_input(rng, monkeypatch):
+    # 6 rows in d=8: lambda = 0 and a given Hessian keep the primal path
+    sset, w, x, y = ridge_instance(rng, 8, 6)
+    h = sset.weighted_hess(w, np.zeros(8))
+    calls = counting(monkeypatch)
+    res = solver.newton_minimize(sset, w, 0.1, hessian=h)
+    assert calls == {"weighted_hess": 0, "factored": [(8, 8)]}
+    np.testing.assert_allclose(res.theta_hat, ridge_closed_form(x, y, w, 0.1), atol=1e-10)
+    # rows with a zero last coordinate have a singular Hessian, so the
+    # lambda = 0 solve fails
+    x[:, -1] = 0.0
+    with pytest.raises(NonConvergenceError, match="not positive definite") as err:
+        solver.newton_minimize(SampleSet(SquareLoss(), x, y), w, 0.0)
+    assert err.value.trace == ()
+    assert calls == {"weighted_hess": 1, "factored": [(8, 8), (8, 8)]}
+    # 8 rows in d=8 have a nonsingular Hessian: the lambda = 0 solve is primal
+    sset, w, x, y = ridge_instance(rng, 8, 8)
+    res = solver.newton_minimize(sset, w, 0.0)
+    assert calls == {"weighted_hess": 2, "factored": [(8, 8)] * 3}
+    np.testing.assert_allclose(res.theta_hat, ridge_closed_form(x, y, w, 0.0), rtol=1e-8)
+    # rows of weight 0 leave the row-span system, and a repeated or negated
+    # row is one row
+    x = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [-1.0, -2.0, 0.0], [3.0, 0.0, 1.0]])
+    y = np.array([1.0, -1.0, 0.5, 2.0])
+    w = np.array([0.25, 0.0, 0.25, 0.5])
+    res = solve_erm(SampleSet(SquareLoss(), x, y), w, 0.1)
+    assert calls["factored"][-1] == (2, 2)
+    np.testing.assert_allclose(res.theta_hat, ridge_closed_form(x, y, w, 0.1), atol=1e-12)
 
 
 def test_given_hessian_replaces_the_build(rng, monkeypatch):
@@ -79,14 +129,66 @@ def test_given_hessian_contract(rng):
 
 
 def test_matches_ridge_closed_form(rng):
-    for _ in range(20):
+    # n > d takes the primal path and n <= d the row-span path
+    for i in range(30):
         d = int(rng.integers(1, 12))
-        n = int(rng.integers(d + 1, 60))
+        n = int(rng.integers(d + 1, 60)) if i % 3 else int(rng.integers(1, d + 1))
         sset, w, x, y = ridge_instance(rng, d, n)
         lam = float(np.exp(rng.uniform(np.log(1e-3), 0.0)))
         res = solve_erm(sset, w, lam)
         expect = ridge_closed_form(x, y, w, lam)
         assert np.linalg.norm(res.theta_hat - expect) <= 1e-8 * max(1.0, np.linalg.norm(expect))
+
+
+def normal_residual(sset, w, lam, theta):
+    """Relative residual ||(H + lam I) theta - b|| / ||b|| of the normal
+    equations, with H and b = -grad(0) built on the primal side."""
+    zero = np.zeros(sset.dim)
+    b = -sset.weighted_grad(w, zero)
+    h = sset.weighted_hess(w, zero)
+    return np.linalg.norm(h @ theta + lam * theta - b) / np.linalg.norm(b)
+
+
+def woodbury_solve(sset, w, lam):
+    """theta = -(g - R^T M^{-1} R g) / lam with M = R R^T + diag(lam / c), the
+    Woodbury identity's difference form of the same row-span solve."""
+    c = sset.hess_coefs(w, np.zeros(sset.dim))
+    kept = c.nonzero()[0]
+    rows, g = sset.rows[kept], sset.weighted_grad(w, np.zeros(sset.dim))
+    return -(g - rows.T @ np.linalg.solve(rows @ rows.T + np.diag(lam / c[kept]), rows @ g)) / lam
+
+
+@functools.cache
+def case_b():
+    return make_source_population(256, 0.5, 1.0, 102)
+
+
+def span_support(name):
+    if name.startswith("b-draw-"):
+        pop = case_b()
+        return pop.sample_set, _draw(pop, int(name[7:]), 0, 0, 0)[0]
+    if name == "b-rotated":
+        pop = rotated(case_b(), seed=0)
+        return pop.sample_set, pop.weights
+    # 200 dense rows in d=256 with row scales from 1 down to 1e-4
+    rng = np.random.default_rng(5)
+    x = np.logspace(0, -4, 200)[:, None] * rng.standard_normal((200, 256))
+    return SampleSet(SquareLoss(), x, rng.standard_normal(200)), np.full(200, 1 / 200)
+
+
+@pytest.mark.parametrize("name", ["b-draw-128", "b-draw-8192", "b-rotated", "dense"])
+def test_row_span_solve_is_as_accurate_as_the_primal(name):
+    sset, w = span_support(name)
+    assert len(sset.rows) <= sset.dim
+    h = sset.weighted_hess(w, np.zeros(sset.dim))
+    for lam in (0.06, 1e-3, 1e-6, 1e-9):
+        primal = solver.newton_minimize(sset, w, lam, hessian=h).theta_hat
+        span = solver.newton_minimize(sset, w, lam).theta_hat
+        bound = 10.0 * max(normal_residual(sset, w, lam, primal), np.finfo(float).eps)
+        assert normal_residual(sset, w, lam, span) <= bound
+        if lam == 1e-9:
+            # the difference form cancels two terms of size ||g|| / lam
+            assert normal_residual(sset, w, lam, woodbury_solve(sset, w, lam)) > bound
 
 
 def test_decrement_single_sample_example():
