@@ -427,7 +427,8 @@ class SampleSet:
     ``hess_coefs``), which, with the rows' (k, k) Gram matrix ``row_gram``
     (computed on first use, as big as one Hessian when k = d), are what a
     square-loss solve over at most d rows reads in place of a (d, d) Hessian
-    (``solver.newton_minimize``).
+    (``solver.newton_minimize``); ``rows_orthogonal``, read off that Gram
+    once, tells the solve that its system is diagonal.
     """
 
     def __init__(self, loss: LossModel, features, labels):
@@ -576,6 +577,16 @@ class SampleSet:
         gram = self.rows @ self.rows.T
         gram.setflags(write=False)
         return gram
+
+    @cached_property
+    def rows_orthogonal(self) -> bool:
+        """True when the rows are mutually orthogonal, every off-diagonal
+        entry of ``row_gram`` exactly 0, read from one scan on first use:
+        then every square-loss row-span system is diagonal
+        (``solver.newton_minimize``). Axis-aligned rows have it, and so do
+        dense rows such as a Hadamard design's."""
+        gram = self.row_gram
+        return np.count_nonzero(gram) == np.count_nonzero(np.diagonal(gram))
 
     @property
     def quadratic(self) -> bool:

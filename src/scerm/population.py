@@ -140,7 +140,9 @@ class FinitePopulation:
     def eigenpairs(self) -> tuple:
         """The eigenvalues e_i of ``hessian_at_star``, clipped at 0, and its
         eigenvectors u_i as columns, both read-only: one eigensolve per
-        population."""
+        population, in closed form without LAPACK when H is exactly diagonal
+        (axis-aligned atoms, as both generators build), with tied
+        eigenvalues in ascending index order (``linalg.eigh``)."""
         eigs, vecs = eigh(self.hessian_at_star)
         eigs = np.maximum(eigs, 0.0)
         eigs.setflags(write=False)

@@ -31,7 +31,11 @@ input:
   ``SampleSet.row_gram``, in place of the (d, d) H + lambda I. It is the
   coefficient form of kernel ridge regression; the Woodbury identity's
   difference form (g - R_K^T M^{-1} R_K g) / lambda would lose digits as
-  lambda shrinks.
+  lambda shrinks. When the rows are mutually orthogonal
+  (``SampleSet.rows_orthogonal``: axis-aligned rows, as both generators
+  draw, or dense ones such as a Hadamard design's), M is diagonal and its
+  factor is the square root of its diagonal (``linalg.diag_chol_factor``),
+  with no gather of G_KK and no dpotrf.
 - Otherwise the solver builds H + lambda I and factors it. The caller may
   pass H = sum_i w_i H_i itself, as ``newton_minimize(..., hessian=H)``; a
   population keeps its H and hands it to each of its solves.
@@ -46,7 +50,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ContractViolation, NonConvergenceError, check_lambda
-from .linalg import chol_factor, chol_solve, radius_from_factor
+from .linalg import chol_factor, chol_solve, diag_chol_factor, radius_from_factor
 from .losses import SampleSet
 
 __all__ = ["SolverConfig", "SolveResult", "solve_erm", "newton_minimize"]
@@ -84,9 +88,10 @@ def _as_weights(weights, m):
     return w
 
 
-def _factor(a: np.ndarray, lam: float, trace: list) -> np.ndarray:
+def _factor(factorize, a: np.ndarray, lam: float, trace: list) -> np.ndarray:
+    """factorize(a), with a failure raised as NonConvergenceError."""
     try:
-        return chol_factor(a)
+        return factorize(a)
     except ContractViolation as exc:
         raise NonConvergenceError(
             f"regularized Hessian not positive definite (lambda={lam}): {exc}", trace
@@ -128,12 +133,13 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
     used in place of building it; it is not written to. Each step's decrease
     is certified by the value bound (see the module docstring), so no
     objective value is computed. A quadratic solve at lam > 0 without
-    ``hessian`` over at most d distinct rows runs in the span of its rows
-    (see the module docstring). Raises NonConvergenceError, carrying the
-    decrement trace, on iteration exhaustion, a regularized Hessian that is
-    not positive definite, a gradient or Newton step that is not finite, or
-    at lam = 0 a final decrement above half the Dikin radius (a small
-    decrement alone also occurs on separable data).
+    ``hessian`` over at most d distinct rows runs in the span of its rows,
+    and factors its system as a diagonal when those rows are mutually
+    orthogonal (see the module docstring). Raises NonConvergenceError,
+    carrying the decrement trace, on iteration exhaustion, a regularized
+    Hessian that is not positive definite, a gradient or Newton step that is
+    not finite, or at lam = 0 a final decrement above half the Dikin radius
+    (a small decrement alone also occurs on separable data).
     """
     config = config or SolverConfig()
     check_lambda(lam, "newton_minimize", zero_ok=True)
@@ -156,7 +162,7 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
         if factor is None or not quadratic:
             h = sset.weighted_hess(w, theta) if hessian is None else np.array(hessian, dtype=float)
             h.flat[::sset.dim + 1] += lam
-            factor = _factor(h, lam, trace)
+            factor = _factor(chol_factor, h, lam, trace)
         step = -chol_solve(factor, g)
         dec = _decrement(-float(g @ step), lam, trace)
         if dec <= config.tol:
@@ -178,17 +184,23 @@ def _row_span_minimize(sset: SampleSet, w: np.ndarray, lam: float,
     Hessian coefficient c_K. With v = gamma + lam beta, gamma the gradient's
     row coefficients, the gradient is g = R^T v and the Newton step is
     beta_K <- beta_K - s with s = M^{-1}(v_K / c_K) and M = G_KK + diag(lam / c_K)
-    from the row Gram G. The squared decrement is g . R_K^T s, which equals
-    v_K . G_KK s without a second copy of G_KK."""
+    from the row Gram G, factored as a diagonal over orthogonal rows. The
+    squared decrement is g . R_K^T s, which equals v_K . G_KK s without a
+    second copy of G_KK."""
     coef = sset.hess_coefs(w, np.zeros(sset.dim))
     kept = coef.nonzero()[0]
     c = coef.take(kept)
-    # one gather through flat indices: take(kept, 0).take(kept, 1) would
-    # first copy k full rows of G, a transient that raised the peak RSS
-    system = sset.row_gram.reshape(-1).take((kept * len(sset.rows))[:, None] + kept)
-    system.flat[::len(kept) + 1] += lam / c
     trace: list[float] = []
-    factor = _factor(system, lam, trace)
+    if sset.rows_orthogonal:
+        # G_KK is diagonal, so M is too: its factor is its square-root diagonal
+        factor = _factor(diag_chol_factor, np.diagonal(sset.row_gram).take(kept) + lam / c,
+                         lam, trace)
+    else:
+        # one gather through flat indices: take(kept, 0).take(kept, 1) would
+        # first copy k full rows of G, a transient that raised the peak RSS
+        system = sset.row_gram.reshape(-1).take((kept * len(sset.rows))[:, None] + kept)
+        system.flat[::len(kept) + 1] += lam / c
+        factor = _factor(chol_factor, system, lam, trace)
     beta, step = np.zeros(len(sset.rows)), np.zeros(len(sset.rows))
     theta = np.zeros(sset.dim)
     for _ in range(config.max_iter):

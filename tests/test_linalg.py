@@ -7,7 +7,9 @@ import pytest
 import scipy.linalg
 
 from scerm import ContractViolation, NonConvergenceError, SampleSet, SquareLoss
-from scerm.linalg import chol_factor, chol_solve, eigh, eigmin, gen_eigmax, inv_quad_rows
+from scerm import linalg
+from scerm.linalg import (chol_factor, chol_solve, diag_chol_factor, eigh, eigmin, gen_eigmax,
+                         inv_quad_rows)
 from scerm.solver import newton_minimize
 
 
@@ -42,6 +44,106 @@ def test_eigh_matches_numpy(d):
     np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-12 * scale)
     np.testing.assert_allclose(vecs.T @ vecs, np.eye(d), rtol=0, atol=1e-12)
     np.testing.assert_allclose((vecs * vals) @ vecs.T, a, rtol=0, atol=1e-12 * scale)
+
+
+def tie_free_diagonal(rng, d):
+    """d distinct entries over ten decades of either sign, one of them 0."""
+    diag = rng.standard_normal(d) * 10.0 ** rng.integers(-5, 5, d)
+    diag[rng.integers(d)] = 0.0
+    assert len(np.unique(diag)) == d
+    return diag
+
+
+def lapack_barred(monkeypatch):
+    """Make any call of dsyevr through linalg._syevr fail the test."""
+    def barred(*args):
+        raise AssertionError("dsyevr was called")
+    monkeypatch.setattr(linalg, "_syevr", barred)
+
+
+@pytest.mark.parametrize("d", [1, 3, 16, 256])
+def test_diagonal_eigh_equals_dsyevr_bit_for_bit(d, monkeypatch):
+    a = np.diag(tie_free_diagonal(np.random.default_rng(200 + d), d))
+    ref_vals, ref_vecs = linalg._syevr(a, 1)
+    lapack_barred(monkeypatch)
+    vals, vecs = eigh(a)
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert vecs.tobytes() == ref_vecs.tobytes()
+
+
+def test_two_by_two_diagonal_eigh_is_exact(monkeypatch):
+    # dsyevr solves a 2 x 2 in closed form: its eigenvalues can be up to 2
+    # ulp off and its vectors carry signs, while the diagonal path returns
+    # the diagonal itself
+    a = np.diag([0.01320603, -0.08199186])
+    ref_vals, ref_vecs = linalg._syevr(a, 1)
+    lapack_barred(monkeypatch)
+    vals, vecs = eigh(a)
+    assert vals.tolist() == [-0.08199186, 0.01320603]
+    np.testing.assert_array_max_ulp(vals, ref_vals, maxulp=2)
+    assert np.array_equal(np.abs(ref_vecs), vecs)
+
+
+def test_tied_diagonal_eigh_keeps_ascending_index_order(monkeypatch):
+    lapack_barred(monkeypatch)
+    diag = np.array([2.0, 1.0, 2.0, 0.0, 1.0, 2.0, -0.0])
+    a = np.diag(diag)
+    vals, vecs = eigh(a)
+    assert vals.tolist() == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+    # each column is the identity column of its entry, ties in index order
+    assert np.argmax(vecs, axis=0).tolist() == [3, 6, 1, 4, 0, 2, 5]
+    assert np.array_equal(np.abs(vecs), vecs)
+    assert np.array_equal(a @ vecs, vecs * vals)
+    assert np.array_equal(vecs.T @ vecs, np.eye(len(diag)))
+
+
+def test_eigh_of_a_nondiagonal_or_nonfinite_matrix_calls_dsyevr(monkeypatch):
+    calls, syevr = [], linalg._syevr
+
+    def recorded(a, compute_v):
+        calls.append(a)
+        return syevr(a, compute_v)
+
+    monkeypatch.setattr(linalg, "_syevr", recorded)
+    # one off-diagonal pair of 1e-300 is not diagonal
+    a = np.diag([3.0, 1.0, 2.0])
+    a[0, 2] = a[2, 0] = 1e-300
+    assert eigh(a)[0].tobytes() == syevr(a, 1)[0].tobytes()
+    # an infinite diagonal gets dsyevr's NaN eigenvalues
+    a = np.diag([3.0, np.inf, 2.0])
+    assert np.isnan(eigh(a)[0]).all()
+    assert len(calls) == 2
+    # a NaN diagonal is handed to dsyevr too (which does not return on it,
+    # so it is stubbed here)
+    monkeypatch.setattr(linalg, "_syevr", lambda a, compute_v: calls.append(a) or "dsyevr")
+    assert eigh(np.diag([3.0, np.nan, 2.0])) == "dsyevr"
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 256])
+def test_diag_chol_factor_equals_dpotrf_bit_for_bit(d):
+    diag = np.random.default_rng(300 + d).uniform(1e-6, 1e6, d)
+    factor, ref = diag_chol_factor(diag), chol_factor(np.diag(diag))
+    assert factor.tobytes() == ref.tobytes()
+    # dpotrs reads a Fortran-ordered factor without copying it
+    assert factor.flags.f_contiguous and ref.flags.f_contiguous
+
+
+@pytest.mark.parametrize("diag", [[1.0, 0.0, 2.0], [1.0, -1.0, -2.0], [-0.0], [2.0, -np.inf],
+                                  [1.0, np.inf], [np.inf, -1.0]])
+def test_diag_chol_factor_raises_what_chol_factor_raises(diag):
+    with pytest.raises(ContractViolation) as ref:
+        chol_factor(np.diag(diag))
+    with pytest.raises(ContractViolation) as err:
+        diag_chol_factor(np.array(diag))
+    assert str(err.value) == str(ref.value)
+
+
+def test_diag_chol_factor_reports_a_nan_entry_as_a_leading_minor():
+    # reference LAPACK's dpotrf stops at a NaN pivot; the bundled OpenBLAS
+    # passes it on, and chol_factor reports the NaN factor diagonal instead
+    with pytest.raises(ContractViolation, match="2-th leading minor"):
+        diag_chol_factor(np.array([1.0, np.nan, -1.0]))
 
 
 INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])

@@ -1,9 +1,10 @@
 """Metamorphic check: rotating every feature vector by one orthogonal Q
 rotates theta* with it and leaves every reported quantity unchanged.
 
-Both generators put each atom on a coordinate axis, so H(theta*) is diagonal
-and every certificate row is one-hot. The rotated populations run the same
-code on dense rows and a non-diagonal Hessian.
+Both generators put each atom on a coordinate axis, so H(theta*) is diagonal,
+the rows are mutually orthogonal and every certificate row is one-hot: the
+eigensolve and the square-loss row-span factors take closed forms. The
+rotated populations run dense rows and a non-diagonal Hessian through LAPACK.
 """
 
 import numpy as np

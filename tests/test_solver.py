@@ -191,6 +191,84 @@ def test_row_span_solve_is_as_accurate_as_the_primal(name):
             assert normal_residual(sset, w, lam, woodbury_solve(sset, w, lam)) > bound
 
 
+def recording_factors(monkeypatch):
+    """Record the input and the output of every diag_chol_factor the solver
+    calls, and count its chol_factor calls."""
+    calls = {"chol_factor": 0, "diag": [], "diag_factor": []}
+    factor, diag_factor = solver.chol_factor, solver.diag_chol_factor
+
+    def counted(a):
+        calls["chol_factor"] += 1
+        return factor(a)
+
+    def recorded(diag):
+        calls["diag"].append(diag)
+        calls["diag_factor"].append(diag_factor(diag))
+        return calls["diag_factor"][-1]
+
+    monkeypatch.setattr(solver, "chol_factor", counted)
+    monkeypatch.setattr(solver, "diag_chol_factor", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n", [128, 2048])
+def test_orthogonal_rows_factor_the_gathered_system_bit_for_bit(n, monkeypatch):
+    pop = case_b()
+    sset, lam = pop.sample_set, 0.06 * (n / 128) ** (-1 / 3)
+    assert sset.rows_orthogonal
+    w = _draw(pop, n, 0, 0, 0)[0]
+    calls = recording_factors(monkeypatch)
+    solver.newton_minimize(sset, w, lam)
+    assert calls["chol_factor"] == 0 and len(calls["diag"]) == 1
+    # the dense system the non-orthogonal path gathers, and its dpotrf factor
+    c = sset.hess_coefs(w, np.zeros(sset.dim))
+    kept = c.nonzero()[0]
+    system = sset.row_gram[np.ix_(kept, kept)] + np.diag(lam / c[kept])
+    assert calls["diag"][0].tobytes() == np.diagonal(system).tobytes()
+    assert calls["diag_factor"][0].tobytes() == solver.chol_factor(system).tobytes()
+
+
+def test_orthogonal_dense_rows_take_the_diagonal_path(rng, monkeypatch):
+    # an 8 x 8 Sylvester-Hadamard design: every row dense, exactly orthogonal
+    hadamard = np.array([[1.0]])
+    for _ in range(3):
+        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+    sset = SampleSet(SquareLoss(), hadamard, rng.normal(size=8))
+    assert sset.rows_orthogonal and len(sset.rows) == 8
+    calls = recording_factors(monkeypatch)
+    for _ in range(5):
+        w = rng.uniform(0.2, 1.0, size=8)
+        w /= w.sum()
+        h = sset.weighted_hess(w, np.zeros(8))
+        for lam in (0.3, 1e-3, 1e-6):
+            span = solver.newton_minimize(sset, w, lam).theta_hat
+            primal = solver.newton_minimize(sset, w, lam, hessian=h).theta_hat
+            np.testing.assert_allclose(span, primal, rtol=1e-13, atol=0)
+    # the primal solves factor a dense (8, 8); the row-span ones its diagonal
+    assert calls["chol_factor"] == 15 and len(calls["diag"]) == 15
+
+
+def test_rows_orthogonal_reads_the_row_gram():
+    assert not rotated(case_b(), seed=0).sample_set.rows_orthogonal
+    assert SampleSet(SquareLoss(), [[1.0, 0.0], [0.0, 2.0], [-1.0, 0.0]], [0.0] * 3).rows_orthogonal
+    assert not SampleSet(SquareLoss(), [[1.0, 0.0], [1.0, 1e-300]], [0.0] * 2).rows_orthogonal
+
+
+def test_orthogonal_rows_fail_as_the_primal_does(monkeypatch):
+    # the first row's Gram entry overflows: both paths reject the system
+    # with the same message and an empty trace
+    sset = SampleSet(SquareLoss(), [[1e200, 0.0], [0.0, 1.0]], [1.0, 0.0])
+    w = np.array([0.5, 0.5])
+    calls = recording_factors(monkeypatch)
+    with pytest.raises(NonConvergenceError, match="non-finite diagonal") as span:
+        solver.newton_minimize(sset, w, 0.1)
+    with pytest.raises(NonConvergenceError) as primal:
+        solver.newton_minimize(sset, w, 0.1, hessian=np.diag([np.inf, 0.5]))
+    assert str(span.value) == str(primal.value)
+    assert span.value.trace == primal.value.trace == ()
+    assert calls["chol_factor"] == 1 and len(calls["diag"]) == 1 and not calls["diag_factor"]
+
+
 def test_decrement_single_sample_example():
     # one sample y=1, Phi=1, theta=0, lambda=1: grad=-1, H_lam=2 -> 1/sqrt(2)
     sset = SampleSet(SquareLoss(), [[1.0]], [1.0])
