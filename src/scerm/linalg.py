@@ -17,6 +17,11 @@ bit for bit those of ``scipy.linalg``:
     eigh              dsyevr with vectors    (eigh(a, driver="evr")); none
                       for an exactly diagonal matrix
 
+``chol_solve_stack`` alone uses numpy's stacked ``cholesky`` and ``solve``
+instead: it factors and solves a whole batch of small systems in two calls,
+where one scipy call per matrix would cost more in call overhead than the
+LAPACK work of a 16 x 16 system.
+
 Each diagonal case is chosen by an exact property of the input: ``eigh``
 checks that every off-diagonal entry is 0 (one scan, under 1% of a dense
 dsyevr at d = 256), and the caller of ``diag_chol_factor`` knows its system
@@ -194,6 +199,11 @@ def gen_eigmax(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _syevr(a: np.ndarray, compute_v: int):
+    """dsyevr's eigenvalues (and eigenvectors with compute_v) of a finite
+    symmetric matrix. A NaN entry would keep dsyevr from returning, so a
+    matrix with a non-finite entry raises ContractViolation before the call."""
+    if not np.isfinite(a).all():
+        raise ContractViolation("eigenvalue solve needs a finite matrix")
     work, iwork, info = _LAPACK.dsyevr_lwork(len(a), lower=1)
     _check_legal(info, "dsyevr_lwork")
     vals, vecs, _, _, info = _LAPACK.dsyevr(a, compute_v=compute_v, lower=1, lwork=int(work),
@@ -219,7 +229,8 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order, and the matching columns of the identity. Away from ties and from
     d = 2 this is dsyevr's result bit for bit (dsyevr orders tied vectors its
     own way, and at d = 2 solves a 2x2 in closed form with signed vectors and
-    eigenvalues up to 2 ulp off). Any other matrix goes to dsyevr.
+    eigenvalues up to 2 ulp off). Any other matrix goes to dsyevr, which
+    rejects a non-finite one (see ``_syevr``).
     """
     diag = np.diagonal(a)
     if np.count_nonzero(a) == np.count_nonzero(diag) and np.isfinite(diag).all():
@@ -228,6 +239,60 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vecs[order, np.arange(len(diag))] = 1.0
         return diag[order], vecs
     return _syevr(a, 1)
+
+
+def chol_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Solve a[i] x[i] = b[i] for a stack of symmetric matrices a (R, d, d)
+    and right sides b (R, d), each matrix certified positive definite by its
+    Cholesky factor, through numpy's stacked LAPACK routines: one call
+    factors the stack and one solves it, with no Python per matrix. numpy
+    bundles its own LAPACK, so these results are not scipy.linalg's bit for
+    bit, but each matrix's are the same whatever else the stack holds.
+
+    Returns (factors, x, errors): the lower Cholesky factors (R, d, d), the
+    solutions (R, d), and per matrix None or the ContractViolation that
+    chol_factor raises on it, for a matrix numpy's factorization rejects or
+    whose factor has a non-finite diagonal. A rejected matrix's factor and
+    solution are zeros. A solution that is not finite is NaN.
+    """
+    errors = [None] * len(a)
+    try:
+        factors = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        factors = np.zeros(a.shape)
+        for i, m in enumerate(a):
+            try:
+                factors[i] = np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                errors[i] = _chol_error(m)
+    finite = np.isfinite(np.diagonal(factors, axis1=1, axis2=2)).all(axis=1)
+    for i in np.flatnonzero(~finite):
+        errors[i] = errors[i] or _chol_error(a[i])
+        factors[i] = 0.0
+    good = [i for i, err in enumerate(errors) if err is None]
+    rows = slice(None) if len(good) == len(a) else good
+    x = np.zeros(b.shape)
+    try:
+        x[rows] = np.linalg.solve(a[rows], b[rows][..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # an overflowing right side: numpy flags the stack, so solve one by one
+        for i in good:
+            try:
+                x[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                x[i] = math.nan
+    return factors, x, errors
+
+
+def _chol_error(a: np.ndarray) -> ContractViolation:
+    """The ContractViolation chol_factor raises on a, or a plain one when
+    only numpy's factorization rejected it."""
+    try:
+        chol_factor(a)
+    except ContractViolation as exc:
+        return exc
+    return ContractViolation("matrix is not positive definite: numpy's Cholesky "
+                             "factorization rejects it")
 
 
 def add_ridge(a: np.ndarray, lam: float) -> np.ndarray:

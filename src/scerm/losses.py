@@ -99,10 +99,13 @@ class Sample:
         return self.features.shape[-1]
 
 
-def _check_theta(theta: np.ndarray, d: int) -> np.ndarray:
+def _check_theta(theta: np.ndarray, d: int, stack: int | None = None) -> np.ndarray:
+    """theta as a finite float array of shape (d,), or (stack, d) for a stack
+    of parameters, one per row."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (d,):
-        raise ContractViolation(f"parameter has shape {theta.shape}, expected ({d},)")
+    shape = (d,) if stack is None else (stack, d)
+    if theta.shape != shape:
+        raise ContractViolation(f"parameter has shape {theta.shape}, expected {shape}")
     if not np.isfinite(theta).all():
         raise DomainError("parameter contains non-finite entries")
     return theta
@@ -429,6 +432,16 @@ class SampleSet:
     square-loss solve over at most d rows reads in place of a (d, d) Hessian
     (``solver.newton_minimize``); ``rows_orthogonal``, read off that Gram
     once, tells the solve that its system is diagonal.
+
+    The weighted sums also take a batch: (R, m) weights with an (R, d) stack
+    of parameters, one replicate per row, give ``grad_coefs`` and
+    ``hess_coefs`` of shape (R, k), ``weighted_grad`` of shape (R, d) and
+    ``weighted_hess`` as an (R, d, d) stack; ``values`` and ``seminorm`` take
+    an (R, d) stack alone. A scalar loss computes a batch's margins as one
+    product Theta rows^T and its per-row coefficients as one ``bincount``,
+    which adds each replicate's atoms in the same order as a single
+    replicate's sums, and forms a batch's Hessians in one stacked product.
+    The GLM runs its sums replicate by replicate.
     """
 
     def __init__(self, loss: LossModel, features, labels):
@@ -443,12 +456,39 @@ class SampleSet:
 
     # -- scalar-loss internals
     def _margins(self, theta):
-        return (self.rows @ theta)[self.row_of] * self.row_sign
+        """Per-sample margins, (m,) for a parameter (d,) or (R, m) for a stack
+        (R, d): one product Theta rows^T, whatever R."""
+        if theta.ndim == 1:
+            return (self.rows @ theta)[self.row_of] * self.row_sign
+        return (theta @ self.rows.T)[:, self.row_of] * self.row_sign
+
+    def _row_sums(self, values) -> np.ndarray:
+        """Sums of per-sample values (m,) or (R, m) over each row's atoms,
+        shape (k,) or (R, k). A stack takes one ``bincount`` over per-replicate
+        bins, so each replicate's atoms are added in the same order as alone."""
+        if values.ndim == 1:
+            return np.bincount(self.row_of, values)
+        count, k = values.shape[0], len(self.rows)
+        bins = self.row_of + k * np.arange(count)[:, None]
+        return np.bincount(bins.ravel(), values.ravel(), minlength=count * k).reshape(count, k)
+
+    def _point(self, weights, theta) -> np.ndarray:
+        """theta checked against the weights: (d,) for weights (m,), and
+        (R, d) for a stack of R weight rows."""
+        return _check_theta(theta, self.dim, len(weights) if np.ndim(weights) == 2 else None)
+
+    def _each(self, method, weights, theta) -> np.ndarray:
+        """The GLM's batched sums: ``method`` of each replicate's weights and
+        parameter, stacked."""
+        return np.array([method(w, t) for w, t in zip(weights, self._point(weights, theta))])
 
     def values(self, theta) -> np.ndarray:
-        """Per-sample loss values, shape (m,)."""
-        theta = _check_theta(theta, self.dim)
+        """Per-sample loss values, shape (m,), or (R, m) for a stack of
+        parameters (R, d)."""
+        theta = _check_theta(theta, self.dim, len(theta) if np.ndim(theta) == 2 else None)
         loss = self.loss
+        if loss.is_glm and theta.ndim == 2:
+            return np.array([self.values(t) for t in theta])
         if not loss.is_glm:
             return np.asarray(loss._f(self._margins(theta), self.labels), dtype=float)
         _, logz = self._glm_softmax(theta)
@@ -487,28 +527,32 @@ class SampleSet:
         return float(weights @ self.values(theta))
 
     def weighted_grad(self, weights, theta) -> np.ndarray:
+        """Weighted gradient sum, shape (d,), or (R, d) for a batch."""
         if not self.loss.is_glm:
             return self.grad_coefs(weights, theta) @ self.rows
+        if np.ndim(weights) == 2:
+            return self._each(self.weighted_grad, weights, theta)
         return weights @ self.grads(theta)
 
     def grad_coefs(self, weights, theta) -> np.ndarray:
         """A scalar loss's weighted gradient as per-row coefficients, shape
-        (k,): the sums of w f' times the atoms' signs over each row, so that
-        the weighted gradient is grad_coefs @ rows."""
-        theta = _check_theta(theta, self.dim)
+        (k,) or (R, k) for a batch: the sums of w f' times the atoms' signs
+        over each row, so that the weighted gradient is grad_coefs @ rows."""
+        theta = self._point(weights, theta)
         fp = np.asarray(self.loss._fp(self._margins(theta), self.labels), dtype=float)
-        return np.bincount(self.row_of, weights * fp * self.row_sign)
+        return self._row_sums(weights * fp * self.row_sign)
 
     def hess_coefs(self, weights, theta) -> np.ndarray:
         """A scalar loss's weighted Hessian as per-row coefficients, shape
-        (k,): the sums of w f'' over each row, so that the weighted Hessian
-        is rows^T diag(hess_coefs) rows."""
-        theta = _check_theta(theta, self.dim)
+        (k,) or (R, k) for a batch: the sums of w f'' over each row, so that
+        the weighted Hessian is rows^T diag(hess_coefs) rows."""
+        theta = self._point(weights, theta)
         fpp = np.asarray(self.loss._fpp(self._margins(theta), self.labels), dtype=float)
-        return np.bincount(self.row_of, weights * fpp)
+        return self._row_sums(weights * fpp)
 
     def weighted_hess(self, weights, theta) -> np.ndarray:
-        """Weighted sum of the per-sample Hessians, shape (d, d).
+        """Weighted sum of the per-sample Hessians, shape (d, d), or an
+        (R, d, d) stack for a batch.
 
         One SYRK product a^T a, exactly symmetric: a holds rows scaled by the
         square roots of their coefficients, a scalar loss's ``rows`` with
@@ -523,6 +567,13 @@ class SampleSet:
             raise ContractViolation("Hessian weights must be nonnegative")
         if not self.loss.is_glm:
             coef, rows = self.hess_coefs(weights, theta), self.rows
+            if coef.ndim == 2:
+                # one stacked product over every row: numpy runs it as a SYRK
+                # per replicate, without the gather of the rows each one kept
+                a = rows * np.sqrt(coef)[:, :, None]
+                return np.matmul(a.transpose(0, 2, 1), a)
+        elif weights.ndim == 2:
+            return self._each(self.weighted_hess, weights, theta)
         else:
             p, centered = self._glm_centered(_check_theta(theta, self.dim))
             coef, rows = (weights[:, None] * p).ravel(), centered.reshape(-1, self.dim)
@@ -604,10 +655,13 @@ class SampleSet:
             return _readonly(np.zeros((0, self.dim)))
         return _readonly(self.loss.sc_coef * self.rows)
 
-    def seminorm(self, k) -> float:
-        """sup over every certificate vector g of |g . k|; 0 when there is none."""
-        k = _check_theta(k, self.dim)
-        return float(np.max(np.abs(self.certificate_rows @ k), initial=0.0))
+    def seminorm(self, k):
+        """sup over every certificate vector g of |g . k|; 0 when there is
+        none. A stack of directions (R, d) gives their R seminorms."""
+        k = _check_theta(k, self.dim, len(k) if np.ndim(k) == 2 else None)
+        if k.ndim == 1:
+            return float(np.max(np.abs(self.certificate_rows @ k), initial=0.0))
+        return np.max(np.abs(k @ self.certificate_rows.T), axis=1, initial=0.0)
 
 
 # -- sup constants over a parameter ball ---------------------------------------

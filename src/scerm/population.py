@@ -193,15 +193,22 @@ def exact_risk(pop: FinitePopulation, theta, lam: float = 0.0) -> float:
     return pop.sample_set.weighted_value(pop.weights, theta) + 0.5 * lam * float(theta @ theta)
 
 
-def excess_risk(pop: FinitePopulation, theta) -> float:
-    """Excess risk L(theta) - L(theta*). For a quadratic loss it is the
+def excess_risk(pop: FinitePopulation, theta):
+    """Excess risk L(theta) - L(theta*), or the (R,) excess risks of the rows
+    of an (R, d) stack of parameters. For a quadratic loss it is the
     quadratic form (theta - theta*)^T H (theta - theta*) / 2, which keeps its
-    relative precision however small it is; otherwise the difference of the
-    two exact risks, which loses what they share of their digits."""
-    theta = _check_theta(theta, pop.dim)
+    relative precision however small it is, and a stack takes it row-wise
+    from one product Delta H; otherwise the difference of the two exact
+    risks, which loses what they share of their digits."""
+    stacked = np.ndim(theta) == 2
+    theta = _check_theta(theta, pop.dim, len(theta) if stacked else None)
     if pop.sample_set.quadratic:
         delta = theta - pop.theta_star
+        if stacked:
+            return 0.5 * np.einsum("rd,rd->r", delta @ pop.hessian_at_star, delta)
         return 0.5 * float(delta @ pop.hessian_at_star @ delta)
+    if stacked:
+        return pop.sample_set.values(theta) @ pop.weights - pop.risk_at_star
     return exact_risk(pop, theta) - pop.risk_at_star
 
 

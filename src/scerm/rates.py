@@ -17,10 +17,10 @@ None, and one table says which of them each regime's exponent needs.
 constants are very conservative at desk scale, hence the clamp to (0, B2]
 and plans that take any ``lambdas``); ``run_rate_experiment`` draws
 i.i.d. multinomial samples from a finite population, solves the regularized
-ERM per cell, and compares exact excess risks against the refined
-bias/variance bound evaluated with the exact per-lambda constants. Every
-draw, in rate cells and concentration replicates alike, weights the
-population's atoms by their multinomial counts / n.
+ERM of every replicate of one n in one batch, and compares exact excess risks
+against the refined bias/variance bound evaluated with the exact per-lambda
+constants. Every draw, in rate cells and concentration replicates alike,
+weights the population's atoms by their multinomial counts / n.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ContractViolation, NonConvergenceError, check_lambda
+from .errors import ContractViolation, check_lambda
 from .linalg import add_ridge, chol_factor, gen_eigmax, inv_norm, single_thread_blas
 from .losses import sup_constants
 from .population import (
@@ -44,7 +44,7 @@ from .population import (
     pointwise_bounds,
     sup_norm_certificate,
 )
-from .solver import newton_minimize
+from .solver import SolveResult, newton_minimize_batch
 
 __all__ = [
     "REGIMES",
@@ -367,14 +367,19 @@ def _guard(consts: ScConstants, params: RateParams, n: int) -> bool:
     return n >= n1 and n >= n2
 
 
-def _run_cell(args):
-    pop, lam, n, n_index, replicate, base_seed = args
-    weights, cell_seed = _draw(pop, n, base_seed, n_index, replicate)
-    try:
-        theta_hat = newton_minimize(pop.sample_set, weights, lam).theta_hat
-    except NonConvergenceError:
-        theta_hat = None
-    return n_index, replicate, cell_seed, theta_hat
+def _run_row(args):
+    """One n row of the rate table: every replicate's draw, their solves as
+    one batch, and their excess risks in one product. Returns the row's
+    excess risks (NaN where a solve failed) and draw seeds."""
+    pop, lam, n, n_index, replicates, base_seed = args
+    draws = [_draw(pop, n, base_seed, n_index, rep) for rep in range(replicates)]
+    outcomes = newton_minimize_batch(pop.sample_set, np.array([w for w, _ in draws]), lam)
+    solved = np.array([isinstance(outcome, SolveResult) for outcome in outcomes])
+    # a failed replicate stands in with theta*, so that the product has the
+    # same shape, and each excess the same bits, whichever replicates failed
+    thetas = np.array([outcome.theta_hat if ok else pop.theta_star
+                       for outcome, ok in zip(outcomes, solved)])
+    return np.where(solved, excess_risk(pop, thetas), math.nan), [seed for _, seed in draws]
 
 
 def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
@@ -382,7 +387,10 @@ def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
 
     Each cell draws n atoms i.i.d. by weight and solves the regularized ERM
     at the plan's lambda for its n, with the population's atoms weighted by
-    their multinomial counts / n. Its exact excess risk fills entry
+    their multinomial counts / n. The replicates of one n share the
+    population and lambda, so each n row is drawn and solved as one batch
+    (``newton_minimize_batch``), and a worker of the pool runs whole rows:
+    no batch depends on ``jobs``. A cell's exact excess risk fills entry
     (n_index, replicate) of one len(n_grid) x replicates table, NaN where the
     solve failed. The refined bound's RHS and guard depend on n and lambda
     alone, so they are evaluated once per n. Every per-n summary reduces one
@@ -399,27 +407,20 @@ def run_rate_experiment(plan: ExperimentPlan, jobs: int = 1) -> RateReport:
         rhs.append(_bound_rhs(consts[lam], params, n))
         guard.append(_guard(consts[lam], params, n))
 
-    tasks = [
-        (pop, plan.lambdas[ni], n, ni, rep, plan.seed)
-        for ni, n in enumerate(plan.n_grid)
-        for rep in range(plan.replicates)
-    ]
-    # a pool starts every worker at once, so it gets no more workers than cells
+    tasks = [(pop, lam, n, ni, plan.replicates, plan.seed)
+             for ni, (n, lam) in enumerate(zip(plan.n_grid, plan.lambdas))]
+    # a pool starts every worker at once, so it gets no more workers than rows
     workers = min(jobs, len(tasks))
     if workers > 1:
         # naming the attribute imports concurrent.futures.process: serial runs never do
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
                                                     initializer=single_thread_blas) as pool:
-            raw = list(pool.map(_run_cell, tasks, chunksize=max(1, len(tasks) // (8 * workers))))
+            rows = list(pool.map(_run_row, tasks))
     else:
-        raw = [_run_cell(t) for t in tasks]
+        rows = [_run_row(t) for t in tasks]
 
-    excess = np.full((len(plan.n_grid), plan.replicates), math.nan)
-    seeds = np.zeros(excess.shape, dtype=np.int64)
-    for n_index, replicate, cell_seed, theta_hat in raw:
-        seeds[n_index, replicate] = cell_seed
-        if theta_hat is not None:
-            excess[n_index, replicate] = excess_risk(pop, theta_hat)
+    excess = np.array([row for row, _ in rows])
+    seeds = np.array([row_seeds for _, row_seeds in rows], dtype=np.int64)
     solved = ~np.isnan(excess)
 
     cells = tuple(

@@ -16,16 +16,25 @@ decreases the objective by at least (3 - e) D^2, and the bound's minimizer
 t = log(1 + mu) / mu otherwise. No objective value is evaluated and there is
 no line search.
 
+Every solve is a batch. ``newton_minimize_batch`` takes an (R, m) weight
+matrix, one replicate per row, over one support at one lambda, and returns
+R outcomes: a ``SolveResult``, or the replicate's own NonConvergenceError
+with its decrement trace. The replicates share each iteration's stacked sums
+(``SampleSet`` margins Theta rows^T, gradient and Hessian coefficients,
+seminorms), while each one converges, fails or steps on its own; a replicate
+that is done keeps its iterate, so its outcome does not depend on the others.
+``newton_minimize`` is the R = 1 case, raising the replicate's error.
+
 On quadratic objectives (square loss) mu = 0 and the first full step is exact,
 so the solver stops after one iteration. A loss whose certificate set is {0}
 (``SampleSet.quadratic``) has a vanishing third derivative, so its Hessian is
-the same at every theta: the solver factors one Newton system once and
-reuses the factor to certify the decrement. Which system depends on the
-input:
+the same at every theta: the solver factors one Newton system per replicate
+once and reuses the factor to certify the decrement. Which system depends on
+the input:
 
 - Over at most d distinct rows (``len(sset.rows) <= sset.dim``), at
-  lambda > 0 and with no ``hessian=``, the solve runs in the span of the rows
-  K of nonzero Hessian coefficient c_K, where the minimizer lies (the
+  lambda > 0 and with no given Hessian, the solve runs in the span of the
+  rows K of nonzero Hessian coefficient c_K, where the minimizer lies (the
   representer theorem): theta = R_K^T beta, and the system is the k x k
   M = G_KK + diag(lambda / c_K), with G_KK a block of the row Gram
   ``SampleSet.row_gram``, in place of the (d, d) H + lambda I. It is the
@@ -33,12 +42,22 @@ input:
   difference form (g - R_K^T M^{-1} R_K g) / lambda would lose digits as
   lambda shrinks. When the rows are mutually orthogonal
   (``SampleSet.rows_orthogonal``: axis-aligned rows, as both generators
-  draw, or dense ones such as a Hadamard design's), M is diagonal and its
-  factor is the square root of its diagonal (``linalg.diag_chol_factor``),
-  with no gather of G_KK and no dpotrf.
+  draw, or dense ones such as a Hadamard design's), M is diagonal: each
+  replicate's factor is the square root of its diagonal
+  (``linalg.diag_chol_factor``), and the whole batch solves as (R, k)
+  arrays, each replicate with its own kept mask K.
 - Otherwise the solver builds H + lambda I and factors it. The caller may
-  pass H = sum_i w_i H_i itself, as ``newton_minimize(..., hessian=H)``; a
-  population keeps its H and hands it to each of its solves.
+  pass H = sum_i w_i H_i itself, one per replicate, as
+  ``newton_minimize(..., hessian=H)``; a population keeps its H and hands it
+  to each of its solves.
+
+A quadratic solve that factors a dense (k, k) or (d, d) system keeps that
+factor for its second iteration, so those batches run one replicate at a
+time and hold one such factor at a time. A loss that is not quadratic
+refactors at every iteration: a batch of several replicates factors and
+solves its live replicates' systems as one stack (``linalg.chol_solve_stack``,
+numpy's LAPACK), and a single solve calls ``chol_factor`` (scipy's), so a
+replicate's bits depend on whether it is solved alone, never on the others.
 """
 
 from __future__ import annotations
@@ -50,10 +69,12 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ContractViolation, NonConvergenceError, check_lambda
-from .linalg import chol_factor, chol_solve, diag_chol_factor, radius_from_factor
+from .linalg import (chol_factor, chol_solve, chol_solve_stack, diag_chol_factor,
+                     radius_from_factor)
 from .losses import SampleSet
 
-__all__ = ["SolverConfig", "SolveResult", "solve_erm", "newton_minimize"]
+__all__ = ["SolverConfig", "SolveResult", "solve_erm", "newton_minimize",
+           "newton_minimize_batch"]
 
 
 @dataclass(frozen=True)
@@ -77,55 +98,108 @@ class SolveResult:
     iterations: int
 
 
-def _as_weights(weights, m):
+def _as_weights(weights, m, stacked: bool = False):
+    """weights as a float array of shape (m,), or (R, m) with R >= 1 when
+    stacked: finite, nonnegative, and each row summing to 1."""
     w = np.asarray(weights, dtype=float)
-    if w.shape != (m,):
-        raise ContractViolation(f"weights have shape {w.shape}, expected ({m},)")
+    if w.ndim != 1 + stacked or w.shape[-1:] != (m,) or not len(w):
+        expected = f"(R, {m})" if stacked else f"({m},)"
+        raise ContractViolation(f"weights have shape {w.shape}, expected {expected}")
     if (w < 0).any() or not np.isfinite(w).all():
         raise ContractViolation("weights must be finite and nonnegative")
-    if abs(w.sum() - 1.0) > 1e-9:
+    if (np.abs(w.sum(axis=-1) - 1.0) > 1e-9).any():
         raise ContractViolation("weights must sum to 1")
     return w
 
 
-def _factor(factorize, a: np.ndarray, lam: float, trace: list) -> np.ndarray:
-    """factorize(a), with a failure raised as NonConvergenceError."""
-    try:
-        return factorize(a)
-    except ContractViolation as exc:
-        raise NonConvergenceError(
-            f"regularized Hessian not positive definite (lambda={lam}): {exc}", trace
-        ) from exc
+class _Batch:
+    """The decrement traces and outcomes of R replicates solved together; a
+    replicate without an outcome is live."""
+
+    def __init__(self, count: int, lam: float):
+        self.lam = lam
+        self.traces = [[] for _ in range(count)]
+        self.outcomes = [None] * count
+
+    def live(self) -> list:
+        return [r for r, outcome in enumerate(self.outcomes) if outcome is None]
+
+    def fail(self, r: int, message: str, cause: Exception | None = None) -> None:
+        self.outcomes[r] = NonConvergenceError(message, self.traces[r])
+        self.outcomes[r].__cause__ = cause
+
+    def finish(self, r: int, theta: np.ndarray) -> None:
+        theta = np.array(theta)
+        theta.setflags(write=False)
+        trace = self.traces[r]
+        self.outcomes[r] = SolveResult(theta, tuple(trace), len(trace) - 1)
+
+    def factor(self, r: int, factorize, a: np.ndarray):
+        """factorize(a), or None with replicate r failed when it raises."""
+        try:
+            return factorize(a)
+        except ContractViolation as exc:
+            self.unfactored(r, exc)
+            return None
+
+    def unfactored(self, r: int, exc: ContractViolation) -> None:
+        """Fail replicate r, whose regularized Hessian a factorization rejected."""
+        self.fail(r, f"regularized Hessian not positive definite (lambda={self.lam}): {exc}", exc)
+
+    def decrements(self, rs: list, sq: np.ndarray) -> np.ndarray:
+        """The decrements sqrt(g . (H + lam I)^{-1} g) of replicates rs, given
+        those quadratic forms, each appended to its replicate's trace; a
+        replicate whose form is not finite fails, and its decrement is NaN."""
+        # checked before the clip, which would turn a NaN form into 0
+        dec = np.where(np.isfinite(sq), np.sqrt(np.maximum(0.0, sq)), math.nan)
+        for r, value in zip(rs, dec.tolist()):
+            if math.isnan(value):
+                self.fail(r, f"Newton system is not finite (lambda={self.lam})")
+            else:
+                self.traces[r].append(value)
+        return dec
+
+    def exhausted(self, config: SolverConfig) -> list:
+        """The outcomes, with every replicate still live failed for want of
+        iterations."""
+        for r in self.live():
+            self.fail(r, f"no convergence to decrement {config.tol} within "
+                         f"{config.max_iter} iterations")
+        return self.outcomes
 
 
-def _decrement(sq: float, lam: float, trace: list) -> float:
-    """The decrement sqrt(g . (H + lam I)^{-1} g) of one Newton system, given
-    that quadratic form, appended to the trace."""
-    if not math.isfinite(sq):  # checked before the clip: max(0.0, nan) is 0.0
-        raise NonConvergenceError(f"Newton system is not finite (lambda={lam})", trace)
-    dec = float(np.sqrt(max(0.0, sq)))
-    trace.append(dec)
-    return dec
-
-
-def _result(theta: np.ndarray, trace: list) -> SolveResult:
-    theta.setflags(write=False)
-    return SolveResult(theta, tuple(trace), len(trace) - 1)
-
-
-def _exhausted(config: SolverConfig, trace: list) -> NonConvergenceError:
-    return NonConvergenceError(
-        f"no convergence to decrement {config.tol} within {config.max_iter} iterations", trace
-    )
+# the most entries in one stack of (d, d) systems, or of the scaled rows that
+# build them, that a non-quadratic batch factors at once (16 MB of floats)
+_STACK_ENTRIES = 2**21
 
 
 # an overflowing sum is not warned about: the solver rejects a non-finite
 # Hessian factor or Newton system itself
 @np.errstate(over="ignore", invalid="ignore")
+def newton_minimize_batch(sset: SampleSet, weights, lam: float,
+                          config: SolverConfig | None = None,
+                          hessians: np.ndarray | None = None) -> list:
+    """Minimize the weighted regularized risk over a stacked sample set for
+    each row of an (R, m) weight matrix, in one batch.
+
+    Returns R outcomes in row order: a ``SolveResult``, or the replicate's
+    NonConvergenceError carrying its own decrement trace, for any failure
+    ``newton_minimize`` raises. ``hessians``, allowed only for a quadratic
+    ``sset``, is an (R, d, d) stack of each row's weighted Hessian, used in
+    place of building it and not written to. Argument errors (lambda,
+    weights, Hessian shape) raise ContractViolation for the whole batch.
+    """
+    config = config or SolverConfig()
+    check_lambda(lam, "newton_minimize", zero_ok=True)
+    return _minimize(sset, _as_weights(weights, len(sset), stacked=True), lam, config, hessians)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def newton_minimize(sset: SampleSet, weights, lam: float,
                     config: SolverConfig | None = None,
                     hessian: np.ndarray | None = None) -> SolveResult:
-    """Minimize the weighted regularized risk over a stacked sample set.
+    """Minimize the weighted regularized risk over a stacked sample set: the
+    R = 1 case of ``newton_minimize_batch``.
 
     lam may be 0 here (population minimizers under an attainment guarantee);
     the public ``solve_erm`` enforces lam > 0. ``hessian``, allowed only for a
@@ -144,73 +218,175 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
     config = config or SolverConfig()
     check_lambda(lam, "newton_minimize", zero_ok=True)
     w = _as_weights(weights, len(sset))
-    quadratic = sset.quadratic
-    if hessian is not None:
+    (outcome,) = _minimize(sset, w[None], lam, config,
+                           None if hessian is None else np.asarray(hessian)[None])
+    if isinstance(outcome, NonConvergenceError):
+        raise outcome
+    return outcome
+
+
+def _minimize(sset: SampleSet, w: np.ndarray, lam: float, config: SolverConfig,
+              hessians) -> list:
+    """The batch core over checked (R, m) weights: picks each path of the
+    module docstring."""
+    quadratic, d = sset.quadratic, sset.dim
+    if hessians is not None:
         if not quadratic:
             raise ContractViolation("a fixed Hessian needs a loss whose certificate set is {0}")
-        if np.shape(hessian) != (sset.dim, sset.dim):
+        if np.shape(hessians) != (len(w), d, d):
             raise ContractViolation(
-                f"hessian has shape {np.shape(hessian)}, expected ({sset.dim}, {sset.dim})")
-    elif quadratic and lam > 0.0 and len(sset.rows) <= sset.dim:
-        return _row_span_minimize(sset, w, lam, config)
-    theta = np.zeros(sset.dim)
-    trace: list[float] = []
-    # a quadratic loss has one Hessian, built (or given) and factored once
-    factor = None
+                f"hessian has shape {np.shape(hessians)[1:]}, expected ({d}, {d})"
+                if len(hessians) == len(w) else
+                f"hessians have shape {np.shape(hessians)}, expected ({len(w)}, {d}, {d})")
+    row_span = quadratic and hessians is None and lam > 0.0 and len(sset.rows) <= d
+    solve = _row_span_minimize if row_span else _primal_minimize
+    if not quadratic or (row_span and sset.rows_orthogonal):
+        return solve(sset, w, lam, config, hessians)
+    # a dense quadratic system's factor lives across both iterations: one
+    # replicate at a time keeps one (k, k) or (d, d) factor alive at a time
+    return [outcome for r in range(len(w))
+            for outcome in solve(sset, w[r:r + 1], lam, config,
+                                 None if hessians is None else hessians[r:r + 1])]
+
+
+def _primal_minimize(sset: SampleSet, w: np.ndarray, lam: float, config: SolverConfig,
+                     hessians) -> list:
+    """Damped Newton in theta over (d, d) systems H + lam I, with each
+    iteration's gradients, Hessians and seminorms one call each for the
+    batch. A quadratic loss factors each replicate's system once, built (or
+    given), and reuses the factor; any other loss refactors at every
+    iteration, a single solve through ``chol_factor`` and a batch of several
+    replicates as one stack of its live replicates' systems
+    (``linalg.chol_solve_stack``)."""
+    count, d, quadratic = len(w), sset.dim, sset.quadratic
+    batch, theta = _Batch(count, lam), np.zeros((count, d))
+    factors = [None] * count
     for _ in range(config.max_iter):
+        live = batch.live()
+        if not live:
+            break
         g = sset.weighted_grad(w, theta) + lam * theta
-        if factor is None or not quadratic:
-            h = sset.weighted_hess(w, theta) if hessian is None else np.array(hessian, dtype=float)
-            h.flat[::sset.dim + 1] += lam
-            factor = _factor(chol_factor, h, lam, trace)
-        step = -chol_solve(factor, g)
-        dec = _decrement(-float(g @ step), lam, trace)
-        if dec <= config.tol:
+        if quadratic or count == 1:
+            for r in live:
+                if factors[r] is None or not quadratic:
+                    h = (sset.weighted_hess(w[r], theta[r]) if hessians is None
+                         else np.array(hessians[r], dtype=float))
+                    h.flat[::d + 1] += lam
+                    factors[r] = batch.factor(r, chol_factor, h)
+            solved = [r for r in live if factors[r] is not None]
+            x = np.array([chol_solve(factors[r], g[r]) for r in solved]).reshape(-1, d)
+        else:
+            solved, x = _stacked_newton(sset, w, theta, g, lam, live, batch, factors)
+        dec = batch.decrements(solved, np.einsum("rd,rd->r", g[solved], x))
+        for r, value in zip(solved, dec):
+            if not value <= config.tol:  # moving on, or failed
+                continue
             # the localization lemma's proof that a lam = 0 minimum is attained
-            if lam == 0.0 and dec > radius_from_factor(factor, sset.certificate_rows) / 2.0:
-                raise NonConvergenceError(
-                    f"population minimum not attained: decrement {dec:.3e} exceeds half "
-                    f"the Dikin radius at lambda=0", trace)
-            return _result(theta, trace)
-        mu = sset.seminorm(step)
-        theta = theta + (step if mu <= 1.0 else math.log1p(mu) / mu * step)
-    raise _exhausted(config, trace)
+            if lam == 0.0 and value > radius_from_factor(factors[r], sset.certificate_rows) / 2.0:
+                batch.fail(r, f"population minimum not attained: decrement {value:.3e} exceeds "
+                              f"half the Dikin radius at lambda=0")
+            else:
+                batch.finish(r, theta[r])
+        moving = [r for r, value in zip(solved, dec) if value > config.tol]
+        if moving and quadratic:
+            # no certificate vector, so mu = 0: the full step
+            theta[moving] = theta[moving] - x[dec > config.tol]
+        elif moving:
+            # every seminorm from the whole (count, d) stack, so that a
+            # replicate's does not depend on which others are still moving;
+            # a row that stays has step 0, so mu = 0, t = 1 and theta + 0
+            steps = np.zeros((count, d))
+            steps[moving] = -x[dec > config.tol]
+            mu = sset.seminorm(steps)
+            t = np.where(mu <= 1.0, 1.0, np.log1p(mu) / np.where(mu > 0.0, mu, 1.0))
+            theta += t[:, None] * steps
+    return batch.exhausted(config)
 
 
-def _row_span_minimize(sset: SampleSet, w: np.ndarray, lam: float,
-                       config: SolverConfig) -> SolveResult:
-    """newton_minimize of a quadratic loss at lam > 0 in the coefficients beta
-    of theta = R^T beta over the rows, nonzero only on the rows K of nonzero
-    Hessian coefficient c_K. With v = gamma + lam beta, gamma the gradient's
-    row coefficients, the gradient is g = R^T v and the Newton step is
-    beta_K <- beta_K - s with s = M^{-1}(v_K / c_K) and M = G_KK + diag(lam / c_K)
-    from the row Gram G, factored as a diagonal over orthogonal rows. The
-    squared decrement is g . R_K^T s, which equals v_K . G_KK s without a
-    second copy of G_KK."""
-    coef = sset.hess_coefs(w, np.zeros(sset.dim))
-    kept = coef.nonzero()[0]
-    c = coef.take(kept)
-    trace: list[float] = []
+def _stacked_newton(sset: SampleSet, w: np.ndarray, theta: np.ndarray, g: np.ndarray,
+                    lam: float, live: list, batch: _Batch, factors: list) -> tuple:
+    """The live replicates' Newton solves (H + lam I) x = g, built, factored
+    and solved as stacks of at most _STACK_ENTRIES entries: the replicates
+    solved and their x. A replicate whose system is not positive definite
+    fails; at lam = 0 each factor is kept in ``factors`` for the radius."""
+    d = sset.dim
+    size = max(1, _STACK_ENTRIES // (d * max(d, len(sset.rows))))
+    solved, x = [], []
+    for lo in range(0, len(live), size):
+        part = live[lo:lo + size]
+        h = sset.weighted_hess(w[part], theta[part])
+        h.reshape(len(part), -1)[:, ::d + 1] += lam
+        stack, xs, errors = chol_solve_stack(h, g[part])
+        for r, factor, xr, err in zip(part, stack, xs, errors):
+            if err is not None:
+                batch.unfactored(r, err)
+                continue
+            if lam == 0.0:
+                factors[r] = factor
+            solved.append(r)
+            x.append(xr)
+    return solved, np.array(x).reshape(-1, d)
+
+
+def _row_span_minimize(sset: SampleSet, w: np.ndarray, lam: float, config: SolverConfig,
+                       hessians=None) -> list:
+    """The batch of a quadratic loss at lam > 0 in the coefficients beta of
+    theta = R^T beta over the rows, nonzero only on each replicate's rows K
+    of nonzero Hessian coefficient c_K. With v = gamma + lam beta, gamma the
+    gradient's row coefficients, the gradient is g = R^T v and the Newton
+    step is beta_K <- beta_K - s with s = M^{-1}(v_K / c_K) and
+    M = G_KK + diag(lam / c_K) from the row Gram G, factored as a diagonal
+    over orthogonal rows. The squared decrement g . R_K^T s is v . G s, with
+    G s a product with G's diagonal over orthogonal rows."""
+    count, rows = len(w), sset.rows
+    batch = _Batch(count, lam)
+    coef = sset.hess_coefs(w, np.zeros((count, sset.dim)))
+    kept = [c.nonzero()[0] for c in coef]
+    step = np.zeros(coef.shape)
     if sset.rows_orthogonal:
-        # G_KK is diagonal, so M is too: its factor is its square-root diagonal
-        factor = _factor(diag_chol_factor, np.diagonal(sset.row_gram).take(kept) + lam / c,
-                         lam, trace)
+        # G_KK is diagonal, so M is too: its factor is its square-root
+        # diagonal, and dpotrs with it multiplies by the root's reciprocal twice
+        inv_root, gram = np.zeros(coef.shape), np.diagonal(sset.row_gram)
+        for r, keep in enumerate(kept):
+            factor = batch.factor(r, diag_chol_factor, gram.take(keep) + lam / coef[r].take(keep))
+            if factor is not None:
+                inv_root[r, keep] = 1.0 / np.diagonal(factor)
+            # free this (k, k) factor before the next replicate makes its own
+            del factor
+        scale = np.where(coef != 0.0, coef, 1.0)
+
+        def solve(v, live):
+            step[:] = v / scale * inv_root * inv_root
+            return gram * step
     else:
-        # one gather through flat indices: take(kept, 0).take(kept, 1) would
-        # first copy k full rows of G, a transient that raised the peak RSS
-        system = sset.row_gram.reshape(-1).take((kept * len(sset.rows))[:, None] + kept)
-        system.flat[::len(kept) + 1] += lam / c
-        factor = _factor(chol_factor, system, lam, trace)
-    beta, step = np.zeros(len(sset.rows)), np.zeros(len(sset.rows))
-    theta = np.zeros(sset.dim)
+        factors = []
+        for r, keep in enumerate(kept):
+            # one gather through flat indices: take(keep, 0).take(keep, 1) would
+            # first copy k full rows of G, a transient that raised the peak RSS
+            system = sset.row_gram.reshape(-1).take((keep * len(rows))[:, None] + keep)
+            system.flat[::len(keep) + 1] += lam / coef[r].take(keep)
+            factors.append(batch.factor(r, chol_factor, system))
+
+        def solve(v, live):
+            for r in live:
+                keep = kept[r]
+                step[r, keep] = chol_solve(factors[r], v[r].take(keep) / coef[r].take(keep))
+            return step @ sset.row_gram
+    beta, theta = np.zeros(coef.shape), np.zeros((count, sset.dim))
     for _ in range(config.max_iter):
+        live = batch.live()
+        if not live:
+            break
         v = sset.grad_coefs(w, theta) + lam * beta
-        step[kept] = chol_solve(factor, v.take(kept) / c)
-        if _decrement(float((v @ sset.rows) @ (step @ sset.rows)), lam, trace) <= config.tol:
-            return _result(theta, trace)
+        sq = np.einsum("rk,rk->r", v, solve(v, live))
+        for r, value in zip(live, batch.decrements(live, sq[live])):
+            if value <= config.tol:
+                batch.finish(r, theta[r])
+        # a replicate that is done keeps its coefficients
+        step[[r for r, outcome in enumerate(batch.outcomes) if outcome is not None]] = 0.0
         beta = beta - step
-        theta = beta @ sset.rows
-    raise _exhausted(config, trace)
+        theta = beta @ rows
+    return batch.exhausted(config)
 
 
 def solve_erm(sset: SampleSet, weights, lam: float,
@@ -218,4 +394,3 @@ def solve_erm(sset: SampleSet, weights, lam: float,
     """Unique minimizer of sum_i w_i l_{z_i}(theta) + lam/2 ||theta||^2, lam > 0."""
     check_lambda(lam, "solve_erm")
     return newton_minimize(sset, weights, lam, config)
-

@@ -10,8 +10,7 @@ import pytest
 import yaml
 
 import scerm.cli
-import scerm.rates
-from scerm import ConfigError, NonConvergenceError, SolverConfig
+from scerm import ConfigError, SolverConfig
 from scerm.cli import main
 from scerm.config import _GENERATORS, _POPULATIONS, build_population, load_config_file, parse_config
 from scerm.population import pointwise_bounds
@@ -420,6 +419,25 @@ def test_jobs_env_var(tmp_path, monkeypatch):
     assert (out / "rates.csv").exists()
 
 
+def test_rates_output_bytes_do_not_depend_on_jobs(tmp_path):
+    # a pool task is one whole n row, solved as one batch whatever --jobs is
+    doc = {
+        "command": "rates",
+        "seed": 9,
+        "population": {"generator": "logistic", "d": 4, "alpha": 1.0, "seed": 2},
+        "rates": {"regime": "none", "n_grid": [32, 64, 128], "replicates": 5, "delta": 0.1,
+                  "lambda": {"mode": "anchored", "anchor": 0.2, "n_anchor": 32}},
+    }
+    cfg_path = write_cfg(tmp_path, doc)
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["--config", cfg_path, "--out", str(out), "--jobs", jobs, "--quiet"]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(outputs[0]) == ["rates.csv", "summary.json"]
+    assert outputs[0] == outputs[1]
+
+
 def _overflow(kind, feature, label0, label1):
     """A one-dimensional inline population whose sums overflow at theta = 0."""
     return {"generator": "inline", "loss": {"kind": kind},
@@ -758,22 +776,8 @@ def test_output_files_follow_the_umask(tmp_path):
     assert modes == {"solve.csv": 0o644, "summary.json": 0o644}
 
 
-def fail_first_solves(monkeypatch, count):
-    """Make the first ``count`` rate-cell solves raise NonConvergenceError."""
-    solve = scerm.rates.newton_minimize
-    calls = []
-
-    def fail_first(*args, **kwargs):
-        calls.append(None)
-        if len(calls) <= count:
-            raise NonConvergenceError("forced failure", [])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(scerm.rates, "newton_minimize", fail_first)
-
-
-def test_rates_with_a_failed_cell_exits_1(tmp_path, capsys, monkeypatch):
-    fail_first_solves(monkeypatch, 1)
+def test_rates_with_a_failed_cell_exits_1(tmp_path, capsys, fail_first_draws):
+    fail_first_draws(1)
     doc = {
         "command": "rates",
         "seed": 4,
@@ -787,9 +791,9 @@ def test_rates_with_a_failed_cell_exits_1(tmp_path, capsys, monkeypatch):
     assert json.loads((out / "summary.json").read_text())["solver_failures"] == 1
 
 
-def test_rates_with_every_cell_of_one_n_failed(tmp_path, capsys, monkeypatch):
-    # at --jobs 1 the cells run n by n, so the first two solves are both cells of n = 32
-    fail_first_solves(monkeypatch, 2)
+def test_rates_with_every_cell_of_one_n_failed(tmp_path, capsys, fail_first_draws):
+    # both replicates of n = 32 fail inside their row's batch
+    fail_first_draws(2)
     doc = {
         "command": "rates",
         "seed": 4,

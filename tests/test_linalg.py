@@ -109,15 +109,33 @@ def test_eigh_of_a_nondiagonal_or_nonfinite_matrix_calls_dsyevr(monkeypatch):
     a = np.diag([3.0, 1.0, 2.0])
     a[0, 2] = a[2, 0] = 1e-300
     assert eigh(a)[0].tobytes() == syevr(a, 1)[0].tobytes()
-    # an infinite diagonal gets dsyevr's NaN eigenvalues
+    # an infinite diagonal is handed on too, and rejected before dsyevr
     a = np.diag([3.0, np.inf, 2.0])
-    assert np.isnan(eigh(a)[0]).all()
+    with pytest.raises(ContractViolation, match="finite matrix"):
+        eigh(a)
     assert len(calls) == 2
-    # a NaN diagonal is handed to dsyevr too (which does not return on it,
-    # so it is stubbed here)
+    # a NaN diagonal is handed on too (to a stub here; the next test shows
+    # that it is rejected before dsyevr, which does not return on it)
     monkeypatch.setattr(linalg, "_syevr", lambda a, compute_v: calls.append(a) or "dsyevr")
     assert eigh(np.diag([3.0, np.nan, 2.0])) == "dsyevr"
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("a", [
+    np.diag([1.0, np.nan, 2.0]),
+    np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    np.array([[np.inf, 0.5], [0.5, 1.0]]),
+], ids=["nan-diagonal", "nan-off-diagonal", "inf-entry"])
+def test_eigensolves_reject_a_non_finite_matrix_before_dsyevr(a, monkeypatch):
+    # dsyevr does not return on a NaN entry, so the stub fails the test
+    # instead of hanging it if the routine is ever reached
+    def unreachable(*args, **kwargs):
+        raise AssertionError("dsyevr was called on a non-finite matrix")
+
+    monkeypatch.setattr(linalg._LAPACK, "dsyevr", unreachable)
+    for solve in (eigmin, eigh):
+        with pytest.raises(ContractViolation, match="finite matrix"):
+            solve(a)
 
 
 @pytest.mark.parametrize("d", [1, 2, 16, 256])

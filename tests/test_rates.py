@@ -293,21 +293,37 @@ def test_bound_and_guard_evaluated_once_per_n(monkeypatch):
     assert calls == {"_bound_rhs": 3, "_guard": 3}
 
 
-def test_partly_failed_n_reduces_its_solved_cells(monkeypatch):
-    # at jobs = 1 the cells run n-major, so the first solve is replicate 0 of the first n
-    solve = rates.newton_minimize
-    calls = []
+def batch_outcomes(monkeypatch):
+    """Record the outcomes of every batch a rate experiment solves."""
+    batches, solve = [], rates.newton_minimize_batch
 
-    def fail_first(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 1:
-            raise NonConvergenceError("forced failure", [])
-        return solve(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        batches.append(solve(*args, **kwargs))
+        return batches[-1]
 
-    monkeypatch.setattr(rates, "newton_minimize", fail_first)
+    monkeypatch.setattr(rates, "newton_minimize_batch", recorded)
+    return batches
+
+
+def test_partly_failed_n_reduces_its_solved_cells(fail_first_draws, monkeypatch):
+    # replicate 0 of the first n fails inside its row's batch
     plan = tiny_plan(seed=2, replicates=3, n_grid=(32, 64, 128))
+    batches = batch_outcomes(monkeypatch)
+    clean = run_rate_experiment(plan)
+    fail_first_draws(1)
     report = run_rate_experiment(plan)
     cells = report.cells
+    clean_batches, batches = batches[:3], batches[3:]
+    # the failed replicate keeps its own (empty: it failed at its factor)
+    # trace, and every other replicate's theta-hat and cell is the unfaulted
+    # run's, bit for bit
+    failed = batches[0][0]
+    assert isinstance(failed, NonConvergenceError) and failed.trace == ()
+    others = [(b, r) for b in range(len(plan.n_grid)) for r in range(3) if (b, r) != (0, 0)]
+    for b, r in others:
+        assert (batches[b][r].theta_hat.tobytes()
+                == clean_batches[b][r].theta_hat.tobytes())
+    assert cells[1:] == clean.cells[1:]
     assert [(c.n, c.replicate) for c in cells] == [
         (n, rep) for n in plan.n_grid for rep in range(3)]
     assert report.solver_failures == 1
@@ -337,9 +353,10 @@ def test_jobs_invariance(seed, replicates):
     assert run_rate_experiment(plan, jobs=1).cells == run_rate_experiment(plan, jobs=2).cells
 
 
-def test_pool_gets_no_more_workers_than_cells(monkeypatch):
-    # a stand-in pool that records its worker count and runs the cells in
-    # this process, so a huge jobs value starts no process
+def test_pool_gets_no_more_workers_than_rows(monkeypatch):
+    # a stand-in pool that records its worker count and runs the rows in
+    # this process, so a huge jobs value starts no process; a pool task is
+    # one whole n row
     started = []
 
     class SerialPool:
@@ -358,13 +375,13 @@ def test_pool_gets_no_more_workers_than_cells(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     plan = tiny_plan(seed=5, replicates=2, n_grid=(32, 64))
     capped = run_rate_experiment(plan, jobs=10**6)
-    assert started == [4]
+    assert started == [2]
     assert capped.cells == run_rate_experiment(plan, jobs=1).cells
 
 
-# Run in a fresh interpreter with OPENBLAS_NUM_THREADS=2: rate cells on a
-# two-worker pool record both OpenBLAS thread counts (numpy's copy, then
-# scipy's) of the worker that ran them; the parent, which was not pinned
+# Run in a fresh interpreter with OPENBLAS_NUM_THREADS=2: the rows of a rate
+# table on a two-worker pool record both OpenBLAS thread counts (numpy's
+# copy, then scipy's) of the worker that ran them; the parent, which was not pinned
 # while the pool ran, then pins its own and prints them.
 BLAS_PROBE = textwrap.dedent("""
     import ctypes, json, os, sys
@@ -388,15 +405,15 @@ BLAS_PROBE = textwrap.dedent("""
             counts.append(get())
         return counts
 
-    run_cell = rates._run_cell
+    run_row = rates._run_row
 
     def probe(args):
         with open(os.path.join(sys.argv[1], f"worker-{os.getpid()}.json"), "w") as fh:
             json.dump(blas_threads(), fh)
-        return run_cell(args)
+        return run_row(args)
 
     if __name__ == "__main__":
-        rates._run_cell = probe
+        rates._run_row = probe
         pop = make_source_population(d=8, r=0.5, alpha=2.0, seed=1)
         plan = rates.ExperimentPlan(population=pop, regime="source_capacity", n_grid=(32, 64),
                                     replicates=4, delta=0.1, seed=0,

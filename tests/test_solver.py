@@ -11,6 +11,7 @@ from scerm import (
     NonConvergenceError,
     Sample,
     SampleSet,
+    SoftmaxGLMLoss,
     SolverConfig,
     SquareLoss,
     make_logistic_population,
@@ -20,6 +21,7 @@ from scerm import (
 )
 from scerm import solver
 from scerm.rates import _draw
+from conftest import starve_first_row
 from test_rotation import rotated
 
 
@@ -331,8 +333,9 @@ def test_every_step_is_certified_by_the_value_bound(monkeypatch):
     iterates = []
 
     def recording(self, weights, theta):
-        # weighted_grad runs once per iteration, at the iterate
-        iterates.append(np.array(theta))
+        # weighted_grad runs once per iteration, at the iterates of the batch,
+        # which for one solve is a stack of one
+        iterates.append(np.array(theta)[0])
         return grad(self, weights, theta)
 
     damped = 0
@@ -414,3 +417,128 @@ def test_weight_validation(rng):
         solve_erm(sset, np.array([0.5, 0.6]), 1.0)
     with pytest.raises(ContractViolation):
         solve_erm(sset, np.array([0.5]), 1.0)
+
+
+# -- batches ------------------------------------------------------------------
+
+
+def draws(pop, n, count, seed=0):
+    """count multinomial draws of n atoms from pop as (count, m) weights."""
+    return np.random.default_rng(seed).multinomial(n, pop.weights, size=count) / n
+
+
+def glm_support(rng, m=12, n_labels=3, d=4):
+    feats = rng.normal(size=(m, n_labels, d))
+    loss = SoftmaxGLMLoss(rng.uniform(0.5, 2.0, size=n_labels))
+    return SampleSet(loss, feats, rng.integers(0, n_labels, size=m))
+
+
+def batch_case(name):
+    """(sample set, (R, m) weights, lambda, per-replicate Hessians or None)
+    of one solver path."""
+    rng = np.random.default_rng(11)
+    if name == "orthogonal-row-span":
+        pop = case_b()
+        return pop.sample_set, draws(pop, 256, 6), 0.03, None
+    if name == "dense-row-span":
+        pop = rotated(case_b(), seed=0)
+        return pop.sample_set, draws(pop, 256, 4), 0.03, None
+    if name == "primal-given-hessian":
+        sset, *_ = ridge_instance(rng, 5, 40)
+        w = rng.uniform(0.2, 1.0, size=(5, 40))
+        w /= w.sum(axis=1, keepdims=True)
+        return sset, w, 0.1, np.array([sset.weighted_hess(wr, np.zeros(5)) for wr in w])
+    if name == "damped-logistic":
+        pop = make_logistic_population(d=16, alpha=1.0, seed=103)
+        return pop.sample_set, draws(pop, 128, 12), 0.25, None
+    sset = glm_support(rng)
+    w = rng.uniform(0.1, 1.0, size=(5, len(sset)))
+    return sset, w / w.sum(axis=1, keepdims=True), 0.05, None
+
+
+@pytest.mark.parametrize("name", ["orthogonal-row-span", "dense-row-span", "primal-given-hessian",
+                                  "damped-logistic", "softmax-glm"])
+def test_batch_matches_single_solves(name):
+    sset, w, lam, hessians = batch_case(name)
+    assert sset.rows_orthogonal == (name == "orthogonal-row-span" or name == "damped-logistic")
+    outcomes = solver.newton_minimize_batch(sset, w, lam, hessians=hessians)
+    assert len(outcomes) == len(w)
+    damped = 0
+    for r, out in enumerate(outcomes):
+        single = solver.newton_minimize(sset, w[r], lam,
+                                        hessian=None if hessians is None else hessians[r])
+        assert isinstance(out, solver.SolveResult)
+        assert out.iterations == single.iterations
+        assert not out.theta_hat.flags.writeable
+        err = np.linalg.norm(out.theta_hat - single.theta_hat)
+        assert err <= 1e-14 * np.linalg.norm(single.theta_hat)
+        damped += single.iterations > 1
+    # the non-quadratic cases take several, partly damped, steps
+    assert (damped > 0) == (name in ("damped-logistic", "softmax-glm"))
+
+
+def test_a_failed_replicate_leaves_the_others_bit_for_bit():
+    # a starved weight row fails at its factor; the rest of the batch is the
+    # unfaulted batch's, byte for byte
+    pop = case_b()
+    sset, w, lam = pop.sample_set, draws(pop, 256, 5), 0.03
+    clean = solver.newton_minimize_batch(sset, w, lam)
+    faulted = w.copy()
+    faulted[2] = starve_first_row(sset, w[2])
+    outcomes = solver.newton_minimize_batch(sset, faulted, lam)
+    err = outcomes[2]
+    assert isinstance(err, NonConvergenceError) and "non-finite diagonal" in str(err)
+    assert err.trace == ()
+    for r in (0, 1, 3, 4):
+        assert outcomes[r].theta_hat.tobytes() == clean[r].theta_hat.tobytes()
+        assert outcomes[r].decrement_trace == clean[r].decrement_trace
+
+
+def test_an_exhausted_replicate_keeps_its_own_trace():
+    # with too few iterations for some replicates, those fail alone with the
+    # decrements they reached, and the rest converge bit for bit as before
+    pop = make_logistic_population(d=16, alpha=1.0, seed=103)
+    sset, w, lam = pop.sample_set, draws(pop, 128, 12, seed=3), 0.25
+    clean = solver.newton_minimize_batch(sset, w, lam)
+    cap = min(out.iterations for out in clean) + 1
+    capped = solver.newton_minimize_batch(sset, w, lam, SolverConfig(max_iter=cap))
+    failed = [r for r, out in enumerate(capped) if isinstance(out, NonConvergenceError)]
+    assert 0 < len(failed) < len(w)
+    for r, out in enumerate(capped):
+        if r in failed:
+            assert clean[r].iterations >= cap
+            assert out.trace == clean[r].decrement_trace[:cap]
+        else:
+            assert out.theta_hat.tobytes() == clean[r].theta_hat.tobytes()
+            assert out.decrement_trace == clean[r].decrement_trace
+
+
+def test_batch_contract(rng):
+    sset, w, *_ = ridge_instance(rng, 3, 4)
+    with pytest.raises(ContractViolation, match=r"expected \(R, 4\)"):
+        solver.newton_minimize_batch(sset, w, 0.1)
+    with pytest.raises(ContractViolation, match="sum to 1"):
+        solver.newton_minimize_batch(sset, np.stack([w, 2 * w]), 0.1)
+    with pytest.raises(ContractViolation, match="hessians have shape"):
+        solver.newton_minimize_batch(sset, np.stack([w, w]), 0.1, hessians=np.eye(3)[None])
+
+
+def test_an_overflowing_system_fails_alone_in_the_stacked_path():
+    # the third atom's row is so long that any weight on it overflows the
+    # logistic Hessian; replicates that leave it out solve as if it failed
+    # nowhere in their batch
+    x = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1e160], [1.0, 1.0, 0.0]])
+    sset = SampleSet(LogisticLoss(), x, np.array([1.0, -1.0, 1.0, -1.0]))
+    w = np.array([[0.5, 0.25, 0.0, 0.25], [0.2, 0.3, 0.0, 0.5], [0.25, 0.25, 0.0, 0.5],
+                  [0.4, 0.4, 0.0, 0.2]])
+    clean = solver.newton_minimize_batch(sset, w, 0.1)
+    faulted = w.copy()
+    faulted[2] = [0.25, 0.25, 0.25, 0.25]
+    outcomes = solver.newton_minimize_batch(sset, faulted, 0.1)
+    err = outcomes[2]
+    assert isinstance(err, NonConvergenceError) and "not positive definite" in str(err)
+    assert err.trace == ()
+    for r in (0, 1, 3):
+        assert outcomes[r].theta_hat.tobytes() == clean[r].theta_hat.tobytes()
+        assert outcomes[r].decrement_trace == clean[r].decrement_trace
+        assert outcomes[r].iterations > 1
