@@ -468,6 +468,8 @@ class SampleSet:
         bins, so each replicate's atoms are added in the same order as alone."""
         if values.ndim == 1:
             return np.bincount(self.row_of, values)
+        if len(values) == 1:  # one replicate's bins are the rows themselves
+            return np.bincount(self.row_of, values[0])[None]
         count, k = values.shape[0], len(self.rows)
         bins = self.row_of + k * np.arange(count)[:, None]
         return np.bincount(bins.ravel(), values.ravel(), minlength=count * k).reshape(count, k)

@@ -19,10 +19,9 @@ no line search.
 Every solve is a batch. ``newton_minimize_batch`` takes an (R, m) weight
 matrix, one replicate per row, over one support at one lambda, and returns
 R outcomes: a ``SolveResult``, or the replicate's own NonConvergenceError
-with its decrement trace. The replicates share each iteration's stacked sums
-(``SampleSet`` margins Theta rows^T, gradient and Hessian coefficients,
-seminorms), while each one converges, fails or steps on its own; a replicate
-that is done keeps its iterate, so its outcome does not depend on the others.
+with its decrement trace. Each replicate converges, fails or steps on its
+own; a replicate that is done keeps its iterate, and the sums a batch shares
+are taken over all R rows, so its outcome does not depend on the others.
 ``newton_minimize`` is the R = 1 case, raising the replicate's error.
 
 On quadratic objectives (square loss) mu = 0 and the first full step is exact,
@@ -46,18 +45,19 @@ the input:
   replicate's factor is the square root of its diagonal
   (``linalg.diag_chol_factor``), and the whole batch solves as (R, k)
   arrays, each replicate with its own kept mask K.
-- Otherwise the solver builds H + lambda I and factors it. The caller may
-  pass H = sum_i w_i H_i itself, one per replicate, as
+- Otherwise the solver builds H + lambda I and factors it. A single solve's
+  caller may pass H = sum_i w_i H_i itself, as
   ``newton_minimize(..., hessian=H)``; a population keeps its H and hands it
   to each of its solves.
 
 A quadratic solve that factors a dense (k, k) or (d, d) system keeps that
 factor for its second iteration, so those batches run one replicate at a
-time and hold one such factor at a time. A loss that is not quadratic
-refactors at every iteration: a batch of several replicates factors and
-solves its live replicates' systems as one stack (``linalg.chol_solve_stack``,
-numpy's LAPACK), and a single solve calls ``chol_factor`` (scipy's), so a
-replicate's bits depend on whether it is solved alone, never on the others.
+time, each holding one such factor. A loss that is not quadratic refactors
+at every iteration: the batch takes its gradients and step seminorms in one
+call each over the (R, d) stack of iterates, and builds, factors and solves
+its live replicates' systems as stacks (``linalg.chol_solve_stack``, numpy's
+stacked LAPACK for several systems and scipy's for one), so a replicate's
+bits depend on whether it is solved alone, never on the others.
 """
 
 from __future__ import annotations
@@ -112,86 +112,73 @@ def _as_weights(weights, m, stacked: bool = False):
     return w
 
 
-class _Batch:
-    """The decrement traces and outcomes of R replicates solved together; a
-    replicate without an outcome is live."""
+class _Replicate:
+    """One replicate's decrement trace and, once it has one, its outcome: a
+    SolveResult or its own NonConvergenceError."""
 
-    def __init__(self, count: int, lam: float):
+    def __init__(self, lam: float):
         self.lam = lam
-        self.traces = [[] for _ in range(count)]
-        self.outcomes = [None] * count
+        self.trace = []
+        self.outcome = None
 
-    def live(self) -> list:
-        return [r for r, outcome in enumerate(self.outcomes) if outcome is None]
+    def fail(self, message: str, cause: Exception | None = None):
+        self.outcome = NonConvergenceError(message, self.trace)
+        self.outcome.__cause__ = cause
+        return self.outcome
 
-    def fail(self, r: int, message: str, cause: Exception | None = None) -> None:
-        self.outcomes[r] = NonConvergenceError(message, self.traces[r])
-        self.outcomes[r].__cause__ = cause
-
-    def finish(self, r: int, theta: np.ndarray) -> None:
+    def finish(self, theta: np.ndarray) -> SolveResult:
         theta = np.array(theta)
         theta.setflags(write=False)
-        trace = self.traces[r]
-        self.outcomes[r] = SolveResult(theta, tuple(trace), len(trace) - 1)
+        self.outcome = SolveResult(theta, tuple(self.trace), len(self.trace) - 1)
+        return self.outcome
 
-    def factor(self, r: int, factorize, a: np.ndarray):
-        """factorize(a), or None with replicate r failed when it raises."""
+    def factor(self, factorize, a: np.ndarray):
+        """factorize(a), or None with the replicate failed when it raises."""
         try:
             return factorize(a)
         except ContractViolation as exc:
-            self.unfactored(r, exc)
+            self.unfactored(exc)
             return None
 
-    def unfactored(self, r: int, exc: ContractViolation) -> None:
-        """Fail replicate r, whose regularized Hessian a factorization rejected."""
-        self.fail(r, f"regularized Hessian not positive definite (lambda={self.lam}): {exc}", exc)
+    def unfactored(self, exc: ContractViolation) -> float:
+        """Fail the replicate, whose regularized Hessian a factorization
+        rejected; NaN, its decrement."""
+        self.fail(f"regularized Hessian not positive definite (lambda={self.lam}): {exc}", exc)
+        return math.nan
 
-    def decrements(self, rs: list, sq: np.ndarray) -> np.ndarray:
-        """The decrements sqrt(g . (H + lam I)^{-1} g) of replicates rs, given
-        those quadratic forms, each appended to its replicate's trace; a
-        replicate whose form is not finite fails, and its decrement is NaN."""
-        # checked before the clip, which would turn a NaN form into 0
-        dec = np.where(np.isfinite(sq), np.sqrt(np.maximum(0.0, sq)), math.nan)
-        for r, value in zip(rs, dec.tolist()):
-            if math.isnan(value):
-                self.fail(r, f"Newton system is not finite (lambda={self.lam})")
-            else:
-                self.traces[r].append(value)
+    def decrement(self, sq: float) -> float:
+        """The decrement sqrt(g . (H + lam I)^{-1} g), given that quadratic
+        form, appended to the trace; NaN, with the replicate failed, when
+        the form is not finite."""
+        if not math.isfinite(sq):  # checked before the clip: max(0.0, nan) is 0.0
+            self.fail(f"Newton system is not finite (lambda={self.lam})")
+            return math.nan
+        dec = math.sqrt(max(0.0, sq))
+        self.trace.append(dec)
         return dec
 
-    def exhausted(self, config: SolverConfig) -> list:
-        """The outcomes, with every replicate still live failed for want of
-        iterations."""
-        for r in self.live():
-            self.fail(r, f"no convergence to decrement {config.tol} within "
-                         f"{config.max_iter} iterations")
-        return self.outcomes
-
-
-# the most entries in one stack of (d, d) systems, or of the scaled rows that
-# build them, that a non-quadratic batch factors at once (16 MB of floats)
-_STACK_ENTRIES = 2**21
+    def exhausted(self, config: SolverConfig):
+        """The outcome, failed for want of iterations if there is none yet."""
+        return self.outcome or self.fail(f"no convergence to decrement {config.tol} within "
+                                         f"{config.max_iter} iterations")
 
 
 # an overflowing sum is not warned about: the solver rejects a non-finite
 # Hessian factor or Newton system itself
 @np.errstate(over="ignore", invalid="ignore")
 def newton_minimize_batch(sset: SampleSet, weights, lam: float,
-                          config: SolverConfig | None = None,
-                          hessians: np.ndarray | None = None) -> list:
+                          config: SolverConfig | None = None) -> list:
     """Minimize the weighted regularized risk over a stacked sample set for
     each row of an (R, m) weight matrix, in one batch.
 
     Returns R outcomes in row order: a ``SolveResult``, or the replicate's
     NonConvergenceError carrying its own decrement trace, for any failure
-    ``newton_minimize`` raises. ``hessians``, allowed only for a quadratic
-    ``sset``, is an (R, d, d) stack of each row's weighted Hessian, used in
-    place of building it and not written to. Argument errors (lambda,
-    weights, Hessian shape) raise ContractViolation for the whole batch.
+    ``newton_minimize`` raises. Argument errors (lambda, weights) raise
+    ContractViolation for the whole batch.
     """
     config = config or SolverConfig()
     check_lambda(lam, "newton_minimize", zero_ok=True)
-    return _minimize(sset, _as_weights(weights, len(sset), stacked=True), lam, config, hessians)
+    return _minimize(sset, _as_weights(weights, len(sset), stacked=True), lam, config)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -217,176 +204,192 @@ def newton_minimize(sset: SampleSet, weights, lam: float,
     """
     config = config or SolverConfig()
     check_lambda(lam, "newton_minimize", zero_ok=True)
-    w = _as_weights(weights, len(sset))
-    (outcome,) = _minimize(sset, w[None], lam, config,
-                           None if hessian is None else np.asarray(hessian)[None])
+    if hessian is not None:
+        if not sset.quadratic:
+            raise ContractViolation("a fixed Hessian needs a loss whose certificate set is {0}")
+        if np.shape(hessian) != (sset.dim, sset.dim):
+            raise ContractViolation(
+                f"hessian has shape {np.shape(hessian)}, expected ({sset.dim}, {sset.dim})")
+    (outcome,) = _minimize(sset, _as_weights(weights, len(sset))[None], lam, config, hessian)
     if isinstance(outcome, NonConvergenceError):
         raise outcome
     return outcome
 
 
 def _minimize(sset: SampleSet, w: np.ndarray, lam: float, config: SolverConfig,
-              hessians) -> list:
+              hessian=None) -> list:
     """The batch core over checked (R, m) weights: picks each path of the
-    module docstring."""
-    quadratic, d = sset.quadratic, sset.dim
-    if hessians is not None:
-        if not quadratic:
-            raise ContractViolation("a fixed Hessian needs a loss whose certificate set is {0}")
-        if np.shape(hessians) != (len(w), d, d):
-            raise ContractViolation(
-                f"hessian has shape {np.shape(hessians)[1:]}, expected ({d}, {d})"
-                if len(hessians) == len(w) else
-                f"hessians have shape {np.shape(hessians)}, expected ({len(w)}, {d}, {d})")
-    row_span = quadratic and hessians is None and lam > 0.0 and len(sset.rows) <= d
-    solve = _row_span_minimize if row_span else _primal_minimize
-    if not quadratic or (row_span and sset.rows_orthogonal):
-        return solve(sset, w, lam, config, hessians)
+    module docstring. ``hessian`` is ``newton_minimize``'s checked one, for
+    R = 1."""
+    if not sset.quadratic:
+        return _damped_minimize(sset, w, lam, config)
+    row_span = hessian is None and lam > 0.0 and len(sset.rows) <= sset.dim
+    if row_span and sset.rows_orthogonal:
+        return _orthogonal_span_minimize(sset, w, lam, config)
     # a dense quadratic system's factor lives across both iterations: one
     # replicate at a time keeps one (k, k) or (d, d) factor alive at a time
-    return [outcome for r in range(len(w))
-            for outcome in solve(sset, w[r:r + 1], lam, config,
-                                 None if hessians is None else hessians[r:r + 1])]
+    if row_span:
+        return [_dense_span_minimize(sset, wr, lam, config) for wr in w]
+    return [_quadratic_minimize(sset, wr, lam, config, hessian) for wr in w]
 
 
-def _primal_minimize(sset: SampleSet, w: np.ndarray, lam: float, config: SolverConfig,
-                     hessians) -> list:
-    """Damped Newton in theta over (d, d) systems H + lam I, with each
-    iteration's gradients, Hessians and seminorms one call each for the
-    batch. A quadratic loss factors each replicate's system once, built (or
-    given), and reuses the factor; any other loss refactors at every
-    iteration, a single solve through ``chol_factor`` and a batch of several
-    replicates as one stack of its live replicates' systems
-    (``linalg.chol_solve_stack``)."""
-    count, d, quadratic = len(w), sset.dim, sset.quadratic
-    batch, theta = _Batch(count, lam), np.zeros((count, d))
-    factors = [None] * count
-    for _ in range(config.max_iter):
-        live = batch.live()
-        if not live:
-            break
-        g = sset.weighted_grad(w, theta) + lam * theta
-        if quadratic or count == 1:
-            for r in live:
-                if factors[r] is None or not quadratic:
-                    h = (sset.weighted_hess(w[r], theta[r]) if hessians is None
-                         else np.array(hessians[r], dtype=float))
-                    h.flat[::d + 1] += lam
-                    factors[r] = batch.factor(r, chol_factor, h)
-            solved = [r for r in live if factors[r] is not None]
-            x = np.array([chol_solve(factors[r], g[r]) for r in solved]).reshape(-1, d)
-        else:
-            solved, x = _stacked_newton(sset, w, theta, g, lam, live, batch, factors)
-        dec = batch.decrements(solved, np.einsum("rd,rd->r", g[solved], x))
-        for r, value in zip(solved, dec):
-            if not value <= config.tol:  # moving on, or failed
-                continue
-            # the localization lemma's proof that a lam = 0 minimum is attained
-            if lam == 0.0 and value > radius_from_factor(factors[r], sset.certificate_rows) / 2.0:
-                batch.fail(r, f"population minimum not attained: decrement {value:.3e} exceeds "
-                              f"half the Dikin radius at lambda=0")
-            else:
-                batch.finish(r, theta[r])
-        moving = [r for r, value in zip(solved, dec) if value > config.tol]
-        if moving and quadratic:
-            # no certificate vector, so mu = 0: the full step
-            theta[moving] = theta[moving] - x[dec > config.tol]
-        elif moving:
-            # every seminorm from the whole (count, d) stack, so that a
-            # replicate's does not depend on which others are still moving;
-            # a row that stays has step 0, so mu = 0, t = 1 and theta + 0
-            steps = np.zeros((count, d))
-            steps[moving] = -x[dec > config.tol]
-            mu = sset.seminorm(steps)
-            t = np.where(mu <= 1.0, 1.0, np.log1p(mu) / np.where(mu > 0.0, mu, 1.0))
-            theta += t[:, None] * steps
-    return batch.exhausted(config)
+# the most entries in one stack of (d, d) systems, or of the scaled rows that
+# build them, that a non-quadratic batch factors at once (16 MB of floats)
+_STACK_ENTRIES = 2**21
 
 
-def _stacked_newton(sset: SampleSet, w: np.ndarray, theta: np.ndarray, g: np.ndarray,
-                    lam: float, live: list, batch: _Batch, factors: list) -> tuple:
-    """The live replicates' Newton solves (H + lam I) x = g, built, factored
-    and solved as stacks of at most _STACK_ENTRIES entries: the replicates
-    solved and their x. A replicate whose system is not positive definite
-    fails; at lam = 0 each factor is kept in ``factors`` for the radius."""
-    d = sset.dim
+def _damped_minimize(sset: SampleSet, w: np.ndarray, lam: float, config: SolverConfig) -> list:
+    """Damped Newton in theta for a loss that is not quadratic, refactoring
+    H + lam I at every iteration. Each iteration takes the batch's gradients
+    and step seminorms in one call each over the whole (R, d) stack of
+    iterates, so that a replicate's bits do not depend on which others are
+    still moving (a replicate that is done keeps its iterate, and its step
+    is 0), and builds, factors and solves the live replicates' systems as
+    stacks of at most _STACK_ENTRIES entries (``linalg.chol_solve_stack``)."""
+    count, d = len(w), sset.dim
+    reps, theta = [_Replicate(lam) for _ in range(count)], np.zeros((count, d))
     size = max(1, _STACK_ENTRIES // (d * max(d, len(sset.rows))))
-    solved, x = [], []
-    for lo in range(0, len(live), size):
-        part = live[lo:lo + size]
-        h = sset.weighted_hess(w[part], theta[part])
-        h.reshape(len(part), -1)[:, ::d + 1] += lam
-        stack, xs, errors = chol_solve_stack(h, g[part])
-        for r, factor, xr, err in zip(part, stack, xs, errors):
-            if err is not None:
-                batch.unfactored(r, err)
-                continue
-            if lam == 0.0:
-                factors[r] = factor
-            solved.append(r)
-            x.append(xr)
-    return solved, np.array(x).reshape(-1, d)
-
-
-def _row_span_minimize(sset: SampleSet, w: np.ndarray, lam: float, config: SolverConfig,
-                       hessians=None) -> list:
-    """The batch of a quadratic loss at lam > 0 in the coefficients beta of
-    theta = R^T beta over the rows, nonzero only on each replicate's rows K
-    of nonzero Hessian coefficient c_K. With v = gamma + lam beta, gamma the
-    gradient's row coefficients, the gradient is g = R^T v and the Newton
-    step is beta_K <- beta_K - s with s = M^{-1}(v_K / c_K) and
-    M = G_KK + diag(lam / c_K) from the row Gram G, factored as a diagonal
-    over orthogonal rows. The squared decrement g . R_K^T s is v . G s, with
-    G s a product with G's diagonal over orthogonal rows."""
-    count, rows = len(w), sset.rows
-    batch = _Batch(count, lam)
-    coef = sset.hess_coefs(w, np.zeros((count, sset.dim)))
-    kept = [c.nonzero()[0] for c in coef]
-    step = np.zeros(coef.shape)
-    if sset.rows_orthogonal:
-        # G_KK is diagonal, so M is too: its factor is its square-root
-        # diagonal, and dpotrs with it multiplies by the root's reciprocal twice
-        inv_root, gram = np.zeros(coef.shape), np.diagonal(sset.row_gram)
-        for r, keep in enumerate(kept):
-            factor = batch.factor(r, diag_chol_factor, gram.take(keep) + lam / coef[r].take(keep))
-            if factor is not None:
-                inv_root[r, keep] = 1.0 / np.diagonal(factor)
-            # free this (k, k) factor before the next replicate makes its own
-            del factor
-        scale = np.where(coef != 0.0, coef, 1.0)
-
-        def solve(v, live):
-            step[:] = v / scale * inv_root * inv_root
-            return gram * step
-    else:
-        factors = []
-        for r, keep in enumerate(kept):
-            # one gather through flat indices: take(keep, 0).take(keep, 1) would
-            # first copy k full rows of G, a transient that raised the peak RSS
-            system = sset.row_gram.reshape(-1).take((keep * len(rows))[:, None] + keep)
-            system.flat[::len(keep) + 1] += lam / coef[r].take(keep)
-            factors.append(batch.factor(r, chol_factor, system))
-
-        def solve(v, live):
-            for r in live:
-                keep = kept[r]
-                step[r, keep] = chol_solve(factors[r], v[r].take(keep) / coef[r].take(keep))
-            return step @ sset.row_gram
-    beta, theta = np.zeros(coef.shape), np.zeros((count, sset.dim))
+    # chosen by the batch's size, never by how many replicates are still live
+    factorize = chol_solve_stack if count > 1 else _chol_solve_one
+    live = list(range(count))
     for _ in range(config.max_iter):
-        live = batch.live()
+        g = sset.weighted_grad(w, theta) + lam * theta
+        steps = np.zeros((count, d))
+        for lo in range(0, len(live), size):
+            part = live[lo:lo + size]
+            # a run of consecutive replicates (every one, while all are live)
+            # indexes as a slice: views in place of gathered copies
+            pick = slice(part[0], part[-1] + 1) if part[-1] - part[0] < len(part) else part
+            h = sset.weighted_hess(w[pick], theta[pick])
+            h.reshape(len(part), -1)[:, ::d + 1] += lam
+            factors, x, errors = factorize(h, g[pick])
+            for r, factor, xr, err in zip(part, factors, x, errors):
+                rep = reps[r]
+                dec = rep.unfactored(err) if err is not None else rep.decrement(float(g[r] @ xr))
+                if dec > config.tol:
+                    steps[r] = -xr
+                # the localization lemma's proof that a lam = 0 minimum is attained
+                elif lam == 0.0 and dec > radius_from_factor(factor, sset.certificate_rows) / 2.0:
+                    rep.fail(f"population minimum not attained: decrement {dec:.3e} exceeds "
+                             f"half the Dikin radius at lambda=0")
+                elif dec <= config.tol:
+                    rep.finish(theta[r])
+        live = [r for r in live if reps[r].outcome is None]
         if not live:
             break
+        mu = sset.seminorm(steps)
+        far = mu > 1.0
+        if far.any():
+            steps[far] *= (np.log1p(mu[far]) / mu[far])[:, None]
+        theta += steps
+    return [rep.exhausted(config) for rep in reps]
+
+
+def _chol_solve_one(a: np.ndarray, b: np.ndarray) -> tuple:
+    """``chol_solve_stack``'s (factors, x, errors) for a stack of one system,
+    through ``chol_factor`` and ``chol_solve``: on one 16 x 16 system their
+    two scipy calls take a quarter of the time of numpy's stacked routines,
+    and a process that solves only single systems never loads numpy's
+    LAPACK workspace."""
+    try:
+        factor = chol_factor(a[0])
+    except ContractViolation as exc:
+        return np.zeros(a.shape), np.zeros(b.shape), [exc]
+    return factor[None], chol_solve(factor, b[0])[None], [None]
+
+
+def _orthogonal_span_minimize(sset: SampleSet, w: np.ndarray, lam: float,
+                              config: SolverConfig) -> list:
+    """The batch of a quadratic loss at lam > 0 over mutually orthogonal rows,
+    in the coefficients beta of theta = R^T beta, nonzero only on each
+    replicate's rows K of nonzero Hessian coefficient c_K. With
+    v = gamma + lam beta, gamma the gradient's row coefficients, the gradient
+    is g = R^T v and the Newton step is beta_K <- beta_K - s with
+    s = M^{-1}(v_K / c_K) and M = G_KK + diag(lam / c_K) from the row Gram G,
+    which is diagonal here: M's factor is its square-root diagonal, and the
+    whole batch solves as (R, k) arrays. The squared decrement g . R_K^T s is
+    v . G s, a product with G's diagonal."""
+    count = len(w)
+    reps = [_Replicate(lam) for _ in range(count)]
+    coef = sset.hess_coefs(w, np.zeros((count, sset.dim)))
+    # dpotrs with a diagonal factor multiplies by the root's reciprocal twice
+    inv_root, gram = np.zeros(coef.shape), np.diagonal(sset.row_gram)
+    for rep, c, inv in zip(reps, coef, inv_root):
+        keep = c.nonzero()[0]
+        factor = rep.factor(diag_chol_factor, gram.take(keep) + lam / c.take(keep))
+        if factor is not None:
+            inv[keep] = 1.0 / np.diagonal(factor)
+        # free this (k, k) factor before the next replicate makes its own
+        del factor
+    scale = np.where(coef != 0.0, coef, 1.0)
+    beta, theta = np.zeros(coef.shape), np.zeros((count, sset.dim))
+    live = [r for r, rep in enumerate(reps) if rep.outcome is None]
+    for _ in range(config.max_iter if live else 0):
         v = sset.grad_coefs(w, theta) + lam * beta
-        sq = np.einsum("rk,rk->r", v, solve(v, live))
-        for r, value in zip(live, batch.decrements(live, sq[live])):
-            if value <= config.tol:
-                batch.finish(r, theta[r])
+        step = v / scale * inv_root * inv_root
+        sq = np.einsum("rk,rk->r", v, gram * step)
+        for r in live:
+            if reps[r].decrement(sq[r]) <= config.tol:
+                reps[r].finish(theta[r])
+        live = [r for r in live if reps[r].outcome is None]
+        if not live:
+            break
         # a replicate that is done keeps its coefficients
-        step[[r for r, outcome in enumerate(batch.outcomes) if outcome is not None]] = 0.0
+        step[[rep.outcome is not None for rep in reps]] = 0.0
+        beta = beta - step
+        theta = beta @ sset.rows
+    return [rep.exhausted(config) for rep in reps]
+
+
+def _dense_span_minimize(sset: SampleSet, w: np.ndarray, lam: float,
+                         config: SolverConfig):
+    """One replicate of a quadratic loss at lam > 0 over at most d rows that
+    are not mutually orthogonal, in the coefficients beta of theta = R^T beta
+    as in ``_orthogonal_span_minimize``, with M = G_KK + diag(lam / c_K)
+    factored once by Cholesky. The squared decrement is g . R_K^T s, which
+    equals v_K . G_KK s without a second copy of G_KK. Returns its outcome."""
+    rep, rows = _Replicate(lam), sset.rows
+    coef = sset.hess_coefs(w, np.zeros(sset.dim))
+    kept = coef.nonzero()[0]
+    c = coef.take(kept)
+    # one gather through flat indices: take(kept, 0).take(kept, 1) would
+    # first copy k full rows of G, a transient that raised the peak RSS
+    system = sset.row_gram.reshape(-1).take((kept * len(rows))[:, None] + kept)
+    system.flat[::len(kept) + 1] += lam / c
+    factor = rep.factor(chol_factor, system)
+    beta, step = np.zeros(len(rows)), np.zeros(len(rows))
+    theta = np.zeros(sset.dim)
+    for _ in range(config.max_iter if factor is not None else 0):
+        v = sset.grad_coefs(w, theta) + lam * beta
+        step[kept] = chol_solve(factor, v.take(kept) / c)
+        dec = rep.decrement(float((v @ rows) @ (step @ rows)))
+        if not dec > config.tol:  # converged, or failed
+            return rep.outcome or rep.finish(theta)
         beta = beta - step
         theta = beta @ rows
-    return batch.exhausted(config)
+    return rep.exhausted(config)
+
+
+def _quadratic_minimize(sset: SampleSet, w: np.ndarray, lam: float, config: SolverConfig,
+                        hessian=None):
+    """One replicate of a quadratic loss over the (d, d) system H + lam I,
+    built (or given) and factored once, since the Hessian is the same at
+    every theta; each step is the full Newton step (mu = 0). The certificate
+    set is {0}, so the Dikin radius is infinite and a lam = 0 minimum is
+    always attained. Returns its outcome."""
+    rep, d = _Replicate(lam), sset.dim
+    h = sset.weighted_hess(w, np.zeros(d)) if hessian is None else np.array(hessian, dtype=float)
+    h.flat[::d + 1] += lam
+    factor = rep.factor(chol_factor, h)
+    theta = np.zeros(d)
+    for _ in range(config.max_iter if factor is not None else 0):
+        g = sset.weighted_grad(w, theta) + lam * theta
+        step = -chol_solve(factor, g)
+        dec = rep.decrement(-float(g @ step))
+        if not dec > config.tol:  # converged, or failed
+            return rep.outcome or rep.finish(theta)
+        theta = theta + step
+    return rep.exhausted(config)
 
 
 def solve_erm(sset: SampleSet, weights, lam: float,

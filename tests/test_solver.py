@@ -434,45 +434,48 @@ def glm_support(rng, m=12, n_labels=3, d=4):
 
 
 def batch_case(name):
-    """(sample set, (R, m) weights, lambda, per-replicate Hessians or None)
-    of one solver path."""
+    """(sample set, (R, m) weights, lambda) of one solver path."""
     rng = np.random.default_rng(11)
     if name == "orthogonal-row-span":
         pop = case_b()
-        return pop.sample_set, draws(pop, 256, 6), 0.03, None
+        return pop.sample_set, draws(pop, 256, 6), 0.03
     if name == "dense-row-span":
         pop = rotated(case_b(), seed=0)
-        return pop.sample_set, draws(pop, 256, 4), 0.03, None
-    if name == "primal-given-hessian":
+        return pop.sample_set, draws(pop, 256, 4), 0.03
+    if name == "primal":
+        # 40 distinct rows in d = 5: the (d, d) system H + lam I
         sset, *_ = ridge_instance(rng, 5, 40)
         w = rng.uniform(0.2, 1.0, size=(5, 40))
-        w /= w.sum(axis=1, keepdims=True)
-        return sset, w, 0.1, np.array([sset.weighted_hess(wr, np.zeros(5)) for wr in w])
+        return sset, w / w.sum(axis=1, keepdims=True), 0.1
     if name == "damped-logistic":
         pop = make_logistic_population(d=16, alpha=1.0, seed=103)
-        return pop.sample_set, draws(pop, 128, 12), 0.25, None
+        return pop.sample_set, draws(pop, 128, 12), 0.25
     sset = glm_support(rng)
     w = rng.uniform(0.1, 1.0, size=(5, len(sset)))
-    return sset, w / w.sum(axis=1, keepdims=True), 0.05, None
+    return sset, w / w.sum(axis=1, keepdims=True), 0.05
 
 
-@pytest.mark.parametrize("name", ["orthogonal-row-span", "dense-row-span", "primal-given-hessian",
+@pytest.mark.parametrize("name", ["orthogonal-row-span", "dense-row-span", "primal",
                                   "damped-logistic", "softmax-glm"])
 def test_batch_matches_single_solves(name):
-    sset, w, lam, hessians = batch_case(name)
+    sset, w, lam = batch_case(name)
     assert sset.rows_orthogonal == (name == "orthogonal-row-span" or name == "damped-logistic")
-    outcomes = solver.newton_minimize_batch(sset, w, lam, hessians=hessians)
+    outcomes = solver.newton_minimize_batch(sset, w, lam)
     assert len(outcomes) == len(w)
     damped = 0
     for r, out in enumerate(outcomes):
-        single = solver.newton_minimize(sset, w[r], lam,
-                                        hessian=None if hessians is None else hessians[r])
+        single = solver.newton_minimize(sset, w[r], lam)
         assert isinstance(out, solver.SolveResult)
         assert out.iterations == single.iterations
         assert not out.theta_hat.flags.writeable
         err = np.linalg.norm(out.theta_hat - single.theta_hat)
         assert err <= 1e-14 * np.linalg.norm(single.theta_hat)
         damped += single.iterations > 1
+        if name == "primal":
+            # the same system, given in place of built: the same bits
+            h = sset.weighted_hess(w[r], np.zeros(sset.dim))
+            given = solver.newton_minimize(sset, w[r], lam, hessian=h)
+            assert given.theta_hat.tobytes() == single.theta_hat.tobytes()
     # the non-quadratic cases take several, partly damped, steps
     assert (damped > 0) == (name in ("damped-logistic", "softmax-glm"))
 
@@ -519,8 +522,6 @@ def test_batch_contract(rng):
         solver.newton_minimize_batch(sset, w, 0.1)
     with pytest.raises(ContractViolation, match="sum to 1"):
         solver.newton_minimize_batch(sset, np.stack([w, 2 * w]), 0.1)
-    with pytest.raises(ContractViolation, match="hessians have shape"):
-        solver.newton_minimize_batch(sset, np.stack([w, w]), 0.1, hessians=np.eye(3)[None])
 
 
 def test_an_overflowing_system_fails_alone_in_the_stacked_path():
