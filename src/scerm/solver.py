@@ -20,9 +20,10 @@ Every solve is a batch. ``newton_minimize_batch`` takes an (R, m) weight
 matrix, one replicate per row, over one support at one lambda, and returns
 R outcomes: a ``SolveResult``, or the replicate's own NonConvergenceError
 with its decrement trace. Each replicate converges, fails or steps on its
-own; a replicate that is done keeps its iterate, and the sums a batch shares
-are taken over all R rows, so its outcome does not depend on the others.
-``newton_minimize`` is the R = 1 case, raising the replicate's error.
+own; a replicate that is done keeps its iterate, and the gradients and
+seminorms a batch shares are taken over all R rows, so its outcome does not
+depend on the others. ``newton_minimize`` is the R = 1 case, raising the
+replicate's error.
 
 On quadratic objectives (square loss) mu = 0 and the first full step is exact,
 so the solver stops after one iteration. A loss whose certificate set is {0}
