@@ -10,7 +10,7 @@ module, with the arguments scipy's own wrappers pass, so their results are
 bit for bit those of ``scipy.linalg``:
 
     chol_factor       dpotrf                 (cho_factor, lower)
-    diag_chol_factor  none: sqrt of the diagonal, dpotrf's result bit for bit
+    diag_chol_factor  none: sqrt of a diagonal, dpotrf's diagonal bit for bit
     chol_solve        dpotrs                 (cho_solve)
     gen_eigmax        dsygvd                 (eigh(a, b, eigvals_only=True))
     eigmin            dsyevr, dsyevr_lwork   (eigvalsh)
@@ -25,8 +25,9 @@ LAPACK work of a 16 x 16 system.
 Each diagonal case is chosen by an exact property of the input: ``eigh``
 checks that every off-diagonal entry is 0 (one scan, under 1% of a dense
 dsyevr at d = 256), and the caller of ``diag_chol_factor`` knows its system
-is diagonal (``SampleSet.rows_orthogonal``). ``chol_factor`` checks nothing
-extra, because a scan of a dense 256 x 256 matrix costs 15% of its dpotrf.
+is diagonal (``SampleSet.rows_orthogonal``, rows on disjoint coordinates).
+``chol_factor`` checks nothing extra: a scan of a dense 256 x 256 matrix
+costs 15% of its dpotrf.
 
 The module is loaded once, from its file, so that neither the ``scipy``
 package nor ``scipy.linalg`` is imported. Importing ``scipy.linalg`` costs
@@ -111,15 +112,14 @@ def chol_factor(a: np.ndarray) -> np.ndarray:
     """
     c, info = _LAPACK.dpotrf(a, lower=1, clean=0)
     _check_legal(info, "dpotrf")
-    return _checked_factor(c, info)
+    _check_factor(info, np.diagonal(c))
+    return c
 
 
 def diag_chol_factor(diag: np.ndarray) -> np.ndarray:
-    """chol_factor of the diagonal matrix with this diagonal, without LAPACK:
-    the square roots of its entries on the diagonal and zeros elsewhere, in
-    Fortran order, which is chol_factor's layout and dpotrf's result bit for
-    bit. (dpotrs would first copy a C-ordered factor, at more than twice the
-    cost of the solve.)
+    """The diagonal of chol_factor of the diagonal matrix with this diagonal,
+    without LAPACK or a (k, k) array: the square roots of its entries, shape
+    (k,), which are dpotrf's bit for bit.
 
     Raises ContractViolation as chol_factor does: for the first entry that
     is not > 0 (NaN included), the leading minor dpotrf reports, and for an
@@ -127,21 +127,20 @@ def diag_chol_factor(diag: np.ndarray) -> np.ndarray:
     """
     positive = diag > 0.0
     info = 0 if positive.all() else int(np.argmin(positive)) + 1
-    factor = np.zeros((len(diag), len(diag)), order="F")
-    np.fill_diagonal(factor, np.sqrt(diag, where=positive, out=np.zeros(len(diag))))
-    return _checked_factor(factor, info)
+    root = np.sqrt(diag, where=positive, out=np.zeros(len(diag)))
+    _check_factor(info, root)
+    return root
 
 
-def _checked_factor(factor: np.ndarray, info: int) -> np.ndarray:
-    """factor, unless dpotrf's info reports a leading minor that is not
-    positive definite or the factor has a non-finite diagonal."""
+def _check_factor(info: int, diagonal: np.ndarray) -> None:
+    """Raise unless dpotrf's info reports every leading minor positive
+    definite and the factor's diagonal is finite."""
     if info > 0:
         raise ContractViolation("matrix is not positive definite: "
                                 f"{info}-th leading minor of the array is not positive definite")
-    if not np.isfinite(np.diagonal(factor)).all():
+    if not np.isfinite(diagonal).all():
         raise ContractViolation("matrix is not positive definite: its factor has a "
                                 "non-finite diagonal")
-    return factor
 
 
 def chol_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:

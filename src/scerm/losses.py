@@ -427,11 +427,11 @@ class SampleSet:
     ``grads``, which the GLM's gradient sums read. Every weighted Hessian is
     one SYRK product (``weighted_hess``). A scalar loss also gives its
     weighted gradient and Hessian as per-row coefficients (``grad_coefs``,
-    ``hess_coefs``), which, with the rows' (k, k) Gram matrix ``row_gram``
-    (computed on first use, as big as one Hessian when k = d), are what a
-    square-loss solve over at most d rows reads in place of a (d, d) Hessian
-    (``solver.newton_minimize``); ``rows_orthogonal``, read off that Gram
-    once, tells the solve that its system is diagonal.
+    ``hess_coefs``), which are what a square-loss solve over at most d rows
+    reads in place of a (d, d) Hessian (``solver.newton_minimize``), with
+    ``row_sqnorms`` when ``rows_orthogonal`` (one scan of the rows) says that
+    its system is diagonal, and otherwise with the rows' (k, k) Gram matrix
+    ``row_gram`` (computed on first use, as big as one Hessian when k = d).
 
     The weighted sums also take a batch: (R, m) weights with an (R, d) stack
     of parameters, one replicate per row, give ``grad_coefs`` and
@@ -625,21 +625,22 @@ class SampleSet:
     @cached_property
     def row_gram(self) -> np.ndarray:
         """The Gram matrix rows rows^T of the rows, shape (k, k), read-only,
-        built on first use: a square-loss solve over at most d rows reads it
-        in place of a (d, d) Hessian (``solver.newton_minimize``)."""
+        built on first use: a square-loss solve over at most d rows that are
+        not ``rows_orthogonal`` reads it in place of a (d, d) Hessian
+        (``solver.newton_minimize``)."""
         gram = self.rows @ self.rows.T
         gram.setflags(write=False)
         return gram
 
     @cached_property
     def rows_orthogonal(self) -> bool:
-        """True when the rows are mutually orthogonal, every off-diagonal
-        entry of ``row_gram`` exactly 0, read from one scan on first use:
-        then every square-loss row-span system is diagonal
-        (``solver.newton_minimize``). Axis-aligned rows have it, and so do
-        dense rows such as a Hadamard design's."""
-        gram = self.row_gram
-        return np.count_nonzero(gram) == np.count_nonzero(np.diagonal(gram))
+        """True when no two rows share a nonzero coordinate, read from one
+        O(kd) scan of ``rows`` on first use. Such rows are orthogonal with
+        a Gram matrix that is exactly diagonal, ``row_sqnorms``, so every
+        square-loss row-span system is (``solver.newton_minimize``).
+        Axis-aligned rows have it; dense rows, even mutually orthogonal ones
+        such as a Hadamard design's, do not."""
+        return bool(np.count_nonzero(self.rows, axis=0).max(initial=0) <= 1)
 
     @property
     def quadratic(self) -> bool:

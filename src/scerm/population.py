@@ -15,13 +15,14 @@ Diagnostic quantities at the minimizer t* and a regularization level lambda:
 
 A population solves t* = argmin L, H(t*) and its eigendecomposition
 H(t*) = sum_i e_i u_i u_i^T (``eigenpairs``) once, on first use, and each
-t*_lam once per lambda; ``exact_hessian`` builds H at other points. For a
-quadratic loss (certificate set {0}, ``SampleSet.quadratic``)
-H(t) = sum_i w_i x_i x_i^T is the same at every t: the population builds it
-once, without solving t* first, and ``exact_hessian`` and every t* and t*_lam
-solve reuse it instead of rebuilding it, as the population localization check
-reuses the eigenpairs for ||g||_{H_lambda(t)^{-1}} at any t. Bias and df are
-O(d) sums over the one spectrum that every lambda of the population shares:
+t*_lam once per lambda; ``exact_hessian`` builds H at other points. Each
+solve is one ``newton_minimize`` call, which picks its system from the atoms
+(the source generator's d axis rows: a diagonal one, with no (d, d) H). For a
+quadratic loss (certificate set {0}, ``SampleSet.quadratic``) H(t) is the same
+at every t: the population builds it once, without solving t* first, and
+``exact_hessian`` reuses it, as the population localization check reuses the
+eigenpairs for ||g||_{H_lambda(t)^{-1}} at any t. Bias and df are O(d) sums
+over the one spectrum that every lambda of the population shares:
 
     Bias^2 = lambda^2 sum_i (u_i . t*)^2 / (e_i + lambda)
     df     = sum_i E[(u_i . grad l_Z(t*))^2] / (e_i + lambda)
@@ -95,7 +96,8 @@ class ConstructionMeta:
 class FinitePopulation:
     """Finitely supported distribution: a ``SampleSet`` of atoms and their
     strictly positive weights. theta*, L(theta*), H(theta*), its eigenpairs
-    and spectrum and each theta*_lambda are computed on first use and kept."""
+    and spectrum and each theta*_lambda are computed on first use and kept;
+    the solves of theta* and theta*_lambda do not read the kept H."""
 
     sample_set: SampleSet
     weights: np.ndarray
@@ -236,10 +238,8 @@ def _minimize_population(pop: FinitePopulation, lam: float) -> np.ndarray:
     attained (the synthetic constructions below guarantee it); failure to
     converge or to certify attainment there surfaces as NonConvergenceError.
     """
-    hessian = pop.hessian_at_star if pop.sample_set.quadratic else None
-    res = newton_minimize(pop.sample_set, pop.weights, lam, SolverConfig(tol=_POP_SOLVE_TOL),
-                          hessian=hessian)
-    return res.theta_hat
+    return newton_minimize(pop.sample_set, pop.weights, lam,
+                           SolverConfig(tol=_POP_SOLVE_TOL)).theta_hat
 
 
 def bias_lambda(pop: FinitePopulation, lam: float) -> float:

@@ -29,27 +29,26 @@ On quadratic objectives (square loss) mu = 0 and the first full step is exact,
 so the solver stops after one iteration. A loss whose certificate set is {0}
 (``SampleSet.quadratic``) has a vanishing third derivative, so its Hessian is
 the same at every theta: the solver factors one Newton system per replicate
-once and reuses the factor to certify the decrement. Which system depends on
-the input:
+once and reuses the factor to certify the decrement. ``_minimize`` picks
+which system from the input alone:
 
-- Over at most d distinct rows (``len(sset.rows) <= sset.dim``), at
-  lambda > 0 and with no given Hessian, the solve runs in the span of the
-  rows K of nonzero Hessian coefficient c_K, where the minimizer lies (the
-  representer theorem): theta = R_K^T beta, and the system is the k x k
-  M = G_KK + diag(lambda / c_K), with G_KK a block of the row Gram
-  ``SampleSet.row_gram``, in place of the (d, d) H + lambda I. It is the
-  coefficient form of kernel ridge regression; the Woodbury identity's
-  difference form (g - R_K^T M^{-1} R_K g) / lambda would lose digits as
-  lambda shrinks. When the rows are mutually orthogonal
-  (``SampleSet.rows_orthogonal``: axis-aligned rows, as both generators
-  draw, or dense ones such as a Hadamard design's), M is diagonal: each
-  replicate's factor is the square root of its diagonal
-  (``linalg.diag_chol_factor``), and the whole batch solves as (R, k)
-  arrays, each replicate with its own kept mask K.
-- Otherwise the solver builds H + lambda I and factors it. A single solve's
-  caller may pass H = sum_i w_i H_i itself, as
-  ``newton_minimize(..., hessian=H)``; a population keeps its H and hands it
-  to each of its solves.
+- Over k <= d distinct rows (``len(sset.rows) <= sset.dim``), at lambda > 0,
+  or at lambda = 0 when k = d and every weight of the batch is > 0, the
+  solve runs in the span of the rows K of nonzero Hessian coefficient c_K,
+  where the minimizer lies (the representer theorem): theta = R_K^T beta,
+  and the system is the k x k M = G_KK + diag(lambda / c_K), with G_KK a
+  block of the row Gram ``SampleSet.row_gram``, in place of the (d, d)
+  H + lambda I. It is the coefficient form of kernel ridge regression; the
+  Woodbury identity's difference form (g - R_K^T M^{-1} R_K g) / lambda
+  would lose digits as lambda shrinks. At lambda = 0, d independent rows,
+  all kept, span R^d, so the span minimizer is the minimizer; dependent (or
+  zero) rows fail in M's factor as the singular H would. When no
+  two rows share a nonzero coordinate (``SampleSet.rows_orthogonal``, as
+  the axis-aligned rows both generators draw), M is diagonal with G's
+  diagonal ``SampleSet.row_sqnorms``: each replicate's factor is the square
+  root of its diagonal (``linalg.diag_chol_factor``), and the whole batch
+  solves as (R, k) arrays, each replicate with its own kept mask K.
+- Otherwise the solver builds H + lambda I and factors it.
 
 A quadratic solve that factors a dense (k, k) or (d, d) system keeps that
 factor for its second iteration, so those batches run one replicate at a
@@ -184,54 +183,43 @@ def newton_minimize_batch(sset: SampleSet, weights, lam: float,
 
 @np.errstate(over="ignore", invalid="ignore")
 def newton_minimize(sset: SampleSet, weights, lam: float,
-                    config: SolverConfig | None = None,
-                    hessian: np.ndarray | None = None) -> SolveResult:
+                    config: SolverConfig | None = None) -> SolveResult:
     """Minimize the weighted regularized risk over a stacked sample set: the
     R = 1 case of ``newton_minimize_batch``.
 
     lam may be 0 here (population minimizers under an attainment guarantee);
-    the public ``solve_erm`` enforces lam > 0. ``hessian``, allowed only for a
-    quadratic ``sset``, is the (d, d) weighted Hessian of these weights and is
-    used in place of building it; it is not written to. Each step's decrease
-    is certified by the value bound (see the module docstring), so no
-    objective value is computed. A quadratic solve at lam > 0 without
-    ``hessian`` over at most d distinct rows runs in the span of its rows,
-    and factors its system as a diagonal when those rows are mutually
-    orthogonal (see the module docstring). Raises NonConvergenceError,
-    carrying the decrement trace, on iteration exhaustion, a regularized
-    Hessian that is not positive definite, a gradient or Newton step that is
-    not finite, or at lam = 0 a final decrement above half the Dikin radius
-    (a small decrement alone also occurs on separable data).
+    the public ``solve_erm`` enforces lam > 0. Each step's decrease is
+    certified by the value bound, and a quadratic solve's system is picked
+    from the input (see the module docstring). Raises NonConvergenceError,
+    carrying the decrement trace, on iteration exhaustion, a Newton system
+    that is not positive definite, a gradient or Newton step that is not
+    finite, or at lam = 0 a final decrement above half the Dikin radius (a
+    small decrement alone also occurs on separable data).
     """
     config = config or SolverConfig()
     check_lambda(lam, "newton_minimize", zero_ok=True)
-    if hessian is not None:
-        if not sset.quadratic:
-            raise ContractViolation("a fixed Hessian needs a loss whose certificate set is {0}")
-        if np.shape(hessian) != (sset.dim, sset.dim):
-            raise ContractViolation(
-                f"hessian has shape {np.shape(hessian)}, expected ({sset.dim}, {sset.dim})")
-    (outcome,) = _minimize(sset, _as_weights(weights, len(sset))[None], lam, config, hessian)
+    (outcome,) = _minimize(sset, _as_weights(weights, len(sset))[None], lam, config)
     if isinstance(outcome, NonConvergenceError):
         raise outcome
     return outcome
 
 
-def _minimize(sset: SampleSet, w: np.ndarray, lam: float, config: SolverConfig,
-              hessian=None) -> list:
-    """The batch core over checked (R, m) weights: picks each path of the
-    module docstring. ``hessian`` is ``newton_minimize``'s checked one, for
-    R = 1."""
+def _minimize(sset: SampleSet, w: np.ndarray, lam: float, config: SolverConfig) -> list:
+    """The batch core over checked (R, m) weights, and the one place that
+    picks a path of the module docstring: a quadratic loss solves in the row
+    span over k <= d rows at lam > 0, and at lam = 0 over k = d rows of which
+    every replicate keeps all (every weight > 0), spanning R^d."""
     if not sset.quadratic:
         return _damped_minimize(sset, w, lam, config)
-    row_span = hessian is None and lam > 0.0 and len(sset.rows) <= sset.dim
+    k, d = len(sset.rows), sset.dim
+    row_span = k <= d and (lam > 0.0 or k == d and (w > 0.0).all())
     if row_span and sset.rows_orthogonal:
         return _orthogonal_span_minimize(sset, w, lam, config)
     # a dense quadratic system's factor lives across both iterations: one
     # replicate at a time keeps one (k, k) or (d, d) factor alive at a time
     if row_span:
         return [_dense_span_minimize(sset, wr, lam, config) for wr in w]
-    return [_quadratic_minimize(sset, wr, lam, config, hessian) for wr in w]
+    return [_quadratic_minimize(sset, wr, lam, config) for wr in w]
 
 
 # the most entries in one stack of (d, d) systems, or of the scaled rows that
@@ -301,34 +289,33 @@ def _chol_solve_one(a: np.ndarray, b: np.ndarray) -> tuple:
 
 def _orthogonal_span_minimize(sset: SampleSet, w: np.ndarray, lam: float,
                               config: SolverConfig) -> list:
-    """The batch of a quadratic loss at lam > 0 over mutually orthogonal rows,
-    in the coefficients beta of theta = R^T beta, nonzero only on each
-    replicate's rows K of nonzero Hessian coefficient c_K. With
-    v = gamma + lam beta, gamma the gradient's row coefficients, the gradient
-    is g = R^T v and the Newton step is beta_K <- beta_K - s with
-    s = M^{-1}(v_K / c_K) and M = G_KK + diag(lam / c_K) from the row Gram G,
-    which is diagonal here: M's factor is its square-root diagonal, and the
+    """The batch of a quadratic loss in the row span over rows of which no
+    two share a nonzero coordinate, in the coefficients beta of
+    theta = R^T beta, nonzero only on each replicate's rows K of nonzero
+    Hessian coefficient c_K. With v = gamma + lam beta, gamma the gradient's
+    row coefficients, the gradient is g = R^T v and the Newton step is
+    beta_K <- beta_K - s with s = M^{-1}(v_K / c_K) and
+    M = G_KK + diag(lam / c_K) from the row Gram G, which is diagonal here,
+    the squared row norms: M's factor is its square-root diagonal, and the
     whole batch solves as (R, k) arrays. The squared decrement g . R_K^T s is
     v . G s, a product with G's diagonal."""
     count = len(w)
     reps = [_Replicate(lam) for _ in range(count)]
     coef = sset.hess_coefs(w, np.zeros((count, sset.dim)))
     # dpotrs with a diagonal factor multiplies by the root's reciprocal twice
-    inv_root, gram = np.zeros(coef.shape), np.diagonal(sset.row_gram)
+    inv_root, sqnorms = np.zeros(coef.shape), sset.row_sqnorms
     for rep, c, inv in zip(reps, coef, inv_root):
         keep = c.nonzero()[0]
-        factor = rep.factor(diag_chol_factor, gram.take(keep) + lam / c.take(keep))
-        if factor is not None:
-            inv[keep] = 1.0 / np.diagonal(factor)
-        # free this (k, k) factor before the next replicate makes its own
-        del factor
+        root = rep.factor(diag_chol_factor, sqnorms.take(keep) + lam / c.take(keep))
+        if root is not None:
+            inv[keep] = 1.0 / root
     scale = np.where(coef != 0.0, coef, 1.0)
     beta, theta = np.zeros(coef.shape), np.zeros((count, sset.dim))
     live = [r for r, rep in enumerate(reps) if rep.outcome is None]
     for _ in range(config.max_iter if live else 0):
         v = sset.grad_coefs(w, theta) + lam * beta
         step = v / scale * inv_root * inv_root
-        sq = np.einsum("rk,rk->r", v, gram * step)
+        sq = np.einsum("rk,rk->r", v, sqnorms * step)
         for r in live:
             if reps[r].decrement(sq[r]) <= config.tol:
                 reps[r].finish(theta[r])
@@ -344,11 +331,12 @@ def _orthogonal_span_minimize(sset: SampleSet, w: np.ndarray, lam: float,
 
 def _dense_span_minimize(sset: SampleSet, w: np.ndarray, lam: float,
                          config: SolverConfig):
-    """One replicate of a quadratic loss at lam > 0 over at most d rows that
-    are not mutually orthogonal, in the coefficients beta of theta = R^T beta
+    """One replicate of a quadratic loss in the row span over rows that
+    share nonzero coordinates, in the coefficients beta of theta = R^T beta
     as in ``_orthogonal_span_minimize``, with M = G_KK + diag(lam / c_K)
-    factored once by Cholesky. The squared decrement is g . R_K^T s, which
-    equals v_K . G_KK s without a second copy of G_KK. Returns its outcome."""
+    factored once by Cholesky (the one reader of ``SampleSet.row_gram``).
+    The squared decrement g . R_K^T s equals v_K . G_KK s, taken without a
+    second copy of G_KK. Returns its outcome."""
     rep, rows = _Replicate(lam), sset.rows
     coef = sset.hess_coefs(w, np.zeros(sset.dim))
     kept = coef.nonzero()[0]
@@ -371,15 +359,14 @@ def _dense_span_minimize(sset: SampleSet, w: np.ndarray, lam: float,
     return rep.exhausted(config)
 
 
-def _quadratic_minimize(sset: SampleSet, w: np.ndarray, lam: float, config: SolverConfig,
-                        hessian=None):
+def _quadratic_minimize(sset: SampleSet, w: np.ndarray, lam: float, config: SolverConfig):
     """One replicate of a quadratic loss over the (d, d) system H + lam I,
-    built (or given) and factored once, since the Hessian is the same at
-    every theta; each step is the full Newton step (mu = 0). The certificate
-    set is {0}, so the Dikin radius is infinite and a lam = 0 minimum is
-    always attained. Returns its outcome."""
+    built and factored once, since the Hessian is the same at every theta;
+    each step is the full Newton step (mu = 0). The certificate set is {0},
+    so the Dikin radius is infinite and a lam = 0 minimum is always attained.
+    Returns its outcome."""
     rep, d = _Replicate(lam), sset.dim
-    h = sset.weighted_hess(w, np.zeros(d)) if hessian is None else np.array(hessian, dtype=float)
+    h = sset.weighted_hess(w, np.zeros(d))
     h.flat[::d + 1] += lam
     factor = rep.factor(chol_factor, h)
     theta = np.zeros(d)

@@ -1,5 +1,5 @@
-"""Summary arithmetic of tools/bench_pairs.py on fixed numbers; no process is
-started."""
+"""Summary arithmetic and shortstat parsing of tools/bench_pairs.py on fixed
+numbers and strings; no process is started."""
 
 import importlib.util
 import pathlib
@@ -67,3 +67,15 @@ def test_summary_of_runs():
     # only pairs whose two runs are correct are compared
     assert s["metrics"]["run_s"]["parent"]["values"] == [1.0, 2.0]
     assert s["metrics"]["run_s"]["ratios"] == [0.5, 0.5]
+
+
+def test_shortstat_is_parsed_from_gits_line():
+    parse = bench_pairs.parse_shortstat
+    assert parse(" 3 files changed, 40 insertions(+), 55 deletions(-)\n") == {
+        "files": 3, "insertions": 40, "deletions": 55, "net": -15}
+    # git leaves out a count that is 0, and prints nothing for an empty diff
+    assert parse(" 1 file changed, 1 insertion(+)\n") == {
+        "files": 1, "insertions": 1, "deletions": 0, "net": 1}
+    assert parse(" 2 files changed, 7 deletions(-)\n") == {
+        "files": 2, "insertions": 0, "deletions": 7, "net": -7}
+    assert parse("") == {"files": 0, "insertions": 0, "deletions": 0, "net": 0}

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import math
 
 import numpy as np
@@ -81,25 +82,19 @@ def test_square_converges_in_one_step(rng, monkeypatch, d, n, builds, factored):
 
 
 def test_row_span_path_is_chosen_by_the_input(rng, monkeypatch):
-    # 6 rows in d=8: lambda = 0 and a given Hessian keep the primal path
+    # 6 rows in d=8: the (d, d) reference builds and factors the (8, 8) H
     sset, w, x, y = ridge_instance(rng, 8, 6)
-    h = sset.weighted_hess(w, np.zeros(8))
     calls = counting(monkeypatch)
-    res = solver.newton_minimize(sset, w, 0.1, hessian=h)
-    assert calls == {"weighted_hess": 0, "factored": [(8, 8)]}
+    res = solver._quadratic_minimize(sset, w, 0.1, SolverConfig())
+    assert calls == {"weighted_hess": 1, "factored": [(8, 8)]}
     np.testing.assert_allclose(res.theta_hat, ridge_closed_form(x, y, w, 0.1), atol=1e-10)
-    # rows with a zero last coordinate have a singular Hessian, so the
-    # lambda = 0 solve fails
+    # fewer than d rows keep a lambda = 0 solve on the (d, d) path; rows with
+    # a zero last coordinate have a singular Hessian, so the solve fails
     x[:, -1] = 0.0
     with pytest.raises(NonConvergenceError, match="not positive definite") as err:
         solver.newton_minimize(SampleSet(SquareLoss(), x, y), w, 0.0)
     assert err.value.trace == ()
-    assert calls == {"weighted_hess": 1, "factored": [(8, 8), (8, 8)]}
-    # 8 rows in d=8 have a nonsingular Hessian: the lambda = 0 solve is primal
-    sset, w, x, y = ridge_instance(rng, 8, 8)
-    res = solver.newton_minimize(sset, w, 0.0)
-    assert calls == {"weighted_hess": 2, "factored": [(8, 8)] * 3}
-    np.testing.assert_allclose(res.theta_hat, ridge_closed_form(x, y, w, 0.0), rtol=1e-8)
+    assert calls == {"weighted_hess": 2, "factored": [(8, 8), (8, 8)]}
     # rows of weight 0 leave the row-span system, and a repeated or negated
     # row is one row
     x = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [-1.0, -2.0, 0.0], [3.0, 0.0, 1.0]])
@@ -110,24 +105,41 @@ def test_row_span_path_is_chosen_by_the_input(rng, monkeypatch):
     np.testing.assert_allclose(res.theta_hat, ridge_closed_form(x, y, w, 0.1), atol=1e-12)
 
 
-def test_given_hessian_replaces_the_build(rng, monkeypatch):
-    sset, w, x, y = ridge_instance(rng, 5, 40)
-    h = sset.weighted_hess(w, np.zeros(5))
-    h.setflags(write=False)
-    built = []
-    monkeypatch.setattr(SampleSet, "weighted_hess", lambda *args: built.append(args))
-    res = solver.newton_minimize(sset, w, 0.1, hessian=h)
-    assert built == []
-    np.testing.assert_allclose(res.theta_hat, ridge_closed_form(x, y, w, 0.1), atol=1e-10)
+def test_lambda_zero_over_d_kept_rows_solves_in_the_row_span(rng, monkeypatch):
+    # 8 dense rows in d=8, each of positive weight, span R^8: the lambda = 0
+    # solve factors their (8, 8) row Gram and builds no Hessian
+    _, w, x, y = ridge_instance(rng, 8, 8)
+    x[:7, -1] = 0.0
+    sset = SampleSet(SquareLoss(), x, y)
+    assert len(sset.rows) == 8 and not sset.rows_orthogonal
+    calls = counting(monkeypatch)
+    res = solver.newton_minimize(sset, w, 0.0)
+    assert calls == {"weighted_hess": 0, "factored": [(8, 8)]}
+    np.testing.assert_allclose(res.theta_hat, ridge_closed_form(x, y, w, 0.0), rtol=1e-8)
+    # with the one row that reaches the last coordinate at weight 0, the
+    # solve stays on the (d, d) path, whose H has a last leading minor of
+    # exactly 0
+    w[-1] = 0.0
+    with pytest.raises(NonConvergenceError, match="not positive definite") as err:
+        solver.newton_minimize(sset, w / w.sum(), 0.0)
+    assert err.value.trace == ()
+    assert calls == {"weighted_hess": 1, "factored": [(8, 8), (8, 8)]}
 
 
-def test_given_hessian_contract(rng):
-    sset, w, _, _ = ridge_instance(rng, 5, 40)
-    with pytest.raises(ContractViolation, match="shape"):
-        solver.newton_minimize(sset, w, 0.1, hessian=np.eye(4))
-    logistic = SampleSet(LogisticLoss(), rng.normal(size=(6, 5)), np.sign(rng.normal(size=6)))
-    with pytest.raises(ContractViolation, match="certificate"):
-        solver.newton_minimize(logistic, np.full(6, 1 / 6), 0.1, hessian=np.eye(5))
+def test_square_population_minimizer_builds_no_hessian(monkeypatch):
+    # case (b)'s 256 axis rows in d = 256: theta* is a diagonal row-span solve
+    calls = counting(monkeypatch)
+    pop = make_source_population(256, 0.5, 1.0, 102)
+    np.testing.assert_allclose(pop.theta_star, pop.meta.theta_star, rtol=1e-12)
+    assert calls == {"weighted_hess": 0, "factored": []}
+
+
+def test_newton_minimize_keeps_the_signature_the_benchmark_reads():
+    # bench/spans.py reads config at position 3 and these two result fields
+    params = list(inspect.signature(solver.newton_minimize).parameters)
+    assert params == ["sset", "weights", "lam", "config"]
+    res = solver.newton_minimize(SampleSet(SquareLoss(), [[1.0]], [1.0]), np.array([1.0]), 1.0)
+    assert len(res.decrement_trace) == 2 and res.iterations == 1
 
 
 def test_matches_ridge_closed_form(rng):
@@ -182,9 +194,8 @@ def span_support(name):
 def test_row_span_solve_is_as_accurate_as_the_primal(name):
     sset, w = span_support(name)
     assert len(sset.rows) <= sset.dim
-    h = sset.weighted_hess(w, np.zeros(sset.dim))
     for lam in (0.06, 1e-3, 1e-6, 1e-9):
-        primal = solver.newton_minimize(sset, w, lam, hessian=h).theta_hat
+        primal = solver._quadratic_minimize(sset, w, lam, SolverConfig()).theta_hat
         span = solver.newton_minimize(sset, w, lam).theta_hat
         bound = 10.0 * max(normal_residual(sset, w, lam, primal), np.finfo(float).eps)
         assert normal_residual(sset, w, lam, span) <= bound
@@ -227,33 +238,47 @@ def test_orthogonal_rows_factor_the_gathered_system_bit_for_bit(n, monkeypatch):
     kept = c.nonzero()[0]
     system = sset.row_gram[np.ix_(kept, kept)] + np.diag(lam / c[kept])
     assert calls["diag"][0].tobytes() == np.diagonal(system).tobytes()
-    assert calls["diag_factor"][0].tobytes() == solver.chol_factor(system).tobytes()
+    assert calls["diag_factor"][0].tobytes() == np.diagonal(solver.chol_factor(system)).tobytes()
 
 
-def test_orthogonal_dense_rows_take_the_diagonal_path(rng, monkeypatch):
-    # an 8 x 8 Sylvester-Hadamard design: every row dense, exactly orthogonal
-    hadamard = np.array([[1.0]])
-    for _ in range(3):
-        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
-    sset = SampleSet(SquareLoss(), hadamard, rng.normal(size=8))
-    assert sset.rows_orthogonal and len(sset.rows) == 8
-    calls = recording_factors(monkeypatch)
+def hadamard(n):
+    """The n x n Sylvester-Hadamard design, n a power of 2: every row dense,
+    the rows exactly orthogonal."""
+    h = np.array([[1.0]])
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def test_hadamard_rows_take_the_dense_span_path(rng, monkeypatch):
+    # orthogonal rows that share coordinates: the row-span solve factors
+    # their dense (8, 8) system and builds no Hessian
+    sset = SampleSet(SquareLoss(), hadamard(8), rng.normal(size=8))
+    assert not sset.rows_orthogonal and len(sset.rows) == 8
+    calls = counting(monkeypatch)
     for _ in range(5):
         w = rng.uniform(0.2, 1.0, size=8)
         w /= w.sum()
-        h = sset.weighted_hess(w, np.zeros(8))
         for lam in (0.3, 1e-3, 1e-6):
             span = solver.newton_minimize(sset, w, lam).theta_hat
-            primal = solver.newton_minimize(sset, w, lam, hessian=h).theta_hat
+            primal = solver._quadratic_minimize(sset, w, lam, SolverConfig()).theta_hat
             np.testing.assert_allclose(span, primal, rtol=1e-13, atol=0)
-    # the primal solves factor a dense (8, 8); the row-span ones its diagonal
-    assert calls["chol_factor"] == 15 and len(calls["diag"]) == 15
+    # the primal solves build and factor H; the row-span ones factor the Gram system
+    assert calls == {"weighted_hess": 15, "factored": [(8, 8)] * 30}
 
 
-def test_rows_orthogonal_reads_the_row_gram():
-    assert not rotated(case_b(), seed=0).sample_set.rows_orthogonal
+def test_rows_orthogonal_reads_the_rows():
+    # True exactly when no two rows share a nonzero coordinate
+    assert case_b().sample_set.rows_orthogonal
     assert SampleSet(SquareLoss(), [[1.0, 0.0], [0.0, 2.0], [-1.0, 0.0]], [0.0] * 3).rows_orthogonal
     assert not SampleSet(SquareLoss(), [[1.0, 0.0], [1.0, 1e-300]], [0.0] * 2).rows_orthogonal
+    assert not rotated(case_b(), seed=0).sample_set.rows_orthogonal
+    # mutually orthogonal rows that share coordinates are not
+    assert not SampleSet(SquareLoss(), [[1.0, 1.0], [1.0, -1.0]], [0.0] * 2).rows_orthogonal
+    sset = SampleSet(SquareLoss(), hadamard(8), np.zeros(8))
+    assert not sset.rows_orthogonal
+    # read off the rows without building their Gram matrix
+    assert "row_gram" not in vars(sset)
 
 
 def test_orthogonal_rows_fail_as_the_primal_does(monkeypatch):
@@ -264,10 +289,11 @@ def test_orthogonal_rows_fail_as_the_primal_does(monkeypatch):
     calls = recording_factors(monkeypatch)
     with pytest.raises(NonConvergenceError, match="non-finite diagonal") as span:
         solver.newton_minimize(sset, w, 0.1)
-    with pytest.raises(NonConvergenceError) as primal:
-        solver.newton_minimize(sset, w, 0.1, hessian=np.diag([np.inf, 0.5]))
-    assert str(span.value) == str(primal.value)
-    assert span.value.trace == primal.value.trace == ()
+    with np.errstate(over="ignore"):
+        primal = solver._quadratic_minimize(sset, w, 0.1, SolverConfig())
+    assert isinstance(primal, NonConvergenceError)
+    assert str(span.value) == str(primal)
+    assert span.value.trace == primal.trace == ()
     assert calls["chol_factor"] == 1 and len(calls["diag"]) == 1 and not calls["diag_factor"]
 
 
@@ -472,9 +498,8 @@ def test_batch_matches_single_solves(name):
         assert err <= 1e-14 * np.linalg.norm(single.theta_hat)
         damped += single.iterations > 1
         if name == "primal":
-            # the same system, given in place of built: the same bits
-            h = sset.weighted_hess(w[r], np.zeros(sset.dim))
-            given = solver.newton_minimize(sset, w[r], lam, hessian=h)
+            # the (d, d) reference of one weight vector: the same bits
+            given = solver._quadratic_minimize(sset, w[r], lam, SolverConfig())
             assert given.theta_hat.tobytes() == single.theta_hat.tobytes()
     # the non-quadratic cases take several, partly damped, steps
     assert (damped > 0) == (name in ("damped-logistic", "softmax-glm"))

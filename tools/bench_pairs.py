@@ -18,8 +18,11 @@ change/parent ratios, the pairs the change wins (ties count for neither
 side), whether a gain can be claimed (wins in at least nine tenths of the
 pairs and medians further apart than the parent's interquartile range), and
 whether the change's median stays within the metric's regression bound. It
-also records the nproc and OpenBLAS thread counts every run saw. The file is
-rewritten after every pair, so an interrupted session keeps what it measured.
+also records the nproc and OpenBLAS thread counts every run saw, and, as
+``src_shortstat``, the files, insertions, deletions and net lines of ``git
+diff --shortstat REV -- src`` (the parent against the working tree's tracked
+files). The file is rewritten after every pair, so an interrupted session
+keeps what it measured.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import argparse
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -116,6 +120,26 @@ def summarize_runs(runs, metrics) -> dict:
     return out
 
 
+_SHORTSTAT_KEYS = {"file": "files", "insertion": "insertions", "deletion": "deletions"}
+
+
+def parse_shortstat(text: str) -> dict:
+    """files, insertions, deletions and net lines (insertions - deletions) of
+    a ``git diff --shortstat`` line; git leaves out a count that is 0, and
+    prints nothing for an empty diff."""
+    counts = dict.fromkeys(_SHORTSTAT_KEYS.values(), 0)
+    for number, word in re.findall(r"(\d+) (file|insertion|deletion)", text):
+        counts[_SHORTSTAT_KEYS[word]] = int(number)
+    counts["net"] = counts["insertions"] - counts["deletions"]
+    return counts
+
+
+def src_shortstat(rev: str) -> dict:
+    text = subprocess.run(["git", "diff", "--shortstat", rev, "--", "src"], check=True,
+                          capture_output=True, text=True).stdout
+    return parse_shortstat(text)
+
+
 def export_parent(rev: str, dest: str) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", rev], check=True,
                              capture_output=True).stdout
@@ -189,7 +213,8 @@ def main(argv=None) -> int:
             os.makedirs(tree)
         export_parent(args.parent, trees["parent"])
         copy_working_tree(trees["change"])
-        record = {"parent": args.parent, "seconds": args.seconds, "workloads": {}}
+        record = {"parent": args.parent, "seconds": args.seconds,
+                  "src_shortstat": src_shortstat(args.parent), "workloads": {}}
         for name in names:
             for seed in seeds:
                 runs = []
