@@ -14,9 +14,12 @@ A ``SampleSet`` holds a support as stacked feature and label arrays, so that
 population sums and empirical risks are single BLAS calls. It keeps every
 loss's feature rows (the GLM's (atom, label) rows) once up to sign: scalar
 sums and ``certificate_rows``, the one stack ``seminorm`` reads, run over
-them, and every weighted Hessian is one SYRK product. ``Sample`` is one
-observation, the input of the per-sample operations, which stay an
-independent oracle for the stacked sums.
+them, and every weighted Hessian is one SYRK product. Scalar rows with one
+nonzero coordinate each, no two on the same one (``SampleSet.axis_rows``, as
+both generators build), take gathers and scatters in place of the margin,
+gradient and moment products and of a single Hessian's SYRK, with the same
+bits. ``Sample`` is one observation, the input of the per-sample
+operations, which stay an independent oracle for the stacked sums.
 """
 
 from __future__ import annotations
@@ -425,7 +428,13 @@ class SampleSet:
     |f'| ||x|| and Hessian trace f'' ||x||^2, and ``grad_moments`` sums
     w f'^2 per row. So no scalar sum builds the (m, d) gradient matrix
     ``grads``, which the GLM's gradient sums read. Every weighted Hessian is
-    one SYRK product (``weighted_hess``). A scalar loss also gives its
+    one SYRK product (``weighted_hess``). On ``axis_rows`` (one scan of the
+    rows, on first use), each row one nonzero coordinate and no two rows on
+    the same one, a scalar loss's margins are a gather of theta's entries,
+    ``combine_rows`` (the weighted gradient's coefs @ rows) is a scatter, a
+    single weighted Hessian is its diagonal and ``grad_moments`` projects by
+    a gather: O(k) work in place of O(kd) or O(kd^2), to the same bits up to
+    the sign of an exact zero. A scalar loss also gives its
     weighted gradient and Hessian as per-row coefficients (``grad_coefs``,
     ``hess_coefs``), which are what a square-loss solve over at most d rows
     reads in place of a (d, d) Hessian (``solver.newton_minimize``), with
@@ -438,9 +447,10 @@ class SampleSet:
     ``hess_coefs`` of shape (R, k), ``weighted_grad`` of shape (R, d) and
     ``weighted_hess`` as an (R, d, d) stack; ``values`` and ``seminorm`` take
     an (R, d) stack alone. A scalar loss computes a batch's margins as one
-    product Theta rows^T and its per-row coefficients as one ``bincount``,
-    which adds each replicate's atoms in the same order as a single
-    replicate's sums, and forms a batch's Hessians in one stacked product.
+    product Theta rows^T (one gather on axis rows) and its per-row
+    coefficients as one ``bincount``, which adds each replicate's atoms in
+    the same order as a single replicate's sums, and forms a batch's
+    Hessians in one stacked product, on axis rows too.
     The GLM runs its sums replicate by replicate.
     """
 
@@ -457,10 +467,14 @@ class SampleSet:
     # -- scalar-loss internals
     def _margins(self, theta):
         """Per-sample margins, (m,) for a parameter (d,) or (R, m) for a stack
-        (R, d): one product Theta rows^T, whatever R."""
-        if theta.ndim == 1:
-            return (self.rows @ theta)[self.row_of] * self.row_sign
-        return (theta @ self.rows.T)[:, self.row_of] * self.row_sign
+        (R, d): one product Theta rows^T, whatever R, or a gather of theta's
+        entries on ``axis_rows``."""
+        axis = self.axis_rows
+        if axis is not None:
+            per_row = theta[..., axis[0]] * axis[1]
+        else:
+            per_row = self.rows @ theta if theta.ndim == 1 else theta @ self.rows.T
+        return per_row[..., self.row_of] * self.row_sign
 
     def _row_sums(self, values) -> np.ndarray:
         """Sums of per-sample values (m,) or (R, m) over each row's atoms,
@@ -531,10 +545,21 @@ class SampleSet:
     def weighted_grad(self, weights, theta) -> np.ndarray:
         """Weighted gradient sum, shape (d,), or (R, d) for a batch."""
         if not self.loss.is_glm:
-            return self.grad_coefs(weights, theta) @ self.rows
+            return self.combine_rows(self.grad_coefs(weights, theta))
         if np.ndim(weights) == 2:
             return self._each(self.weighted_grad, weights, theta)
         return weights @ self.grads(theta)
+
+    def combine_rows(self, coefs) -> np.ndarray:
+        """coefs @ rows, shape (d,) for coefficients (k,) or (R, d) for
+        (R, k): one product, or on ``axis_rows`` a scatter of coefs * vals
+        into zeros."""
+        axis = self.axis_rows
+        if axis is None:
+            return coefs @ self.rows
+        out = np.zeros(coefs.shape[:-1] + (self.dim,))
+        out[..., axis[0]] = coefs * axis[1]
+        return out
 
     def grad_coefs(self, weights, theta) -> np.ndarray:
         """A scalar loss's weighted gradient as per-row coefficients, shape
@@ -560,13 +585,15 @@ class SampleSet:
         square roots of their coefficients, a scalar loss's ``rows`` with
         their summed w f'', or the GLM's centered rows Phi(x, y') - E_p Phi(x, .)
         with w p(y'), whose sum is each atom's covariance of Phi under p.
-        Weights must be nonnegative: every loss is convex, so the coefficients
-        are too. A row of coefficient 0 adds exactly 0 and is left out, so a
-        draw's counts / n weights cost only the rows it drew.
+        Weights must be finite and nonnegative: every loss is convex, so the
+        coefficients are too. A row of coefficient 0 adds exactly 0 and is
+        left out, so a draw's counts / n weights cost only the rows it drew.
+        A scalar loss's single Hessian on ``axis_rows`` is the SYRK's
+        diagonal, each entry the square of its one row's scaled value.
         """
         weights = np.asarray(weights, dtype=float)
-        if (weights < 0).any():
-            raise ContractViolation("Hessian weights must be nonnegative")
+        if not np.isfinite(weights).all() or (weights < 0).any():
+            raise ContractViolation("Hessian weights must be finite and nonnegative")
         if not self.loss.is_glm:
             coef, rows = self.hess_coefs(weights, theta), self.rows
             if coef.ndim == 2:
@@ -574,6 +601,12 @@ class SampleSet:
                 # per replicate, without the gather of the rows each one kept
                 a = rows * np.sqrt(coef)[:, :, None]
                 return np.matmul(a.transpose(0, 2, 1), a)
+            if self.axis_rows is not None:
+                # the SYRK's one nonzero term per entry: it squares rows * sqrt(coef)
+                cols, vals = self.axis_rows
+                h = np.zeros((self.dim, self.dim))
+                h[cols, cols] = (vals * np.sqrt(coef)) ** 2
+                return h
         elif weights.ndim == 2:
             return self._each(self.weighted_hess, weights, theta)
         else:
@@ -614,7 +647,11 @@ class SampleSet:
         theta = _check_theta(theta, self.dim)
         if not loss.is_glm:
             fp = np.asarray(loss._fp(self._margins(theta), self.labels), dtype=float)
-            return np.bincount(self.row_of, weights * fp * fp) @ (self.rows @ basis) ** 2
+            axis = self.axis_rows
+            # on axis rows, row i projects to vals_i basis[cols_i]; squared, bit
+            # for bit the product's
+            projected = self.rows @ basis if axis is None else axis[1][:, None] * basis[axis[0]]
+            return np.bincount(self.row_of, weights * fp * fp) @ projected ** 2
         return weights @ (self.grads(theta) @ basis) ** 2
 
     @cached_property
@@ -631,6 +668,31 @@ class SampleSet:
         gram = self.rows @ self.rows.T
         gram.setflags(write=False)
         return gram
+
+    @cached_property
+    def axis_rows(self) -> tuple | None:
+        """A scalar loss's rows as (cols, vals), each row's one nonzero
+        coordinate and its value, read-only, when every row has exactly one
+        nonzero entry and no two rows share a column (so k <= d); None
+        otherwise, and always for the GLM. Read from one scan of ``rows`` on
+        first use; k > d answers None without one.
+
+        When set, every product with the rows has at most one nonzero term
+        per output entry, so the margins and the weighted gradient are a
+        gather and a scatter, a single weighted Hessian is diagonal, and
+        ``grad_moments`` projects by a gather: bit for bit the products'
+        results, up to the sign of an exact zero, for finite parameters and
+        weights. Both generators' rows have it."""
+        rows = self.rows
+        if self.loss.is_glm or len(rows) > self.dim:
+            return None
+        nonzero = rows != 0.0
+        if (np.count_nonzero(nonzero, axis=1) != 1).any():
+            return None
+        cols = nonzero.argmax(axis=1)
+        if np.bincount(cols).max() > 1:
+            return None
+        return _readonly(cols), _readonly(rows[np.arange(len(rows)), cols])
 
     @cached_property
     def rows_orthogonal(self) -> bool:
@@ -689,7 +751,7 @@ def sup_constants(sset: SampleSet, radius: float) -> SupConstants:
     B1 = max ||Phi(x,y') - Phi(x,y)|| and B2 = max ||Phi(x,y')||^2 over atoms
     and labels y'. The logistic and softmax bounds hold for every radius.
     """
-    if radius < 0:
+    if not radius >= 0:
         raise ContractViolation("radius must be nonnegative")
     loss = sset.loss
     if loss.is_glm:

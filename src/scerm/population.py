@@ -550,7 +550,7 @@ def make_source_population(d: int, r: float, alpha: float, seed: int) -> FiniteP
         raise ContractViolation("source population needs d >= 2")
     if not 0.0 <= r <= 0.5:
         raise ContractViolation("r must lie in [0, 0.5] (source condition range)")
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise ContractViolation("alpha must be >= 1 (capacity condition range)")
     rng = np.random.default_rng(seed)
     j = np.arange(1, d + 1, dtype=float)
@@ -590,7 +590,7 @@ def make_logistic_population(d: int, alpha: float, seed: int) -> FinitePopulatio
     """
     if d < 1:
         raise ContractViolation("d must be >= 1")
-    if alpha < 0:
+    if not alpha >= 0:
         raise ContractViolation("alpha must be nonnegative")
     rng = np.random.default_rng(seed)
     j = np.arange(1, d + 1, dtype=float)

@@ -277,7 +277,7 @@ def anchored_lambdas(n_grid, exponent: float, anchor: float, n_anchor: int) -> t
     Keeps the corollary's decay exponent while pinning the level inside the
     population's spectral range, where the rates are actually observable.
     """
-    if anchor <= 0:
+    if not anchor > 0:
         raise ContractViolation("anchor must be positive")
     if n_anchor < 1 or any(n < 1 for n in n_grid):
         raise ContractViolation("n_anchor and every n must be >= 1")

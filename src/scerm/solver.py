@@ -325,7 +325,7 @@ def _orthogonal_span_minimize(sset: SampleSet, w: np.ndarray, lam: float,
         # a replicate that is done keeps its coefficients
         step[[rep.outcome is not None for rep in reps]] = 0.0
         beta = beta - step
-        theta = beta @ sset.rows
+        theta = sset.combine_rows(beta)
     return [rep.exhausted(config) for rep in reps]
 
 

@@ -18,6 +18,7 @@ from scerm import (
     stack_samples,
     sup_constants,
 )
+from scerm import solver
 from scerm.linalg import ball_point
 from scerm.losses import LOSS_KINDS
 from scerm.population import (
@@ -25,6 +26,7 @@ from scerm.population import (
     make_source_population,
     sup_norm_certificate,
 )
+from test_rotation import rotated
 
 SCALAR_KINDS = ["square", "huber_sqrt", "huber_logcosh", "logistic"]
 ALL_KINDS = SCALAR_KINDS + ["softmax_glm"]
@@ -560,10 +562,15 @@ def test_scalar_weighted_hess_is_exactly_symmetric(kind, rng):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_weighted_hess_rejects_negative_weights(kind, rng):
+    # and weights that are not finite: a NaN passes a "< 0" check
     atoms = [random_sample(rng, kind, 3) for _ in range(4)]
     sset = stack_samples(make_loss(kind), atoms)
-    with np.errstate(invalid="raise"), pytest.raises(ContractViolation, match="nonnegative"):
-        sset.weighted_hess(np.array([0.5, 0.75, -0.25, 0.0]), np.zeros(3))
+    for bad in (-0.25, math.nan, math.inf):
+        weights = np.array([0.5, 0.75, bad, 0.0])
+        for w, theta in ((weights, np.zeros(3)), (np.stack([weights] * 2), np.zeros((2, 3)))):
+            with np.errstate(invalid="raise"), pytest.raises(ContractViolation,
+                                                             match="nonnegative"):
+                sset.weighted_hess(w, theta)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -609,3 +616,116 @@ def test_sample_set_rejects_mixed_dims():
     with pytest.raises(ContractViolation):
         stack_samples(SquareLoss(), [Sample(features=np.ones(2), label=0.0),
                                      Sample(features=np.ones(3), label=0.0)])
+
+
+# -- axis rows: products as gathers and scatters --------------------------------
+
+
+def dense_twin(sset):
+    """The same support with ``axis_rows`` set to None, so that every product
+    with its rows runs through BLAS."""
+    twin = SampleSet(sset.loss, sset.features, sset.labels)
+    vars(twin)["axis_rows"] = None
+    return twin
+
+
+def axis_support(rng, kind):
+    """A scalar support on k <= d axis rows of random signs and scales from
+    1e-150 to 1e150, with merged +-x rows and labels drawn from a small set,
+    and a parameter that keeps every margin of order 1."""
+    d = int(rng.integers(1, 9))
+    k = int(rng.integers(1, d + 1))
+    cols = rng.choice(d, size=k, replace=False)
+    x = np.zeros((k, d))
+    x[np.arange(k), cols] = rng.choice([-1.0, 1.0], size=k) * 10.0 ** rng.uniform(-150, 150, k)
+    # extra atoms on the same rows, half of them at 0.0 - x (the point -x)
+    pick = rng.integers(k, size=int(rng.integers(0, 2 * k + 1)))
+    extra = np.where(rng.random(pick.size)[:, None] < 0.5, 0.0 - x[pick], x[pick])
+    feats = np.concatenate([x, extra])
+    m = len(feats)
+    if kind == "logistic":
+        labels = rng.choice([-1.0, 1.0], size=m)
+    else:
+        labels = rng.choice([-1.0, 0.0, 1.3], size=m)
+    theta = rng.normal(size=d)
+    theta[cols] /= np.abs(x[np.arange(k), cols])
+    if rng.random() < 0.5:
+        theta[cols[0]] = rng.choice([0.0, -0.0])
+    return SampleSet(make_loss(kind), feats, labels), theta
+
+
+def assert_same_bytes(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(SCALAR_KINDS),
+       count=st.sampled_from([1, 3]))
+def test_axis_rows_match_the_dense_products(seed, kind, count):
+    rng = np.random.default_rng(seed)
+    sset, theta = axis_support(rng, kind)
+    cols, vals = sset.axis_rows
+    assert not cols.flags.writeable and not vals.flags.writeable
+    np.testing.assert_array_equal(sset.rows[np.arange(len(cols)), cols], vals)
+    dense = dense_twin(sset)
+    k, m, d = len(sset.rows), len(sset), sset.dim
+    w = rng.uniform(0.1, 1.0, size=(count, m))
+    # a row of coefficient 0: every atom of it undrawn in every replicate
+    if k > 1:
+        w[:, sset.row_of == rng.integers(k)] = 0.0
+    w /= w.sum(axis=1, keepdims=True)
+    thetas = theta + np.zeros((count, d))
+    thetas[1:] *= rng.uniform(0.5, 2.0, size=(count - 1, d))
+    basis = rng.normal(size=(d, 3))
+    # margins and gradients up to the sign of an exact zero: assert_array_equal
+    # counts -0.0 equal to 0.0
+    for t in (theta, thetas):
+        np.testing.assert_array_equal(sset._margins(t), dense._margins(t))
+        np.testing.assert_array_equal(sset.values(t), dense.values(t))
+    beta = rng.normal(size=(count, k))
+    np.testing.assert_array_equal(sset.combine_rows(beta), beta @ sset.rows)
+    np.testing.assert_array_equal(sset.combine_rows(beta[0]), beta[0] @ sset.rows)
+    for weights, t in ((w[0], theta), (w, thetas)):
+        np.testing.assert_array_equal(sset.grad_coefs(weights, t), dense.grad_coefs(weights, t))
+        np.testing.assert_array_equal(sset.weighted_grad(weights, t),
+                                      dense.weighted_grad(weights, t))
+        np.testing.assert_array_equal(sset.hess_coefs(weights, t), dense.hess_coefs(weights, t))
+        np.testing.assert_array_equal(sset.weighted_hess(weights, t),
+                                      dense.weighted_hess(weights, t))
+    # the single Hessian and the moments bit for bit
+    assert_same_bytes(sset.weighted_hess(w[0], theta), dense.weighted_hess(w[0], theta))
+    assert_same_bytes(sset.grad_moments(w[0], theta, basis),
+                      dense.grad_moments(w[0], theta, basis))
+    for lam in (0.1, 0.0):
+        for out, ref in zip(solver.newton_minimize_batch(sset, w, lam),
+                            solver.newton_minimize_batch(dense, w, lam)):
+            assert type(out) is type(ref)
+            if isinstance(ref, solver.SolveResult):
+                np.testing.assert_array_equal(out.theta_hat, ref.theta_hat)
+                assert out.decrement_trace == ref.decrement_trace
+            else:
+                assert str(out) == str(ref)
+
+
+def test_axis_rows_are_none_off_the_axes():
+    case_b = make_source_population(256, 0.5, 1.0, 102)
+    h = np.array([[1.0, 1.0], [1.0, -1.0]])
+    hadamard = np.kron(np.kron(h, h), h)
+    square = SquareLoss()
+    assert SampleSet(square, hadamard, np.zeros(8)).axis_rows is None
+    assert rotated(case_b, seed=0).sample_set.axis_rows is None
+    # two nonzeros on coordinates no other row uses: orthogonal, not axis rows
+    disjoint = SampleSet(square, [[1.0, 1.0, 0.0], [0.0, 0.0, 2.0]], [0.0, 1.0])
+    assert disjoint.rows_orthogonal and disjoint.axis_rows is None
+    assert SampleSet(square, [[1.0, 0.0], [0.0, 0.0]], [0.0, 1.0]).axis_rows is None
+    # two rows on one coordinate, and more rows than coordinates
+    assert SampleSet(square, [[1.0, 0.0], [2.0, 0.0]], [0.0, 1.0]).axis_rows is None
+    assert SampleSet(square, np.eye(2)[[0, 1, 1]] * [[1.0], [1.0], [3.0]],
+                     [0.0] * 3).axis_rows is None
+    # GLM label rows one per coordinate are still GLM rows
+    glm = SampleSet(SoftmaxGLMLoss(np.array([0.5, 0.5])), [[[1.0, 0.0], [0.0, 2.0]]], [0])
+    assert len(glm.rows) == 2 and glm.axis_rows is None
+    # the generators' rows are axis rows
+    for pop in (case_b, make_logistic_population(16, 1.0, 103)):
+        cols, vals = pop.sample_set.axis_rows
+        assert len(cols) == pop.dim and (vals != 0.0).all()

@@ -623,6 +623,19 @@ def test_source_population_validation():
         make_source_population(d=8, r=0.5, alpha=0.5, seed=0)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: make_source_population(d=8, r=0.5, alpha=math.nan, seed=0), "alpha must be >= 1"),
+    (lambda: make_logistic_population(d=8, alpha=math.nan, seed=0), "alpha must be nonnegative"),
+    (lambda: anchored_lambdas((128, 256), 0.5, math.nan, 128), "anchor must be positive"),
+    (lambda: sup_constants(make_logistic_population(d=4, alpha=1.0, seed=0).sample_set,
+                           math.nan), "radius must be nonnegative"),
+], ids=["source-alpha", "logistic-alpha", "anchor", "radius"])
+def test_sign_checks_reject_nan(call, match):
+    # each check is written "not x >= bound", so a NaN fails it
+    with pytest.raises(ContractViolation, match=match):
+        call()
+
+
 def test_source_slopes_recovered_within_tolerance():
     # measured bias and df slopes over the df-gated central window match the
     # prescribed exponents within 0.1
